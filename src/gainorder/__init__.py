@@ -61,7 +61,6 @@ from .markov import (
     markov_spec_from_json,
     super_state,
 )
-from .special import exp_integral_e1, lower_incomplete_gamma_regularized
 from .stochastic_order import (
     OrderVerdict,
     Relation,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import exp1
 
 from .classifier import (
     ClassificationReport,
@@ -25,7 +25,6 @@ from .classifier import (
     classify_wtc,
 )
 from .distributions import Exponential, GainDistribution
-from .special import exp_integral_e1_scaled
 
 __all__ = [
     "RateValue",
@@ -43,6 +42,9 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _VERTEX_TOL = 1e-9
+_TINY = 1e-300  # Lentz floor for vanishing partial denominators
+_LENTZ_EPS = 1e-16
+_LENTZ_MAX_ITER = 600
 
 
 class UnclassifiedScenarioError(ValueError):
@@ -83,7 +85,52 @@ def exponential_rate_closed_form(mean_gain: float, power: float) -> float:
     if power == 0.0:
         return 0.0
     arg = 1.0 / (power * mean_gain)
-    return exp_integral_e1_scaled(arg) / (2.0 * _LN2)
+    return _scaled_exp1(arg) / (2.0 * _LN2)
+
+
+def _scaled_exp1(x):
+    """Overflow-safe e^x E1(x) for x > 0.
+
+    For x > 1 the modified Lentz evaluation of the continued fraction yields
+    it directly, so large arguments (low SNR) never form e^x; for x <= 1 it
+    is e^x times scipy's E1.
+    """
+    x_arr = np.asarray(x, dtype=float)
+    if np.any(x_arr <= 0.0) or np.any(~np.isfinite(x_arr)):
+        raise ValueError("x must be finite and > 0")
+    flat = x_arr.ravel()
+    out = np.empty_like(flat)
+    small = flat <= 1.0
+    out[small] = np.exp(flat[small]) * exp1(flat[small])
+    out[~small] = _e1_lentz_fraction(flat[~small])
+    out = out.reshape(x_arr.shape)
+    return out if out.ndim else float(out)
+
+
+def _e1_lentz_fraction(x: np.ndarray) -> np.ndarray:
+    """The continued fraction 1/(x + 1 - 1/(x + 3 - 4/(x + 5 - ...))), i.e. e^x E1(x)."""
+    b = x + 1.0
+    c = np.full_like(x, 1.0 / _TINY)
+    d = 1.0 / b
+    h = d.copy()
+    live = np.arange(x.size)
+    for i in range(1, _LENTZ_MAX_ITER + 1):
+        an = -float(i) * float(i)
+        bl = b[live] + 2.0
+        b[live] = bl
+        dl = an * d[live] + bl
+        dl = np.where(np.abs(dl) < _TINY, _TINY, dl)
+        cl = bl + an / c[live]
+        cl = np.where(np.abs(cl) < _TINY, _TINY, cl)
+        dl = 1.0 / dl
+        delta = dl * cl
+        c[live] = cl
+        d[live] = dl
+        h[live] *= delta
+        live = live[np.abs(delta - 1.0) >= _LENTZ_EPS]
+        if live.size == 0:
+            break
+    return h
 
 
 def ergodic_rate(
@@ -135,6 +182,8 @@ def ergodic_rate(
 
 def _expectation_c(d: GainDistribution, power: float, offset: float = 0.0) -> tuple[float, float]:
     """E[C(offset + power * H)] for a continuous gain by adaptive quadrature."""
+
+    from scipy.integrate import quad
 
     def integrand(x: float) -> float:
         return float(c_of(offset + power * x)) * float(d.pdf(x))
@@ -299,8 +348,8 @@ def wtc_secrecy_capacity(s: WTCScenario, force: bool = False) -> RateValue:
     """Ergodic secrecy capacity E[C(H P)] - E[C(G P)] of the degraded wiretap channel.
 
     Linearity of the expectation makes the coupling irrelevant to the value;
-    degradedness guarantees nonnegativity, which is asserted rather than
-    clamped.
+    degradedness guarantees nonnegativity, so a negative value raises rather
+    than being clamped.
     """
     report = classify_wtc(s)
     if not report.verdict and not force:
@@ -309,6 +358,6 @@ def wtc_secrecy_capacity(s: WTCScenario, force: bool = False) -> RateValue:
     bottom = ergodic_rate(s.eavesdropper, s.power)
     bits = top.bits - bottom.bits
     err = top.error_estimate + bottom.error_estimate
-    if report.verdict:
-        assert bits >= -1e-9, "degraded wiretap channel produced a negative secrecy rate"
+    if report.verdict and bits < -1e-9:
+        raise RuntimeError("degraded wiretap channel produced a negative secrecy rate")
     return RateValue(bits, "quadrature", err)

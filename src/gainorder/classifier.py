@@ -141,11 +141,19 @@ def classify_bc(s: BCScenario, tol: float | None = None) -> ClassificationReport
     """
     gains = list(s.gains)
     k = len(gains)
+    verdicts = {}
+
+    def check(i: int, j: int) -> OrderVerdict:
+        # the permutation search meets each ordered pair many times
+        if (i, j) not in verdicts:
+            verdicts[i, j] = check_usual_order(gains[i], gains[j], tol=tol)
+        return verdicts[i, j]
+
     order = sorted(range(k), key=lambda i: gains[i].mean())
-    chain = _try_chain(gains, order, tol)
+    chain = _try_chain(check, order)
     if chain is None and k <= 6:
         for perm in itertools.permutations(range(k)):
-            chain = _try_chain(gains, list(perm), tol)
+            chain = _try_chain(check, list(perm))
             if chain is not None:
                 order = list(perm)
                 break
@@ -159,7 +167,7 @@ def classify_bc(s: BCScenario, tol: float | None = None) -> ClassificationReport
         report.order_checks = chain
         report.permutation = tuple(i + 1 for i in order)
     else:
-        bad = _find_incomparable_pair(gains, tol)
+        bad = _find_incomparable_pair(check, k)
         if bad is not None:
             i, j, verdict = bad
             report.order_checks = [(f"user{i + 1}_vs_user{j + 1}", verdict)]
@@ -169,19 +177,19 @@ def classify_bc(s: BCScenario, tol: float | None = None) -> ClassificationReport
     return report
 
 
-def _try_chain(gains, order, tol=None):
+def _try_chain(check, order):
     checks = []
     for a, b in zip(order[:-1], order[1:]):
-        verdict = check_usual_order(gains[a], gains[b], tol=tol)
+        verdict = check(a, b)
         if not verdict.first_leq:
             return None
         checks.append((f"user{a + 1}_leq_user{b + 1}", verdict))
     return checks
 
 
-def _find_incomparable_pair(gains, tol=None):
-    for i, j in itertools.combinations(range(len(gains)), 2):
-        verdict = check_usual_order(gains[i], gains[j], tol=tol)
+def _find_incomparable_pair(check, k):
+    for i, j in itertools.combinations(range(k), 2):
+        verdict = check(i, j)
         if verdict.relation is Relation.INCOMPARABLE:
             return i, j, verdict
     return None

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .special import lower_incomplete_gamma_regularized
+from scipy.special import gammainc, gammaincinv
 
 __all__ = [
     "GainDistribution",
@@ -198,16 +197,19 @@ class NakagamiGain(GainDistribution):
     def cdf(self, x):
         x_arr = _as_float_array(x)
         clipped = np.maximum(x_arr, 0.0)
-        out = np.asarray(lower_incomplete_gamma_regularized(self.m, self.m * clipped / self.w))
-        out = np.where(x_arr >= 0.0, out, 0.0)
+        out = np.where(x_arr >= 0.0, gammainc(self.m, self.m * clipped / self.w), 0.0)
         return _scalar_or_array(out)
 
     def quantile(self, u):
         u_arr = _as_float_array(u)
         _check_u(u_arr)
-        std = self.w / math.sqrt(self.m)
-        out = _invert_cdf(self.cdf, u_arr, hi_guess=self.w + 10.0 * std, pdf=self.pdf)
-        return _scalar_or_array(out)
+        u_flat = np.atleast_1d(u_arr)
+        # gammaincinv maps u = 0 to 0 and u = 1 to inf; in between its answer
+        # can sit a few ulps off the double where the float cdf crosses u
+        out = gammaincinv(self.m, u_flat) * (self.w / self.m)
+        interior = (u_flat > 0.0) & (u_flat < 1.0)
+        out[interior] = _least_inverse(self.cdf, out[interior], u_flat[interior])
+        return _scalar_or_array(out.reshape(u_arr.shape))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -522,6 +524,46 @@ def distribution_from_spec(spec: dict) -> GainDistribution:
 def _check_u(u_arr: np.ndarray) -> None:
     if np.any(u_arr < 0.0) or np.any(u_arr > 1.0) or np.any(~np.isfinite(u_arr)):
         raise ValueError("quantile argument must lie in [0, 1]")
+
+
+_INF_BITS = int(np.float64(np.inf).view(np.int64))
+
+
+def _least_inverse(cdf: Callable, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Double y with cdf(y) >= u > cdf(previous double), searched from estimates x near it.
+
+    Needs x >= 0 and cdf(0) < u <= cdf(inf).  For a cdf nondecreasing in
+    floating point, y is the generalized inverse min{y : cdf(y) >= u}; a cdf
+    that wobbles by a few ulps (scipy's gammainc does) gets the crossing
+    nearest the estimate.  Nonnegative doubles are ordered like their int64
+    bit patterns, so each element gallops in ulps from its estimate to a
+    bracket cdf(lo) < u <= cdf(hi), then bisects it down to adjacent doubles:
+    an estimate d ulps off costs about 2 log2(d) cdf evaluations.
+    """
+    k = x.view(np.int64)
+    ge = cdf(x) >= u
+    # bracket lo < answer <= hi in bit order, lo = -1 standing below 0:
+    # estimates that satisfy cdf >= u gallop down, the others gallop up
+    lo = np.where(ge, -1, k)
+    hi = np.where(ge, k, _INF_BITS)
+    todo = np.arange(k.size)
+    step = 1
+    while todo.size:
+        down = ge[todo]
+        probe = np.clip(np.where(down, hi[todo] - step, lo[todo] + step), 0, _INF_BITS)
+        ok = cdf(probe.view(np.float64)) >= u[todo]
+        hi[todo] = np.where(ok, probe, hi[todo])
+        lo[todo] = np.where(ok, lo[todo], probe)
+        todo = todo[ok == down]
+        step *= 2
+    todo = np.flatnonzero(hi - lo > 1)
+    while todo.size:
+        mid = lo[todo] + (hi[todo] - lo[todo]) // 2
+        ok = cdf(mid.view(np.float64)) >= u[todo]
+        hi[todo] = np.where(ok, mid, hi[todo])
+        lo[todo] = np.where(ok, lo[todo], mid)
+        todo = todo[hi[todo] - lo[todo] > 1]
+    return hi.view(np.float64)
 
 
 def _invert_cdf(cdf: Callable, u: np.ndarray, hi_guess: float, pdf: Callable | None = None,

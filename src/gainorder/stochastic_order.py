@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .distributions import Empirical, EvaluationGrid, GainDistribution
 
@@ -58,10 +57,11 @@ class OrderVerdict:
     tol: float
 
     def __post_init__(self):
-        if self.relation is Relation.EQUAL:
-            assert not self.witnesses_first_gt and not self.witnesses_second_gt
-        if self.relation is Relation.INCOMPARABLE:
-            assert self.witnesses_first_gt and self.witnesses_second_gt
+        against_first, against_second = bool(self.witnesses_first_gt), bool(self.witnesses_second_gt)
+        if self.relation is Relation.EQUAL and (against_first or against_second):
+            raise ValueError("an EQUAL verdict carries no witnesses")
+        if self.relation is Relation.INCOMPARABLE and not (against_first and against_second):
+            raise ValueError("an INCOMPARABLE verdict needs witnesses in both directions")
 
     @property
     def first_leq(self) -> bool:
@@ -210,6 +210,8 @@ def density_segments(d1: GainDistribution, d2: GainDistribution) -> list[Density
     Crossings are located by sign changes of f1 - f2 on a 4096-point log grid
     and refined by bracketed bisection to 1e-12.
     """
+    from scipy.optimize import brentq
+
     _require_continuous(d1, d2)
     x_max = max(d1.tail_quantile(1e-12), d2.tail_quantile(1e-12))
     pts = np.concatenate([[0.0], np.geomspace(x_max * 1e-15, x_max, 4096)])

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import gainorder.capacity
 from gainorder import BernoulliGain, Exponential, NakagamiGain, PointMass
 from gainorder.capacity import (
     RateRegion,
+    RateValue,
     UnclassifiedScenarioError,
     c_of,
     ergodic_rate,
@@ -236,3 +238,10 @@ class TestWtcSecrecyCapacity:
         for leg, eav in pairs:
             s = WTCScenario(leg, eav, 2.0)
             assert wtc_secrecy_capacity(s).bits >= 0.0
+
+    def test_negative_rate_on_degraded_channel_raises(self, monkeypatch):
+        # swapped rates under a degraded verdict stand in for a failed quadrature
+        rates = {2.0: RateValue(0.1, "quadrature", 0.0), 1.0: RateValue(0.2, "quadrature", 0.0)}
+        monkeypatch.setattr(gainorder.capacity, "ergodic_rate", lambda d, p: rates[d.mean_gain])
+        with pytest.raises(RuntimeError, match="negative secrecy rate"):
+            wtc_secrecy_capacity(WTCScenario(Exponential(2.0), Exponential(1.0), 1.0))

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import gainorder
 from gainorder import BernoulliGain, Empirical, EvaluationGrid, Exponential, NakagamiGain
 from gainorder.stochastic_order import (
     Relation,
@@ -74,6 +79,32 @@ class TestCheckUsualOrder:
         # Pr(X >= 0.5) for the point mass is 1, caught only via the left limit
         v = check_usual_order(Exponential(1.0), PointMass(0.5))
         assert v.relation is Relation.INCOMPARABLE
+
+
+_INVALID_VERDICTS = """
+import sys
+from gainorder.stochastic_order import OrderVerdict, Relation
+assert sys.flags.optimize, "asserts are live"
+for relation, wit1, wit2 in ((Relation.EQUAL, (1.0,), ()), (Relation.INCOMPARABLE, (1.0,), ())):
+    try:
+        OrderVerdict(relation, wit1, wit2, 0.5, 1e-9)
+    except ValueError:
+        continue
+    sys.exit(f"{relation} verdict with witnesses {wit1}, {wit2} was accepted")
+print("both rejected")
+"""
+
+
+class TestOrderVerdictInvariants:
+    def test_rejected_under_python_O(self):
+        # python -O strips assert statements, so the invariants must raise
+        src = str(Path(gainorder.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        run = subprocess.run([sys.executable, "-O", "-c", _INVALID_VERDICTS], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "both rejected"
 
 
 class TestCheckUsualOrderDiscrete:
