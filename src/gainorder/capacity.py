@@ -5,7 +5,8 @@ factor is kept uniformly, including for the complex-noise interference model,
 to match the convention the sufficient conditions were stated under.
 Expectations over continuous gains go through adaptive quadrature against the
 density; discrete gains are summed exactly; a closed form via the exponential
-integral covers exponential gains; Monte Carlo is available as a cross-check.
+integral covers exponential gains.  The Monte Carlo cross-check is
+verify.mc_ergodic_rate.
 """
 
 from __future__ import annotations
@@ -133,51 +134,30 @@ def _e1_lentz_fraction(x: np.ndarray) -> np.ndarray:
     return h
 
 
-def ergodic_rate(
-    d: GainDistribution,
-    power: float,
-    method: str = "auto",
-    mc_samples: int = 10**6,
-    seed: int = 0,
-) -> RateValue:
-    """Ergodic rate E[C(H * power)] of a single fading link."""
+def ergodic_rate(d: GainDistribution, power: float, method: str = "auto") -> RateValue:
+    """Ergodic rate E[C(H * power)] of a single fading link.
+
+    Discrete gains are summed exactly whatever the method; "auto" takes
+    quadrature for continuous gains, and "closed_form" covers exponential ones.
+    """
+    if method not in ("auto", "closed_form", "quadrature"):
+        raise ValueError(f"unknown method {method!r}")
     if power < 0.0 or not math.isfinite(power):
         raise ValueError("power must be nonnegative and finite")
     if not math.isfinite(d.mean()):
         raise ValueError("distribution has divergent mean")
     if power == 0.0:
-        return RateValue(0.0, "closed_form" if method in ("auto", "closed_form") else method, 0.0)
-
-    if method == "auto":
-        method = "closed_form" if not d.continuous else "quadrature"
-
+        return RateValue(0.0, "quadrature" if method == "quadrature" else "closed_form", 0.0)
+    if not d.continuous:
+        values, masses = d.atoms()
+        bits = float(np.dot(masses, np.asarray(c_of(values * power))))
+        return RateValue(bits, "closed_form", 0.0)
     if method == "closed_form":
-        if not d.continuous:
-            values, masses = d.atoms()
-            bits = float(np.dot(masses, np.asarray(c_of(values * power))))
-            return RateValue(bits, "closed_form", 0.0)
-        if isinstance(d, Exponential):
-            return RateValue(exponential_rate_closed_form(d.mean_gain, power), "closed_form", 1e-12)
-        raise ValueError(f"no closed form for {type(d).__name__}")
-
-    if method == "quadrature":
-        if not d.continuous:
-            values, masses = d.atoms()
-            bits = float(np.dot(masses, np.asarray(c_of(values * power))))
-            return RateValue(bits, "closed_form", 0.0)
-        bits, err = _expectation_c(d, power)
-        return RateValue(bits, "quadrature", err)
-
-    if method == "monte_carlo":
-        if mc_samples < 10**4:
-            raise ValueError("monte_carlo needs at least 1e4 samples")
-        rng = np.random.default_rng(seed)
-        u = np.clip(rng.random(mc_samples), 1e-12, 1.0 - 1e-12)
-        samples = np.asarray(c_of(np.asarray(d.sample(u)) * power))
-        stderr = float(np.std(samples, ddof=1) / math.sqrt(mc_samples))
-        return RateValue(float(np.mean(samples)), "monte_carlo", stderr)
-
-    raise ValueError(f"unknown method {method!r}")
+        if not isinstance(d, Exponential):
+            raise ValueError(f"no closed form for {type(d).__name__}")
+        return RateValue(exponential_rate_closed_form(d.mean_gain, power), "closed_form", 1e-12)
+    bits, err = _expectation_c(d, power)
+    return RateValue(bits, "quadrature", err)
 
 
 def _expectation_c(d: GainDistribution, power: float, offset: float = 0.0) -> tuple[float, float]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -73,10 +74,7 @@ def load_scenario(path: str) -> dict:
 def parse_bc(obj: dict) -> BCScenario:
     dists = _require(obj, "distributions")
     gains = tuple(_distribution(d, f"distributions[{i}]") for i, d in enumerate(dists))
-    try:
-        return BCScenario(gains=gains, power=float(_require(obj, "power")))
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    return BCScenario(gains=gains, power=float(_require(obj, "power")))
 
 
 def parse_ic(obj: dict) -> tuple[ICScenario, str]:
@@ -90,40 +88,26 @@ def parse_ic(obj: dict) -> tuple[ICScenario, str]:
     parsed = {}
     for name in ("h11", "h12", "h21", "h22"):
         parsed[name] = _distribution(_require(gains, name, "gains"), f"gains.{name}")
-    try:
-        scenario = ICScenario(
-            **parsed,
-            p1=float(powers[0]),
-            p2=float(powers[1]),
-            dependence=obj.get("dependence", "independent"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    scenario = ICScenario(
+        **parsed,
+        p1=float(powers[0]),
+        p2=float(powers[1]),
+        dependence=obj.get("dependence", "independent"),
+    )
     return scenario, condition
 
 
 def parse_wtc(obj: dict) -> WTCScenario:
-    try:
-        return WTCScenario(
-            legitimate=_distribution(_require(obj, "legitimate"), "legitimate"),
-            eavesdropper=_distribution(_require(obj, "eavesdropper"), "eavesdropper"),
-            power=float(_require(obj, "power")),
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    return WTCScenario(
+        legitimate=_distribution(_require(obj, "legitimate"), "legitimate"),
+        eavesdropper=_distribution(_require(obj, "eavesdropper"), "eavesdropper"),
+        power=float(_require(obj, "power")),
+    )
 
 
 def parse_markov_pair(obj: dict):
-    try:
-        weak = markov_spec_from_json(_require(obj, "weak"))
-        strong = markov_spec_from_json(_require(obj, "strong"))
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-    return weak, strong
+    weak = markov_spec_from_json(_require(obj, "weak"))
+    return weak, markov_spec_from_json(_require(obj, "strong"))
 
 
 def parse_pair(obj: dict):
@@ -179,10 +163,7 @@ def cmd_classify(args) -> int:
     elif topology == "wtc":
         report = classify_wtc(parse_wtc(obj), tol=tol)
     elif topology == "markov_bc":
-        weak, strong = parse_markov_pair(obj)
-        cert = check_markov_degraded(weak, strong)
-        _emit_json(cert.to_json(), args.out)
-        return 0 if cert.verdict else 1
+        return _certify_markov(obj, args.out)
     else:
         raise ScenarioError(f"unknown topology {topology!r}")
     _emit_json(report.to_json(), args.out)
@@ -235,10 +216,7 @@ def cmd_coupling_sample(args) -> int:
         h1, h2 = comonotone_samples(d1, d2, u)
         rows = [[float(a), float(b), None] for a, b in zip(h1, h2)]
     else:
-        try:
-            spec = maximal_coupling_spec(d1, d2)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
+        spec = maximal_coupling_spec(d1, d2)
         u_val = np.clip(rng.random(args.samples), 1e-12, 1.0 - 1e-12)
         h1, h2, eq = maximal_coupling_samples(spec, u, u_val)
         rows = [[float(a), float(b), bool(e)] for a, b, e in zip(h1, h2, eq)]
@@ -276,13 +254,12 @@ def cmd_figure(args) -> int:
 
 
 def cmd_markov_check(args) -> int:
-    obj = load_scenario(args.scenario)
-    weak, strong = parse_markov_pair(obj)
-    try:
-        cert = check_markov_degraded(weak, strong)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-    _emit_json(cert.to_json(), args.out)
+    return _certify_markov(load_scenario(args.scenario), args.out)
+
+
+def _certify_markov(obj: dict, out: str | None) -> int:
+    cert = check_markov_degraded(*parse_markov_pair(obj))
+    _emit_json(cert.to_json(), out)
     return 0 if cert.verdict else 1
 
 
@@ -295,6 +272,28 @@ def cmd_verify(args) -> int:
     _emit_json([r.to_json() for r in reports], args.out)
     positives_ok = all(r.passed for r in reports if r.kind == "positive")
     return 0 if positives_ok else 1
+
+
+def _count(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _positive_finite(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,14 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="draw coupled gain pairs and emit them as CSV")
     p.add_argument("scenario", help="JSON file with a two-entry 'distributions' list")
     p.add_argument("--construction", choices=("maximal", "comonotone"), default="comonotone")
-    p.add_argument("-n", "--samples", type=int, default=1000)
+    p.add_argument("-n", "--samples", type=_count, default=1000)
     p.set_defaults(func=cmd_coupling_sample)
 
     p = sub.add_parser("figure", parents=[common],
                        help="CCDF-difference tables for the very-strong-interference sweeps")
     p.add_argument("--fig", type=int, required=True, help="3 (vary a) or 4 (vary P)")
-    p.add_argument("--hmax", type=float, default=20.0)
-    p.add_argument("--points", type=int, default=2000)
+    p.add_argument("--hmax", type=_positive_finite, default=20.0)
+    p.add_argument("--points", type=_count, default=2000)
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("markov-check", parents=[common],
@@ -349,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the Monte Carlo verification suite")
-    p.add_argument("-n", "--samples", type=int, default=100_000)
+    p.add_argument("-n", "--samples", type=_count, default=100_000)
     p.add_argument("--include-negative-controls", action="store_true")
     p.set_defaults(func=cmd_verify)
 

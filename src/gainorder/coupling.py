@@ -99,7 +99,6 @@ class MaximalCouplingSpec:
         self.segments = density_segments(d1, d2)
         self._fmin = _PiecewiseMinCdf(d1, d2, self.segments)
         self.p = 1.0 if d1 == d2 else float(min(max(self._fmin.total, 0.0), 1.0))
-        self._hi = max(d1.tail_quantile(1e-12), d2.tail_quantile(1e-12))
 
     # -- exact component CDFs -------------------------------------------------
 
@@ -116,12 +115,10 @@ class MaximalCouplingSpec:
         return np.clip(raw / (1.0 - self.p), 0.0, 1.0)
 
     def shared_quantile(self, u):
-        return _invert_cdf(self.shared_cdf, np.asarray(u, dtype=float), hi_guess=self._hi)
+        return _invert_cdf(self.shared_cdf, u)
 
     def residual_quantile(self, which: int, u):
-        return _invert_cdf(
-            lambda x: self.residual_cdf(which, x), np.asarray(u, dtype=float), hi_guess=self._hi
-        )
+        return _invert_cdf(lambda x: self.residual_cdf(which, x), u)
 
 
 def maximal_coupling_spec(d1: GainDistribution, d2: GainDistribution) -> MaximalCouplingSpec:

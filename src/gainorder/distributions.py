@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv
+from scipy.special import gammainc, gammaincinv, wrightomega
 
 __all__ = [
     "GainDistribution",
@@ -204,12 +204,10 @@ class NakagamiGain(GainDistribution):
         u_arr = _as_float_array(u)
         _check_u(u_arr)
         u_flat = np.atleast_1d(u_arr)
-        # gammaincinv maps u = 0 to 0 and u = 1 to inf; in between its answer
-        # can sit a few ulps off the double where the float cdf crosses u
+        # gammaincinv can sit a few ulps off the double where the float cdf
+        # crosses u, so it only seeds the exact inversion
         out = gammaincinv(self.m, u_flat) * (self.w / self.m)
-        interior = (u_flat > 0.0) & (u_flat < 1.0)
-        out[interior] = _least_inverse(self.cdf, out[interior], u_flat[interior])
-        return _scalar_or_array(out.reshape(u_arr.shape))
+        return _scalar_or_array(_invert_cdf(self.cdf, u_flat, out).reshape(u_arr.shape))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -345,8 +343,16 @@ class RatioExpExp(GainDistribution):
         return _scalar_or_array(out)
 
     def cdf(self, x):
-        out = 1.0 - _as_float_array(self.ccdf(x))
-        return _scalar_or_array(np.asarray(out))
+        # (c t - expm1(-t)) / (1 + c t) keeps full relative precision for small
+        # t, where 1 - ccdf would round to 0 below u ~ 1e-16
+        x_arr = _as_float_array(x)
+        t = np.maximum(x_arr, 0.0) / self.num_mean
+        with np.errstate(over="ignore", invalid="ignore"):
+            ct = self.power * self.den_mean * t
+            out = (ct - np.expm1(-t)) / (1.0 + ct)
+        # c t is inf (or 0 * inf) only where the cdf is 1
+        out = np.where(x_arr >= 0.0, np.where(np.isfinite(ct), out, 1.0), 0.0)
+        return _scalar_or_array(out)
 
     def pdf(self, x):
         x_arr = _as_float_array(x)
@@ -359,10 +365,17 @@ class RatioExpExp(GainDistribution):
     def quantile(self, u):
         u_arr = _as_float_array(u)
         _check_u(u_arr)
-        # F here dominates the numerator exponential's cdf, so that quantile
-        # is a valid upper bracket
-        out = _invert_cdf(self.cdf, u_arr, hi_guess=5.0 * self.num_mean, pdf=self.pdf)
-        return _scalar_or_array(out)
+        # closed form t = omega(1/c - ln c - ln(1 - u)) - 1/c through the Wright
+        # omega function, h = s_n t; it loses digits to cancellation, so it
+        # only seeds the exact inversion
+        u_flat = np.atleast_1d(u_arr)
+        c = self.power * self.den_mean
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -np.log1p(-u_flat)
+            if c > 0.0:
+                t = wrightomega(1.0 / c - math.log(c) + t) - 1.0 / c
+        out = self.num_mean * t
+        return _scalar_or_array(_invert_cdf(self.cdf, u_flat, out).reshape(u_arr.shape))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -529,112 +542,52 @@ def _check_u(u_arr: np.ndarray) -> None:
 _INF_BITS = int(np.float64(np.inf).view(np.int64))
 
 
-def _least_inverse(cdf: Callable, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Double y with cdf(y) >= u > cdf(previous double), searched from estimates x near it.
+def _invert_cdf(cdf: Callable, u, x: np.ndarray | None = None) -> np.ndarray:
+    """Generalized inverse inf{y >= 0 : cdf(y) >= u} of a cdf on [0, inf], to the double.
 
-    Needs x >= 0 and cdf(0) < u <= cdf(inf).  For a cdf nondecreasing in
-    floating point, y is the generalized inverse min{y : cdf(y) >= u}; a cdf
-    that wobbles by a few ulps (scipy's gammainc does) gets the crossing
-    nearest the estimate.  Nonnegative doubles are ordered like their int64
-    bit patterns, so each element gallops in ulps from its estimate to a
-    bracket cdf(lo) < u <= cdf(hi), then bisects it down to adjacent doubles:
-    an estimate d ulps off costs about 2 log2(d) cdf evaluations.
+    u = 0 maps to 0 and u = 1 to inf.  For interior u the answer is the double
+    y with cdf(y) >= u > cdf(previous double): the least one wherever cdf is
+    nondecreasing in floating point, and the crossing nearest the estimate
+    where it wobbles by a few ulps (scipy's gammainc does).  Nonnegative
+    doubles are ordered like their int64 bit patterns, so the search bisects
+    bit patterns.  Without estimates it bisects all of [0, inf], 63 cdf
+    evaluations; estimates x (overwritten with the answers) first gallop in
+    ulps to a bracket cdf(lo) < u <= cdf(hi), so an estimate d ulps off costs
+    about 2 log2(d) evaluations.
     """
-    k = x.view(np.int64)
-    ge = cdf(x) >= u
-    # bracket lo < answer <= hi in bit order, lo = -1 standing below 0:
-    # estimates that satisfy cdf >= u gallop down, the others gallop up
-    lo = np.where(ge, -1, k)
-    hi = np.where(ge, k, _INF_BITS)
-    todo = np.arange(k.size)
-    step = 1
-    while todo.size:
-        down = ge[todo]
-        probe = np.clip(np.where(down, hi[todo] - step, lo[todo] + step), 0, _INF_BITS)
-        ok = cdf(probe.view(np.float64)) >= u[todo]
-        hi[todo] = np.where(ok, probe, hi[todo])
-        lo[todo] = np.where(ok, lo[todo], probe)
-        todo = todo[ok == down]
-        step *= 2
+    u = np.asarray(u, dtype=float)
+    out = np.empty_like(u) if x is None else x
+    inner = (u > 0.0) & (u < 1.0)
+    out[u == 0.0] = 0.0
+    out[u == 1.0] = np.inf
+    uu = u[inner]
+    # bracket lo < answer <= hi in bit order, lo = -1 standing below 0
+    if x is None:
+        lo = np.full(uu.shape, -1, dtype=np.int64)
+        hi = np.full(uu.shape, _INF_BITS, dtype=np.int64)
+    else:
+        k = out[inner].view(np.int64)
+        np.clip(k, 0, _INF_BITS, out=k)
+        ge = cdf(k.view(np.float64)) >= uu
+        # estimates that satisfy cdf >= u gallop down, the others gallop up
+        lo = np.where(ge, -1, k)
+        hi = np.where(ge, k, _INF_BITS)
+        todo = np.arange(k.size)
+        step = 1
+        while todo.size:
+            down = ge[todo]
+            probe = np.clip(np.where(down, hi[todo] - step, lo[todo] + step), 0, _INF_BITS)
+            ok = cdf(probe.view(np.float64)) >= uu[todo]
+            hi[todo] = np.where(ok, probe, hi[todo])
+            lo[todo] = np.where(ok, lo[todo], probe)
+            todo = todo[(ok == down) & (probe > 0) & (probe < _INF_BITS)]
+            step *= 2
     todo = np.flatnonzero(hi - lo > 1)
     while todo.size:
         mid = lo[todo] + (hi[todo] - lo[todo]) // 2
-        ok = cdf(mid.view(np.float64)) >= u[todo]
+        ok = cdf(mid.view(np.float64)) >= uu[todo]
         hi[todo] = np.where(ok, mid, hi[todo])
         lo[todo] = np.where(ok, lo[todo], mid)
         todo = todo[hi[todo] - lo[todo] > 1]
-    return hi.view(np.float64)
-
-
-def _invert_cdf(cdf: Callable, u: np.ndarray, hi_guess: float, pdf: Callable | None = None,
-                max_iter: int = 200) -> np.ndarray:
-    """Vectorized generalized-inverse of a continuous cdf on [0, inf).
-
-    Maintains a bracket [lo, hi] with cdf(lo) < u <= cdf(hi) and takes
-    safeguarded Newton steps when a density is available; returns the upper
-    bracket end so cdf(result) >= u holds exactly in floating point.
-    """
-    orig_shape = np.shape(u)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    out = np.empty_like(u)
-    out[u == 0.0] = 0.0
-    # u == 1 with unbounded support: inf{x : F(x) >= 1} is +inf
-    interior = (u > 0.0) & (u < 1.0)
-    out[~interior & (u > 0.0)] = np.inf
-    if np.any(interior):
-        out[interior] = _invert_cdf_core(cdf, pdf, u[interior], hi_guess, max_iter)
-    return out.reshape(orig_shape)
-
-
-def _invert_cdf_core(cdf: Callable, pdf: Callable | None, uu: np.ndarray, hi_guess: float,
-                     max_iter: int) -> np.ndarray:
-    hi = max(float(hi_guess), 1e-300)
-    u_top = float(uu.max())
-    for _ in range(300):
-        if float(np.asarray(cdf(hi))) >= u_top:
-            break
-        hi *= 2.0
-
-    lo_b = np.zeros_like(uu)
-    hi_b = np.full_like(uu, hi)
-    x = 0.5 * (lo_b + hi_b)
-    active = np.arange(uu.size)
-    for _ in range(max_iter):
-        xs = x[active]
-        f = np.asarray(cdf(xs)) - uu[active]
-        ge = f >= 0.0
-        hi_b[active] = np.where(ge, np.minimum(hi_b[active], xs), hi_b[active])
-        lo_b[active] = np.where(~ge, np.maximum(lo_b[active], xs), lo_b[active])
-        if pdf is not None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cand = xs - f / np.asarray(pdf(xs))
-            bad = ~np.isfinite(cand) | (cand <= lo_b[active]) | (cand >= hi_b[active])
-            xn = np.where(bad, 0.5 * (lo_b[active] + hi_b[active]), cand)
-        else:
-            xn = 0.5 * (lo_b[active] + hi_b[active])
-        done = (
-            (np.abs(f) <= 1e-14 * uu[active])
-            | (np.abs(xn - xs) <= 1e-13 * (np.abs(xs) + 1e-300))
-            | (hi_b[active] - lo_b[active] <= 1e-13 * (hi_b[active] + 1e-300))
-        )
-        # converged elements keep the point they converged at, not the next iterate
-        x[active] = np.where(done, xs, xn)
-        active = active[~done]
-        if active.size == 0:
-            break
-    # enforce the generalized-inverse contract cdf(result) >= u in floating point:
-    # elements that converged from below get their bracket [res, hi_b] re-bisected
-    res = np.minimum(x, hi_b)
-    short = np.flatnonzero(np.asarray(cdf(res)) < uu)
-    if short.size:
-        lo2 = res[short]
-        hi2 = hi_b[short]
-        for _ in range(110):
-            mid = 0.5 * (lo2 + hi2)
-            ge = np.asarray(cdf(mid)) >= uu[short]
-            hi2 = np.where(ge, mid, hi2)
-            lo2 = np.where(ge, lo2, mid)
-            if np.all(hi2 - lo2 <= 1e-14 * (hi2 + 1e-300)):
-                break
-        res[short] = hi2
-    return res
+    out[inner] = hi.view(np.float64)
+    return out

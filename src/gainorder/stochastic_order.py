@@ -112,20 +112,21 @@ def check_usual_order(
             )
 
     xs, c1, c2 = _ccdf_eval_points(d1, d2, grid)
-    diff = c1 - c2
-    gap1 = float(np.max(diff))   # evidence against d1 <=_st d2
-    gap2 = float(np.max(-diff))  # evidence against d2 <=_st d1
+    return _verdict_from_gaps(xs, c1 - c2, tol)
 
-    first_ok = gap1 <= tol
-    second_ok = gap2 <= tol
+
+def _verdict_from_gaps(xs: np.ndarray, diff: np.ndarray, tol: float) -> OrderVerdict:
+    """Verdict from the tail gaps diff = tail1 - tail2 evaluated at abscissae xs."""
+    gap1 = float(np.max(diff))   # evidence against first <=_st second
+    gap2 = float(np.max(-diff))  # evidence against second <=_st first
     wit1 = _top_witnesses(xs, diff, tol)
     wit2 = _top_witnesses(xs, -diff, tol)
 
-    if first_ok and second_ok:
+    if gap1 <= tol and gap2 <= tol:
         return OrderVerdict(Relation.EQUAL, (), (), max(gap1, gap2), tol)
-    if first_ok:
+    if gap1 <= tol:
         return OrderVerdict(Relation.FIRST_LEQ, (), wit2, max(gap1, 0.0), tol)
-    if second_ok:
+    if gap2 <= tol:
         return OrderVerdict(Relation.SECOND_LEQ, wit1, (), max(gap2, 0.0), tol)
     return OrderVerdict(Relation.INCOMPARABLE, wit1, wit2, min(gap1, gap2), tol)
 
@@ -169,22 +170,8 @@ def check_usual_order_discrete(p, q, tol: float = 1e-12) -> OrderVerdict:
         if abs(vec.sum() - 1.0) > 1e-12:
             raise ValueError(f"{name} does not sum to 1 (got {vec.sum()!r})")
 
-    tails_p = _tail_sums(p)
-    tails_q = _tail_sums(q)
-    diff = tails_p - tails_q
-    gap1 = float(np.max(diff))
-    gap2 = float(np.max(-diff))
     idx = np.arange(1, p.size + 1, dtype=float)  # 1-based state index n
-    wit1 = _top_witnesses(idx, diff, tol)
-    wit2 = _top_witnesses(idx, -diff, tol)
-
-    if gap1 <= tol and gap2 <= tol:
-        return OrderVerdict(Relation.EQUAL, (), (), max(gap1, gap2), tol)
-    if gap1 <= tol:
-        return OrderVerdict(Relation.FIRST_LEQ, (), wit2, max(gap1, 0.0), tol)
-    if gap2 <= tol:
-        return OrderVerdict(Relation.SECOND_LEQ, wit1, (), max(gap2, 0.0), tol)
-    return OrderVerdict(Relation.INCOMPARABLE, wit1, wit2, min(gap1, gap2), tol)
+    return _verdict_from_gaps(idx, _tail_sums(p) - _tail_sums(q), tol)
 
 
 def _tail_sums(vec: np.ndarray) -> np.ndarray:

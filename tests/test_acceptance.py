@@ -37,7 +37,7 @@ from gainorder.markov import (
     coupled_paths,
 )
 from gainorder.stochastic_order import check_usual_order, total_variation
-from gainorder.verify import ks_statistic, verify_copula_equivalence
+from gainorder.verify import ks_statistic, mc_ergodic_rate, verify_copula_equivalence
 
 KS_CRIT_1PCT = 1.628
 
@@ -228,7 +228,7 @@ def test_criterion_7_rate_oracles():
         d = Exponential(mean)
         quad_rate = ergodic_rate(d, power, method="quadrature")
         closed = exponential_rate_closed_form(mean, power)
-        mc = ergodic_rate(d, power, method="monte_carlo", mc_samples=10**6, seed=424242)
+        mc = mc_ergodic_rate(d, power, n=10**6, seed=424242)
         tol = max(1e-3, 3.0 * mc.error_estimate)
         assert abs(quad_rate.bits - closed) <= tol
         assert abs(mc.bits - closed) <= tol

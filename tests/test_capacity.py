@@ -21,6 +21,7 @@ from gainorder.capacity import (
 )
 from gainorder.classifier import ICScenario, WTCScenario
 from gainorder.stochastic_order import check_usual_order
+from gainorder.verify import mc_ergodic_rate
 
 
 class TestCOf:
@@ -42,7 +43,7 @@ class TestErgodicRate:
     def test_routes_agree_for_exponential(self):
         quad_rate = ergodic_rate(Exponential(1.0), 1.0, method="quadrature")
         closed = ergodic_rate(Exponential(1.0), 1.0, method="closed_form")
-        mc = ergodic_rate(Exponential(1.0), 1.0, method="monte_carlo", mc_samples=10**6, seed=5)
+        mc = mc_ergodic_rate(Exponential(1.0), 1.0, n=10**6, seed=5)
         assert quad_rate.bits == pytest.approx(closed.bits, abs=1e-9)
         assert abs(mc.bits - closed.bits) <= max(1e-3, 3.0 * mc.error_estimate)
 

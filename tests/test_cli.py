@@ -262,3 +262,46 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as err:
             main(["verify", "--no-such-flag"])
         assert err.value.code == 2
+
+
+BAD_MARKOV = json.loads(json.dumps(MARKOV_EX3))
+BAD_MARKOV["weak"]["matrix"][0] = ["1/2", "1/2", "1/2"]
+
+DEGENERATE_INPUTS = [
+    ("figure --fig 3 --points 0", None),
+    ("figure --fig 3 --points -4", None),
+    ("figure --fig 3 --points many", None),
+    ("figure --fig 3 --hmax 0", None),
+    ("figure --fig 3 --hmax -2", None),
+    ("figure --fig 3 --hmax nan", None),
+    ("figure --fig 3 --hmax inf", None),
+    ("figure --fig 5", None),
+    ("verify -n 0", None),
+    ("verify -n 50", None),
+    ("coupling-sample {scenario} -n 0", PAIR),
+    ("coupling-sample {scenario} --construction maximal",
+     {"distributions": [{"family": "bernoulli", "q": 0.5},
+                        {"family": "exponential", "mean": 1.0}]}),
+    ("coupling-sample {scenario}", {"distributions": [{"family": "exponential", "mean": 1.0}]}),
+    ("classify {scenario}", dict(BC_OK, power=-1.0)),
+    ("classify {scenario}", dict(IC_STRONG_BAD, powers=[1.0])),
+    ("classify {scenario}", dict(WTC_OK, power="loud")),
+    ("classify {scenario}", {"topology": "mesh"}),
+    ("classify {scenario}", BAD_MARKOV),
+    ("markov-check {scenario}", BAD_MARKOV),
+    ("markov-check {scenario}", {"weak": MARKOV_EX3["weak"]}),
+]
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("command, scenario", DEGENERATE_INPUTS)
+    def test_degenerate_input_exits_two_without_traceback(self, tmp_path, capsys, command,
+                                                          scenario):
+        path = write(tmp_path, "s.json", scenario) if scenario is not None else ""
+        try:
+            code = main(command.format(scenario=path).split())
+        except SystemExit as exc:  # argparse rejects the flag
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
