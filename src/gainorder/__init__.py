@@ -47,6 +47,7 @@ from .distributions import (
     NakagamiGain,
     PointMass,
     RatioExpExp,
+    RatioLaw,
     build_ratio,
     distribution_from_spec,
 )

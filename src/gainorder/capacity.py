@@ -25,7 +25,7 @@ from .classifier import (
     classify_ic_very_strong,
     classify_wtc,
 )
-from .distributions import Exponential, GainDistribution
+from .distributions import Exponential, GainDistribution, _panel_nodes
 
 __all__ = [
     "RateValue",
@@ -174,21 +174,10 @@ def _expectation_c(d: GainDistribution, power: float, offset: float = 0.0) -> tu
     return v1 + v2, e1 + e2
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _PANEL_BREAKS = np.array(
     [0.0, 0.5, 0.9, 0.99, 0.999, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10]
 )
 _PANEL_BREAKS[5:] = 1.0 - _PANEL_BREAKS[5:]
-
-
-def _panel_nodes() -> tuple[np.ndarray, np.ndarray]:
-    nodes = []
-    weights = []
-    for lo, hi in zip(_PANEL_BREAKS[:-1], _PANEL_BREAKS[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(lo + half * (_GL_NODES + 1.0))
-        weights.append(half * _GL_WEIGHTS)
-    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def pair_sum_rate(
@@ -225,7 +214,7 @@ def pair_sum_rate(
     if not d_b.continuous:
         return pair_sum_rate(d_b, power_b, d_a, power_a)
 
-    nodes, weights = _panel_nodes()
+    nodes, weights = _panel_nodes(_PANEL_BREAKS, 64)
     qa = np.asarray(d_a.quantile(nodes)) * power_a
     qb = np.asarray(d_b.quantile(nodes)) * power_b
     values = np.asarray(c_of(np.add.outer(qa, qb)))

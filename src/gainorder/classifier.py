@@ -14,13 +14,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .distributions import (
     Empirical,
     Exponential,
     GainDistribution,
     PointMass,
+    RatioLaw,
     build_ratio,
 )
 from .stochastic_order import OrderVerdict, Relation, check_usual_order
@@ -39,8 +38,6 @@ __all__ = [
 
 INDEPENDENT = "independent"
 COMONOTONE = "comonotone"
-
-_MC_RATIO_SAMPLES = 10**6
 
 
 def _check_power(name: str, value: float) -> None:
@@ -105,7 +102,7 @@ class ClassificationReport:
     order_checks: list = field(default_factory=list)  # (name, OrderVerdict) pairs
     witnesses: list = field(default_factory=list)
     notes: list = field(default_factory=list)
-    confidence: str = "analytic"  # "statistical" when Monte Carlo CDFs were used
+    confidence: str = "analytic"  # "statistical" when a gain is an Empirical sample
     permutation: tuple | None = None  # degraded BC user order, weakest first (1-based)
 
     def to_json(self) -> dict:
@@ -124,6 +121,12 @@ class ClassificationReport:
         if self.permutation is not None:
             out["permutation"] = list(self.permutation)
         return out
+
+
+def _confidence(*gains: GainDistribution) -> str:
+    """"statistical" when a gain is an Empirical sample, whose order checks
+    default to a Kolmogorov-Smirnov tolerance; "analytic" otherwise."""
+    return "statistical" if any(isinstance(g, Empirical) for g in gains) else "analytic"
 
 
 _BC_REGION_NOTE = (
@@ -162,6 +165,7 @@ def classify_bc(s: BCScenario, tol: float | None = None) -> ClassificationReport
         verdict=chain is not None,
         condition="degraded_chain",
         notes=[_BC_REGION_NOTE],
+        confidence=_confidence(*gains),
     )
     if chain is not None:
         report.order_checks = chain
@@ -208,6 +212,7 @@ def classify_ic_strong(s: ICScenario, tol: float | None = None) -> Classificatio
         verdict=verdict,
         condition="strong_interference",
         order_checks=[("h11_leq_h21", check1), ("h22_leq_h12", check2)],
+        confidence=_confidence(s.h11, s.h12, s.h21, s.h22),
     )
     if not verdict:
         report.witnesses = sorted(
@@ -217,16 +222,12 @@ def classify_ic_strong(s: ICScenario, tol: float | None = None) -> Classificatio
 
 
 def interference_ratio_distribution(
-    numerator: GainDistribution,
-    denominator: GainDistribution,
-    power: float,
-    mc_samples: int = _MC_RATIO_SAMPLES,
-    seed: int = 0,
+    numerator: GainDistribution, denominator: GainDistribution, power: float
 ) -> tuple[GainDistribution, bool]:
-    """Distribution of numerator / (1 + power * denominator) for independent gains.
+    """Law of numerator / (1 + power * denominator) for independent gains.
 
-    Returns (distribution, is_exact).  Exponential and point-mass combinations
-    have closed forms; anything else falls back to a seeded Monte Carlo CDF.
+    Returns (law, True): every law is exact.  Exponential and point-mass
+    combinations have closed forms; any other pair gets a RatioLaw.
     """
     if power == 0.0 or (isinstance(denominator, PointMass) and denominator.value == 0.0):
         return numerator, True
@@ -236,27 +237,14 @@ def interference_ratio_distribution(
         return PointMass(numerator.value / (1.0 + power * denominator.value)), True
     if isinstance(numerator, Exponential) and isinstance(denominator, PointMass):
         return Exponential(numerator.mean_gain / (1.0 + power * denominator.value)), True
-    rng = np.random.default_rng(seed)
-    u1 = np.clip(rng.random(mc_samples), 1e-12, 1 - 1e-12)
-    u2 = np.clip(rng.random(mc_samples), 1e-12, 1 - 1e-12)
-    num = np.asarray(numerator.sample(u1))
-    den = np.asarray(denominator.sample(u2))
-    return Empirical.from_samples(num / (1.0 + power * den)), False
+    return RatioLaw(numerator, denominator, power), True
 
 
-def classify_ic_very_strong(
-    s: ICScenario,
-    seed: int = 0,
-    mc_samples: int = _MC_RATIO_SAMPLES,
-    tol: float | None = None,
-) -> ClassificationReport:
+def classify_ic_very_strong(s: ICScenario, tol: float | None = None) -> ClassificationReport:
     """Very strong interference: the ratio Z1 = H21/(1 + P2 H22) dominates H11 and
     Z2 = H12/(1 + P1 H11) dominates H22."""
-    z1, exact1 = interference_ratio_distribution(s.h21, s.h22, s.p2, mc_samples, seed=seed)
-    z2, exact2 = interference_ratio_distribution(s.h12, s.h11, s.p1, mc_samples, seed=seed + 1)
-    exact = exact1 and exact2
-    if tol is None:
-        tol = None if exact else 3.0 * 1.36 / math.sqrt(mc_samples)
+    z1, _ = interference_ratio_distribution(s.h21, s.h22, s.p2)
+    z2, _ = interference_ratio_distribution(s.h12, s.h11, s.p1)
     check1 = check_usual_order(s.h11, z1, tol=tol)
     check2 = check_usual_order(s.h22, z2, tol=tol)
     verdict = check1.first_leq and check2.first_leq
@@ -265,7 +253,7 @@ def classify_ic_very_strong(
         verdict=verdict,
         condition="very_strong_interference",
         order_checks=[("h11_leq_z1", check1), ("h22_leq_z2", check2)],
-        confidence="analytic" if exact else "statistical",
+        confidence=_confidence(s.h11, s.h12, s.h21, s.h22),
     )
     if s.dependence == COMONOTONE:
         report.notes.append(
@@ -287,6 +275,7 @@ def classify_wtc(s: WTCScenario, tol: float | None = None) -> ClassificationRepo
         verdict=check.first_leq,
         condition="degraded_wiretap",
         order_checks=[("eavesdropper_leq_legitimate", check)],
+        confidence=_confidence(s.legitimate, s.eavesdropper),
     )
     if not check.first_leq:
         report.witnesses = list(check.witnesses_first_gt)

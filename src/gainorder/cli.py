@@ -45,9 +45,25 @@ class ScenarioError(ValueError):
 
 
 def _require(obj: dict, name: str, where: str = "scenario"):
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where} must be a JSON object")
     if name not in obj:
         raise ScenarioError(f"{where} missing field '{name}'")
     return obj[name]
+
+
+def _number(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where} must be a number, got {value!r}") from exc
+
+
+def _distributions(obj: dict) -> tuple:
+    dists = _require(obj, "distributions")
+    if not isinstance(dists, list):
+        raise ScenarioError("field 'distributions' must be a list of distribution specs")
+    return tuple(_distribution(d, f"distributions[{i}]") for i, d in enumerate(dists))
 
 
 def _distribution(obj, where: str):
@@ -72,9 +88,8 @@ def load_scenario(path: str) -> dict:
 
 
 def parse_bc(obj: dict) -> BCScenario:
-    dists = _require(obj, "distributions")
-    gains = tuple(_distribution(d, f"distributions[{i}]") for i, d in enumerate(dists))
-    return BCScenario(gains=gains, power=float(_require(obj, "power")))
+    gains = _distributions(obj)
+    return BCScenario(gains=gains, power=_number(_require(obj, "power"), "field 'power'"))
 
 
 def parse_ic(obj: dict) -> tuple[ICScenario, str]:
@@ -90,8 +105,8 @@ def parse_ic(obj: dict) -> tuple[ICScenario, str]:
         parsed[name] = _distribution(_require(gains, name, "gains"), f"gains.{name}")
     scenario = ICScenario(
         **parsed,
-        p1=float(powers[0]),
-        p2=float(powers[1]),
+        p1=_number(powers[0], "powers[0]"),
+        p2=_number(powers[1], "powers[1]"),
         dependence=obj.get("dependence", "independent"),
     )
     return scenario, condition
@@ -101,7 +116,7 @@ def parse_wtc(obj: dict) -> WTCScenario:
     return WTCScenario(
         legitimate=_distribution(_require(obj, "legitimate"), "legitimate"),
         eavesdropper=_distribution(_require(obj, "eavesdropper"), "eavesdropper"),
-        power=float(_require(obj, "power")),
+        power=_number(_require(obj, "power"), "field 'power'"),
     )
 
 
@@ -111,10 +126,10 @@ def parse_markov_pair(obj: dict):
 
 
 def parse_pair(obj: dict):
-    dists = _require(obj, "distributions")
+    dists = _distributions(obj)
     if len(dists) != 2:
         raise ScenarioError("coupling scenarios need exactly two distributions")
-    return tuple(_distribution(d, f"distributions[{i}]") for i, d in enumerate(dists))
+    return dists
 
 
 # -- output helpers -----------------------------------------------------------
@@ -159,7 +174,7 @@ def cmd_classify(args) -> int:
         if condition == "strong":
             report = classify_ic_strong(scenario, tol=tol)
         else:
-            report = classify_ic_very_strong(scenario, seed=args.seed, tol=tol)
+            report = classify_ic_very_strong(scenario, tol=tol)
     elif topology == "wtc":
         report = classify_wtc(parse_wtc(obj), tol=tol)
     elif topology == "markov_bc":
@@ -302,51 +317,54 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stochastic-order classification and ergodic capacities for fading "
         "channels known only through their gain statistics.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    common.add_argument("--out", type=str, default=None, help="output file (default: stdout)")
-    common.add_argument("--force", action="store_true",
-                        help="evaluate rate expressions even when the condition fails")
-    common.add_argument("--tolerance", type=float, default=None,
-                        help="override the stochastic-order tolerance")
+    # each subcommand takes only the flags it reads
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=str, default=None, help="output file (default: stdout)")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    force = argparse.ArgumentParser(add_help=False)
+    force.add_argument("--force", action="store_true",
+                       help="evaluate rate expressions even when the condition fails")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[out],
                        help="classify a scenario file (bc, ic, wtc, markov_bc)")
     p.add_argument("scenario", help="path to the scenario JSON file")
+    p.add_argument("--tolerance", type=float, default=None,
+                   help="override the stochastic-order tolerance")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("region", parents=[common],
+    p = sub.add_parser("region", parents=[out, force],
                        help="emit the rate-region vertices of a classified IC scenario as CSV")
     p.add_argument("scenario")
     p.set_defaults(func=cmd_region)
 
-    p = sub.add_parser("secrecy", parents=[common],
+    p = sub.add_parser("secrecy", parents=[out, force],
                        help="ergodic secrecy capacity of a wiretap scenario")
     p.add_argument("scenario")
     p.set_defaults(func=cmd_secrecy)
 
-    p = sub.add_parser("coupling-sample", parents=[common],
+    p = sub.add_parser("coupling-sample", parents=[out, seed],
                        help="draw coupled gain pairs and emit them as CSV")
     p.add_argument("scenario", help="JSON file with a two-entry 'distributions' list")
     p.add_argument("--construction", choices=("maximal", "comonotone"), default="comonotone")
     p.add_argument("-n", "--samples", type=_count, default=1000)
     p.set_defaults(func=cmd_coupling_sample)
 
-    p = sub.add_parser("figure", parents=[common],
+    p = sub.add_parser("figure", parents=[out],
                        help="CCDF-difference tables for the very-strong-interference sweeps")
     p.add_argument("--fig", type=int, required=True, help="3 (vary a) or 4 (vary P)")
     p.add_argument("--hmax", type=_positive_finite, default=20.0)
     p.add_argument("--points", type=_count, default=2000)
     p.set_defaults(func=cmd_figure)
 
-    p = sub.add_parser("markov-check", parents=[common],
+    p = sub.add_parser("markov-check", parents=[out],
                        help="certify degradedness of a two-chain Markov fading BC")
     p.add_argument("scenario", help="JSON file with 'weak' and 'strong' chain specs")
     p.set_defaults(func=cmd_markov_check)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[out, seed],
                        help="run the Monte Carlo verification suite")
     p.add_argument("-n", "--samples", type=_count, default=100_000)
     p.add_argument("--include-negative-controls", action="store_true")

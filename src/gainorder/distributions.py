@@ -24,6 +24,7 @@ __all__ = [
     "BernoulliGain",
     "PointMass",
     "RatioExpExp",
+    "RatioLaw",
     "Empirical",
     "EvaluationGrid",
     "build_ratio",
@@ -394,6 +395,93 @@ class RatioExpExp(GainDistribution):
             "den_mean": self.den_mean,
             "power": self.power,
         }
+
+
+def _panel_nodes(breaks: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of an `order`-point Gauss-Legendre rule on each panel
+    between consecutive breaks."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * np.diff(breaks)[:, None]
+    return (breaks[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
+
+
+# a quantile is singular at u = 0 (like u^(1/m) for Nakagami-m) and at u = 1,
+# so the panels shrink geometrically toward both ends of [0, 1]
+_EDGES = 10.0 ** -np.arange(10.0, 0.0, -1.0)
+_RATIO_NODES, _RATIO_WEIGHTS = _panel_nodes(
+    np.concatenate([[0.0], _EDGES, [0.5], 1.0 - _EDGES[::-1], [1.0]]), 24
+)
+_BLOCK = 1 << 17  # kernel evaluations per block: 1 MB of doubles
+
+
+@dataclass(frozen=True)
+class RatioLaw(GainDistribution):
+    """Law of Z = N / (1 + P D) for independent gains N (numerator) and D, P > 0.
+
+    It conditions on D, Pr(Z > z) = E_D[Pr(N > z (1 + P D))]: exactly over
+    D's atoms when D is discrete, else by a fixed Gauss-Legendre rule in D's
+    quantile space (24 nodes on each of 22 panels), which agrees with adaptive
+    quadrature to about 1e-14.  A discrete N over a continuous D conditions on
+    N instead, Pr(Z > z) = sum_i Pr(N = n_i) cdf_D((n_i / z - 1) / P), exact
+    where the rule would integrate a step.
+    """
+
+    numerator: GainDistribution
+    denominator: GainDistribution
+    power: float
+
+    def __post_init__(self):
+        _check_positive("power", self.power)
+        num, den = self.numerator, self.denominator
+        on_numerator = den.continuous and not num.continuous
+        if on_numerator:
+            values, weights = num.atoms()
+            nodes, weights = values[values > 0.0], weights[values > 0.0]
+        elif den.continuous:
+            nodes, weights = 1.0 + self.power * den.quantile(_RATIO_NODES), _RATIO_WEIGHTS
+        else:
+            values, weights = den.atoms()
+            nodes = 1.0 + self.power * values
+        object.__setattr__(self, "_rule", (on_numerator, nodes, weights))
+
+    @property
+    def continuous(self) -> bool:
+        return self.numerator.continuous
+
+    def ccdf(self, x):
+        x_arr = _as_float_array(x)
+        z = np.maximum(x_arr, 0.0).reshape(-1, 1)
+        on_numerator, nodes, weights = self._rule
+        out = np.empty(z.shape[0])
+        step = max(1, _BLOCK // max(nodes.size, 1))
+        for i in range(0, out.size, step):
+            zb = z[i:i + step]
+            if on_numerator:
+                with np.errstate(divide="ignore"):
+                    kernel = self.denominator.cdf((nodes / zb - 1.0) / self.power)
+            else:
+                kernel = self.numerator.ccdf(zb * nodes)
+            out[i:i + step] = np.asarray(kernel) @ weights
+        out = np.where(x_arr >= 0.0, out.reshape(x_arr.shape), 1.0)
+        return _scalar_or_array(out)
+
+    def cdf(self, x):
+        return _scalar_or_array(1.0 - _as_float_array(self.ccdf(x)))
+
+    def quantile(self, u):
+        u_arr = _as_float_array(u)
+        _check_u(u_arr)
+        return _scalar_or_array(_invert_cdf(self.cdf, np.atleast_1d(u_arr)).reshape(u_arr.shape))
+
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        values, masses = self.numerator.atoms()
+        if self.denominator.continuous:
+            # only N = 0 keeps Z on an atom
+            return values[values == 0.0], masses[values == 0.0]
+        den_values, den_masses = self.denominator.atoms()
+        ratios = np.divide.outer(values, 1.0 + self.power * den_values).ravel()
+        z, idx = np.unique(ratios, return_inverse=True)
+        return z, np.bincount(idx.ravel(), np.outer(masses, den_masses).ravel(), z.size)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from scipy import integrate, special, stats
 
-from gainorder import BernoulliGain, Exponential, NakagamiGain, PointMass
+from gainorder import (
+    BernoulliGain,
+    Empirical,
+    Exponential,
+    NakagamiGain,
+    PointMass,
+    RatioExpExp,
+    RatioLaw,
+)
 from gainorder.classifier import (
     BCScenario,
     ICScenario,
@@ -56,6 +65,16 @@ class TestClassifyBC:
     def test_symbolic_region_note_present(self):
         report = classify_bc(BCScenario((Exponential(1.0), Exponential(2.0)), power=1.0))
         assert any("f_VX" in note for note in report.notes)
+
+    def test_confidence_follows_the_tolerance_source(self):
+        # two 4-point samples: the order check defaults to the KS tolerance
+        low = Empirical.from_samples([0.1, 0.2, 0.3, 0.4])
+        high = Empirical.from_samples([1.0, 2.0, 3.0, 4.0])
+        report = classify_bc(BCScenario((low, high), power=1.0))
+        assert report.order_checks[0][1].tol == pytest.approx(1.36)
+        assert report.confidence == "statistical"
+        analytic = classify_bc(BCScenario((Exponential(1.0), Exponential(2.0)), power=1.0))
+        assert analytic.confidence == "analytic"
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
@@ -129,19 +148,21 @@ class TestClassifyICVeryStrong:
         s = ICScenario(PointMass(1.0), PointMass(2.0), PointMass(2.0), PointMass(1.0), 1.0, 1.0)
         assert classify_ic_very_strong(s).verdict
 
-    def test_monte_carlo_fallback_flagged_statistical(self):
-        s = ICScenario(
-            h11=Exponential(0.05),
-            h12=NakagamiGain(2.0, 1.0),
-            h21=NakagamiGain(2.0, 1.0),
-            h22=Exponential(0.05),
-            p1=1.0,
-            p2=1.0,
-        )
-        report = classify_ic_very_strong(s, seed=3, mc_samples=200_000)
-        assert report.confidence == "statistical"
-        repeat = classify_ic_very_strong(s, seed=3, mc_samples=200_000)
-        assert report.verdict == repeat.verdict
+    def test_violation_under_the_old_monte_carlo_tolerance_is_caught(self):
+        # Z1 = Nakagami(2.5, 4) / (1 + Exp(0.3)); H11 = Exp(2.25) exceeds it in
+        # the usual order by about 1.25e-3, which a 1e6-draw Monte Carlo law
+        # (tolerance 4.08e-3) let through
+        h11, h21, h22 = Exponential(2.25), NakagamiGain(2.5, 4.0), Exponential(0.3)
+        z = np.geomspace(1e-4, 40.0, 200)
+        ccdf_z1 = [integrate.quad(lambda d: special.gammaincc(2.5, 2.5 * t * (1.0 + d) / 4.0)
+                                  * np.exp(-d / 0.3) / 0.3, 0.0, np.inf, epsabs=1e-14)[0]
+                   for t in z]
+        assert 1e-4 < np.max(np.exp(-z / 2.25) - ccdf_z1) < 4e-3
+        s = ICScenario(h11=h11, h12=Exponential(10.0), h21=h21, h22=h22, p1=1.0, p2=1.0)
+        report = classify_ic_very_strong(s)
+        check = dict(report.order_checks)["h11_leq_z1"]
+        assert check.tol == 1e-9 and not check.first_leq
+        assert not report.verdict and report.confidence == "analytic"
 
     def test_comonotone_mode_records_pinned_joint(self):
         report = classify_ic_very_strong(exp_ic(0.1, 1.0, 1.0, 0.1, dependence="comonotone"))
@@ -165,15 +186,57 @@ class TestInterferenceRatio:
         assert exact
         assert dist == Exponential(1.0)
 
-    def test_mc_fallback_matches_exact_route(self):
-        exact_dist, _ = interference_ratio_distribution(Exponential(1.0), Exponential(0.1), 1.0)
-        mc_dist, exact = interference_ratio_distribution(
-            NakagamiGain(1.0, 1.0), NakagamiGain(1.0, 0.1), 1.0, mc_samples=200_000, seed=9
-        )
-        assert not exact
-        xs = np.linspace(0.01, 5.0, 64)
-        gap = np.max(np.abs(np.asarray(mc_dist.cdf(xs)) - np.asarray(exact_dist.cdf(xs))))
-        assert gap < 0.005
+    def test_nakagami_m1_pair_matches_exponential_closed_form(self):
+        law, exact = interference_ratio_distribution(NakagamiGain(1.0, 2.0),
+                                                     NakagamiGain(1.0, 0.5), 1.5)
+        assert exact and isinstance(law, RatioLaw)
+        z = np.concatenate([[0.0], np.geomspace(1e-8, 60.0, 300)])
+        closed = RatioExpExp(2.0, 0.5, 1.5)
+        assert np.max(np.abs(law.ccdf(z) - closed.ccdf(z))) <= 1e-12
+
+    @pytest.mark.parametrize("den, den_law", [
+        (NakagamiGain(1.7, 1.0), stats.gamma(1.7, scale=1.0 / 1.7)),
+        (Exponential(0.3), stats.expon(scale=0.3)),
+    ])
+    def test_matches_adaptive_quadrature(self, den, den_law):
+        law, _ = interference_ratio_distribution(NakagamiGain(2.5, 4.0), den, 1.0)
+        num_sf = stats.gamma(2.5, scale=4.0 / 2.5).sf
+        split = den_law.median()
+        for t in [0.0, 1e-6, 0.01, 0.3, 1.0, 2.0, 5.0, 12.0, 30.0]:
+            def integrand(d):
+                return num_sf(t * (1.0 + d)) * den_law.pdf(d)
+            ref = sum(integrate.quad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+                      for lo, hi in ((0.0, split), (split, np.inf)))
+            assert abs(law.ccdf(t) - ref) <= 1e-12
+
+    def test_bernoulli_over_exponential_conditions_on_the_numerator(self):
+        q, s, power = 0.3, 2.0, 1.5
+        law, _ = interference_ratio_distribution(BernoulliGain(q), Exponential(s), power)
+        z = np.array([1e-3, 0.1, 0.5, 0.9, 0.999])
+        expected = q * (1.0 - np.exp(-(1.0 / z - 1.0) / (power * s)))
+        assert np.max(np.abs(law.ccdf(z) - expected)) <= 1e-15
+        assert law.ccdf(0.0) == pytest.approx(q) and law.ccdf(1.0) == 0.0
+        values, masses = law.atoms()
+        assert values.tolist() == [0.0] and masses.tolist() == pytest.approx([1.0 - q])
+
+    def test_nakagami_over_bernoulli_is_a_two_term_mixture(self):
+        q, power, num = 0.4, 2.0, NakagamiGain(1.7, 1.0)
+        law, _ = interference_ratio_distribution(num, BernoulliGain(q), power)
+        z = np.geomspace(1e-6, 20.0, 100)
+        expected = (1.0 - q) * num.ccdf(z) + q * num.ccdf(z * (1.0 + power))
+        assert np.max(np.abs(law.ccdf(z) - expected)) <= 1e-15
+        assert law.continuous and law.atoms()[0].size == 0
+
+    def test_agrees_with_seeded_monte_carlo_at_the_ks_band(self):
+        n, power = 200_000, 1.0
+        rng = np.random.default_rng(2024)
+        ratios = np.sort(rng.gamma(2.5, 4.0 / 2.5, n) / (1.0 + power * rng.gamma(1.7, 1.0 / 1.7, n)))
+        law, _ = interference_ratio_distribution(NakagamiGain(2.5, 4.0),
+                                                 NakagamiGain(1.7, 1.0), power)
+        k = np.arange(99, n, 100)  # every 100th order statistic
+        cdf = law.cdf(ratios[k])
+        ks = max(np.max(np.abs(cdf - (k + 1) / n)), np.max(np.abs(cdf - k / n)))
+        assert ks <= 1.628 / np.sqrt(n)
 
 
 class TestClassifyWTC:

@@ -290,6 +290,26 @@ DEGENERATE_INPUTS = [
     ("classify {scenario}", BAD_MARKOV),
     ("markov-check {scenario}", BAD_MARKOV),
     ("markov-check {scenario}", {"weak": MARKOV_EX3["weak"]}),
+    ("classify {scenario}", dict(BC_OK, power=None)),
+    ("classify {scenario}", dict(BC_OK, distributions=3)),
+    ("classify {scenario}", dict(IC_STRONG_BAD, powers=[None, 1])),
+    ("classify {scenario}", dict(IC_STRONG_BAD, gains=3)),
+    ("secrecy {scenario}", dict(WTC_OK, power=[1.0])),
+    ("coupling-sample {scenario}", {"distributions": 3}),
+    # each subcommand takes only the flags it reads
+    ("classify {scenario} --seed 3", BC_OK),
+    ("classify {scenario} --force", BC_OK),
+    ("region {scenario} --tolerance 0.1", IC_POINT_MASS_STRONG),
+    ("region {scenario} --seed 3", IC_POINT_MASS_STRONG),
+    ("secrecy {scenario} --tolerance 0.1", WTC_OK),
+    ("secrecy {scenario} --seed 3", WTC_OK),
+    ("coupling-sample {scenario} --force", PAIR),
+    ("coupling-sample {scenario} --tolerance 0.1", PAIR),
+    ("figure --fig 3 --seed 3", None),
+    ("figure --fig 3 --force", None),
+    ("markov-check {scenario} --tolerance 0.1", MARKOV_EX3),
+    ("verify --force", None),
+    ("verify --tolerance 0.1", None),
 ]
 
 
