@@ -492,9 +492,12 @@ class Empirical(GainDistribution):
     continuous = False
 
     def __post_init__(self):
-        if len(self.values) == 0:
-            raise ValueError("empirical sample must be nonempty")
-        arr = np.asarray(self.values, dtype=float)
+        try:
+            arr = np.asarray(self.values, dtype=float)
+        except TypeError as exc:
+            raise ValueError(f"empirical sample must be a list of numbers: {exc}") from exc
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValueError("empirical sample must be a nonempty flat list of values")
         if np.any(~np.isfinite(arr)) or np.any(arr < 0.0):
             raise ValueError("empirical sample must be finite and nonnegative")
         if np.any(np.diff(arr) < 0.0):
@@ -602,7 +605,7 @@ _FAMILIES: dict[str, Callable[[dict], GainDistribution]] = {
     "ratio_exp_exp": lambda s: RatioExpExp(
         num_mean=_field(s, "num_mean"), den_mean=_field(s, "den_mean"), power=_field(s, "power")
     ),
-    "empirical": lambda s: Empirical(values=tuple(_field(s, "values"))),
+    "empirical": lambda s: Empirical(values=_field(s, "values")),
 }
 
 

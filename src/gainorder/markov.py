@@ -1,33 +1,35 @@
 """Degradedness certification for two-user finite-state Markov fading BCs.
 
-A k-th order chain over N increasing state values is described by its
-N^k x N^k transition matrix over super-states (the k most recent states,
-enumerated lexicographically).  The certificate checks three conditions:
+A k-th order chain over N increasing state values is given by its N^k x N^k
+transition matrix over super-states (the k most recent states, enumerated
+lexicographically).  Super-state l = (t1..tk) can only move to (t2..tk, n): the
+N columns from (l mod N^(k-1))*N on (0-based); all other entries must be zero.
+A spec keeps only these blocks, its N^k x N next-state table.
 
-  (i)   the time-0 state of the weak chain is dominated in the usual
-        stochastic order by that of the strong chain;
-  (ii)  for every pair of elementwise-ordered histories of length < k, the
-        supplied early-step conditional of the weak chain is dominated by the
-        strong chain's (these conditionals are extra initial data and cannot
-        be read off the transition matrices; at step k the conditional IS the
-        transition row, which condition (iii) already covers);
-  (iii) for every comparable super-state pair (g(l) <= g(s) elementwise), row
-        l of the weak CCDF matrix lies below row s of the strong CCDF matrix.
-
-Matrix validity and the CCDF matrices use exact rational arithmetic; path
-simulation uses floats.
+Each condition of the certificate asks, for every pair of elementwise-ordered
+histories l <= s of one length m, that the weak chain's next-state law after l
+is below the strong chain's after s in the usual stochastic order:
+  (i)   m = 0: the law of H(0);
+  (ii)  m = 1..k-1: the supplied early-step conditionals, which the matrix
+        does not determine;
+  (iii) m = k: the next-state table rows, for every ordered pair of
+        super-states, whether or not they share a suffix.  Witness
+        ("rows", l, s, n): 1-based super-states l <= s and the 1-based state
+        n above which the weak chain after l puts more mass than the strong
+        chain after s.
+All three compare tail sums exactly, as integers over a common denominator.
+Path simulation uses floats.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 
 import numpy as np
-
-from .stochastic_order import check_usual_order_discrete
 
 __all__ = [
     "MarkovChannelSpec",
@@ -47,15 +49,20 @@ _SUM_TOL = Fraction(1, 10**12)
 
 
 def _to_fraction(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)  # exact binary value
-    raise ValueError(f"cannot interpret {x!r} as a probability")
+    """A finite number or a fraction string like "1/3"; floats keep their exact binary value."""
+    try:
+        if isinstance(x, (str, float, numbers.Rational)):
+            return Fraction(x)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise ValueError(f"cannot interpret {x!r} as a number")
+
+
+def _pmf(values, size: int, what: str) -> tuple:
+    probs = tuple(_to_fraction(x) for x in values)
+    if len(probs) != size or any(x < 0 for x in probs) or abs(sum(probs) - 1) > _SUM_TOL:
+        raise ValueError(f"{what} must be a pmf: {size} nonnegative entries that sum to 1")
+    return probs
 
 
 def super_state(l: int, k: int, N: int) -> tuple:
@@ -87,8 +94,9 @@ def super_state_index(indices, N: int) -> int:
 class MarkovChannelSpec:
     """One k-th order finite-state Markov fading channel.
 
-    states holds the strictly increasing gain values; matrix is row-stochastic
-    over super-states; initial is the joint law of the first super-state
+    states holds the strictly increasing gain values; matrix is the row-stochastic
+    N^k x N^k transition matrix over super-states, which is validated and kept
+    as its next-state table; initial is the joint law of the first super-state
     (H(0), ..., H(k-1)); early_conditionals optionally supplies, for each
     history of length 1..k-1 (as a tuple of state values), the pmf of the next
     state - data that condition (ii) needs but the matrix does not determine.
@@ -96,65 +104,43 @@ class MarkovChannelSpec:
 
     states: tuple
     order: int
-    matrix: tuple            # of rows, each a tuple of Fraction
+    matrix: InitVar[tuple]
     initial: tuple           # of Fraction, length N^order
     early_conditionals: tuple = ()  # of (history value-tuple, pmf tuple)
+    table: tuple = field(init=False)  # N^order rows of N Fractions: the next-state laws
 
-    def __post_init__(self):
-        states = tuple(float(v) for v in self.states)
-        if len(states) < 1 or any(not math.isfinite(v) for v in states):
-            raise ValueError("state values must be finite")
-        if any(b <= a for a, b in zip(states, states[1:])):
-            raise ValueError("state values must be strictly increasing")
+    def __post_init__(self, matrix):
+        states = tuple(float(_to_fraction(v)) for v in self.states)
+        if not states or any(b <= a for a, b in zip(states, states[1:])):
+            raise ValueError("state values must be a nonempty, strictly increasing list")
         object.__setattr__(self, "states", states)
-        if self.order < 1:
+        n, k = len(states), self.order
+        if k < 1:
             raise ValueError("chain order must be >= 1")
-        n_super = len(states) ** self.order
-
-        matrix = tuple(tuple(_to_fraction(x) for x in row) for row in self.matrix)
+        if n > 1 and k > len(matrix):  # then n^k > len(matrix): spare the huge power
+            raise ValueError(f"transition matrix must have {n}^{k} rows")
+        n_super = n**k
         if len(matrix) != n_super or any(len(row) != n_super for row in matrix):
             raise ValueError(f"transition matrix must be {n_super}x{n_super}")
-        for i, row in enumerate(matrix):
-            if any(x < 0 for x in row):
-                raise ValueError(f"row {i + 1} has negative entries")
-            if abs(sum(row) - 1) > _SUM_TOL:
-                raise ValueError(f"row {i + 1} does not sum to 1")
-        if self.order >= 2:
-            self._check_suffix_prefix_pattern(matrix, len(states))
-        object.__setattr__(self, "matrix", matrix)
-
-        initial = tuple(_to_fraction(x) for x in self.initial)
-        if len(initial) != n_super:
-            raise ValueError(f"initial distribution must have length {n_super}")
-        if any(x < 0 for x in initial) or abs(sum(initial) - 1) > _SUM_TOL:
-            raise ValueError("initial distribution must be a pmf over super-states")
-        object.__setattr__(self, "initial", initial)
+        table = []
+        for l, row in enumerate(matrix, start=1):
+            start = (l - 1) % (n_super // n) * n
+            for c, x in enumerate(row, start=1):
+                if not start < c <= start + n and x not in (0, "0") and _to_fraction(x) != 0:
+                    raise ValueError(f"entry ({l},{c}) must be zero: column state "
+                                     f"{super_state(c, k, n)} does not extend row state "
+                                     f"{super_state(l, k, n)}")
+            table.append(_pmf(row[start:start + n], n, f"row {l}"))
+        object.__setattr__(self, "table", tuple(table))
+        object.__setattr__(self, "initial", _pmf(self.initial, n_super, "initial distribution"))
 
         cleaned = []
         for history, pmf in self.early_conditionals:
-            hist = tuple(float(v) for v in history)
-            if not 1 <= len(hist) <= self.order:
-                raise ValueError("early conditional histories must have length 1..k")
-            if any(v not in states for v in hist):
-                raise ValueError(f"history {hist} uses unknown state values")
-            probs = tuple(_to_fraction(x) for x in pmf)
-            if len(probs) != len(states) or any(x < 0 for x in probs) or abs(sum(probs) - 1) > _SUM_TOL:
-                raise ValueError(f"conditional pmf for history {hist} is not a pmf over states")
-            cleaned.append((hist, probs))
+            hist = tuple(float(_to_fraction(v)) for v in history)
+            if not 1 <= len(hist) <= k or any(v not in states for v in hist):
+                raise ValueError(f"early conditional history {hist} must be 1..k state values")
+            cleaned.append((hist, _pmf(pmf, n, f"conditional pmf for history {hist}")))
         object.__setattr__(self, "early_conditionals", tuple(cleaned))
-
-    @staticmethod
-    def _check_suffix_prefix_pattern(matrix, n_states):
-        k = round(math.log(len(matrix), n_states))
-        for l, row in enumerate(matrix, start=1):
-            s_row = super_state(l, k, n_states)
-            for c, value in enumerate(row, start=1):
-                s_col = super_state(c, k, n_states)
-                if s_row[1:] != s_col[:-1] and value != 0:
-                    raise ValueError(
-                        f"entry ({l},{c}) must be zero: column state {s_col} does not "
-                        f"extend row state {s_row}"
-                    )
 
     # -- derived views -------------------------------------------------------
 
@@ -166,22 +152,17 @@ class MarkovChannelSpec:
     def n_super(self) -> int:
         return self.n_states ** self.order
 
-    def super_state_values(self, l: int) -> tuple:
-        return tuple(self.states[i] for i in super_state(l, self.order, self.n_states))
-
     def matrix_float(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.matrix])
-
-    def initial_float(self) -> np.ndarray:
-        return np.array([float(x) for x in self.initial])
+        """The full N^k x N^k transition matrix in floats."""
+        return _full_matrix(np.array(self.table, dtype=float), 0.0)
 
     def initial_state_marginal(self) -> np.ndarray:
         """Law of H(0): the first coordinate of the initial super-state."""
-        out = np.zeros(self.n_states)
-        for l in range(1, self.n_super + 1):
-            first = super_state(l, self.order, self.n_states)[0]
-            out[first] += float(self.initial[l - 1])
-        return out
+        return self._initial_state_law().astype(float)
+
+    def _initial_state_law(self) -> np.ndarray:
+        """Law of H(0) as an object array of Fractions."""
+        return np.array(self.initial, dtype=object).reshape(self.n_states, -1).sum(axis=1)
 
     def conditional_after(self, history_idx: tuple) -> np.ndarray:
         """pmf of the next state given a history of 1..k-1 state indices.
@@ -208,14 +189,9 @@ class MarkovChannelSpec:
 
     def has_complete_early_conditionals(self) -> bool:
         """True when every history of each length 1..k-1 has an explicit conditional."""
-        if self.order == 1:
-            return True
         supplied = {hist for hist, _ in self.early_conditionals}
-        for m in range(1, self.order):
-            for combo in itertools.product(self.states, repeat=m):
-                if combo not in supplied:
-                    return False
-        return True
+        return all(hist in supplied for m in range(1, self.order)
+                   for hist in itertools.product(self.states, repeat=m))
 
 
 def markov_spec_from_json(obj: dict) -> MarkovChannelSpec:
@@ -223,47 +199,83 @@ def markov_spec_from_json(obj: dict) -> MarkovChannelSpec:
     {"k": 1, "states": [...], "matrix": [[...]], "initial": [...],
      "early_conditionals": [{"history": [...], "pmf": [...]}, ...]}.
     Matrix entries may be numbers or fraction strings like "1/3"."""
+    if not isinstance(obj, dict):
+        raise ValueError("markov chain spec must be a JSON object")
     for fieldname in ("k", "states", "matrix", "initial"):
         if fieldname not in obj:
             raise ValueError(f"markov chain spec missing field '{fieldname}'")
-    early = tuple(
-        (tuple(entry["history"]), tuple(entry["pmf"]))
-        for entry in obj.get("early_conditionals", [])
-    )
+    k = obj["k"]
+    if isinstance(k, bool) or not (isinstance(k, int) or isinstance(k, float) and k.is_integer()):
+        raise ValueError(f"field 'k' must be a whole number, got {k!r}")
+    early = _json_list(obj.get("early_conditionals", []), "field 'early_conditionals'")
+    if not all(isinstance(e, dict) and "history" in e and "pmf" in e for e in early):
+        raise ValueError("each early conditional must be an object with 'history' and 'pmf'")
     return MarkovChannelSpec(
-        states=tuple(obj["states"]),
-        order=int(obj["k"]),
-        matrix=tuple(tuple(row) for row in obj["matrix"]),
-        initial=tuple(obj["initial"]),
-        early_conditionals=early,
+        states=_json_list(obj["states"], "field 'states'"),
+        order=int(k),
+        matrix=tuple(_json_list(row, "each matrix row")
+                     for row in _json_list(obj["matrix"], "field 'matrix'")),
+        initial=_json_list(obj["initial"], "field 'initial'"),
+        early_conditionals=tuple((_json_list(e["history"], "each early history"),
+                                  _json_list(e["pmf"], "each early pmf")) for e in early),
     )
+
+
+def _json_list(value, where: str) -> tuple:
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a list, got {value!r}")
+    return tuple(value)
+
+
+def _full_matrix(table: np.ndarray, zero) -> np.ndarray:
+    """The N^k x N^k matrix holding table row l in the block that extends l."""
+    n_super, n = table.shape
+    rows = np.arange(n_super)[:, None]
+    full = np.full((n_super, n_super), zero, dtype=table.dtype)
+    full[rows, rows % (n_super // n) * n + np.arange(n)] = table
+    return full
+
+
+def _tails(a: np.ndarray) -> np.ndarray:
+    """tails[..., n] = sum_{j > n} a[..., j]; exact on object arrays of ints or Fractions."""
+    return np.cumsum(a[..., ::-1], axis=-1)[..., ::-1] - a
 
 
 def ccdf_matrix(spec: MarkovChannelSpec) -> tuple:
     """Row-wise tail sums: entry (l, n) = sum_{j > n} P[l][j], exact rationals."""
-    out = []
-    for row in spec.matrix:
-        tails = []
-        running = sum(row)
-        for x in row:
-            running -= x
-            tails.append(running)
-        out.append(tuple(tails))
-    return tuple(out)
+    full = _full_matrix(np.array(spec.table, dtype=object), Fraction(0))
+    return tuple(map(tuple, _tails(full)))
+
+
+def _ordered_pairs(m: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based indices (l, s), row-major, of length-m histories with l <= s elementwise."""
+    digits = np.arange(N**m)[:, None] // N ** np.arange(m - 1, -1, -1) % N
+    return np.nonzero(np.all(digits[:, None, :] <= digits[None, :, :], axis=-1))
 
 
 def comparable_pairs(k: int, N: int) -> list:
     """All 1-based row pairs (l, s) whose super-states compare elementwise <=."""
     if k < 1 or N < 1:
         raise ValueError("need k >= 1 and N >= 1")
-    pairs = []
-    for l in range(1, N**k + 1):
-        tl = super_state(l, k, N)
-        for s in range(1, N**k + 1):
-            ts = super_state(s, k, N)
-            if all(a <= b for a, b in zip(tl, ts)):
-                pairs.append((l, s))
-    return pairs
+    l, s = _ordered_pairs(k, N)
+    return list(zip((l + 1).tolist(), (s + 1).tolist()))
+
+
+def _tail_violations(weak_laws, strong_laws, m: int, N: int) -> list:
+    """weak_laws and strong_laws hold one rational pmf over the N states per
+    history of length m, lexicographically.  Every pair (l, s) of 0-based
+    history indices, l <= s elementwise, where some tail sum of weak_laws[l]
+    exceeds that of strong_laws[s], in row-major order, with the first such
+    0-based state n (tail Pr(next > states[n])).  Tails are compared as
+    integers over the common denominator of all entries."""
+    laws = np.array([weak_laws, strong_laws], dtype=object)
+    den = math.lcm(*{x.denominator for x in laws.flat})
+    numerators = [x.numerator * (den // x.denominator) for x in laws.flat]
+    tails = _tails(np.array(numerators, dtype=object).reshape(laws.shape))
+    l, s = _ordered_pairs(m, N)
+    above = tails[0][l] > tails[1][s]
+    return [(int(l[i]), int(s[i]), int(above[i].argmax()))
+            for i in np.flatnonzero(above.any(axis=1))]
 
 
 @dataclass
@@ -302,26 +314,19 @@ def check_markov_degraded(weak: MarkovChannelSpec, strong: MarkovChannelSpec) ->
         verdict=False, conditional=False, initial_ok=False, early_status="vacuous", rows_ok=False
     )
 
-    init_verdict = check_usual_order_discrete(
-        weak.initial_state_marginal(), strong.initial_state_marginal()
-    )
-    cert.initial_ok = init_verdict.first_leq
+    N = weak.n_states
+    cert.initial_ok = not _tail_violations([weak._initial_state_law()],
+                                           [strong._initial_state_law()], 0, N)
     if not cert.initial_ok:
         cert.witnesses.append(("initial", "H1(0) not <=_st H2(0)"))
 
     cert.early_status = _check_early_conditionals(weak, strong, cert)
 
-    cert.rows_ok = True
-    weak_ccdf = ccdf_matrix(weak)
-    strong_ccdf = ccdf_matrix(strong)
-    for l, s in comparable_pairs(weak.order, weak.n_states):
-        for n, (a, b) in enumerate(zip(weak_ccdf[l - 1], strong_ccdf[s - 1]), start=1):
-            if a > b:
-                cert.rows_ok = False
-                cert.witnesses.append(("rows", l, s, n))
-                break
-        if not cert.rows_ok:
-            break
+    rows = _tail_violations(weak.table, strong.table, weak.order, N)
+    cert.rows_ok = not rows
+    if rows:
+        l, s, n = rows[0]
+        cert.witnesses.append(("rows", l + 1, s + 1, n + 1))
 
     fully_checked = cert.early_status in ("passed", "vacuous")
     cert.verdict = cert.initial_ok and cert.rows_ok and fully_checked
@@ -342,18 +347,18 @@ def _check_early_conditionals(weak, strong, cert) -> str:
     if not (weak.has_complete_early_conditionals() and strong.has_complete_early_conditionals()):
         return "unverified"
     status = "passed"
+    N = weak.n_states
     for m in range(1, weak.order):
-        for hw in itertools.product(range(weak.n_states), repeat=m):
-            for hs in itertools.product(range(weak.n_states), repeat=m):
-                if any(a > b for a, b in zip(hw, hs)):
-                    continue
-                verdict = check_usual_order_discrete(
-                    weak.conditional_after(hw), strong.conditional_after(hs)
-                )
-                if not verdict.first_leq:
-                    status = "failed"
-                    cert.witnesses.append(("early", m, hw, hs))
+        for l, s, _ in _tail_violations(_early_laws(weak, m), _early_laws(strong, m), m, N):
+            status = "failed"
+            cert.witnesses.append(("early", m, super_state(l + 1, m, N), super_state(s + 1, m, N)))
     return status
+
+
+def _early_laws(spec: MarkovChannelSpec, m: int) -> list:
+    """The supplied next-state pmf after each history of length m, in lexicographic order."""
+    supplied = dict(reversed(spec.early_conditionals))  # the first entry for a history wins
+    return [supplied[hist] for hist in itertools.product(spec.states, repeat=m)]
 
 
 def check_indecomposable(spec: MarkovChannelSpec) -> bool:
@@ -409,47 +414,25 @@ def coupled_paths(
 
 
 def _simulate_chain(spec: MarkovChannelSpec, length: int, u: np.ndarray) -> np.ndarray:
-    n_paths = u.shape[0]
     k, N = spec.order, spec.n_states
-    states = np.asarray(spec.states)
-    idx_path = np.empty((n_paths, length), dtype=int)
-
-    cum0 = np.cumsum(spec.initial_state_marginal())
-    idx_path[:, 0] = np.searchsorted(cum0, u[:, 0], side="left")
-
-    for m in range(1, min(k, length)):
-        # conditional law given each realized history of length m
-        cums = np.empty((N**m, N))
-        for flat, hist in enumerate(itertools.product(range(N), repeat=m)):
-            try:
-                cums[flat] = np.cumsum(spec.conditional_after(hist))
-            except ValueError:
-                cums[flat] = np.cumsum(np.full(N, 1.0 / N))  # unreachable history
-        flat_hist = np.zeros(n_paths, dtype=int)
-        for j in range(m):
-            flat_hist = flat_hist * N + idx_path[:, j]
-        rows = cums[flat_hist]
-        idx_path[:, m] = _rowwise_ginv(rows, u[:, m])
-
-    if length > k:
-        # per-row next-state law: the zero pattern confines row l to the
-        # contiguous column block that extends l's suffix, so slicing it out
-        # yields the N-entry conditional pmf of the next state
-        matf = spec.matrix_float()
-        reduced = np.empty((N**k, N))
-        for flat in range(N**k):
-            start = (flat % (N ** (k - 1))) * N
-            reduced[flat] = matf[flat, start:start + N]
-        cums = np.cumsum(reduced, axis=1)
-        rows_id = np.zeros(n_paths, dtype=int)
-        for j in range(k):
-            rows_id = rows_id * N + idx_path[:, j]
-        for m in range(k, length):
-            nxt = _rowwise_ginv(cums[rows_id], u[:, m])
-            idx_path[:, m] = nxt
-            rows_id = (rows_id % (N ** (k - 1))) * N + nxt
-
-    return states[idx_path]
+    table_cums = np.cumsum(np.array(spec.table, dtype=float), axis=1)
+    idx_path = np.empty(u.shape, dtype=int)
+    hist = np.zeros(u.shape[0], dtype=int)  # flat index of each path's last min(m, k) states
+    for m in range(length):
+        if m == 0:
+            cums = np.cumsum(spec.initial_state_marginal())[None, :]
+        elif m < k:  # conditional law given each history of length m
+            cums = np.empty((N**m, N))
+            for flat, h in enumerate(itertools.product(range(N), repeat=m)):
+                try:
+                    cums[flat] = np.cumsum(spec.conditional_after(h))
+                except ValueError:
+                    cums[flat] = np.cumsum(np.full(N, 1.0 / N))  # unreachable history
+        else:
+            cums = table_cums
+        idx_path[:, m] = _rowwise_ginv(cums[hist], u[:, m])
+        hist = hist % N ** (k - 1) * N + idx_path[:, m]
+    return np.asarray(spec.states)[idx_path]
 
 
 def _rowwise_ginv(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:

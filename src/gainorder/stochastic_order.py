@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import Empirical, EvaluationGrid, GainDistribution
+from .distributions import Empirical, EvaluationGrid, GainDistribution, RatioLaw
 
 __all__ = [
     "Relation",
@@ -83,11 +83,13 @@ class OrderVerdict:
 
 
 def default_order_tolerance(d1: GainDistribution, d2: GainDistribution) -> float:
-    """1e-9 for analytic families; twice the KS bound for empirical inputs."""
+    """1e-9 for analytic families; twice the KS bound for empirical inputs,
+    the numerator and denominator of a ratio law included."""
     tol = DEFAULT_TOL
     for d in (d1, d2):
-        if isinstance(d, Empirical):
-            tol = max(tol, 2.0 * 1.36 / math.sqrt(d.sample_size))
+        for g in (d.numerator, d.denominator) if isinstance(d, RatioLaw) else (d,):
+            if isinstance(g, Empirical):
+                tol = max(tol, 2.0 * 1.36 / math.sqrt(g.sample_size))
     return tol
 
 

@@ -164,6 +164,17 @@ class TestClassifyICVeryStrong:
         assert check.tol == 1e-9 and not check.first_leq
         assert not report.verdict and report.confidence == "analytic"
 
+    def test_empirical_gain_inside_the_ratio_law_sets_the_tolerance(self):
+        # Z1 = H21 / (1 + P2 H22) with a 50-draw sample H21: its KS band carries
+        # into check 1; check 2 involves no sample
+        h21 = Empirical.from_samples(np.random.default_rng(8).exponential(1.0, 50))
+        s = ICScenario(Exponential(0.1), Exponential(1.0), h21, Exponential(0.1), 1.0, 1.0)
+        report = classify_ic_very_strong(s)
+        checks = dict(report.order_checks)
+        assert checks["h11_leq_z1"].tol == pytest.approx(2.0 * 1.36 / np.sqrt(50))
+        assert checks["h22_leq_z2"].tol == 1e-9
+        assert report.confidence == "statistical"
+
     def test_comonotone_mode_records_pinned_joint(self):
         report = classify_ic_very_strong(exp_ic(0.1, 1.0, 1.0, 0.1, dependence="comonotone"))
         assert report.verdict

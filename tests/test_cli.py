@@ -267,6 +267,11 @@ class TestVerifyCommand:
 BAD_MARKOV = json.loads(json.dumps(MARKOV_EX3))
 BAD_MARKOV["weak"]["matrix"][0] = ["1/2", "1/2", "1/2"]
 
+
+def weak_chain_with(base=MARKOV_EX3, **fields):
+    """base with some fields of its weak chain replaced."""
+    return dict(base, weak=dict(base["weak"], **fields))
+
 DEGENERATE_INPUTS = [
     ("figure --fig 3 --points 0", None),
     ("figure --fig 3 --points -4", None),
@@ -296,6 +301,20 @@ DEGENERATE_INPUTS = [
     ("classify {scenario}", dict(IC_STRONG_BAD, gains=3)),
     ("secrecy {scenario}", dict(WTC_OK, power=[1.0])),
     ("coupling-sample {scenario}", {"distributions": 3}),
+    ("markov-check {scenario}", weak_chain_with(k=None)),
+    ("markov-check {scenario}", weak_chain_with(k=1.5)),
+    ("markov-check {scenario}", weak_chain_with(k=10**12)),
+    ("markov-check {scenario}", weak_chain_with(states=5)),
+    ("markov-check {scenario}", weak_chain_with(matrix=3)),
+    ("markov-check {scenario}", weak_chain_with(matrix=[1, 2, 3])),
+    ("markov-check {scenario}", weak_chain_with(MARKOV_EX4, early_conditionals=3)),
+    ("markov-check {scenario}",
+     weak_chain_with(MARKOV_EX4, early_conditionals=[{"history": [0.0]}])),
+    ("classify {scenario}", dict(BC_OK, distributions=[{"family": "empirical", "values": 5},
+                                                       {"family": "exponential", "mean": 1.0}])),
+    ("classify {scenario}", dict(BC_OK, distributions=[{"family": "empirical",
+                                                        "values": [[1.0, 2.0]]},
+                                                       {"family": "exponential", "mean": 1.0}])),
     # each subcommand takes only the flags it reads
     ("classify {scenario} --seed 3", BC_OK),
     ("classify {scenario} --force", BC_OK),

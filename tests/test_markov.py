@@ -1,7 +1,10 @@
+import itertools
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gainorder.markov import (
     MarkovChannelSpec,
@@ -182,6 +185,34 @@ class TestCheckMarkovDegraded:
         assert not cert.initial_ok
         assert not cert.verdict
 
+    def test_conditions_one_and_two_are_exact(self):
+        # tails above the strong chain's by 1e-15, far below a float tolerance
+        eps = F(1, 10**15)
+        cert = check_markov_degraded(chain3(P3, (F(1, 4) - eps, "3/8", F(3, 8) + eps)),
+                                     chain3(Q3, INIT3_STRONG))
+        assert not cert.initial_ok and not cert.verdict
+        early = (((0.0,), (F(1, 3) - eps, F(2, 3) + eps)), EARLY4_WEAK[1])
+        cert = check_markov_degraded(chain4(P4, INIT4_WEAK, early),
+                                     chain4(Q4, INIT4_STRONG, EARLY4_STRONG))
+        assert cert.early_status == "failed"
+        assert cert.witnesses == [("early", 1, (0,), (0,))]
+
+    def test_rows_compared_across_suffixes(self):
+        # super-states 1 = (0, 0) <= 2 = (0, 1) share no suffix: after (0, 0) the
+        # next state is 1, after (0, 1) it is 0, so the coupled paths split
+        matrix = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+        weak = chain4(matrix, ("1/2", 0, 0, "1/2"),
+                      (((0.0,), (1, 0)), ((1.0,), (0, 1))))
+        strong = chain4(matrix, ("1/4", "1/4", 0, "1/2"),
+                        (((0.0,), ("1/2", "1/2")), ((1.0,), (0, 1))))
+        cert = check_markov_degraded(weak, strong)
+        assert cert.initial_ok and cert.early_status == "passed"
+        assert cert.to_json()["conditions"]["transition_ccdf_rows"] is False
+        assert cert.witnesses == [("rows", 1, 2, 1)]
+        u = np.clip(np.random.default_rng(3).random((1000, 6)), 1e-12, 1 - 1e-12)
+        p1, p2 = coupled_paths(weak, strong, 6, u, force=True)
+        assert not np.all(p1 <= p2)
+
     def test_reflexive_for_stochastically_monotone_chain(self):
         monotone = ((0.6, 0.3, 0.1), (0.3, 0.4, 0.3), (0.1, 0.3, 0.6))
         spec = chain3(monotone, ("1/3", "1/3", "1/3"))
@@ -207,6 +238,84 @@ class TestCheckMarkovDegraded:
         payload = cert.to_json()
         assert payload["verdict"] is True
         assert payload["conditions"]["transition_ccdf_rows"] is True
+
+
+def full_matrix(table, n, k):
+    """The N^k x N^k matrix whose row l holds next-state law table[l] in the
+    columns of the super-states that extend l."""
+    rows = []
+    for l, law in enumerate(table):
+        row = [0] * n**k
+        start = l % n ** (k - 1) * n
+        row[start:start + n] = law
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@st.composite
+def eighths_laws(draw, count, n):
+    """count pmfs over n states in multiples of 1/8 (so that the float cumsums
+    of the simulation are exact), as tail vectors t[j] = 8 Pr(X > j), j < n - 1."""
+    return [sorted(draw(st.lists(st.integers(0, 8), min_size=n - 1, max_size=n - 1)),
+                   reverse=True) for _ in range(count)]
+
+
+def law_from_tails(tails):
+    cuts = [8] + list(tails) + [0]
+    return tuple(F(a - b, 8) for a, b in zip(cuts, cuts[1:]))
+
+
+def lifted(weak, strong, n, m, lift):
+    """Raise each strong tail vector s to the elementwise max over the weak
+    vectors of the histories l <= s: every such l (lift "all"), only those with
+    s's suffix (lift "suffix"), or none."""
+    hists = list(itertools.product(range(n), repeat=m))
+    out = []
+    for s, hs in zip(strong, hists):
+        for w, hw in zip(weak, hists):
+            below = all(a <= b for a, b in zip(hw, hs))
+            if below and (lift == "all" or lift == "suffix" and hw[1:] == hs[1:]):
+                s = [max(a, b) for a, b in zip(s, w)]
+        out.append(s)
+    return out
+
+
+def chain_from_tails(tails, n, k):
+    """Chain over n states whose laws after the histories of length m = 0..k
+    have the tail vectors tails[m]; H(1) given H(0) follows the early law."""
+    states = (0.5, 1.0, 2.0)[:n]
+    laws = {m: [law_from_tails(t) for t in tails[m]] for m in tails}
+    h0 = laws[0][0]
+    if k == 1:
+        return MarkovChannelSpec(states=states, order=1, matrix=full_matrix(laws[1], n, 1),
+                                 initial=h0)
+    return MarkovChannelSpec(
+        states=states, order=2, matrix=full_matrix(laws[2], n, 2),
+        initial=[h0[i] * laws[1][i][j] for i in range(n) for j in range(n)],
+        early_conditionals=tuple(((v,), law) for v, law in zip(states, laws[1])),
+    )
+
+
+@st.composite
+def markov_pairs(draw):
+    n, k = draw(st.sampled_from((2, 3))), draw(st.sampled_from((1, 2)))
+    lift = draw(st.sampled_from(("all", "suffix", "none")))
+    weak = {m: draw(eighths_laws(n**m, n)) for m in range(k + 1)}
+    strong = {m: lifted(weak[m], draw(eighths_laws(n**m, n)), n, m, lift)
+              for m in range(k + 1)}
+    return chain_from_tails(weak, n, k), chain_from_tails(strong, n, k)
+
+
+class TestCertificateSoundness:
+    @settings(max_examples=80, deadline=None)
+    @given(pair=markov_pairs())
+    def test_certified_pairs_couple_pathwise(self, pair):
+        weak, strong = pair
+        if not check_markov_degraded(weak, strong).verdict:
+            return
+        u = np.clip(np.random.default_rng(7).random((500, 8)), 1e-12, 1 - 1e-12)
+        p1, p2 = coupled_paths(weak, strong, 8, u)
+        assert np.all(p1 <= p2)
 
 
 class TestIndecomposable:
