@@ -378,14 +378,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except UnclassifiedScenarioError as exc:
         sys.stderr.write(f"{exc}\n")
         return 1
-    except ValueError as exc:
-        # scenario-driven contract violations surfaced by the library
+    except Exception as exc:
+        # exit 1 is the negative verdict, so every other failure, a malformed
+        # scenario included, exits 2 with a one-line message
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import gainorder.capacity
@@ -41,11 +44,11 @@ class TestErgodicRate:
         assert exponential_rate_closed_form(1.0, 1.0) == pytest.approx(0.430173691135443, abs=1e-12)
 
     def test_routes_agree_for_exponential(self):
-        quad_rate = ergodic_rate(Exponential(1.0), 1.0, method="quadrature")
-        closed = ergodic_rate(Exponential(1.0), 1.0, method="closed_form")
+        quad_rate = ergodic_rate(Exponential(1.0), 1.0)
+        closed = exponential_rate_closed_form(1.0, 1.0)
         mc = mc_ergodic_rate(Exponential(1.0), 1.0, n=10**6, seed=5)
-        assert quad_rate.bits == pytest.approx(closed.bits, abs=1e-9)
-        assert abs(mc.bits - closed.bits) <= max(1e-3, 3.0 * mc.error_estimate)
+        assert quad_rate.bits == pytest.approx(closed, abs=1e-12)
+        assert abs(mc.bits - closed) <= max(1e-3, 3.0 * mc.error_estimate)
 
     def test_point_mass_degenerate_expectation(self):
         r = ergodic_rate(PointMass(3.0), 1.0)
@@ -99,7 +102,9 @@ class TestPairSumRate:
             return v
 
         got = pair_sum_rate(Exponential(1.0), 1.0, Exponential(2.0), 1.0)
-        assert got.bits == pytest.approx(oracle(1.0, 1.0, 2.0, 1.0), abs=1e-6)
+        gap = abs(got.bits - oracle(1.0, 1.0, 2.0, 1.0))
+        assert gap <= got.error_estimate
+        assert gap <= 1e-12
 
     def test_point_mass_pair_exact(self):
         got = pair_sum_rate(PointMass(1.0), 1.0, PointMass(2.0), 1.0)
@@ -117,6 +122,67 @@ class TestPairSumRate:
     def test_zero_power_collapses_to_single_link(self):
         got = pair_sum_rate(Exponential(1.0), 0.0, Exponential(2.0), 1.0)
         assert got.bits == pytest.approx(ergodic_rate(Exponential(2.0), 1.0).bits, abs=1e-12)
+
+
+def laplace_transform(d):
+    """s -> E[exp(-s H)] for the gain H of d, in mpmath."""
+    if isinstance(d, NakagamiGain):
+        return lambda s: (1 + mpmath.mpf(d.w) / d.m * s) ** -mpmath.mpf(d.m)
+    if isinstance(d, Exponential):
+        return lambda s: 1 / (1 + mpmath.mpf(d.mean_gain) * s)
+    values, masses = d.atoms()
+    return lambda s: mpmath.fsum(mpmath.mpf(m) * mpmath.exp(-mpmath.mpf(v) * s)
+                                 for v, m in zip(values, masses))
+
+
+def rate_oracle(*terms):
+    """E[C(P1 H1 + ... )] for independent gains, independent of any quantile:
+    ln(1 + x) = int_0^inf e^-t (1 - e^(-t x)) / t dt turns it into one
+    integral over the gains' Laplace transforms, which mpmath.quad evaluates."""
+    with mpmath.workdps(30):
+        transforms = [(laplace_transform(d), mpmath.mpf(p)) for d, p in terms]
+
+        def integrand(t):
+            joint = mpmath.fprod(lt(p * t) for lt, p in transforms)
+            return mpmath.exp(-t) * (1 - joint) / t
+
+        breaks = [0] + [mpmath.mpf(10) ** k for k in range(-8, 3)] + [mpmath.inf]
+        return float(mpmath.quad(integrand, breaks) / (2 * mpmath.log(2)))
+
+
+def decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+NAKAGAMI = st.builds(NakagamiGain, st.floats(math.log(0.3), math.log(20.0)).map(math.exp),
+                     decades(-2.0, 2.0))
+POWERS = decades(-2.0, 2.0)
+SECOND_GAINS = st.one_of(
+    NAKAGAMI,
+    st.builds(Exponential, decades(-2.0, 2.0)),
+    st.builds(BernoulliGain, st.floats(0.0, 1.0)),
+    st.builds(PointMass, decades(-2.0, 2.0)),
+)
+
+
+class TestRuleAgainstOracle:
+    """Every rate lies within its error estimate, and within 1e-12, of the oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(NAKAGAMI, POWERS)
+    def test_ergodic_rate(self, d, power):
+        got = ergodic_rate(d, power)
+        gap = abs(got.bits - rate_oracle((d, power)))
+        assert gap <= got.error_estimate
+        assert gap <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(NAKAGAMI, POWERS, SECOND_GAINS, POWERS)
+    def test_pair_sum_rate(self, d_a, power_a, d_b, power_b):
+        got = pair_sum_rate(d_a, power_a, d_b, power_b)
+        gap = abs(got.bits - rate_oracle((d_a, power_a), (d_b, power_b)))
+        assert gap <= got.error_estimate
+        assert gap <= 1e-12
 
 
 class TestRegionGeometry:

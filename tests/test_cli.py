@@ -315,6 +315,8 @@ DEGENERATE_INPUTS = [
     ("classify {scenario}", dict(BC_OK, distributions=[{"family": "empirical",
                                                         "values": [[1.0, 2.0]]},
                                                        {"family": "exponential", "mean": 1.0}])),
+    ("classify {scenario}", dict(BC_OK, distributions=[{"family": []},
+                                                       {"family": "exponential", "mean": 1.0}])),
     # each subcommand takes only the flags it reads
     ("classify {scenario} --seed 3", BC_OK),
     ("classify {scenario} --force", BC_OK),

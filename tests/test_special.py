@@ -9,6 +9,7 @@ coupling's components return the double at which the float cdf crosses u.
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,13 @@ class TestExpIntegralE1:
         for x in (0.2, 1.7, 9.0):
             oracle, _ = quad(lambda t: math.exp(-t) / t, x, np.inf, limit=200)
             assert _scaled_exp1(x) * math.exp(-x) == pytest.approx(oracle, abs=1e-10)
+
+    def test_against_mpmath_up_to_1e300(self):
+        # both branches of _scaled_exp1, including large arguments where e^x overflows
+        xs = np.geomspace(1e-4, 1e300, 600)
+        with mpmath.workdps(30):
+            oracle = [float(mpmath.exp(x) * mpmath.e1(x)) for x in map(mpmath.mpf, xs)]
+        np.testing.assert_allclose(_scaled_exp1(xs), oracle, rtol=4e-15)
 
     def test_standard_tail_bound(self):
         # 1/(x + 1) < e^x E1(x) < 1/x, also where e^x itself overflows
