@@ -10,6 +10,7 @@ files are JSON; numeric tables are CSV so outputs diff cleanly, and identical
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -143,15 +144,22 @@ def _emit_json(payload, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_csv(header: list[str], rows: list[list], out: str | None) -> None:
+def _emit_csv(header: list[str], columns: list, out: str | None) -> None:
+    """Write equal-length columns as CSV, each cell as `_fmt` writes it."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += map(",".join, zip(*map(_column, columns)))
     text = "\n".join(lines) + "\n"
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _column(values):
+    """The cells of one column; numpy float and bool arrays are formatted whole."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fb":
+        return map(repr if values.dtype.kind == "f" else str, values.tolist())
+    return map(_fmt, values)
 
 
 def _fmt(value) -> str:
@@ -199,7 +207,7 @@ def cmd_region(args) -> int:
     except UnclassifiedScenarioError as exc:
         sys.stderr.write(f"{exc}\n")
         return 1
-    _emit_csv(["R1", "R2"], [[r1, r2] for r1, r2 in region.vertices], args.out)
+    _emit_csv(["R1", "R2"], list(zip(*region.vertices)), args.out)
     if args.out:
         sidecar = Path(args.out).with_suffix(".json")
         sidecar.write_text(json.dumps(region.to_json(), indent=2, sort_keys=True) + "\n")
@@ -229,13 +237,12 @@ def cmd_coupling_sample(args) -> int:
     u = np.clip(rng.random(args.samples), 1e-12, 1.0 - 1e-12)
     if args.construction == "comonotone":
         h1, h2 = comonotone_samples(d1, d2, u)
-        rows = [[float(a), float(b), None] for a, b in zip(h1, h2)]
+        flags = itertools.repeat(None, u.size)
     else:
         spec = maximal_coupling_spec(d1, d2)
         u_val = np.clip(rng.random(args.samples), 1e-12, 1.0 - 1e-12)
-        h1, h2, eq = maximal_coupling_samples(spec, u, u_val)
-        rows = [[float(a), float(b), bool(e)] for a, b, e in zip(h1, h2, eq)]
-    _emit_csv(["h1", "h2", "equal_flag"], rows, args.out)
+        h1, h2, flags = maximal_coupling_samples(spec, u, u_val)
+    _emit_csv(["h1", "h2", "equal_flag"], [h1, h2, flags], args.out)
     return 0
 
 
@@ -263,8 +270,7 @@ def cmd_figure(args) -> int:
         # CCDF difference between the interference ratio and the direct gain
         diff = np.asarray(z.ccdf(h)) - np.exp(-h / a)
         columns.append(diff)
-    rows = [[float(h[i])] + [float(col[i]) for col in columns] for i in range(h.size)]
-    _emit_csv(["h"] + labels, rows, args.out)
+    _emit_csv(["h"] + labels, [h] + columns, args.out)
     return 0
 
 

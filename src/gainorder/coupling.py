@@ -11,13 +11,14 @@ as the comonotone coupling.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .distributions import GainDistribution, _invert_cdf
+from .distributions import GainDistribution, _invert_cdf, _panel_nodes
 from .stochastic_order import DensitySegment, density_segments
 
 __all__ = [
@@ -49,34 +50,104 @@ class CouplingSample:
 
 
 class _PiecewiseMinCdf:
-    """Exact unnormalized CDF of min(f1, f2), piecewise between density crossings."""
+    """Exact unnormalized CDFs of min(f1, f2) and of the two residuals (f_k - f_min),
+    piecewise between density crossings.
+
+    On segment j one density is the minimum, so the shared mass below x is
+    prefix[j] + F_min(x) - F_min(lo_j), and residual k grows by
+    (F_k(x) - F_k(lo_j)) - (F_o(x) - F_o(lo_j)) where f_k is the larger density
+    and stays constant elsewhere.  The residual's difference is taken before
+    it is added to the cumulative mass, so it reads exactly 0 at the start of
+    its support.  Each point evaluates only the one or two marginal cdfs its
+    segment needs.
+
+    Just above an interior crossing both rises are O(x - lo_j) while the
+    residual mass is O((x - lo_j)^2), so their difference would carry a few
+    ulps of 1 in absolute rounding noise and set the quantiles of levels
+    below about 1e-15.  On the first 1/16 of such a segment (at most lo_j/16
+    long, far from the singularity of a density at 0) the residual mass is
+    instead the 8-node Gauss-Legendre integral of f_k - f_o, which keeps its
+    relative precision.
+    """
 
     def __init__(self, d1: GainDistribution, d2: GainDistribution,
                  segments: list[DensitySegment]):
-        self._d1 = d1
-        self._d2 = d2
+        self.dists = (d1, d2)
         self.lo = np.array([s.lo for s in segments])
         self.first = np.array([s.min_is_first for s in segments])
-        self._cdf1_lo = np.asarray(d1.cdf(self.lo), dtype=float)
-        self._cdf2_lo = np.asarray(d2.cdf(self.lo), dtype=float)
-        hi_cdf1 = np.append(self._cdf1_lo[1:], 1.0)
-        hi_cdf2 = np.append(self._cdf2_lo[1:], 1.0)
-        incr = np.where(self.first, hi_cdf1 - self._cdf1_lo, hi_cdf2 - self._cdf2_lo)
-        self._prefix = np.concatenate([[0.0], np.cumsum(incr)])
-        self.total = float(self._prefix[-1])
+        self.cdf_lo = np.array([np.asarray(d.cdf(self.lo), dtype=float) for d in self.dists])
+        rise = np.append(self.cdf_lo[:, 1:], np.ones((2, 1)), axis=1) - self.cdf_lo
+        self.prefix = np.concatenate([[0.0], np.cumsum(np.where(self.first, rise[0], rise[1]))])
+        self.total = float(self.prefix[-1])
+        # residual k lives where the other density is the minimum
+        self.live = np.array([~self.first, self.first])
+        self.res_prefix = np.concatenate(
+            [np.zeros((2, 1)), np.cumsum(np.where(self.live, rise - rise[::-1], 0.0), axis=1)],
+            axis=1,
+        )
+        self.res_total = self.res_prefix[:, -1]
+        self.hi = np.append(self.lo[1:], np.inf)
+        self._near = np.minimum(self.lo, self.hi - self.lo) / 16.0
+
+    def segment(self, x: np.ndarray) -> np.ndarray:
+        return np.clip(np.searchsorted(self.lo, x, side="right") - 1, 0, self.lo.size - 1)
+
+    def _rise(self, k: int, x: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """F_k(x) - F_k(lo_j)."""
+        return np.asarray(self.dists[k].cdf(x), dtype=float) - self.cdf_lo[k, j]
 
     def unnorm(self, x):
         x_arr = np.asarray(x, dtype=float)
-        j = np.clip(np.searchsorted(self.lo, x_arr, side="right") - 1, 0, self.lo.size - 1)
-        fx = np.where(
-            self.first[j],
-            np.asarray(self._d1.cdf(x_arr), dtype=float),
-            np.asarray(self._d2.cdf(x_arr), dtype=float),
-        )
-        flo = np.where(self.first[j], self._cdf1_lo[j], self._cdf2_lo[j])
-        out = self._prefix[j] + fx - flo
-        out = np.where(x_arr <= 0.0, 0.0, out)
+        xs = x_arr.reshape(-1)
+        j = self.segment(xs)
+        out = np.empty_like(xs)
+        for k, on in ((0, self.first[j]), (1, ~self.first[j])):
+            out[on] = self.prefix[j[on]] + self.dists[k].cdf(xs[on]) - self.cdf_lo[k, j[on]]
+        out = np.where(xs <= 0.0, 0.0, out).reshape(x_arr.shape)
         return np.clip(out, 0.0, self.total)
+
+    def residual(self, k: int, x):
+        """Unnormalized cdf of residual k (0 for d1, 1 for d2)."""
+        x_arr = np.asarray(x, dtype=float)
+        xs = x_arr.reshape(-1)
+        j = self.segment(xs)
+        out = self.res_prefix[k, j]
+        near = self.live[k, j] & (xs - self.lo[j] < self._near[j])
+        on = self.live[k, j] & ~near
+        xs_on, j_on = xs[on], j[on]
+        out[on] += self._rise(k, xs_on, j_on) - self._rise(1 - k, xs_on, j_on)
+        out[near] += self._integral(k, self.lo[j[near]], xs[near])
+        out = np.where(xs <= 0.0, 0.0, out).reshape(x_arr.shape)
+        return np.clip(out, 0.0, self.res_total[k])
+
+    def _integral(self, k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Gauss-Legendre integral of f_k - f_o over each [a, b]."""
+        nodes, weights = _unit_rule()
+        t = a[:, None] + (b - a)[:, None] * nodes
+        gap = self.dists[k].pdf(t) - self.dists[1 - k].pdf(t)
+        return (b - a) * (np.asarray(gap, dtype=float) @ weights)
+
+
+# the tables below are built on first use: at import, numpy work would add to
+# the memory of every command, most of which never sample a maximal coupling
+
+
+@functools.cache
+def _unit_rule() -> tuple[np.ndarray, np.ndarray]:
+    """8-node Gauss-Legendre nodes and weights on [0, 1]."""
+    return _panel_nodes(np.array([0.0, 1.0]), 8)
+
+
+@functools.cache
+def _table_levels() -> np.ndarray:
+    """Levels of the residual quantile tables: logistic in t on [-34.5, 34.5],
+    so they pack geometrically toward 0 and 1 (1e-15 and 1 - 1e-15)."""
+    low = np.exp(np.linspace(-34.5, 0.0, 256))
+    low = low / (1.0 + low)
+    return np.unique(np.concatenate([low, 1.0 - low]))
+
+
+_NEWTON_STEPS = 3
 
 
 class MaximalCouplingSpec:
@@ -84,7 +155,23 @@ class MaximalCouplingSpec:
 
     p is the overlap mass of the two densities; the shared component and the
     two residual CDFs are evaluated exactly piecewise between the density
-    crossings, so the mixture reconstructs each marginal CDF identically.
+    crossings, so the mixture reconstructs each marginal CDF to rounding.
+
+    Every component quantile is the exact `_invert_cdf` of its float cdf, a
+    double where that cdf crosses u, seeded with an estimate so that the
+    search only gallops a few ulps:
+    - shared: on the segment holding level u the shared law is one marginal's
+      law, so the estimate is that marginal's quantile estimate at the shifted
+      level u p - prefix[j] + F_i(lo_j);
+    - residual k: linear interpolation in a table of exact quantiles at about
+      500 levels per segment the residual lives on, packed toward both ends
+      of its level range and built on the first residual draw, then three
+      Newton steps on the residual density (f_k - f_o) / (1 - p), each kept
+      inside its table cell.
+    The component cdfs subtract O(1) marginal cdf values, so they can wobble
+    by a few ulps of 1 and cross u at several neighbouring doubles; the
+    answer is the crossing nearest the estimate, which can differ from the
+    one an estimate-free search finds by up to a few hundred ulps.
     """
 
     def __init__(self, d1: GainDistribution, d2: GainDistribution):
@@ -110,15 +197,71 @@ class MaximalCouplingSpec:
     def residual_cdf(self, which: int, x):
         if self.p >= 1.0:
             raise ValueError("residual components are empty (p = 1)")
-        d = self.d1 if which == 1 else self.d2
-        raw = np.asarray(d.cdf(x), dtype=float) - np.asarray(self._fmin.unnorm(x))
-        return np.clip(raw / (1.0 - self.p), 0.0, 1.0)
+        mass = self._fmin.res_total[which - 1]
+        if mass <= 0.0:
+            raise ValueError(f"residual component {which} has no mass in floating point")
+        return np.minimum(self._fmin.residual(which - 1, x) / mass, 1.0)
+
+    # -- seeded component quantiles ---------------------------------------------
 
     def shared_quantile(self, u):
-        return _invert_cdf(self.shared_cdf, u)
+        shape = np.shape(u)
+        u = np.asarray(u, dtype=float).reshape(-1)
+        fm = self._fmin
+        level = u * self.p
+        j = np.clip(np.searchsorted(fm.prefix, level, side="right") - 1, 0, fm.lo.size - 1)
+        est = np.empty_like(u)
+        for k, on in ((0, fm.first[j]), (1, ~fm.first[j])):
+            t = level[on] - fm.prefix[j[on]] + fm.cdf_lo[k, j[on]]
+            est[on] = fm.dists[k]._quantile_estimate(np.clip(t, 0.0, 1.0))
+        est = np.clip(est, fm.lo[j], fm.hi[j])
+        return _invert_cdf(self.shared_cdf, u, est).reshape(shape)
+
+    @functools.cached_property
+    def _tables(self) -> tuple:
+        return tuple(self._residual_table(which) for which in (1, 2))
+
+    def _residual_table(self, which: int) -> tuple[np.ndarray, np.ndarray]:
+        """Levels and exact quantiles of residual `which`.
+
+        Each segment the residual lives on spans a range of levels; its table
+        levels pack toward both ends of that range, where the quantile has a
+        square-root singularity at a density crossing, and the ends themselves
+        stand for the segment's bounds.
+        """
+        fm = self._fmin
+        k = which - 1
+        unit = _table_levels()
+        levels, xs = [], []
+        for j in np.flatnonzero(fm.live[k]):
+            b0, b1 = fm.res_prefix[k, j:j + 2] / fm.res_total[k]
+            if b1 > b0:
+                levels += [[b0], b0 + (b1 - b0) * unit, [b1]]
+                xs += [[fm.lo[j]], np.full(unit.size, np.nan), [fm.hi[j]]]
+        levels, xs = np.concatenate(levels), np.concatenate(xs)
+        inner = np.isnan(xs)
+        xs[inner] = _invert_cdf(lambda x: self.residual_cdf(which, x), levels[inner])
+        # a wobbling cdf can order neighbouring crossings either way
+        return levels, np.maximum.accumulate(xs)
 
     def residual_quantile(self, which: int, u):
-        return _invert_cdf(lambda x: self.residual_cdf(which, x), u)
+        shape = np.shape(u)
+        u = np.asarray(u, dtype=float).reshape(-1)
+        levels, xs = self._tables[which - 1]
+        dk, do = self._fmin.dists[which - 1], self._fmin.dists[2 - which]
+        mass = self._fmin.res_total[which - 1]
+        # a cell lies inside one segment the residual lives on, so f_k - f_o
+        # is its density there
+        c = np.clip(np.searchsorted(levels, u, side="right") - 1, 0, levels.size - 2)
+        a, b = xs[c], xs[c + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            est = a + (u - levels[c]) / (levels[c + 1] - levels[c]) * (b - a)
+            est = np.where(np.isfinite(est), est, a)
+            for _ in range(_NEWTON_STEPS):
+                pdf = (np.asarray(dk.pdf(est)) - np.asarray(do.pdf(est))) / mass
+                step = (self.residual_cdf(which, est) - u) / pdf
+                est = np.clip(np.where(np.isfinite(step), est - step, est), a, b)
+        return _invert_cdf(lambda x: self.residual_cdf(which, x), u, est).reshape(shape)
 
 
 def maximal_coupling_spec(d1: GainDistribution, d2: GainDistribution) -> MaximalCouplingSpec:

@@ -78,6 +78,14 @@ class GainDistribution:
         """Generalized inverse inf{x : cdf(x) >= u} for u in [0, 1]."""
         raise NotImplementedError
 
+    def _quantile_estimate(self, u):
+        """A cheap approximation of quantile(u), good enough to seed _invert_cdf.
+
+        Families whose exact quantile refines a closed-form estimate return
+        that estimate; the others return the quantile itself.
+        """
+        return self.quantile(u)
+
     def sample(self, u):
         """Inverse-transform sample from a uniform variate in (0, 1)."""
         u_arr = _as_float_array(u)
@@ -205,10 +213,13 @@ class NakagamiGain(GainDistribution):
         u_arr = _as_float_array(u)
         _check_u(u_arr)
         u_flat = np.atleast_1d(u_arr)
+        out = self._quantile_estimate(u_flat)
+        return _scalar_or_array(_invert_cdf(self.cdf, u_flat, out).reshape(u_arr.shape))
+
+    def _quantile_estimate(self, u):
         # gammaincinv can sit a few ulps off the double where the float cdf
         # crosses u, so it only seeds the exact inversion
-        out = gammaincinv(self.m, u_flat) * (self.w / self.m)
-        return _scalar_or_array(_invert_cdf(self.cdf, u_flat, out).reshape(u_arr.shape))
+        return gammaincinv(self.m, u) * (self.w / self.m)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -366,17 +377,20 @@ class RatioExpExp(GainDistribution):
     def quantile(self, u):
         u_arr = _as_float_array(u)
         _check_u(u_arr)
+        u_flat = np.atleast_1d(u_arr)
+        out = self._quantile_estimate(u_flat)
+        return _scalar_or_array(_invert_cdf(self.cdf, u_flat, out).reshape(u_arr.shape))
+
+    def _quantile_estimate(self, u):
         # closed form t = omega(1/c - ln c - ln(1 - u)) - 1/c through the Wright
         # omega function, h = s_n t; it loses digits to cancellation, so it
         # only seeds the exact inversion
-        u_flat = np.atleast_1d(u_arr)
         c = self.power * self.den_mean
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = -np.log1p(-u_flat)
+            t = -np.log1p(-u)
             if c > 0.0:
                 t = wrightomega(1.0 / c - math.log(c) + t) - 1.0 / c
-        out = self.num_mean * t
-        return _scalar_or_array(_invert_cdf(self.cdf, u_flat, out).reshape(u_arr.shape))
+        return self.num_mean * t
 
     @property
     def support(self) -> tuple[float, float]:
@@ -417,10 +431,18 @@ def law_nodes(d: GainDistribution, rule=_RULE) -> tuple[np.ndarray, np.ndarray]:
     A step law gives its atoms and masses, so the sum is exact.  A continuous
     law gives its quantiles at a fixed Gauss-Legendre rule in u-space: 24
     nodes on each of 22 panels by default, or the 12-node companion rule on
-    the same panels.
+    the same panels.  A law that is neither, such as a discrete numerator over
+    a continuous denominator, has atoms carrying less than all of its mass and
+    raises ValueError.
     """
     if not d.continuous:
-        return d.atoms()
+        x, w = d.atoms()
+        if w.sum() < 1.0 - 1e-9:
+            raise ValueError(
+                f"the atoms of {type(d).__name__} carry mass {w.sum():.6g} < 1: a law "
+                "mixing atoms and a density has no quadrature rule"
+            )
+        return x, w
     u, w = rule
     return np.asarray(d.quantile(u)), w
 
@@ -648,15 +670,21 @@ _INF_BITS = int(np.float64(np.inf).view(np.int64))
 def _invert_cdf(cdf: Callable, u, x: np.ndarray | None = None) -> np.ndarray:
     """Generalized inverse inf{y >= 0 : cdf(y) >= u} of a cdf on [0, inf], to the double.
 
-    u = 0 maps to 0 and u = 1 to inf.  For interior u the answer is the double
-    y with cdf(y) >= u > cdf(previous double): the least one wherever cdf is
-    nondecreasing in floating point, and the crossing nearest the estimate
-    where it wobbles by a few ulps (scipy's gammainc does).  Nonnegative
-    doubles are ordered like their int64 bit patterns, so the search bisects
-    bit patterns.  Without estimates it bisects all of [0, inf], 63 cdf
-    evaluations; estimates x (overwritten with the answers) first gallop in
-    ulps to a bracket cdf(lo) < u <= cdf(hi), so an estimate d ulps off costs
-    about 2 log2(d) evaluations.
+    u = 0 maps to 0 and u = 1 to inf.  For interior u the answer is a crossing
+    of the float cdf: the double y with cdf(y) >= u > cdf(previous double).
+    Wherever cdf is nondecreasing in floating point that is the least such
+    double, whatever the estimate.  Where it wobbles by a few ulps (scipy's
+    gammainc does, and so does any cdf that subtracts O(1) cdf values, like
+    the maximal coupling's components) several doubles cross u, and the
+    answer is the crossing the search meets first: the one nearest the
+    estimate.  Nonnegative doubles are ordered like their int64 bit patterns,
+    so the search bisects bit patterns.  Without estimates it bisects all of
+    [0, inf], 63 cdf evaluations; estimates x (one per level, overwritten
+    with the answers) first gallop in ulps to a bracket cdf(lo) < u <= cdf(hi),
+    so an estimate d ulps off costs about 2 log2(d) evaluations.  The
+    estimates come from a closed form (NakagamiGain, RatioExpExp, the maximal
+    coupling's shared part) or from a table and Newton steps (its residuals);
+    they set the cost and, where the cdf wobbles, which crossing is returned.
     """
     u = np.asarray(u, dtype=float)
     out = np.empty_like(u) if x is None else x

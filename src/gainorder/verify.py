@@ -18,6 +18,7 @@ import numpy as np
 from .capacity import RateValue, c_of, exponential_rate_closed_form
 from .classifier import ICScenario
 from .coupling import (
+    MaximalCouplingSpec,
     comonotone_samples,
     copula_joint_cdf,
     maximal_coupling_samples,
@@ -111,20 +112,28 @@ def verify_same_marginals(
     corrupt=True swaps the two residual components of the maximal coupling
     (a negative control that must fail).
     """
-    rng = _rng(seed, f"same_marginals[{construction}]")
-    threshold = KS_CRIT_1PCT / math.sqrt(n)
-    if construction == "comonotone":
-        h1, h2 = comonotone_samples(d1, d2, _open_uniform(rng, n))
-    elif construction == "maximal":
-        spec = maximal_coupling_spec(d1, d2)
-        u_sel = _open_uniform(rng, n)
-        u_val = _open_uniform(rng, n)
-        h1, h2, eq = maximal_coupling_samples(spec, u_sel, u_val)
-        if corrupt:
-            swapped = ~eq
-            h1[swapped], h2[swapped] = h2[swapped].copy(), h1[swapped].copy()
-    else:
+    if construction == "maximal":
+        return _maximal_marginals(maximal_coupling_spec(d1, d2), n, seed, corrupt)
+    if construction != "comonotone":
         raise ValueError(f"unknown construction {construction!r}")
+    rng = _rng(seed, f"same_marginals[{construction}]")
+    h1, h2 = comonotone_samples(d1, d2, _open_uniform(rng, n))
+    return _marginal_reports(construction, d1, d2, h1, h2, n, seed, corrupt)
+
+
+def _maximal_marginals(spec: MaximalCouplingSpec, n: int, seed: int, corrupt: bool):
+    rng = _rng(seed, "same_marginals[maximal]")
+    u_sel = _open_uniform(rng, n)
+    u_val = _open_uniform(rng, n)
+    h1, h2, eq = maximal_coupling_samples(spec, u_sel, u_val)
+    if corrupt:
+        swapped = ~eq
+        h1[swapped], h2[swapped] = h2[swapped].copy(), h1[swapped].copy()
+    return _marginal_reports("maximal", spec.d1, spec.d2, h1, h2, n, seed, corrupt)
+
+
+def _marginal_reports(construction, d1, d2, h1, h2, n, seed, corrupt):
+    threshold = KS_CRIT_1PCT / math.sqrt(n)
     kind = "negative_control" if corrupt else "positive"
     name = f"same_marginals[{construction}{'-corrupted' if corrupt else ''}]"
     return (
@@ -214,8 +223,11 @@ def verify_maximal_equality_fraction(
     d1: GainDistribution, d2: GainDistribution, n: int = 100_000, seed: int = 0
 ) -> VerificationReport:
     """Fraction of equal draws must sit within 3 sigma of the overlap mass p."""
+    return _equality_fraction(maximal_coupling_spec(d1, d2), n, seed)
+
+
+def _equality_fraction(spec: MaximalCouplingSpec, n: int, seed: int) -> VerificationReport:
     rng = _rng(seed, "maximal_equality_fraction")
-    spec = maximal_coupling_spec(d1, d2)
     _, _, eq = maximal_coupling_samples(spec, _open_uniform(rng, n), _open_uniform(rng, n))
     p = spec.p
     threshold = 3.0 * math.sqrt(p * (1.0 - p) / n)
@@ -231,12 +243,13 @@ def run_verification_suite(
         h11=Exponential(1.0), h12=Exponential(2.0), h21=Exponential(2.0), h22=Exponential(1.0),
         p1=1.0, p2=1.0,
     )
+    spec = maximal_coupling_spec(d1, d2)
     reports: list[VerificationReport] = []
-    reports += verify_same_marginals("maximal", d1, d2, n=n, seed=seed)
+    reports += _maximal_marginals(spec, n, seed, corrupt=False)
     reports += verify_same_marginals("comonotone", d1, d2, n=n, seed=seed)
     reports += verify_same_marginals("comonotone", BernoulliGain(0.3), BernoulliGain(0.7),
                                      n=n, seed=seed)
-    reports.append(verify_maximal_equality_fraction(d1, d2, n=n, seed=seed))
+    reports.append(_equality_fraction(spec, n, seed))
     reports.append(verify_strong_ic_independence(ic, n=n, seed=seed))
     reports.append(verify_copula_equivalence(d1, d2, n=n, seed=seed))
 
@@ -253,7 +266,7 @@ def run_verification_suite(
     )
 
     if include_negative_controls:
-        reports += verify_same_marginals("maximal", d1, d2, n=n, seed=seed, corrupt=True)
+        reports += _maximal_marginals(spec, n, seed, corrupt=True)
         reports.append(verify_strong_ic_independence(ic, n=n, seed=seed, shared_uniform=True))
         reports.append(verify_copula_equivalence(d1, d2, n=n, seed=seed, independent_control=True))
     return reports

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import gainorder.capacity
-from gainorder import BernoulliGain, Exponential, NakagamiGain, PointMass
+from gainorder import BernoulliGain, Exponential, NakagamiGain, PointMass, RatioLaw
 from gainorder.capacity import (
     RateRegion,
     RateValue,
@@ -118,6 +118,13 @@ class TestPairSumRate:
         e = -np.log1p(-rng.random(n))
         mc = np.mean(0.5 * np.log2(1 + b + e))
         assert abs(got.bits - mc) < 1e-3
+
+    def test_law_mixing_atoms_and_a_density_rejected(self):
+        # Bernoulli over Exponential keeps an atom at 0 of mass 1/2 and spreads
+        # the rest; summing the atom alone returned 0.25 bits, 1e6 draws 0.593
+        mixed = RatioLaw(BernoulliGain(0.5), Exponential(1.0), 1.0)
+        with pytest.raises(ValueError, match="mass 0.5 < 1"):
+            pair_sum_rate(mixed, 1.0, PointMass(1.0), 1.0)
 
     def test_zero_power_collapses_to_single_link(self):
         got = pair_sum_rate(Exponential(1.0), 0.0, Exponential(2.0), 1.0)

@@ -1,9 +1,10 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from gainorder.cli import main
+from gainorder.cli import _emit_csv, _fmt, main
 
 BC_OK = {
     "topology": "bc",
@@ -185,6 +186,23 @@ class TestCouplingSampleCommand:
         main(["coupling-sample", scenario, "-n", "50", "--seed", "9", "--out", str(a)])
         main(["coupling-sample", scenario, "-n", "50", "--seed", "9", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestCsvOutput:
+    def test_columns_format_like_each_cell(self, tmp_path):
+        # float and bool arrays (figure, coupling), a tuple of floats (region)
+        # and an empty column (comonotone flags), against the per-row lists
+        # of Python values that each cell was formatted from before
+        floats = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-310,
+                           2.2250738585072014e-308, 1e300, -1.5e-7, 0.1, 1.0 / 3.0])
+        flags = np.arange(floats.size) % 3 == 0
+        region = tuple(float(v) for v in floats[::-1])
+        out = tmp_path / "table.csv"
+        _emit_csv(["a", "b", "c", "d"],
+                  [floats, flags, region, itertools.repeat(None, floats.size)], str(out))
+        rows = [[float(a), bool(b), c, None] for a, b, c in zip(floats, flags, region)]
+        expected = "\n".join(["a,b,c,d"] + [",".join(_fmt(v) for v in row) for row in rows])
+        assert out.read_text() == expected + "\n"
 
 
 class TestFigureCommand:

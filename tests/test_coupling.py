@@ -1,7 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from gainorder import BernoulliGain, Exponential, NakagamiGain
 from gainorder.coupling import (
@@ -17,6 +21,7 @@ from gainorder.coupling import (
     residual_supports_separated,
     verify_copula_axioms,
 )
+from gainorder.distributions import _invert_cdf
 from gainorder.stochastic_order import check_usual_order, total_variation
 
 
@@ -102,6 +107,68 @@ class TestMaximalCoupling:
             maximal_coupling_sample(spec, 0.0, 0.5)
         with pytest.raises(ValueError):
             maximal_coupling_sample(spec, 0.5, 1.0)
+
+
+def exp_pair_residual_2(x, u):
+    """Residual 2 of Exp(1)/Exp(2) in 50 digits, minus u: it lives above the
+    crossing c = 2 ln 2 with mass 1 - p = 1/4, and there its cdf is
+    4 ((e^(-c/2) - e^(-x/2)) - (e^(-c) - e^(-x)))."""
+    with mpmath.workdps(50):
+        x, c = mpmath.mpf(x), 2 * mpmath.log(2)
+        mass = (mpmath.exp(-c / 2) - mpmath.exp(-x / 2)) - (mpmath.exp(-c) - mpmath.exp(-x))
+        return float(4 * mass - u)
+
+
+GAMMA_LAWS = st.one_of(
+    st.builds(Exponential, st.floats(0.2, 5.0)),
+    st.builds(NakagamiGain, st.sampled_from((0.3, 0.75, 1.0, 2.2, 4.0)), st.floats(0.2, 5.0)),
+)
+OPEN_LEVELS = st.one_of(
+    st.floats(-300.0, -13.0).map(lambda e: 10.0**e),
+    st.floats(1e-12, 1.0 - 1e-12),
+)
+
+
+class TestMaximalCouplingQuantiles:
+    def test_tiny_levels_above_an_interior_crossing(self):
+        # the residual's cdf is ~ (x - c)^2 / 4 there; a difference of two O(x - c)
+        # rises would leave it to rounding noise of a few ulps of 1 below u ~ 1e-15
+        spec = maximal_coupling_spec(Exponential(1.0), Exponential(2.0))
+        c = 2.0 * math.log(2.0)
+        for u in (1e-17, 1e-14):
+            ref = brentq(exp_pair_residual_2, c, c + 1.0, args=(u,), xtol=1e-300, rtol=1e-15)
+            assert float(spec.residual_quantile(2, u)) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d1=GAMMA_LAWS, d2=GAMMA_LAWS,
+           levels=st.lists(st.tuples(st.floats(1e-9, 1.0 - 1e-9), OPEN_LEVELS),
+                           min_size=1, max_size=12))
+    def test_every_draw_is_a_crossing_of_its_component_cdf(self, d1, d2, levels):
+        spec = maximal_coupling_spec(d1, d2)
+        u_sel, u = np.array(levels).T
+        h1, h2, eq = maximal_coupling_samples(spec, u_sel, u)
+        assert np.all(h1[eq] == h2[eq])
+        if spec.p == 1.0:
+            # one law: every draw is shared and is that law's own quantile
+            assert np.all(h1 == d1.quantile(u))
+            return
+        parts = [(spec.shared_cdf, eq, h1, spec.p),
+                 (lambda x: spec.residual_cdf(1, x), ~eq, h1, 1.0 - spec.p),
+                 (lambda x: spec.residual_cdf(2, x), ~eq, h2, 1.0 - spec.p)]
+        for cdf, rows, q, mass in parts:
+            if not np.any(rows):
+                continue
+            level, q = u[rows], q[rows]
+            assert np.all(cdf(q) >= level)
+            assert np.all(cdf(np.nextafter(q, 0.0)) < level)
+            # the estimate-free search may stop at another crossing where the
+            # cdf, a difference of O(1) values over its mass, wobbles; then the
+            # two answers are close, or the cdf is flat between them
+            ref = _invert_cdf(cdf, level)
+            close = np.abs(ref - q) <= 1e-12 * ref + 4.0 * np.spacing(q)
+            noise = 4.0 * np.spacing(1.0) / mass
+            same_level = np.abs(cdf(ref) - cdf(q)) <= 4.0 * np.spacing(level) + noise
+            assert np.all(close | same_level)
 
 
 class TestComonotoneCoupling:
