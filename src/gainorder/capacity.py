@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1, hyperu
 
 from .classifier import (
     ClassificationReport,
@@ -27,7 +26,7 @@ from .classifier import (
     classify_ic_very_strong,
     classify_wtc,
 )
-from .distributions import _BLOCK, _COMPANION, _RULE, GainDistribution, law_nodes
+from .distributions import _BLOCK, _COMPANION_ORDER, _RULE_ORDER, GainDistribution, law_nodes
 
 __all__ = [
     "RateValue",
@@ -100,6 +99,8 @@ def _scaled_exp1(x):
     Large arguments (low SNR) take the confluent hypergeometric function
     U(1, 1, x), which equals e^x E1(x) and never forms e^x.
     """
+    from scipy.special import exp1, hyperu
+
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0.0) or np.any(~np.isfinite(x_arr)):
         raise ValueError("x must be finite and > 0")
@@ -113,12 +114,12 @@ def _scaled_exp1(x):
 
 
 def _rate(expectation, *laws: GainDistribution) -> RateValue:
-    """expectation(rule) under the rule of law_nodes, with its distance to the
+    """expectation(order) under the rule of law_nodes, with its distance to the
     companion rule as the error estimate; sums over atoms alone are exact."""
-    bits = expectation(_RULE)
+    bits = expectation(_RULE_ORDER)
     if not any(d.continuous for d in laws):
         return RateValue(bits, "closed_form", 0.0)
-    return RateValue(bits, "quadrature", abs(bits - expectation(_COMPANION)))
+    return RateValue(bits, "quadrature", abs(bits - expectation(_COMPANION_ORDER)))
 
 
 def ergodic_rate(d: GainDistribution, power: float) -> RateValue:
@@ -134,8 +135,8 @@ def ergodic_rate(d: GainDistribution, power: float) -> RateValue:
     if not math.isfinite(d.mean()):
         raise ValueError("distribution has divergent mean")
 
-    def expectation(rule) -> float:
-        x, w = law_nodes(d, rule)
+    def expectation(order) -> float:
+        x, w = law_nodes(d, order)
         return float(w @ c_of(power * x))
 
     return _rate(expectation, d)
@@ -155,8 +156,8 @@ def pair_sum_rate(
         if p < 0.0 or not math.isfinite(p):
             raise ValueError("powers must be nonnegative and finite")
 
-    def expectation(rule) -> float:
-        (xa, wa), (xb, wb) = law_nodes(d_a, rule), law_nodes(d_b, rule)
+    def expectation(order) -> float:
+        (xa, wa), (xb, wb) = law_nodes(d_a, order), law_nodes(d_b, order)
         # the grid of C values in blocks of rows: an Empirical can carry ~1e6 atoms
         step = max(1, _BLOCK // xb.size)
         total = 0.0

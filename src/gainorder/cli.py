@@ -317,6 +317,17 @@ def _positive_finite(text: str) -> float:
     return value
 
 
+def _nonnegative_finite(text: str) -> float:
+    """argparse type: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gainorder",
@@ -337,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", parents=[out],
                        help="classify a scenario file (bc, ic, wtc, markov_bc)")
     p.add_argument("scenario", help="path to the scenario JSON file")
-    p.add_argument("--tolerance", type=float, default=None,
+    p.add_argument("--tolerance", type=_nonnegative_finite, default=None,
                    help="override the stochastic-order tolerance")
     p.set_defaults(func=cmd_classify)
 

@@ -10,12 +10,12 @@ lives with the caller, who passes uniform variates in.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv, wrightomega
 
 __all__ = [
     "GainDistribution",
@@ -204,6 +204,8 @@ class NakagamiGain(GainDistribution):
         return _scalar_or_array(out)
 
     def cdf(self, x):
+        from scipy.special import gammainc
+
         x_arr = _as_float_array(x)
         clipped = np.maximum(x_arr, 0.0)
         out = np.where(x_arr >= 0.0, gammainc(self.m, self.m * clipped / self.w), 0.0)
@@ -217,6 +219,8 @@ class NakagamiGain(GainDistribution):
         return _scalar_or_array(_invert_cdf(self.cdf, u_flat, out).reshape(u_arr.shape))
 
     def _quantile_estimate(self, u):
+        from scipy.special import gammaincinv
+
         # gammaincinv can sit a few ulps off the double where the float cdf
         # crosses u, so it only seeds the exact inversion
         return gammaincinv(self.m, u) * (self.w / self.m)
@@ -389,6 +393,8 @@ class RatioExpExp(GainDistribution):
         with np.errstate(divide="ignore", invalid="ignore"):
             t = -np.log1p(-u)
             if c > 0.0:
+                from scipy.special import wrightomega
+
                 t = wrightomega(1.0 / c - math.log(c) + t) - 1.0 / c
         return self.num_mean * t
 
@@ -417,15 +423,22 @@ def _panel_nodes(breaks: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray
     return (breaks[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
-# a quantile is singular at u = 0 (like u^(1/m) for Nakagami-m) and at u = 1,
-# so the panels shrink geometrically toward both ends of [0, 1]
-_EDGES = 10.0 ** -np.arange(10.0, 0.0, -1.0)
-_PANELS = np.concatenate([[0.0], _EDGES, [0.5], 1.0 - _EDGES[::-1], [1.0]])
-_RULE = _panel_nodes(_PANELS, 24)
-_COMPANION = _panel_nodes(_PANELS, 12)  # its distance to _RULE estimates the error
+@functools.cache
+def _quantile_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the `order`-point rule of law_nodes on each of its
+    22 panels of [0, 1]; built on first use, so import does no numpy work."""
+    # a quantile is singular at u = 0 (like u^(1/m) for Nakagami-m) and at u = 1,
+    # so the panels shrink geometrically toward both ends of [0, 1]
+    edges = 10.0 ** -np.arange(10.0, 0.0, -1.0)
+    panels = np.concatenate([[0.0], edges, [0.5], 1.0 - edges[::-1], [1.0]])
+    return _panel_nodes(panels, order)
 
 
-def law_nodes(d: GainDistribution, rule=_RULE) -> tuple[np.ndarray, np.ndarray]:
+_RULE_ORDER = 24
+_COMPANION_ORDER = 12  # its rule's distance to the default rule estimates the error
+
+
+def law_nodes(d: GainDistribution, order: int = _RULE_ORDER) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x and weights w with E[f(H)] = w @ f(x) for H drawn from d.
 
     A step law gives its atoms and masses, so the sum is exact.  A continuous
@@ -443,7 +456,7 @@ def law_nodes(d: GainDistribution, rule=_RULE) -> tuple[np.ndarray, np.ndarray]:
                 "mixing atoms and a density has no quadrature rule"
             )
         return x, w
-    u, w = rule
+    u, w = _quantile_rule(order)
     return np.asarray(d.quantile(u)), w
 
 
@@ -654,7 +667,7 @@ def distribution_from_spec(spec: dict) -> GainDistribution:
     if not isinstance(spec, dict):
         raise ValueError(f"distribution spec must be an object, got {spec!r}")
     family = spec.get("family")
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ValueError(f"unknown distribution family '{family}'")
     return _FAMILIES[family](spec)
 

@@ -102,8 +102,7 @@ def check_usual_order(
     """Decide whether d1 <=_st d2, the reverse, both (equal), or neither."""
     if tol is None:
         tol = default_order_tolerance(d1, d2)
-    if tol < 0.0:
-        raise ValueError("tolerance must be nonnegative")
+    _check_tol(tol)
     if grid is None:
         grid = EvaluationGrid.for_pair(d1, d2)
     else:
@@ -115,6 +114,12 @@ def check_usual_order(
 
     xs, c1, c2 = _ccdf_eval_points(d1, d2, grid)
     return _verdict_from_gaps(xs, c1 - c2, tol)
+
+
+def _check_tol(tol: float) -> None:
+    # a NaN tolerance fails every comparison and an infinite one certifies any pair
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
 
 
 def _verdict_from_gaps(xs: np.ndarray, diff: np.ndarray, tol: float) -> OrderVerdict:
@@ -162,6 +167,7 @@ def check_usual_order_discrete(p, q, tol: float = 1e-12) -> OrderVerdict:
     FirstLeq iff every tail sum of p is below the matching tail sum of q:
     sum_{j>n} p_j <= sum_{j>n} q_j for all n.
     """
+    _check_tol(tol)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape or p.ndim != 1:

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gainorder.cli import _emit_csv, _fmt, main
 
@@ -335,6 +339,9 @@ DEGENERATE_INPUTS = [
                                                        {"family": "exponential", "mean": 1.0}])),
     ("classify {scenario}", dict(BC_OK, distributions=[{"family": []},
                                                        {"family": "exponential", "mean": 1.0}])),
+    ("classify {scenario} --tolerance nan", BC_OK),
+    ("classify {scenario} --tolerance inf", IC_STRONG_BAD),
+    ("classify {scenario} --tolerance -1e-9", BC_OK),
     # each subcommand takes only the flags it reads
     ("classify {scenario} --seed 3", BC_OK),
     ("classify {scenario} --force", BC_OK),
@@ -351,8 +358,86 @@ DEGENERATE_INPUTS = [
     ("verify --tolerance 0.1", None),
 ]
 
+# (argv before the scenario path, scenario) pairs that the fuzz test mutates
+FUZZ_BASES = [
+    (["classify"], BC_OK),
+    (["classify"], IC_STRONG_BAD),
+    (["classify"], WTC_OK),
+    (["classify"], MARKOV_EX3),
+    (["region"], IC_POINT_MASS_STRONG),
+    (["region"], IC_STRONG_BAD),
+    (["secrecy"], WTC_OK),
+    (["secrecy", "--force"], dict(WTC_OK, legitimate=WTC_OK["eavesdropper"],
+                                  eavesdropper=WTC_OK["legitimate"])),
+    (["coupling-sample", "-n", "20"], PAIR),
+    (["markov-check"], MARKOV_EX3),
+    (["markov-check"], MARKOV_EX4),
+]
+
+# what a mutated node becomes: swapped types, a null, or itself nested once more
+REPLACEMENTS = [None, "x", "", 0, 3, -1.5, 1e300, True, [], {},
+                lambda v: [v], lambda v: {"value": v}]
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    argv, scenario = draw(st.sampled_from(FUZZ_BASES))
+    scenario = json.loads(json.dumps(scenario))
+    for _ in range(draw(st.sampled_from([1, 1, 2, 3]))):
+        paths = list(_paths(scenario))
+        # the root goes last, where sampled_from draws least often
+        path = draw(st.sampled_from(paths[1:] + paths[:1]))
+        if not path:
+            scenario = draw(st.sampled_from([None, 3, "x", [scenario], {"x": scenario}]))
+            continue
+        parent = scenario
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):  # drop the field or entry
+            del parent[path[-1]]
+        else:
+            new = draw(st.sampled_from(REPLACEMENTS))
+            parent[path[-1]] = new(parent[path[-1]]) if callable(new) else new
+    return argv, scenario
+
+
+def _negative_verdict(out: str) -> bool:
+    """Whether stdout is a JSON report whose verdict is negative."""
+    try:
+        payload = json.loads(out)
+    except ValueError:
+        return False
+    if isinstance(payload, dict) and "classification" in payload:
+        payload = payload["classification"]
+    return isinstance(payload, dict) and payload.get("verdict") is False
+
 
 class TestExitCodeContract:
+    @settings(max_examples=150, deadline=None)
+    @given(case=mutated_scenarios())
+    def test_mutated_scenarios_keep_the_exit_code_contract(self, tmp_path_factory, case):
+        argv, scenario = case
+        path = tmp_path_factory.mktemp("fuzz") / "s.json"
+        path.write_text(json.dumps(scenario))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + [str(path)])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in out + err
+        if code == 1:
+            assert _negative_verdict(out) or "does not satisfy" in err, (out, err)
+        if code == 2:
+            assert err.startswith("error:") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("command, scenario", DEGENERATE_INPUTS)
     def test_degenerate_input_exits_two_without_traceback(self, tmp_path, capsys, command,
                                                           scenario):

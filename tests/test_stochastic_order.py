@@ -62,6 +62,14 @@ class TestCheckUsualOrder:
         v = check_usual_order(Exponential(2.0), Exponential(2.0), tol=0.0)
         assert v.relation is Relation.EQUAL
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_rejects_a_tolerance_that_is_not_finite_and_nonnegative(self, tol):
+        # NaN used to reach the verdict builder, and inf certified any pair
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            check_usual_order(Exponential(2.0), Exponential(1.0), tol=tol)
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            check_usual_order_discrete([0.5, 0.5], [1.0, 0.0], tol=tol)
+
     def test_grid_must_cover_supports(self):
         small = EvaluationGrid.log_spaced(0.5, n=16)
         with pytest.raises(ValueError, match="cover"):
