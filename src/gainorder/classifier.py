@@ -147,9 +147,13 @@ def classify_bc(s: BCScenario, tol: float | None = None) -> ClassificationReport
     verdicts = {}
 
     def check(i: int, j: int) -> OrderVerdict:
-        # the permutation search meets each ordered pair many times
+        # the permutation search meets each pair many times, in both orders;
+        # one check per unordered pair, the reverse read off it
         if (i, j) not in verdicts:
-            verdicts[i, j] = check_usual_order(gains[i], gains[j], tol=tol)
+            if (j, i) in verdicts:
+                verdicts[i, j] = verdicts[j, i].mirrored()
+            else:
+                verdicts[i, j] = check_usual_order(gains[i], gains[j], tol=tol)
         return verdicts[i, j]
 
     order = sorted(range(k), key=lambda i: gains[i].mean())

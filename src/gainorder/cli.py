@@ -186,6 +186,9 @@ def cmd_classify(args) -> int:
     elif topology == "wtc":
         report = classify_wtc(parse_wtc(obj), tol=tol)
     elif topology == "markov_bc":
+        if tol is not None:
+            raise ScenarioError("--tolerance does not apply to a markov_bc scenario: "
+                                "its certificate is exact")
         return _certify_markov(obj, args.out)
     else:
         raise ScenarioError(f"unknown topology {topology!r}")

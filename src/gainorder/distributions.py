@@ -609,32 +609,36 @@ def build_ratio(numerator_mean: float, denominator_mean: float, interferer_power
     return RatioExpExp(num_mean=numerator_mean, den_mean=denominator_mean, power=interferer_power)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvaluationGrid:
-    """Strictly increasing abscissae covering (0, x_max] for "for all x" checks."""
+    """Strictly increasing abscissae covering (0, x_max] for "for all x" checks.
 
-    points: tuple
+    points may be any sequence of numbers; it is held as a read-only float64
+    array of its own.
+    """
+
+    points: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.points, dtype=float)
-        if arr.size < 3:
-            raise ValueError("grid needs at least 3 points")
-        if np.any(arr < 0.0) or np.any(np.diff(arr) <= 0.0):
+        arr = np.array(self.points, dtype=float)
+        if arr.ndim != 1 or arr.size < 3:
+            raise ValueError("grid needs at least 3 points in one dimension")
+        if not (np.all(arr >= 0.0) and np.all(np.diff(arr) > 0.0)):
             raise ValueError("grid must be strictly increasing and nonnegative")
-        object.__setattr__(self, "points", tuple(float(v) for v in arr))
+        arr.flags.writeable = False
+        object.__setattr__(self, "points", arr)
 
     @property
     def x_max(self) -> float:
-        return self.points[-1]
+        return float(self.points[-1])
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.points)
+        return self.points
 
     @classmethod
     def log_spaced(cls, x_max: float, n: int = 4096, span: float = 1e9) -> "EvaluationGrid":
         _check_positive("x_max", x_max)
-        pts = np.geomspace(x_max / span, x_max, n)
-        return cls(points=tuple(pts))
+        return cls(points=np.geomspace(x_max / span, x_max, n))
 
     @classmethod
     def for_pair(cls, d1: GainDistribution, d2: GainDistribution, n: int = 4096,

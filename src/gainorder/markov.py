@@ -45,7 +45,8 @@ __all__ = [
     "markov_spec_from_json",
 ]
 
-_SUM_TOL = Fraction(1, 10**12)
+_SUM_TOL = 10**12  # a pmf's entries must sum to 1 within 1/_SUM_TOL
+_ZERO = frozenset((0, "0"))  # off-block entries accepted without a conversion
 
 
 def _to_fraction(x) -> Fraction:
@@ -58,11 +59,35 @@ def _to_fraction(x) -> Fraction:
     raise ValueError(f"cannot interpret {x!r} as a number")
 
 
-def _pmf(values, size: int, what: str) -> tuple:
-    probs = tuple(_to_fraction(x) for x in values)
-    if len(probs) != size or any(x < 0 for x in probs) or abs(sum(probs) - 1) > _SUM_TOL:
-        raise ValueError(f"{what} must be a pmf: {size} nonnegative entries that sum to 1")
-    return probs
+class _Numbers(dict):
+    """Entry -> Fraction, converting each distinct entry once.
+
+    Entries that compare equal (1, 1.0 and True) share one key; their
+    Fractions are equal too.
+    """
+
+    def __missing__(self, x):
+        self[x] = value = _to_fraction(x)
+        return value
+
+    def convert(self, values) -> tuple:
+        values = tuple(values)  # a second pass must see every entry again
+        try:
+            return tuple(map(self.__getitem__, values))
+        except TypeError:  # an unhashable entry, never a number: name the first bad one
+            return tuple(map(_to_fraction, values))
+
+    def pmf(self, values, size: int, what: str) -> tuple:
+        """values as a pmf of `size` Fractions, summed in integers over their
+        common denominator."""
+        probs = self.convert(values)
+        den = math.lcm(*{x.denominator for x in probs})
+        total = sum(x.numerator * (den // x.denominator) for x in probs)
+        # |total/den - 1| > 1/_SUM_TOL, without a Fraction
+        if len(probs) != size or any(x.numerator < 0 for x in probs) or \
+                abs(total - den) * _SUM_TOL > den:
+            raise ValueError(f"{what} must be a pmf: {size} nonnegative entries that sum to 1")
+        return probs
 
 
 def super_state(l: int, k: int, N: int) -> tuple:
@@ -110,7 +135,8 @@ class MarkovChannelSpec:
     table: tuple = field(init=False)  # N^order rows of N Fractions: the next-state laws
 
     def __post_init__(self, matrix):
-        states = tuple(float(_to_fraction(v)) for v in self.states)
+        parsed = _Numbers()  # one conversion per distinct entry of this spec
+        states = tuple(map(float, parsed.convert(self.states)))
         if not states or any(b <= a for a, b in zip(states, states[1:])):
             raise ValueError("state values must be a nonempty, strictly increasing list")
         object.__setattr__(self, "states", states)
@@ -125,21 +151,28 @@ class MarkovChannelSpec:
         table = []
         for l, row in enumerate(matrix, start=1):
             start = (l - 1) % (n_super // n) * n
-            for c, x in enumerate(row, start=1):
-                if not start < c <= start + n and x not in (0, "0") and _to_fraction(x) != 0:
-                    raise ValueError(f"entry ({l},{c}) must be zero: column state "
-                                     f"{super_state(c, k, n)} does not extend row state "
-                                     f"{super_state(l, k, n)}")
-            table.append(_pmf(row[start:start + n], n, f"row {l}"))
+            try:  # islice, not a slice: no copy of the row
+                zeros = (_ZERO.issuperset(itertools.islice(row, start))
+                         and _ZERO.issuperset(itertools.islice(row, start + n, None)))
+            except TypeError:  # an unhashable entry
+                zeros = False
+            if not zeros:  # look closer, entry by entry
+                for c, x in enumerate(row, start=1):
+                    if not start < c <= start + n and x not in (0, "0") and _to_fraction(x) != 0:
+                        raise ValueError(f"entry ({l},{c}) must be zero: column state "
+                                         f"{super_state(c, k, n)} does not extend row state "
+                                         f"{super_state(l, k, n)}")
+            table.append(parsed.pmf(row[start:start + n], n, f"row {l}"))
         object.__setattr__(self, "table", tuple(table))
-        object.__setattr__(self, "initial", _pmf(self.initial, n_super, "initial distribution"))
+        object.__setattr__(self, "initial",
+                           parsed.pmf(self.initial, n_super, "initial distribution"))
 
         cleaned = []
         for history, pmf in self.early_conditionals:
-            hist = tuple(float(_to_fraction(v)) for v in history)
+            hist = tuple(map(float, parsed.convert(history)))
             if not 1 <= len(hist) <= k or any(v not in states for v in hist):
                 raise ValueError(f"early conditional history {hist} must be 1..k state values")
-            cleaned.append((hist, _pmf(pmf, n, f"conditional pmf for history {hist}")))
+            cleaned.append((hist, parsed.pmf(pmf, n, f"conditional pmf for history {hist}")))
         object.__setattr__(self, "early_conditionals", tuple(cleaned))
 
     # -- derived views -------------------------------------------------------

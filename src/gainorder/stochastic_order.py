@@ -72,6 +72,13 @@ class OrderVerdict:
     def second_leq(self) -> bool:
         return self.relation in (Relation.SECOND_LEQ, Relation.EQUAL)
 
+    def mirrored(self) -> "OrderVerdict":
+        """This verdict with its two distributions swapped: the verdict of the
+        reverse check, which decides on the same gaps negated."""
+        relation = _MIRROR.get(self.relation, self.relation)
+        return OrderVerdict(relation, self.witnesses_second_gt, self.witnesses_first_gt,
+                            self.max_violation, self.tol)
+
     def to_json(self) -> dict:
         return {
             "relation": self.relation.value,
@@ -80,6 +87,9 @@ class OrderVerdict:
             "max_violation": self.max_violation,
             "tol": self.tol,
         }
+
+
+_MIRROR = {Relation.FIRST_LEQ: Relation.SECOND_LEQ, Relation.SECOND_LEQ: Relation.FIRST_LEQ}
 
 
 def default_order_tolerance(d1: GainDistribution, d2: GainDistribution) -> float:
@@ -124,8 +134,10 @@ def _check_tol(tol: float) -> None:
 
 def _verdict_from_gaps(xs: np.ndarray, diff: np.ndarray, tol: float) -> OrderVerdict:
     """Verdict from the tail gaps diff = tail1 - tail2 evaluated at abscissae xs."""
-    gap1 = float(np.max(diff))   # evidence against first <=_st second
-    gap2 = float(np.max(-diff))  # evidence against second <=_st first
+    # evidence against first <=_st second, and against second <=_st first;
+    # adding 0.0 turns a -0.0 into 0.0, so the verdict reads the same from either side
+    gap1 = float(np.max(diff)) + 0.0
+    gap2 = float(np.max(-diff)) + 0.0
     wit1 = _top_witnesses(xs, diff, tol)
     wit2 = _top_witnesses(xs, -diff, tol)
 

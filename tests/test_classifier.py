@@ -11,6 +11,7 @@ from gainorder import (
     RatioExpExp,
     RatioLaw,
 )
+import gainorder.classifier
 from gainorder.classifier import (
     BCScenario,
     ICScenario,
@@ -21,6 +22,7 @@ from gainorder.classifier import (
     classify_wtc,
     interference_ratio_distribution,
 )
+from gainorder.stochastic_order import Relation, check_usual_order
 
 
 def exp_ic(m11, m12, m21, m22, p1=1.0, p2=1.0, dependence="independent"):
@@ -61,6 +63,22 @@ class TestClassifyBC:
         assert [gains[i - 1] for i in forward.permutation] == [
             tuple(reversed(gains))[i - 1] for i in backward.permutation
         ]
+
+    def test_permutation_search_checks_each_unordered_pair_once(self, monkeypatch):
+        # equal means and different shapes: no pair is ordered, so the search
+        # meets all 20 ordered pairs of the 5 users
+        gains = tuple(NakagamiGain(m, 1.0) for m in (0.5, 1.0, 2.0, 3.0, 5.0))
+        calls = []
+
+        def counting(d1, d2, **kwargs):
+            calls.append((d1, d2))
+            return check_usual_order(d1, d2, **kwargs)
+
+        monkeypatch.setattr(gainorder.classifier, "check_usual_order", counting)
+        report = classify_bc(BCScenario(gains, power=1.0))
+        assert not report.verdict
+        assert report.order_checks[0][1].relation is Relation.INCOMPARABLE
+        assert len(calls) <= 10
 
     def test_symbolic_region_note_present(self):
         report = classify_bc(BCScenario((Exponential(1.0), Exponential(2.0)), power=1.0))

@@ -342,6 +342,7 @@ DEGENERATE_INPUTS = [
     ("classify {scenario} --tolerance nan", BC_OK),
     ("classify {scenario} --tolerance inf", IC_STRONG_BAD),
     ("classify {scenario} --tolerance -1e-9", BC_OK),
+    ("classify {scenario} --tolerance 0.5", MARKOV_EX3),  # the certificate is exact
     # each subcommand takes only the flags it reads
     ("classify {scenario} --seed 3", BC_OK),
     ("classify {scenario} --force", BC_OK),

@@ -232,6 +232,22 @@ class TestEvaluationGrid:
             EvaluationGrid(points=(1.0, 0.5, 2.0))
         with pytest.raises(ValueError):
             EvaluationGrid(points=(1.0, 2.0))
+        with pytest.raises(ValueError):
+            EvaluationGrid(points=(1.0, math.nan, 2.0))
+        with pytest.raises(ValueError):
+            EvaluationGrid(points=((1.0, 2.0, 3.0), (4.0, 5.0, 6.0)))
+
+    def test_points_are_a_read_only_float_array(self):
+        g = EvaluationGrid(points=[0.0, 1, 2.5])
+        assert isinstance(g.points, np.ndarray) and g.points.dtype == np.float64
+        assert g.as_array() is g.points
+        assert type(g.x_max) is float and g.x_max == 2.5
+        with pytest.raises(ValueError):
+            g.points[0] = 0.5
+        arr = np.array([0.1, 0.2, 0.3])
+        EvaluationGrid(points=arr)
+        arr[0] = 0.0  # the caller's array stays its own and writable
+        assert EvaluationGrid.log_spaced(10.0, n=64).as_array().flags.writeable is False
 
 
 class TestSpecRoundTrip:

@@ -1,4 +1,6 @@
 import itertools
+import math
+import numbers
 from fractions import Fraction as F
 
 import numpy as np
@@ -141,6 +143,11 @@ class TestSpecValidation:
         bad = (("1/2", "1/4", "1/4", 0), P4[1], P4[2], P4[3])
         with pytest.raises(ValueError, match="zero"):
             chain4(bad, INIT4_WEAK)
+
+    def test_first_bad_entry_of_a_one_pass_iterable_is_named(self):
+        states = (v for v in ([0.1], 0.5, 1.0))
+        with pytest.raises(ValueError, match=r"cannot interpret \[0.1\]"):
+            MarkovChannelSpec(states=states, order=1, matrix=P3, initial=INIT3_WEAK)
 
     def test_json_round_trip(self):
         spec = markov_spec_from_json(
@@ -381,3 +388,141 @@ class TestCoupledPaths:
         weak, strong = chain3(P3, INIT3_WEAK), chain3(Q3, INIT3_STRONG)
         with pytest.raises(ValueError, match="columns"):
             coupled_paths(weak, strong, 10, np.full((5, 9), 0.5))
+
+
+# -- the parse against a per-entry Fraction reference -------------------------
+
+
+def reference_fraction(x):
+    try:
+        if isinstance(x, (str, float, numbers.Rational)):
+            return F(x)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise ValueError(f"cannot interpret {x!r} as a number")
+
+
+def reference_pmf(values, size, what):
+    probs = tuple(reference_fraction(x) for x in values)
+    if len(probs) != size or any(x < 0 for x in probs) or abs(sum(probs) - 1) > F(1, 10**12):
+        raise ValueError(f"{what} must be a pmf: {size} nonnegative entries that sum to 1")
+    return probs
+
+
+def reference_parse(states, k, matrix, initial, early):
+    """The spec's validation one entry at a time, summing Fractions:
+    (states, table, initial, early_conditionals) or the error it raises."""
+    states = tuple(float(reference_fraction(v)) for v in states)
+    if not states or any(b <= a for a, b in zip(states, states[1:])):
+        raise ValueError("state values must be a nonempty, strictly increasing list")
+    n, n_super = len(states), len(states) ** k
+    if len(matrix) != n_super or any(len(row) != n_super for row in matrix):
+        raise ValueError(f"transition matrix must be {n_super}x{n_super}")
+    table = []
+    for l, row in enumerate(matrix, start=1):
+        start = (l - 1) % (n_super // n) * n
+        for c, x in enumerate(row, start=1):
+            if not start < c <= start + n and x not in (0, "0") and reference_fraction(x) != 0:
+                raise ValueError(f"entry ({l},{c}) must be zero: column state "
+                                 f"{super_state(c, k, n)} does not extend row state "
+                                 f"{super_state(l, k, n)}")
+        table.append(reference_pmf(row[start:start + n], n, f"row {l}"))
+    initial = reference_pmf(initial, n_super, "initial distribution")
+    cleaned = []
+    for history, pmf in early:
+        hist = tuple(float(reference_fraction(v)) for v in history)
+        if not 1 <= len(hist) <= k or any(v not in states for v in hist):
+            raise ValueError(f"early conditional history {hist} must be 1..k state values")
+        cleaned.append((hist, reference_pmf(pmf, n, f"conditional pmf for history {hist}")))
+    return states, tuple(table), initial, tuple(cleaned)
+
+
+ODD_ENTRIES = (0, 1, 2, 0.0, -0.0, 0.5, 0.25, "0", "0.0", "1", "1/2", "1/3", "0/7", False, True,
+               -1, -0.5, "-1/4", "abc", "1/0", math.nan, math.inf, [0], ["1/2"], [[1]])
+ZERO_SPELLINGS = (0, "0", 0.0, -0.0, False, "0.0", "0/3")
+# a pmf's sum may miss 1 by 1e-12 and no more
+SUM_EDGES = (F(0), F(1, 10**12), -F(1, 10**12), F(1, 10**12) + F(1, 10**13),
+             -F(1, 10**12) - F(1, 10**13))
+
+
+@st.composite
+def pmf_entries(draw, size, edge=F(0)):
+    """A pmf over `size` states whose sum is 1 + edge, each entry spelled as a
+    fraction string, an int or a float."""
+    weights = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
+    weights[draw(st.integers(0, size - 1))] += 1
+    probs = [F(w, sum(weights)) for w in weights]
+    probs[0] += edge
+    entries = []
+    for p in probs:
+        spellings = [str(p)]
+        if p.denominator == 1:
+            spellings.append(int(p))
+        if p.denominator in (1, 2, 4):
+            spellings.append(float(p))
+        entries.append(draw(st.sampled_from(spellings)))
+    return entries
+
+
+@st.composite
+def raw_chains(draw):
+    """(states, k, matrix, initial, early): one pmf's sum at or past the edge of
+    the tolerance, and a few entries replaced by odd ones."""
+    n, k = draw(st.sampled_from((2, 3))), draw(st.sampled_from((1, 2)))
+    n_super = n**k
+    states = [0.5, "1", 2][:n]
+    n_pmfs = n_super + 1 + (n if k == 2 else 0)
+    edges = [F(0)] * n_pmfs
+    edges[draw(st.integers(0, n_pmfs - 1))] = draw(st.sampled_from(SUM_EDGES))
+    matrix = []
+    for l in range(n_super):
+        row = [draw(st.sampled_from(ZERO_SPELLINGS)) for _ in range(n_super)]
+        start = l % (n_super // n) * n
+        row[start:start + n] = draw(pmf_entries(n, edges[l]))
+        matrix.append(row)
+    initial = draw(pmf_entries(n_super, edges[n_super]))
+    early = [([v], draw(pmf_entries(n, edge)))
+             for v, edge in zip(states, edges[n_super + 1:])] if k == 2 else []
+    targets = matrix + [initial] + [part for entry in early for part in entry]
+    for _ in range(draw(st.integers(0, 3))):
+        target = draw(st.sampled_from(targets))
+        target[draw(st.integers(0, len(target) - 1))] = draw(st.sampled_from(ODD_ENTRIES))
+    return (tuple(states), k, tuple(map(tuple, matrix)), tuple(initial),
+            tuple((tuple(h), tuple(p)) for h, p in early))
+
+
+def outcome(build):
+    try:
+        return build()
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+
+
+class TestParseMatchesFractionReference:
+    @settings(max_examples=300, deadline=None)
+    @given(chain=raw_chains())
+    def test_same_spec_or_same_error(self, chain):
+        states, k, matrix, initial, early = chain
+
+        def parse():
+            spec = MarkovChannelSpec(states=states, order=k, matrix=matrix, initial=initial,
+                                     early_conditionals=early)
+            return spec.states, spec.table, spec.initial, spec.early_conditionals
+
+        got = outcome(parse)
+        assert got == outcome(lambda: reference_parse(states, k, matrix, initial, early))
+        if not isinstance(got[0], type):
+            assert all(type(x) is F for row in got[1] for x in row)
+
+    @pytest.mark.parametrize("delta, ok", [
+        (F(1, 10**12), True), (-F(1, 10**12), True),
+        (F(1, 10**12) + F(1, 10**24), False), (-F(1, 10**12) - F(1, 10**24), False)])
+    def test_sum_tolerance_edge(self, delta, ok):
+        matrix = ((str(F(1, 2) + delta), "1/2"), ("1/2", "1/2"))
+        build = lambda: MarkovChannelSpec(states=(0.0, 1.0), order=1,  # noqa: E731
+                                          matrix=matrix, initial=("1/2", "1/2"))
+        if ok:
+            build()
+        else:
+            with pytest.raises(ValueError, match="row 1 must be a pmf"):
+                build()

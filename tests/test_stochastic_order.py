@@ -6,11 +6,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import gainorder
-from gainorder import BernoulliGain, Empirical, EvaluationGrid, Exponential, NakagamiGain
+from gainorder import (
+    BernoulliGain,
+    Empirical,
+    EvaluationGrid,
+    Exponential,
+    NakagamiGain,
+    PointMass,
+    RatioExpExp,
+)
 from gainorder.stochastic_order import (
+    OrderVerdict,
     Relation,
     check_usual_order,
     check_usual_order_discrete,
@@ -87,6 +98,49 @@ class TestCheckUsualOrder:
         # Pr(X >= 0.5) for the point mass is 1, caught only via the left limit
         v = check_usual_order(Exponential(1.0), PointMass(0.5))
         assert v.relation is Relation.INCOMPARABLE
+
+
+    def test_max_violation_is_never_negative_zero(self):
+        # the gaps of this pair peak at a zero that the subtraction signs negative
+        v = check_usual_order(Exponential(2.4994462310760035), Exponential(2.279009313135074))
+        assert v.relation is Relation.SECOND_LEQ
+        assert v.max_violation == 0.0
+        assert math.copysign(1.0, v.max_violation) == 1.0
+
+
+MIXED_LAWS = st.one_of(
+    st.builds(Exponential, st.floats(0.2, 5.0)),
+    st.builds(NakagamiGain, st.floats(0.3, 5.0), st.floats(0.2, 5.0)),
+    st.builds(BernoulliGain, st.floats(0.0, 1.0)),
+    st.builds(PointMass, st.floats(0.0, 5.0)),
+    st.builds(RatioExpExp, st.floats(0.2, 5.0), st.floats(0.2, 5.0), st.floats(0.0, 10.0)),
+    st.builds(Empirical.from_samples, st.lists(st.floats(0.0, 5.0), min_size=1, max_size=12)),
+)
+MIXED_PAIRS = st.one_of(st.tuples(MIXED_LAWS, MIXED_LAWS), MIXED_LAWS.map(lambda d: (d, d)))
+VERDICT_FIELDS = ("relation", "witnesses_first_gt", "witnesses_second_gt", "max_violation", "tol")
+
+
+class TestMirroredVerdict:
+    @settings(max_examples=120, deadline=None)
+    @given(pair=MIXED_PAIRS)
+    def test_reverse_check_is_the_mirrored_verdict(self, pair):
+        d1, d2 = pair
+        forward = check_usual_order(d1, d2).mirrored()
+        backward = check_usual_order(d2, d1)
+        # repr shows the sign of a zero, which == would not
+        for name in VERDICT_FIELDS:
+            assert repr(getattr(forward, name)) == repr(getattr(backward, name)), name
+        assert math.copysign(1.0, backward.max_violation) == 1.0
+
+    def test_mirrored_swaps_relation_and_witnesses(self):
+        cases = [(Relation.FIRST_LEQ, Relation.SECOND_LEQ, (), (2.0,)),
+                 (Relation.SECOND_LEQ, Relation.FIRST_LEQ, (1.0,), ()),
+                 (Relation.EQUAL, Relation.EQUAL, (), ()),
+                 (Relation.INCOMPARABLE, Relation.INCOMPARABLE, (1.0,), (2.0, 3.0))]
+        for relation, mirror, wit1, wit2 in cases:
+            v = OrderVerdict(relation, wit1, wit2, 0.25, 1e-9)
+            assert v.mirrored() == OrderVerdict(mirror, wit2, wit1, 0.25, 1e-9)
+            assert v.mirrored().mirrored() == v
 
 
 _INVALID_VERDICTS = """
