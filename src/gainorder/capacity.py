@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_EPS = float(np.finfo(float).eps)
 _VERTEX_TOL = 1e-9
 # e^x E1(x) is e^x times scipy's E1 up to here and scipy's U(1, 1, x) beyond,
 # where e^x nears overflow; U(1, 1, x) is off by up to 6e-10 relative on [5, 30]
@@ -114,12 +115,20 @@ def _scaled_exp1(x):
 
 
 def _rate(expectation, *laws: GainDistribution) -> RateValue:
-    """expectation(order) under the rule of law_nodes, with its distance to the
-    companion rule as the error estimate; sums over atoms alone are exact."""
-    bits = expectation(_RULE_ORDER)
+    """expectation(order) -> (sum, depth) under the rule of law_nodes.
+
+    The error estimate is the distance to the companion rule plus a bound on
+    the rounding of the sum: each term w_i f(x_i) is nonnegative and rounded
+    at most `depth` times on its way into the sum, so rounding moves the sum
+    by at most depth * eps of itself.  The two rules' sums can round to the
+    same double, so without the bound a rate one ulp off could claim error 0.
+    Sums over atoms alone are exact.
+    """
+    bits, depth = expectation(_RULE_ORDER)
     if not any(d.continuous for d in laws):
         return RateValue(bits, "closed_form", 0.0)
-    return RateValue(bits, "quadrature", abs(bits - expectation(_COMPANION_ORDER)))
+    rounding = depth * _EPS * abs(bits)
+    return RateValue(bits, "quadrature", abs(bits - expectation(_COMPANION_ORDER)[0]) + rounding)
 
 
 def ergodic_rate(d: GainDistribution, power: float) -> RateValue:
@@ -135,9 +144,9 @@ def ergodic_rate(d: GainDistribution, power: float) -> RateValue:
     if not math.isfinite(d.mean()):
         raise ValueError("distribution has divergent mean")
 
-    def expectation(order) -> float:
+    def expectation(order) -> tuple[float, int]:
         x, w = law_nodes(d, order)
-        return float(w @ c_of(power * x))
+        return float(w @ c_of(power * x)), x.size
 
     return _rate(expectation, d)
 
@@ -156,7 +165,7 @@ def pair_sum_rate(
         if p < 0.0 or not math.isfinite(p):
             raise ValueError("powers must be nonnegative and finite")
 
-    def expectation(order) -> float:
+    def expectation(order) -> tuple[float, int]:
         (xa, wa), (xb, wb) = law_nodes(d_a, order), law_nodes(d_b, order)
         # the grid of C values in blocks of rows: an Empirical can carry ~1e6 atoms
         step = max(1, _BLOCK // xb.size)
@@ -164,7 +173,8 @@ def pair_sum_rate(
         for i in range(0, xa.size, step):
             grid = c_of(np.add.outer(power_a * xa[i:i + step], power_b * xb))
             total += wa[i:i + step] @ grid @ wb
-        return float(total)
+        # each term is rounded along its row, its column and the sum over blocks
+        return float(total), xa.size + xb.size + math.ceil(xa.size / step)
 
     return _rate(expectation, d_a, d_b)
 

@@ -10,6 +10,7 @@ files are JSON; numeric tables are CSV so outputs diff cleanly, and identical
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -331,7 +332,9 @@ def _nonnegative_finite(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="gainorder",
         description="Stochastic-order classification and ergodic capacities for fading "
@@ -353,51 +356,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="path to the scenario JSON file")
     p.add_argument("--tolerance", type=_nonnegative_finite, default=None,
                    help="override the stochastic-order tolerance")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("region", parents=[out, force],
                        help="emit the rate-region vertices of a classified IC scenario as CSV")
     p.add_argument("scenario")
-    p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("secrecy", parents=[out, force],
                        help="ergodic secrecy capacity of a wiretap scenario")
     p.add_argument("scenario")
-    p.set_defaults(func=cmd_secrecy)
 
     p = sub.add_parser("coupling-sample", parents=[out, seed],
                        help="draw coupled gain pairs and emit them as CSV")
     p.add_argument("scenario", help="JSON file with a two-entry 'distributions' list")
     p.add_argument("--construction", choices=("maximal", "comonotone"), default="comonotone")
     p.add_argument("-n", "--samples", type=_count, default=1000)
-    p.set_defaults(func=cmd_coupling_sample)
 
     p = sub.add_parser("figure", parents=[out],
                        help="CCDF-difference tables for the very-strong-interference sweeps")
     p.add_argument("--fig", type=int, required=True, help="3 (vary a) or 4 (vary P)")
     p.add_argument("--hmax", type=_positive_finite, default=20.0)
     p.add_argument("--points", type=_count, default=2000)
-    p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("markov-check", parents=[out],
                        help="certify degradedness of a two-chain Markov fading BC")
     p.add_argument("scenario", help="JSON file with 'weak' and 'strong' chain specs")
-    p.set_defaults(func=cmd_markov_check)
 
     p = sub.add_parser("verify", parents=[out, seed],
                        help="run the Monte Carlo verification suite")
     p.add_argument("-n", "--samples", type=_count, default=100_000)
     p.add_argument("--include-negative-controls", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # the handler is looked up at each call, so it is the module's current one
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except UnclassifiedScenarioError as exc:
         sys.stderr.write(f"{exc}\n")
         return 1

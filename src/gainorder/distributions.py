@@ -438,6 +438,14 @@ _RULE_ORDER = 24
 _COMPANION_ORDER = 12  # its rule's distance to the default rule estimates the error
 
 
+def step_atoms(d: GainDistribution) -> tuple[np.ndarray, np.ndarray] | None:
+    """(values, masses) of the atoms of a step law, whose atoms carry all of
+    its mass (to 1e-9), so that its cdf is constant between them; None for a
+    law with a continuous part."""
+    values, masses = d.atoms()
+    return (values, masses) if masses.sum() >= 1.0 - 1e-9 else None
+
+
 def law_nodes(d: GainDistribution, order: int = _RULE_ORDER) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x and weights w with E[f(H)] = w @ f(x) for H drawn from d.
 
@@ -449,13 +457,13 @@ def law_nodes(d: GainDistribution, order: int = _RULE_ORDER) -> tuple[np.ndarray
     raises ValueError.
     """
     if not d.continuous:
-        x, w = d.atoms()
-        if w.sum() < 1.0 - 1e-9:
+        atoms = step_atoms(d)
+        if atoms is None:
             raise ValueError(
-                f"the atoms of {type(d).__name__} carry mass {w.sum():.6g} < 1: a law "
-                "mixing atoms and a density has no quadrature rule"
+                f"the atoms of {type(d).__name__} carry mass {d.atoms()[1].sum():.6g} < 1: "
+                "a law mixing atoms and a density has no quadrature rule"
             )
-        return x, w
+        return atoms
     u, w = _quantile_rule(order)
     return np.asarray(d.quantile(u)), w
 

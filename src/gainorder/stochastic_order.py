@@ -1,10 +1,17 @@
 """Usual stochastic order between gain distributions, plus overlap/total-variation.
 
 The usual stochastic order X <=_st Y holds iff the CCDF of X lies below the
-CCDF of Y everywhere.  "Everywhere" is decided on a finite grid augmented
-with every jump point of either CDF (evaluated from both sides), which is
-exact for the step parts and dense enough for the smooth parts of the
-implemented families.
+CCDF of Y everywhere.  "Everywhere" is decided on a finite set of abscissae:
+x = 0 and every jump point of either CDF (evaluated from both sides), plus
+points that depend on the pair.  Where the extremes of the CCDF gap lie in a
+known finite set, the decision is exact:
+- two gamma laws (Exponential, NakagamiGain): the gap's derivative is f2 - f1,
+  so its extremes sit at the density crossings, found in closed form;
+- a step law (its atoms carry all of its mass) against a step law or a law
+  without atoms: between atoms the gap is monotone, so the atoms suffice.
+Every other pair (RatioExpExp, a continuous RatioLaw, a law mixing atoms and
+a density) adds a 4096-point log grid, dense enough for the implemented
+families but blind below its first point and between points.
 """
 
 from __future__ import annotations
@@ -15,7 +22,15 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import Empirical, EvaluationGrid, GainDistribution, RatioLaw
+from .distributions import (
+    Empirical,
+    EvaluationGrid,
+    Exponential,
+    GainDistribution,
+    NakagamiGain,
+    RatioLaw,
+    step_atoms,
+)
 
 __all__ = [
     "Relation",
@@ -109,21 +124,114 @@ def check_usual_order(
     grid: EvaluationGrid | None = None,
     tol: float | None = None,
 ) -> OrderVerdict:
-    """Decide whether d1 <=_st d2, the reverse, both (equal), or neither."""
+    """Decide whether d1 <=_st d2, the reverse, both (equal), or neither.
+
+    The CCDF gap is evaluated at x = 0, at every atom of either law from both
+    sides, and at points that depend on the pair:
+    - two gamma laws (Exponential, NakagamiGain): their density crossings,
+      at most two, where the gap has its extremes; the decision is exact;
+    - a step law against a step law or a law without atoms: no more points,
+      since the gap is monotone between atoms; the decision is exact;
+    - any other pair: the 4096-point log grid of EvaluationGrid.for_pair, up
+      to the heavier law's 1 - 1e-9 quantile.
+    A `grid` given by the caller replaces these points; it must reach the
+    heavier law's 1 - 1e-9 quantile.
+    """
     if tol is None:
         tol = default_order_tolerance(d1, d2)
     _check_tol(tol)
     if grid is None:
-        grid = EvaluationGrid.for_pair(d1, d2)
+        points = _extreme_points(d1, d2)
+        if points is None:
+            points = EvaluationGrid.for_pair(d1, d2).as_array()
     else:
         needed = max(d1.tail_quantile(), d2.tail_quantile())
         if grid.x_max < needed * (1.0 - 1e-12):
             raise ValueError(
                 f"grid x_max={grid.x_max} does not cover both supports (need >= {needed})"
             )
+        points = grid.as_array()
 
-    xs, c1, c2 = _ccdf_eval_points(d1, d2, grid)
+    xs, c1, c2 = _ccdf_eval_points(d1, d2, points)
     return _verdict_from_gaps(xs, c1 - c2, tol)
+
+
+def _extreme_points(d1: GainDistribution, d2: GainDistribution) -> np.ndarray | None:
+    """The points besides 0 and the atoms at which the CCDF gap of the pair
+    attains its extremes, or None when they are not known in closed form."""
+    shape_rates = _gamma_shape_rate(d1), _gamma_shape_rate(d2)
+    if None not in shape_rates:
+        # from the pair in a fixed order, so the reverse check gets the same bits
+        return _gamma_crossings(*sorted(shape_rates))
+    step1, step2 = step_atoms(d1) is not None, step_atoms(d2) is not None
+    if (step1 or step2) and (step1 or d1.atoms()[0].size == 0) and (
+            step2 or d2.atoms()[0].size == 0):
+        return np.empty(0)
+    return None
+
+
+def _gamma_shape_rate(d: GainDistribution) -> tuple[float, float] | None:
+    """(shape, rate) of a gamma law; None for any other law."""
+    if isinstance(d, Exponential):
+        return 1.0, 1.0 / d.mean_gain
+    if isinstance(d, NakagamiGain):
+        return float(d.m), d.m / d.w
+    return None
+
+
+def _gamma_crossings(first: tuple[float, float], second: tuple[float, float]) -> np.ndarray:
+    """The abscissae x > 0 where the densities of two gamma laws cross.
+
+    With (shape, rate) = (k1, r1) and (k2, r2), ln f1 - ln f2 = a ln x + b x + c
+    for a = k1 - k2, b = r2 - r1, so there are at most two crossings: x = -c/b
+    when a = 0, and otherwise x = y/q = e^(-c/a - y) with q = b/a and
+    y e^y = q e^(-c/a), so y = W_k(q e^(-c/a)) on the branches k = 0 and, when
+    q < 0, k = -1 of the Lambert W function (Corless et al., 1996).  The branch
+    is decided on L = ln|q| - c/a, so e^(-c/a) is never formed: for q > 0,
+    y = omega(L), the Wright omega function; for q < 0 there are crossings only
+    when L < -1.
+    """
+    (k1, r1), (k2, r2) = first, second
+    a, b = k1 - k2, r2 - r1
+    c = (k1 * math.log(r1) - math.lgamma(k1)) - (k2 * math.log(r2) - math.lgamma(k2))
+    if a == 0.0:
+        xs = [-c / b] if b != 0.0 else []
+    else:
+        q = b / a
+        if q == 0.0:
+            ys = [0.0]
+        else:
+            from scipy.special import lambertw, wrightomega
+
+            log_z = math.log(abs(q)) - c / a
+            if q > 0.0:
+                ys = [float(wrightomega(log_z))]
+            elif log_z < -1.0:
+                ys = [lambertw(-math.exp(log_z), 0).real, _lambert_w_lower(log_z)]
+            else:
+                ys = []
+        # y/q keeps the digits where y is large; e^(-c/a - y) where y is small,
+        # and may have underflowed
+        xs = [y / q if abs(y) > 1.0 else _exp(-c / a - y) for y in ys]
+    return np.array(sorted(x for x in xs if 0.0 < x < math.inf))
+
+
+def _exp(t: float) -> float:
+    """e^t, or inf where that overflows."""
+    return math.exp(t) if t < 709.0 else math.inf
+
+
+def _lambert_w_lower(log_z: float) -> float:
+    """W_{-1}(-e^L) for L < -1: scipy's lambertw while e^L is a normal double,
+    else Newton steps on y + ln(-y) = L from its asymptote L - ln(-L)."""
+    if log_z > -700.0:
+        from scipy.special import lambertw
+
+        return lambertw(-math.exp(log_z), -1).real
+    y = log_z - math.log(-log_z)
+    for _ in range(3):
+        y -= (y + math.log(-y) - log_z) / (1.0 + 1.0 / y)
+    return y
 
 
 def _check_tol(tol: float) -> None:
@@ -150,11 +258,13 @@ def _verdict_from_gaps(xs: np.ndarray, diff: np.ndarray, tol: float) -> OrderVer
     return OrderVerdict(Relation.INCOMPARABLE, wit1, wit2, min(gap1, gap2), tol)
 
 
-def _ccdf_eval_points(d1, d2, grid):
+def _ccdf_eval_points(d1, d2, points: np.ndarray):
+    """The abscissae 0, points and the atoms of either law, with both laws'
+    ccdfs there; the left limits at the atoms are appended."""
     atoms1, _ = d1.atoms()
     atoms2, _ = d2.atoms()
     atoms = np.unique(np.concatenate([atoms1, atoms2])) if (atoms1.size or atoms2.size) else np.empty(0)
-    xs = np.unique(np.concatenate([[0.0], grid.as_array(), atoms]))
+    xs = np.unique(np.concatenate([[0.0], points, atoms]))
     c1 = np.asarray(d1.ccdf(xs), dtype=float)
     c2 = np.asarray(d2.ccdf(xs), dtype=float)
     if atoms.size:
@@ -170,7 +280,8 @@ def _top_witnesses(xs: np.ndarray, gaps: np.ndarray, tol: float) -> tuple:
     if over.size == 0:
         return ()
     ranked = over[np.argsort(gaps[over])[::-1][:_MAX_WITNESSES]]
-    return tuple(sorted(float(xs[i]) for i in ranked))
+    # an atom can rank twice, from the right and as a left limit
+    return tuple(sorted({float(xs[i]) for i in ranked}))
 
 
 def check_usual_order_discrete(p, q, tol: float = 1e-12) -> OrderVerdict:

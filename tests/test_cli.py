@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import gc
 import io
 import itertools
 import json
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gainorder.cli import _emit_csv, _fmt, main
+from gainorder.cli import _emit_csv, _fmt, build_parser, main
 
 BC_OK = {
     "topology": "bc",
@@ -284,6 +286,41 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as err:
             main(["verify", "--no-such-flag"])
         assert err.value.code == 2
+
+
+def _live_parsers() -> int:
+    return sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects())
+
+
+def _run(argv) -> tuple:
+    """(exit code, stdout, stderr) of one main call; argparse exits on usage errors."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_calls_build_no_parser_and_repeat_their_outputs(self, tmp_path):
+        bc, ic, wtc, pair, markov = (write(tmp_path, f"{i}.json", obj) for i, obj in
+                                     enumerate((BC_OK, IC_STRONG_BAD, WTC_OK, PAIR, MARKOV_EX3)))
+        runs = [["classify", bc], ["classify", ic], ["secrecy", wtc],
+                ["coupling-sample", pair, "-n", "20", "--seed", "3"], ["markov-check", markov],
+                ["classify", bc, "--no-such-flag"], ["figure", "--fig", "3", "--points", "5"]]
+        first = [_run(argv) for argv in runs]
+        assert [code for code, _, _ in first] == [0, 1, 0, 0, 0, 2, 0]
+        gc.collect()
+        parsers = _live_parsers()
+        again = [_run(runs[i % len(runs)]) for i in range(20)]
+        # each build used to leave its parsers in reference cycles until a collection
+        assert _live_parsers() == parsers
+        assert again == [first[i % len(runs)] for i in range(20)]
 
 
 BAD_MARKOV = json.loads(json.dumps(MARKOV_EX3))

@@ -2,24 +2,31 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import gainorder
 from gainorder import (
     BernoulliGain,
+    BCScenario,
     Empirical,
     EvaluationGrid,
     Exponential,
+    GainDistribution,
     NakagamiGain,
     PointMass,
     RatioExpExp,
+    RatioLaw,
+    classify_bc,
 )
+from gainorder import stochastic_order
 from gainorder.stochastic_order import (
     OrderVerdict,
     Relation,
@@ -100,12 +107,189 @@ class TestCheckUsualOrder:
         assert v.relation is Relation.INCOMPARABLE
 
 
+    def test_an_atom_is_one_witness(self):
+        # the gap exceeds tol at 1 both from the right and as a left limit
+        v = check_usual_order(BernoulliGain(0.3), NakagamiGain(2.0, 1.0))
+        assert v.relation is Relation.FIRST_LEQ
+        assert v.witnesses_second_gt == (0.0, 1.0)
+
     def test_max_violation_is_never_negative_zero(self):
         # the gaps of this pair peak at a zero that the subtraction signs negative
         v = check_usual_order(Exponential(2.4994462310760035), Exponential(2.279009313135074))
         assert v.relation is Relation.SECOND_LEQ
         assert v.max_violation == 0.0
         assert math.copysign(1.0, v.max_violation) == 1.0
+
+
+# an incomparable pair whose first-side gap (6.5e-5 at x = 3.33e-10) lies below
+# the first point, 1.26e-6, of the pair's 4096-point log grid
+BELOW_GRID_PAIR = (NakagamiGain(0.4431645061593195, 0.05725987585219745),
+                   NakagamiGain(0.32350602137911894, 23.04997527605797))
+
+
+def decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+GAMMA_LAWS = st.one_of(
+    st.builds(Exponential, decades(-3.0, 3.0)),
+    st.builds(NakagamiGain, st.floats(math.log(0.3), math.log(20.0)).map(math.exp),
+              decades(-3.0, 3.0)),
+)
+
+
+def shape_scale(d):
+    """(shape, scale) of a gamma law, as exact fractions."""
+    if isinstance(d, Exponential):
+        return Fraction(1), Fraction(d.mean_gain)
+    return Fraction(d.m), Fraction(d.w) / Fraction(d.m)
+
+
+def gamma_gap_sups(d1, d2):
+    """(sup of ccdf1 - ccdf2, sup of ccdf2 - ccdf1) over x >= 0, in mpmath.
+
+    The gap is 0 at 0 and at infinity and its extremes sit where the densities
+    cross, the roots of phi(u) = a u + b e^u + c in u = ln x.  phi is monotone
+    when a b > 0 and otherwise has one stationary point, so each root is
+    bracketed from one of those points and bisected; no Lambert W is used.
+    Roots outside |u| <= 690 are skipped: below x = 1e-300 both ccdfs are 1
+    to within (r x)^k / k! < 1e-80 for the shapes k >= 0.3 drawn here, and
+    above x = 1e300 both are 0.
+    """
+    with mpmath.workdps(40):
+        (k1, s1), (k2, s2) = (tuple(mpmath.mpf(v.numerator) / v.denominator for v in shape_scale(d))
+                              for d in (d1, d2))
+        a, b = k1 - k2, 1 / s2 - 1 / s1
+        c = (mpmath.loggamma(k2) + k2 * mpmath.log(s2)) - (mpmath.loggamma(k1) + k1 * mpmath.log(s1))
+
+        def phi(u):
+            return a * u + b * mpmath.exp(u) + c
+
+        def root_toward(u0, end):
+            lo, hi = sorted((u0, end))
+            if mpmath.sign(phi(lo)) == mpmath.sign(phi(hi)):
+                return None
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if mpmath.sign(phi(mid)) == mpmath.sign(phi(lo)) else (lo, mid)
+            return lo
+
+        window = (mpmath.mpf(-690), mpmath.mpf(690))
+        if a == 0:
+            roots = [mpmath.log(-c / b)] if b != 0 and -c / b > 0 else []
+        elif b == 0:
+            roots = [-c / a] if abs(c / a) <= 690 else []
+        elif a * b > 0:
+            roots = [root_toward(*window)]
+        else:
+            top = min(max(mpmath.log(-a / b), window[0]), window[1])
+            roots = [root_toward(top, end) for end in window]
+        gaps = [mpmath.gammainc(k1, mpmath.exp(u) / s1, mpmath.inf, regularized=True)
+                - mpmath.gammainc(k2, mpmath.exp(u) / s2, mpmath.inf, regularized=True)
+                for u in roots if u is not None]
+        return max([0.0] + [float(g) for g in gaps]), max([0.0] + [float(-g) for g in gaps])
+
+
+STEP_LAWS = st.one_of(
+    st.builds(BernoulliGain, st.floats(0.0, 1.0)),
+    st.builds(PointMass, st.floats(0.0, 5.0)),
+    st.builds(Empirical.from_samples, st.lists(st.floats(0.0, 5.0), min_size=1, max_size=12)),
+)
+ATOMLESS_LAWS = st.one_of(
+    st.builds(Exponential, st.floats(0.2, 5.0)),
+    st.builds(NakagamiGain, st.floats(0.3, 5.0), st.floats(0.2, 5.0)),
+    st.builds(RatioExpExp, st.floats(0.2, 5.0), st.floats(0.2, 5.0), st.floats(0.0, 10.0)),
+    st.builds(RatioLaw, st.builds(NakagamiGain, st.floats(0.3, 5.0), st.floats(0.2, 5.0)),
+              st.one_of(st.builds(Exponential, st.floats(0.2, 5.0)),
+                        st.builds(BernoulliGain, st.floats(0.0, 1.0))),
+              st.floats(0.1, 10.0)),
+)
+
+
+class TestExactOrder:
+    def test_gap_below_the_grid_floor_is_found(self):
+        v = check_usual_order(*BELOW_GRID_PAIR)
+        assert v.relation is Relation.INCOMPARABLE
+        assert v.max_violation == pytest.approx(6.525e-5, rel=1e-3)
+        assert v.witnesses_first_gt == (pytest.approx(3.3323e-10, rel=1e-4),)
+
+    @settings(max_examples=100, deadline=None)
+    @given(d1=GAMMA_LAWS, d2=GAMMA_LAWS)
+    @example(*BELOW_GRID_PAIR)
+    # equal rates: one crossing, at e^(-c/a) = 1
+    @example(NakagamiGain(2.0, 2.0), Exponential(1.0))
+    # near-equal shapes: the crossing at 2.56 is on the W_{-1} branch at
+    # W_{-1}(-e^L) with L = -2297, where e^L underflows
+    @example(NakagamiGain(1.0, 10.0), NakagamiGain(1.001, 1.0))
+    def test_gamma_pairs_match_the_gamma_order_criterion(self, d1, d2):
+        # Gamma(k1, s1) <=_st Gamma(k2, s2) iff k1 <= k2 and s1 <= s2
+        # (Shaked & Shanthikumar, Stochastic Orders, 2007)
+        v = check_usual_order(d1, d2)
+        (k1, s1), (k2, s2) = shape_scale(d1), shape_scale(d2)
+        if k1 <= k2 and s1 <= s2:
+            assert v.first_leq
+        if k2 <= k1 and s2 <= s1:
+            assert v.second_leq
+        gap1, gap2 = gamma_gap_sups(d1, d2)
+        # where the pair is unordered, tol decides on the supremum of each gap
+        for gap, holds in ((gap1, v.first_leq), (gap2, v.second_leq)):
+            if abs(gap - v.tol) > 1e-12:
+                assert holds == (gap <= v.tol)
+        expected = {Relation.EQUAL: max(gap1, gap2), Relation.FIRST_LEQ: gap1,
+                    Relation.SECOND_LEQ: gap2, Relation.INCOMPARABLE: min(gap1, gap2)}
+        assert v.max_violation == pytest.approx(expected[v.relation], abs=1e-12)
+        # the largest gap sits at a witness, even where it is not the max_violation
+        for gap, sign, witnesses in ((gap1, 1.0, v.witnesses_first_gt),
+                                     (gap2, -1.0, v.witnesses_second_gt)):
+            if witnesses:
+                at = sign * (np.asarray(d1.ccdf(witnesses)) - np.asarray(d2.ccdf(witnesses)))
+                assert at.max() == pytest.approx(gap, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=st.one_of(st.tuples(STEP_LAWS, ATOMLESS_LAWS), st.tuples(ATOMLESS_LAWS, STEP_LAWS),
+                          st.tuples(STEP_LAWS, STEP_LAWS)))
+    @example(pair=(NakagamiGain(1.25, 1.9375), PointMass(2.25)))
+    def test_step_law_gaps_dominate_a_dense_grid(self, pair):
+        d1, d2 = pair
+        points = stochastic_order._extreme_points(d1, d2)
+        assert points is not None and points.size == 0
+        _, c1, c2 = stochastic_order._ccdf_eval_points(d1, d2, points)
+        exact = c1 - c2
+        x_hi = max(d1.tail_quantile(), d2.tail_quantile(), 1e-6)
+        atoms = np.concatenate([d1.atoms()[0], d2.atoms()[0]])
+        xs = np.unique(np.concatenate([
+            np.geomspace(x_hi * 1e-12, x_hi, 3000), np.linspace(0.0, x_hi, 3000),
+            atoms, np.nextafter(atoms, 0.0), np.nextafter(atoms, np.inf)]))
+        dense = np.asarray(d1.ccdf(xs)) - np.asarray(d2.ccdf(xs))
+        # 1e-14, not 1e-15: the float Nakagami ccdf 1 - gammainc is monotone only
+        # to a few ulps of 1, so one ulp below PointMass(2.25) the ccdf of
+        # NakagamiGain(1.25, 1.9375) reads 1.8e-15 below its value at the atom
+        assert dense.max() <= exact.max() + 1e-14
+        assert dense.min() >= exact.min() - 1e-14
+
+    def test_classify_bc_on_gamma_and_step_laws_builds_no_grid(self, monkeypatch):
+        calls = []
+
+        def counted(original):
+            def wrapper(*args, **kwargs):
+                calls.append(original.__qualname__)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for klass in (GainDistribution, BernoulliGain, PointMass, Empirical):
+            monkeypatch.setattr(klass, "tail_quantile", counted(klass.__dict__["tail_quantile"]))
+        monkeypatch.setattr(EvaluationGrid, "for_pair",
+                            classmethod(counted(EvaluationGrid.for_pair.__func__)))
+        # Exp(1) and Nakagami(2, 1) are incomparable, so every pair is checked
+        gains = (Exponential(1.0), NakagamiGain(2.0, 1.0), NakagamiGain(0.5, 3.0),
+                 BernoulliGain(0.5), PointMass(0.7), Empirical.from_samples([0.2, 0.9, 1.4]))
+        report = classify_bc(BCScenario(gains, power=1.0))
+        assert not report.verdict
+        assert calls == []
+        # the counters see a pair that still needs the grid
+        classify_bc(BCScenario((Exponential(1.0), RatioExpExp(1.0, 1.0, 1.0)), power=1.0))
+        assert "EvaluationGrid.for_pair" in calls
+        assert "GainDistribution.tail_quantile" in calls
 
 
 MIXED_LAWS = st.one_of(
