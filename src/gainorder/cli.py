@@ -10,6 +10,7 @@ files are JSON; numeric tables are CSV so outputs diff cleanly, and identical
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -145,28 +146,42 @@ def _emit_json(payload, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+# rows formatted and written at a time, so that no whole table is held as text
+CSV_BLOCK_ROWS = 8192
+
+
 def _emit_csv(header: list[str], columns: list, out: str | None) -> None:
-    """Write equal-length columns as CSV, each cell as `_fmt` writes it."""
-    lines = [",".join(header)]
-    lines += map(",".join, zip(*map(_column, columns)))
-    text = "\n".join(lines) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    """Write equal-length columns as CSV, `CSV_BLOCK_ROWS` rows at a time.
+
+    Each column is a numpy float or bool array, or None for a column of empty
+    cells.  A float cell holds the shortest digits that read back as the same
+    double, exactly as `repr` writes them; a bool cell reads True or False.
+    """
+    n_rows = len(next(c for c in columns if c is not None))
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as stream:
+        stream.write(",".join(header) + "\n")
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            block = slice(start, start + CSV_BLOCK_ROWS)
+            cells = [itertools.repeat("") if c is None else _cells(c[block]) for c in columns]
+            stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _column(values):
-    """The cells of one column; numpy float and bool arrays are formatted whole."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "fb":
-        return map(repr if values.dtype.kind == "f" else str, values.tolist())
-    return map(_fmt, values)
+def _cells(values: np.ndarray) -> list[str]:
+    """The cells of one block of a float or bool column."""
+    if values.dtype.kind == "b":
+        return np.where(values, "True", "False").tolist()
+    import orjson
 
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return "" if value is None else str(value)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    # orjson writes repr's shortest round-trip digits for every double with
+    # 1e-4 <= |x| < 1e16 and for +-0.0; below and above that it differs from
+    # repr in notation only (0.00001, 1e16), and it writes NaN and +-inf as null
+    cells = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    size = np.abs(values)
+    other = np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (values != 0.0))
+    for i, x in zip(other.tolist(), values[other].tolist()):
+        cells[i] = repr(x)
+    return cells
 
 
 # -- commands -----------------------------------------------------------------
@@ -211,7 +226,7 @@ def cmd_region(args) -> int:
     except UnclassifiedScenarioError as exc:
         sys.stderr.write(f"{exc}\n")
         return 1
-    _emit_csv(["R1", "R2"], list(zip(*region.vertices)), args.out)
+    _emit_csv(["R1", "R2"], list(np.array(region.vertices, dtype=float).T), args.out)
     if args.out:
         sidecar = Path(args.out).with_suffix(".json")
         sidecar.write_text(json.dumps(region.to_json(), indent=2, sort_keys=True) + "\n")
@@ -241,7 +256,7 @@ def cmd_coupling_sample(args) -> int:
     u = np.clip(rng.random(args.samples), 1e-12, 1.0 - 1e-12)
     if args.construction == "comonotone":
         h1, h2 = comonotone_samples(d1, d2, u)
-        flags = itertools.repeat(None, u.size)
+        flags = None
     else:
         spec = maximal_coupling_spec(d1, d2)
         u_val = np.clip(rng.random(args.samples), 1e-12, 1.0 - 1e-12)

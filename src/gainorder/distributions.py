@@ -211,6 +211,15 @@ class NakagamiGain(GainDistribution):
         out = np.where(x_arr >= 0.0, gammainc(self.m, self.m * clipped / self.w), 0.0)
         return _scalar_or_array(out)
 
+    def ccdf(self, x):
+        # the upper tail directly: 1 - gammainc has no relative precision there
+        from scipy.special import gammaincc
+
+        x_arr = _as_float_array(x)
+        clipped = np.maximum(x_arr, 0.0)
+        out = np.where(x_arr >= 0.0, gammaincc(self.m, self.m * clipped / self.w), 1.0)
+        return _scalar_or_array(out)
+
     def quantile(self, u):
         u_arr = _as_float_array(u)
         _check_u(u_arr)
@@ -512,7 +521,8 @@ class RatioLaw(GainDistribution):
         for i in range(0, out.size, step):
             zb = z[i:i + step]
             if on_numerator:
-                with np.errstate(divide="ignore"):
+                # z = 0 and subnormal z send the argument to +inf, where cdf is 1
+                with np.errstate(divide="ignore", over="ignore"):
                     kernel = self.denominator.cdf((nodes / zb - 1.0) / self.power)
             else:
                 kernel = self.numerator.ccdf(zb * nodes)

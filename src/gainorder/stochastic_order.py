@@ -7,11 +7,12 @@ points that depend on the pair.  Where the extremes of the CCDF gap lie in a
 known finite set, the decision is exact:
 - two gamma laws (Exponential, NakagamiGain): the gap's derivative is f2 - f1,
   so its extremes sit at the density crossings, found in closed form;
-- a step law (its atoms carry all of its mass) against a step law or a law
-  without atoms: between atoms the gap is monotone, so the atoms suffice.
+- a step law (its atoms carry all of its mass) against any law: between
+  atoms the gap is monotone, so the atoms suffice.
 Every other pair (RatioExpExp, a continuous RatioLaw, a law mixing atoms and
-a density) adds a 4096-point log grid, dense enough for the implemented
-families but blind below its first point and between points.
+a density, against each other or a gamma law) adds a 4096-point log grid,
+dense enough for the implemented families but blind below its first point
+and between points.
 """
 
 from __future__ import annotations
@@ -130,8 +131,8 @@ def check_usual_order(
     sides, and at points that depend on the pair:
     - two gamma laws (Exponential, NakagamiGain): their density crossings,
       at most two, where the gap has its extremes; the decision is exact;
-    - a step law against a step law or a law without atoms: no more points,
-      since the gap is monotone between atoms; the decision is exact;
+    - a step law against any law: no more points, since the gap is
+      monotone between atoms; the decision is exact;
     - any other pair: the 4096-point log grid of EvaluationGrid.for_pair, up
       to the heavier law's 1 - 1e-9 quantile.
     A `grid` given by the caller replaces these points; it must reach the
@@ -163,9 +164,9 @@ def _extreme_points(d1: GainDistribution, d2: GainDistribution) -> np.ndarray | 
     if None not in shape_rates:
         # from the pair in a fixed order, so the reverse check gets the same bits
         return _gamma_crossings(*sorted(shape_rates))
-    step1, step2 = step_atoms(d1) is not None, step_atoms(d2) is not None
-    if (step1 or step2) and (step1 or d1.atoms()[0].size == 0) and (
-            step2 or d2.atoms()[0].size == 0):
+    if step_atoms(d1) is not None or step_atoms(d2) is not None:
+        # between consecutive atoms of either law the step law's ccdf is
+        # constant and the other's nonincreasing, so the gap is monotone there
         return np.empty(0)
     return None
 

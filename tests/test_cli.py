@@ -4,13 +4,16 @@ import gc
 import io
 import itertools
 import json
+import math
+import unittest.mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gainorder.cli import _emit_csv, _fmt, build_parser, main
+from gainorder import cli
+from gainorder.cli import _emit_csv, build_parser, main
 
 BC_OK = {
     "topology": "bc",
@@ -194,21 +197,114 @@ class TestCouplingSampleCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+def reference_csv(header, columns) -> str:
+    """The CSV writer the CLI had before it wrote in row blocks, kept as the
+    reference: every cell through repr (floats), str (bools) or "" (None),
+    the whole text joined at once.  None stands for a column of empty cells."""
+    n_rows = len(next(c for c in columns if c is not None))
+
+    def fmt(value):
+        if isinstance(value, float):
+            return repr(value)
+        return "" if value is None else str(value)
+
+    def column(values):
+        if values is None:
+            values = itertools.repeat(None, n_rows)
+        if isinstance(values, np.ndarray) and values.dtype.kind in "fb":
+            return map(repr if values.dtype.kind == "f" else str, values.tolist())
+        return map(fmt, values)
+
+    lines = [",".join(header)]
+    lines += map(",".join, zip(*map(column, columns)))
+    return "\n".join(lines) + "\n"
+
+
+def _nextafters(x, n=3):
+    out, up, down = [x], x, x
+    for _ in range(n):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [float(up), float(down)]
+    return out
+
+
+# the edges of the range where orjson writes repr's digits, and their neighbours
+CSV_EDGES = [v for x in (1e-4, 1e16) for e in _nextafters(x) for v in (e, -e)]
+CSV_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.0**53,
+                     2.0**53 + 2.0, 1e15, 1e-5, 0.1] + CSV_EDGES),
+)
+
+
+def _emitted(header, columns, tmp_path) -> tuple[str, str]:
+    """What _emit_csv writes to a file and to stdout."""
+    out = tmp_path / "table.csv"
+    _emit_csv(header, columns, str(out))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        _emit_csv(header, columns, None)
+    return out.read_text(), stdout.getvalue()
+
+
 class TestCsvOutput:
     def test_columns_format_like_each_cell(self, tmp_path):
-        # float and bool arrays (figure, coupling), a tuple of floats (region)
-        # and an empty column (comonotone flags), against the per-row lists
-        # of Python values that each cell was formatted from before
+        # float and bool arrays (figure, coupling, region) and an empty column
+        # (comonotone flags), against the cell-by-cell reference
         floats = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-310,
                            2.2250738585072014e-308, 1e300, -1.5e-7, 0.1, 1.0 / 3.0])
         flags = np.arange(floats.size) % 3 == 0
-        region = tuple(float(v) for v in floats[::-1])
-        out = tmp_path / "table.csv"
-        _emit_csv(["a", "b", "c", "d"],
-                  [floats, flags, region, itertools.repeat(None, floats.size)], str(out))
-        rows = [[float(a), bool(b), c, None] for a, b, c in zip(floats, flags, region)]
-        expected = "\n".join(["a,b,c,d"] + [",".join(_fmt(v) for v in row) for row in rows])
-        assert out.read_text() == expected + "\n"
+        columns = [floats, flags, floats[::-1], None]
+        expected = reference_csv(["a", "b", "c", "d"], columns)
+        assert _emitted(["a", "b", "c", "d"], columns, tmp_path) == (expected, expected)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, cli.CSV_BLOCK_ROWS + 1])
+    def test_tables_around_the_block_size(self, tmp_path, extra):
+        # random bit patterns: every exponent, subnormals, NaN and inf included
+        n_rows = cli.CSV_BLOCK_ROWS + extra
+        rng = np.random.default_rng(n_rows)
+        bits = rng.integers(0, 2**64, n_rows, dtype=np.uint64, endpoint=False)
+        columns = [bits.view(np.float64), rng.random(n_rows), rng.random(n_rows) < 0.5, None]
+        expected = reference_csv(["h1", "h2", "flag", "empty"], columns)
+        assert _emitted(["h1", "h2", "flag", "empty"], columns, tmp_path) == (expected, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), block=st.sampled_from([1, 2, 3, 5, 8]),
+           kinds=st.lists(st.sampled_from(["float", "bool", "empty"]), min_size=1, max_size=4))
+    def test_same_bytes_as_the_reference(self, tmp_path_factory, data, block, kinds):
+        n_rows = data.draw(st.sampled_from([0, 1, block - 1, block, block + 1, 2 * block + 1])
+                           | st.integers(0, 4 * block), label="n_rows")
+        if set(kinds) == {"empty"}:
+            kinds[0] = "float"   # the row count comes from a column with cells
+        columns = []
+        for kind in kinds:
+            if kind == "float":
+                columns.append(np.array(data.draw(
+                    st.lists(CSV_FLOATS, min_size=n_rows, max_size=n_rows)), dtype=float))
+            elif kind == "bool":
+                columns.append(np.array(data.draw(
+                    st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)), dtype=bool))
+            else:
+                columns.append(None)
+        header = [f"c{i}" for i in range(len(columns))]
+        expected = reference_csv(header, columns)
+        with unittest.mock.patch.object(cli, "CSV_BLOCK_ROWS", block):
+            got = _emitted(header, columns, tmp_path_factory.mktemp("csv"))
+        assert got == (expected, expected)
+
+    def test_each_write_holds_at_most_one_block(self):
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text.count("\n"))
+                return super().write(text)
+
+        n_rows = 2 * cli.CSV_BLOCK_ROWS + 5
+        with contextlib.redirect_stdout(Recorder()):
+            _emit_csv(["h"], [np.linspace(0.0, 1.0, n_rows)], None)
+        assert sum(writes) == n_rows + 1
+        assert max(writes) == cli.CSV_BLOCK_ROWS
 
 
 class TestFigureCommand:

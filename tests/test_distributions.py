@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gainorder import (
     BernoulliGain,
@@ -70,6 +73,25 @@ class TestCdf:
     def test_below_support_is_zero(self):
         for d in (Exponential(1.0), NakagamiGain(2.0, 1.0), BernoulliGain(0.5), PointMass(2.0)):
             assert d.cdf(-1.0) == 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.floats(math.log(0.3), math.log(20.0)).map(math.exp),
+           w=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+           t=st.floats(math.log(1e-3), math.log(700.0)).map(math.exp))
+    # the upper tail, where 1 - gammainc reads 0
+    @example(m=1.0981231664358804, w=0.2362318909377042, t=680.0)
+    # x near m, where scipy's gammaincc is least accurate
+    @example(m=1.9, w=1.9, t=1.9)
+    def test_nakagami_ccdf_against_mpmath(self, m, w, t):
+        # x = t w / m puts the regularized upper gamma function Q(m, t)
+        # anywhere from about 1 down to 1e-300; rounding the argument alone
+        # costs about t eps relative
+        d, x = NakagamiGain(m, w), t * w / m
+        with mpmath.workdps(50):
+            arg = mpmath.mpf(m) * mpmath.mpf(x) / mpmath.mpf(w)
+            exact = mpmath.gammainc(m, arg, mpmath.inf, regularized=True)
+            error = float(abs(mpmath.mpf(d.ccdf(x)) / exact - 1))
+        assert error <= 64 * np.finfo(float).eps * (1.0 + float(arg))
 
 
 class TestQuantile:
