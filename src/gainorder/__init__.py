@@ -25,13 +25,10 @@ from .classifier import (
     classify_wtc,
 )
 from .coupling import (
-    CouplingSample,
     MaximalCouplingSpec,
-    comonotone_sample,
     comonotone_samples,
     copula_joint_ccdf,
     copula_joint_cdf,
-    maximal_coupling_sample,
     maximal_coupling_samples,
     maximal_coupling_spec,
     min_copula,

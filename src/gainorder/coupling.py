@@ -22,12 +22,9 @@ from .distributions import GainDistribution, _invert_cdf, _panel_nodes
 from .stochastic_order import DensitySegment, density_segments
 
 __all__ = [
-    "CouplingSample",
     "MaximalCouplingSpec",
     "maximal_coupling_spec",
-    "maximal_coupling_sample",
     "maximal_coupling_samples",
-    "comonotone_sample",
     "comonotone_samples",
     "copula_joint_cdf",
     "copula_joint_ccdf",
@@ -37,16 +34,6 @@ __all__ = [
     "verify_copula_axioms",
     "residual_supports_separated",
 ]
-
-
-@dataclass(frozen=True)
-class CouplingSample:
-    """One coupled draw (h1, h2); equal_flag is the shared-component indicator
-    and is only present for the maximal coupling."""
-
-    h1: float
-    h2: float
-    equal_flag: bool | None = None
 
 
 class _PiecewiseMinCdf:
@@ -268,19 +255,14 @@ def maximal_coupling_spec(d1: GainDistribution, d2: GainDistribution) -> Maximal
     return MaximalCouplingSpec(d1, d2)
 
 
-def maximal_coupling_sample(spec: MaximalCouplingSpec, u_select: float, u_value: float) -> CouplingSample:
-    """One maximal-coupling draw from two independent uniforms.
+def maximal_coupling_samples(spec: MaximalCouplingSpec, u_select, u_value):
+    """Maximal-coupling draws from two arrays of independent uniforms; returns
+    (h1, h2, equal_flag) arrays.
 
     u_select <= p lands in the shared component (h1 = h2 exactly); otherwise
     both residuals are inverted at the same u_value, which is allowed because
     only the marginals are constrained and keeps the sampler deterministic.
     """
-    h1, h2, eq = maximal_coupling_samples(spec, np.array([u_select]), np.array([u_value]))
-    return CouplingSample(h1=float(h1[0]), h2=float(h2[0]), equal_flag=bool(eq[0]))
-
-
-def maximal_coupling_samples(spec: MaximalCouplingSpec, u_select, u_value):
-    """Vectorized maximal-coupling draws; returns (h1, h2, equal_flag) arrays."""
     u_select = np.asarray(u_select, dtype=float)
     u_value = np.asarray(u_value, dtype=float)
     if np.any((u_select <= 0) | (u_select >= 1) | (u_value <= 0) | (u_value >= 1)):
@@ -301,14 +283,9 @@ def maximal_coupling_samples(spec: MaximalCouplingSpec, u_select, u_value):
     return h1, h2, equal
 
 
-def comonotone_sample(d1: GainDistribution, d2: GainDistribution, u: float) -> CouplingSample:
-    """Both coordinates from one shared uniform through the generalized inverses."""
-    if not (0.0 < u < 1.0):
-        raise ValueError("uniform variate must lie strictly inside (0, 1)")
-    return CouplingSample(h1=float(d1.quantile(u)), h2=float(d2.quantile(u)))
-
-
 def comonotone_samples(d1: GainDistribution, d2: GainDistribution, u):
+    """Both coordinates from one shared uniform per draw through the generalized
+    inverses; returns (h1, h2) arrays."""
     u = np.asarray(u, dtype=float)
     if np.any((u <= 0.0) | (u >= 1.0)):
         raise ValueError("uniform variates must lie strictly inside (0, 1)")

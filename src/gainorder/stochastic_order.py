@@ -13,6 +13,10 @@ Every other pair (RatioExpExp, a continuous RatioLaw, a law mixing atoms and
 a density, against each other or a gamma law) adds a 4096-point log grid,
 dense enough for the implemented families but blind below its first point
 and between points.
+
+The same closed-form crossings split two gamma densities into the segments
+behind overlap_mass, total_variation and the maximal coupling.  Only a pair
+with a ratio law falls back to a pdf scan with bracketed root finding.
 """
 
 from __future__ import annotations
@@ -122,7 +126,7 @@ def default_order_tolerance(d1: GainDistribution, d2: GainDistribution) -> float
 def check_usual_order(
     d1: GainDistribution,
     d2: GainDistribution,
-    grid: EvaluationGrid | None = None,
+    *,
     tol: float | None = None,
 ) -> OrderVerdict:
     """Decide whether d1 <=_st d2, the reverse, both (equal), or neither.
@@ -135,23 +139,13 @@ def check_usual_order(
       monotone between atoms; the decision is exact;
     - any other pair: the 4096-point log grid of EvaluationGrid.for_pair, up
       to the heavier law's 1 - 1e-9 quantile.
-    A `grid` given by the caller replaces these points; it must reach the
-    heavier law's 1 - 1e-9 quantile.
     """
     if tol is None:
         tol = default_order_tolerance(d1, d2)
     _check_tol(tol)
-    if grid is None:
-        points = _extreme_points(d1, d2)
-        if points is None:
-            points = EvaluationGrid.for_pair(d1, d2).as_array()
-    else:
-        needed = max(d1.tail_quantile(), d2.tail_quantile())
-        if grid.x_max < needed * (1.0 - 1e-12):
-            raise ValueError(
-                f"grid x_max={grid.x_max} does not cover both supports (need >= {needed})"
-            )
-        points = grid.as_array()
+    points = _extreme_points(d1, d2)
+    if points is None:
+        points = EvaluationGrid.for_pair(d1, d2).as_array()
 
     xs, c1, c2 = _ccdf_eval_points(d1, d2, points)
     return _verdict_from_gaps(xs, c1 - c2, tol)
@@ -162,8 +156,7 @@ def _extreme_points(d1: GainDistribution, d2: GainDistribution) -> np.ndarray | 
     attains its extremes, or None when they are not known in closed form."""
     shape_rates = _gamma_shape_rate(d1), _gamma_shape_rate(d2)
     if None not in shape_rates:
-        # from the pair in a fixed order, so the reverse check gets the same bits
-        return _gamma_crossings(*sorted(shape_rates))
+        return _gamma_crossings(*shape_rates)
     if step_atoms(d1) is not None or step_atoms(d2) is not None:
         # between consecutive atoms of either law the step law's ccdf is
         # constant and the other's nonincreasing, so the gap is monotone there
@@ -192,9 +185,8 @@ def _gamma_crossings(first: tuple[float, float], second: tuple[float, float]) ->
     y = omega(L), the Wright omega function; for q < 0 there are crossings only
     when L < -1.
     """
-    (k1, r1), (k2, r2) = first, second
-    a, b = k1 - k2, r2 - r1
-    c = (k1 * math.log(r1) - math.lgamma(k1)) - (k2 * math.log(r2) - math.lgamma(k2))
+    # from the pair in a fixed order, so the reverse pair gets the same bits
+    a, b, c = _log_density_ratio(*sorted((first, second)))
     if a == 0.0:
         xs = [-c / b] if b != 0.0 else []
     else:
@@ -215,6 +207,15 @@ def _gamma_crossings(first: tuple[float, float], second: tuple[float, float]) ->
         # and may have underflowed
         xs = [y / q if abs(y) > 1.0 else _exp(-c / a - y) for y in ys]
     return np.array(sorted(x for x in xs if 0.0 < x < math.inf))
+
+
+def _log_density_ratio(first: tuple[float, float],
+                       second: tuple[float, float]) -> tuple[float, float, float]:
+    """(a, b, c) with ln f1(x) - ln f2(x) = a ln x + b x + c for two gamma laws
+    given as (shape, rate); swapping the laws negates all three exactly."""
+    (k1, r1), (k2, r2) = first, second
+    c = (k1 * math.log(r1) - math.lgamma(k1)) - (k2 * math.log(r2) - math.lgamma(k2))
+    return k1 - k2, r2 - r1, c
 
 
 def _exp(t: float) -> float:
@@ -324,14 +325,43 @@ class DensitySegment:
 
 
 def density_segments(d1: GainDistribution, d2: GainDistribution) -> list[DensitySegment]:
-    """Partition the union support at density crossings of two continuous families.
+    """Partition the union support at the density crossings of two continuous laws.
 
-    Crossings are located by sign changes of f1 - f2 on a 4096-point log grid
-    and refined by bracketed bisection to 1e-12.
+    For two gamma laws the bounds are the closed-form crossings that
+    check_usual_order uses, the same bits for either order of the pair, and
+    the lower density on each segment is the sign of ln f1 - ln f2 at an
+    inner point, which does not underflow.  A pair with a ratio law
+    (RatioExpExp, a continuous RatioLaw) has no closed form: its crossings are
+    sign changes of f1 - f2 on a 4096-point log grid up to the heavier law's
+    1 - 1e-12 quantile, refined by bracketed bisection to 1e-12.  That scan
+    misses a crossing pair inside one cell and crossings outside its range.
     """
+    _require_continuous(d1, d2)
+    shape_rates = _gamma_shape_rate(d1), _gamma_shape_rate(d2)
+    if None in shape_rates:
+        crossings, x_max = _scanned_crossings(d1, d2)
+
+        def first_is_lower(x: float) -> bool:
+            return float(d1.pdf(x)) <= float(d2.pdf(x))
+    else:
+        crossings, x_max = _gamma_crossings(*shape_rates).tolist(), 1.0
+        a, b, c = _log_density_ratio(*shape_rates)
+
+        def first_is_lower(x: float) -> bool:
+            # a first segment below the least subnormal holds no inner double
+            return a * math.log(max(x, 5e-324)) + b * x + c <= 0.0
+
+    bounds = [0.0, *crossings, math.inf]
+    # each segment is judged at its midpoint; the last at (lo + x_max) / 2 past lo
+    return [DensitySegment(lo, hi, first_is_lower(lo + 0.5 * (min(hi, 2.0 * lo + x_max) - lo)))
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _scanned_crossings(d1: GainDistribution, d2: GainDistribution) -> tuple[list, float]:
+    """The density crossings of a pair without a closed form, and the upper
+    end x_max of the scan that finds them."""
     from scipy.optimize import brentq
 
-    _require_continuous(d1, d2)
     x_max = max(d1.tail_quantile(1e-12), d2.tail_quantile(1e-12))
     pts = np.concatenate([[0.0], np.geomspace(x_max * 1e-15, x_max, 4096)])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -347,16 +377,7 @@ def density_segments(d1: GainDistribution, d2: GainDistribution) -> list[Density
         if sign[i] != 0.0 and sign[i + 1] != 0.0 and sign[i] != sign[i + 1]:
             crossings.append(float(brentq(gap, pts[i], pts[i + 1], xtol=1e-13, rtol=1e-15)))
     # drop degenerate slivers from endpoint artifacts
-    crossings = [c for c in crossings if c > 1e-13 * x_max]
-
-    bounds = [0.0] + crossings + [math.inf]
-    segments = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mid = lo + 0.5 * (min(hi, 2.0 * lo + x_max) - lo)
-        f1 = float(d1.pdf(mid))
-        f2 = float(d2.pdf(mid))
-        segments.append(DensitySegment(lo=lo, hi=hi, min_is_first=f1 <= f2))
-    return segments
+    return [c for c in crossings if c > 1e-13 * x_max], x_max
 
 
 def overlap_mass(d1: GainDistribution, d2: GainDistribution) -> float:

@@ -3,17 +3,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from gainorder import BernoulliGain, Exponential, NakagamiGain
 from gainorder.coupling import (
-    comonotone_sample,
     comonotone_samples,
     copula_joint_ccdf,
     copula_joint_cdf,
-    maximal_coupling_sample,
     maximal_coupling_samples,
     maximal_coupling_spec,
     min_copula,
@@ -54,9 +52,9 @@ class TestMaximalCoupling:
 
     def test_equal_branch_sets_h1_equals_h2_exactly(self):
         spec = maximal_coupling_spec(Exponential(1.0), Exponential(2.0))
-        s = maximal_coupling_sample(spec, u_select=0.2, u_value=0.6)
-        assert s.equal_flag is True
-        assert s.h1 == s.h2
+        h1, h2, eq = maximal_coupling_samples(spec, np.array([0.2]), np.array([0.6]))
+        assert eq.tolist() == [True]
+        assert h1[0] == h2[0]
 
     def test_equality_fraction_matches_overlap(self):
         spec = maximal_coupling_spec(Exponential(1.0), Exponential(2.0))
@@ -104,9 +102,9 @@ class TestMaximalCoupling:
     def test_bad_uniforms_rejected(self):
         spec = maximal_coupling_spec(Exponential(1.0), Exponential(2.0))
         with pytest.raises(ValueError):
-            maximal_coupling_sample(spec, 0.0, 0.5)
+            maximal_coupling_samples(spec, np.array([0.0]), np.array([0.5]))
         with pytest.raises(ValueError):
-            maximal_coupling_sample(spec, 0.5, 1.0)
+            maximal_coupling_samples(spec, np.array([0.5]), np.array([1.0]))
 
 
 def exp_pair_residual_2(x, u):
@@ -143,6 +141,9 @@ class TestMaximalCouplingQuantiles:
     @given(d1=GAMMA_LAWS, d2=GAMMA_LAWS,
            levels=st.lists(st.tuples(st.floats(1e-9, 1.0 - 1e-9), OPEN_LEVELS),
                            min_size=1, max_size=12))
+    # a residual quantile at a tiny level, just above an interior crossing
+    @example(d1=Exponential(1.7984493856015655), d2=NakagamiGain(2.2, 1.4534914670559127),
+             levels=[(0.875, 1e-48)])
     def test_every_draw_is_a_crossing_of_its_component_cdf(self, d1, d2, levels):
         spec = maximal_coupling_spec(d1, d2)
         u_sel, u = np.array(levels).T
@@ -174,18 +175,18 @@ class TestMaximalCouplingQuantiles:
 class TestComonotoneCoupling:
     def test_identical_inputs_tie(self):
         d = Exponential(1.7)
-        s = comonotone_sample(d, d, 0.42)
-        assert s.h1 == s.h2
-        assert s.equal_flag is None
+        draws = comonotone_samples(d, d, np.array([0.42]))
+        assert len(draws) == 2  # no shared-component flag
+        assert draws[0][0] == draws[1][0]
 
     def test_exponential_medians(self):
-        s = comonotone_sample(Exponential(1.0), Exponential(2.0), 0.5)
-        assert s.h1 == pytest.approx(math.log(2.0), rel=1e-12)
-        assert s.h2 == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
+        h1, h2 = comonotone_samples(Exponential(1.0), Exponential(2.0), np.array([0.5]))
+        assert h1[0] == pytest.approx(math.log(2.0), rel=1e-12)
+        assert h2[0] == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
 
     def test_bernoulli_generalized_inverses(self):
-        s = comonotone_sample(BernoulliGain(0.3), BernoulliGain(0.7), 0.5)
-        assert (s.h1, s.h2) == (0.0, 1.0)
+        h1, h2 = comonotone_samples(BernoulliGain(0.3), BernoulliGain(0.7), np.array([0.5]))
+        assert (h1[0], h2[0]) == (0.0, 1.0)
 
     def test_pathwise_order_for_first_leq_pairs(self):
         pairs = [

@@ -1,5 +1,5 @@
-"""scipy loads only where a command needs a special function, and orjson only
-where a command writes a CSV table.
+"""scipy loads only where a command needs a special function, scipy.optimize
+not for gamma laws, and orjson only where a command writes a CSV table.
 
 Each check runs in a fresh interpreter, since the test session itself has
 scipy loaded already.
@@ -41,6 +41,8 @@ NAKAGAMI_BC = {
 }
 
 PAIR = {"distributions": [_EXP, dict(_EXP, mean=2.0)]}
+NAKAGAMI_PAIR = {"distributions": [{"family": "nakagami_gain", "m": 0.75, "w": 1.0},
+                                   dict(_EXP, mean=2.0)]}
 
 IC_POINT_MASS_STRONG = {
     "topology": "ic", "condition": "strong", "powers": [1.0, 1.0],
@@ -97,6 +99,17 @@ def test_scipy_loads_only_for_special_functions(tmp_path):
     assert [r["code"] for r in report[1:]] == [0, 0, 1, 0, 1]
     assert report[-2]["scipy"] == []
     assert "scipy.special" in report[-1]["scipy"]
+
+
+def test_gamma_density_crossings_need_no_root_finder(tmp_path):
+    # the maximal coupling splits a gamma pair at its closed-form crossings
+    runs = [["coupling-sample", _scenario(tmp_path, "pair.json", NAKAGAMI_PAIR),
+             "--construction", "maximal", "-n", "200"],
+            ["verify", "-n", "10000", "--seed", "1"]]
+    report = _run(tmp_path, runs)
+    assert [r["code"] for r in report[1:]] == [0, 0]
+    assert "scipy.special" in report[-1]["scipy"]
+    assert not any(m.startswith("scipy.optimize") for m in report[-1]["scipy"])
 
 
 def test_orjson_loads_only_for_csv_tables(tmp_path):

@@ -88,11 +88,6 @@ class TestCheckUsualOrder:
         with pytest.raises(ValueError, match="tolerance must be finite"):
             check_usual_order_discrete([0.5, 0.5], [1.0, 0.0], tol=tol)
 
-    def test_grid_must_cover_supports(self):
-        small = EvaluationGrid.log_spaced(0.5, n=16)
-        with pytest.raises(ValueError, match="cover"):
-            check_usual_order(Exponential(1.0), Exponential(2.0), grid=small)
-
     def test_empirical_tolerance_default(self):
         emp = Empirical.from_samples(np.linspace(0.01, 2.0, 400))
         assert default_order_tolerance(emp, Exponential(1.0)) == pytest.approx(
@@ -306,6 +301,11 @@ class TestExactOrder:
         assert "GainDistribution.tail_quantile" in calls
 
 
+WIDE_SCALES = st.floats(-4.0, 4.0).map(lambda e: 10.0**e)
+WIDE_GAMMA_LAWS = st.one_of(
+    st.builds(Exponential, WIDE_SCALES),
+    st.builds(NakagamiGain, st.floats(0.3, 20.0), WIDE_SCALES),
+)
 MIXED_LAWS = st.one_of(
     st.builds(Exponential, st.floats(0.2, 5.0)),
     st.builds(NakagamiGain, st.floats(0.3, 5.0), st.floats(0.2, 5.0)),
@@ -395,17 +395,53 @@ class TestCheckUsualOrderDiscrete:
             check_usual_order_discrete([-0.1, 1.1], [0.5, 0.5])
 
 
+def gamma_density_mp(d, x):
+    """The density of a gamma law at x, in the current mpmath precision."""
+    k, r = (1, 1 / mpmath.mpf(d.mean_gain)) if isinstance(d, Exponential) else (
+        mpmath.mpf(d.m), mpmath.mpf(d.m) / mpmath.mpf(d.w))
+    return r**k * x ** (k - 1) * mpmath.exp(-r * x) / mpmath.gamma(k)
+
+
+def overlap_mpmath_oracle(d1, d2):
+    """50-digit integral of min(f1, f2) over [0, inf), split at the crossings,
+    which are bracketed by a scan of the 50-digit log density ratio and
+    bisected; independent of the program's crossing solver."""
+    with mpmath.workdps(50):
+        def log_ratio(x):
+            return mpmath.log(gamma_density_mp(d1, x)) - mpmath.log(gamma_density_mp(d2, x))
+
+        grid = [mpmath.mpf(10) ** (e / mpmath.mpf(20)) for e in range(-600, 81)]
+        signs = [mpmath.sign(log_ratio(x)) for x in grid]
+        crossings = [mpmath.findroot(log_ratio, (lo, hi), solver="bisect")
+                     for lo, hi, s_lo, s_hi in zip(grid, grid[1:], signs, signs[1:])
+                     if s_lo * s_hi < 0]
+        return mpmath.quad(lambda x: min(gamma_density_mp(d1, x), gamma_density_mp(d2, x)),
+                           [0, *crossings, mpmath.inf])
+
+
 class TestOverlapAndTotalVariation:
     def test_exponential_pair_closed_form(self):
-        # densities cross at 2 ln 2; integral of the min is 1/2 + 1/4
-        assert overlap_mass(Exponential(1.0), Exponential(2.0)) == pytest.approx(0.75, abs=1e-10)
-        assert total_variation(Exponential(1.0), Exponential(2.0)) == pytest.approx(0.25, abs=1e-10)
+        # densities cross at 2 s ln 2; integral of the min is 1/2 + 1/4
+        for scale in [10.0**e for e in range(-4, 5)]:
+            d1, d2 = Exponential(scale), Exponential(2.0 * scale)
+            assert overlap_mass(d1, d2) == 0.75, scale
+            assert total_variation(d1, d2) == 0.25, scale
+
+    def test_nakagami_pair_matches_mpmath(self):
+        # two density crossings, found in 50 digits by the oracle
+        d1, d2 = NakagamiGain(0.75, 1.0), NakagamiGain(2.2, 2.0)
+        assert len(density_segments(d1, d2)) == 3
+        oracle = overlap_mpmath_oracle(d1, d2)
+        assert abs(overlap_mass(d1, d2) - float(oracle)) <= 1e-13
+        assert abs(overlap_mass(d2, d1) - float(oracle)) <= 1e-13
 
     def test_matches_quadrature_oracle(self):
         pairs = [
             (Exponential(1.0), Exponential(2.0)),
             (Exponential(1.0), NakagamiGain(2.0, 1.0)),
             (NakagamiGain(0.5, 1.0), NakagamiGain(2.0, 1.5)),
+            # no closed-form crossings: the pdf scan
+            (RatioExpExp(1.0, 1.0, 1.0), Exponential(1.0)),
         ]
         for d1, d2 in pairs:
             assert overlap_mass(d1, d2) == pytest.approx(
@@ -455,6 +491,30 @@ class TestDensitySegments:
         assert len(segs) == 3
         owners = [s.min_is_first for s in segs]
         assert owners == [False, True, False]
+
+    @settings(max_examples=200, deadline=None)
+    @given(d1=WIDE_GAMMA_LAWS, d2=WIDE_GAMMA_LAWS)
+    # crossings below the old scan's floor of x_max 1e-13 and past its x_max
+    @example(d1=NakagamiGain(3.055161827274395, 24.726624467847323),
+             d2=NakagamiGain(3.6339989501037153, 0.03818511938434164))
+    @example(d1=NakagamiGain(11.758361743430171, 44.718552210246955),
+             d2=NakagamiGain(2.180489337177854, 11.578931133867751))
+    def test_gamma_pairs_split_at_the_order_checks_crossings(self, d1, d2):
+        crossings = stochastic_order._extreme_points(d1, d2)
+        for first, second, flip in ((d1, d2, False), (d2, d1, True)):
+            segs = density_segments(first, second)
+            assert [s.lo for s in segs[1:]] == [s.hi for s in segs[:-1]] == crossings.tolist()
+            assert segs[0].lo == 0.0 and segs[-1].hi == math.inf
+            for seg in segs:
+                hi = seg.hi if seg.hi < math.inf else 2.0 * seg.lo + 1.0
+                xs = seg.lo + (hi - seg.lo) * np.array([1e-9, 1e-3, 0.1, 0.5, 0.9, 0.999])
+                if seg.hi == math.inf:
+                    xs = np.concatenate([xs, seg.lo * np.array([10.0, 1e3]) + 1.0])
+                f1, f2 = np.asarray(d1.pdf(xs)), np.asarray(d2.pdf(xs))
+                # where both densities are normal doubles and apart beyond rounding
+                clear = ((np.minimum(f1, f2) > 1e-300) & np.isfinite(f1 + f2)
+                         & (np.abs(f1 - f2) > 1e-6 * np.maximum(f1, f2)))
+                assert np.all((f1[clear] <= f2[clear]) == (seg.min_is_first != flip))
 
 
 class TestConvolutionClosure:
