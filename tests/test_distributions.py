@@ -82,6 +82,8 @@ class TestCdf:
     @example(m=1.0981231664358804, w=0.2362318909377042, t=680.0)
     # x near m, where scipy's gammaincc is least accurate
     @example(m=1.9, w=1.9, t=1.9)
+    # m next to 1/2 with x below 1.1, where scipy's own series is 266 ulps off
+    @example(m=math.exp(-0.6875), w=1.0, t=1.0)
     def test_nakagami_ccdf_against_mpmath(self, m, w, t):
         # x = t w / m puts the regularized upper gamma function Q(m, t)
         # anywhere from about 1 down to 1e-300; rounding the argument alone
