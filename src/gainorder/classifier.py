@@ -15,10 +15,13 @@ import math
 from dataclasses import dataclass, field
 
 from .distributions import (
+    MAX_RATIO_SHAPE,
     Empirical,
     Exponential,
     GainDistribution,
+    NakagamiGain,
     PointMass,
+    RatioExpExp,
     RatioLaw,
     build_ratio,
 )
@@ -230,18 +233,33 @@ def interference_ratio_distribution(
 ) -> tuple[GainDistribution, bool]:
     """Law of numerator / (1 + power * denominator) for independent gains.
 
-    Returns (law, True): every law is exact.  Exponential and point-mass
-    combinations have closed forms; any other pair gets a RatioLaw.
+    Returns (law, True): every law is exact.  A gamma numerator (exponential,
+    or Nakagami-m up to m = 128) over an exponential denominator (Nakagami
+    m = 1 included) and the point-mass combinations have closed forms; any
+    other pair gets a RatioLaw.
     """
     if power == 0.0 or (isinstance(denominator, PointMass) and denominator.value == 0.0):
         return numerator, True
-    if isinstance(numerator, Exponential) and isinstance(denominator, Exponential):
-        return build_ratio(numerator.mean_gain, denominator.mean_gain, power), True
+    den_mean = _exponential_mean(denominator)
+    if den_mean is not None:
+        if isinstance(numerator, Exponential):
+            return build_ratio(numerator.mean_gain, den_mean, power), True
+        if isinstance(numerator, NakagamiGain) and numerator.m <= MAX_RATIO_SHAPE:
+            return RatioExpExp(numerator.w, den_mean, power, num_shape=float(numerator.m)), True
     if isinstance(numerator, PointMass) and isinstance(denominator, PointMass):
         return PointMass(numerator.value / (1.0 + power * denominator.value)), True
     if isinstance(numerator, Exponential) and isinstance(denominator, PointMass):
         return Exponential(numerator.mean_gain / (1.0 + power * denominator.value)), True
     return RatioLaw(numerator, denominator, power), True
+
+
+def _exponential_mean(d: GainDistribution) -> float | None:
+    """Mean of an exponential law (Nakagami m = 1 included); None for any other law."""
+    if isinstance(d, Exponential):
+        return d.mean_gain
+    if isinstance(d, NakagamiGain) and d.m == 1.0:
+        return d.w
+    return None
 
 
 def classify_ic_very_strong(s: ICScenario, tol: float | None = None) -> ClassificationReport:

@@ -9,10 +9,10 @@ known finite set, the decision is exact:
   so its extremes sit at the density crossings, found in closed form;
 - a step law (its atoms carry all of its mass) against any law: between
   atoms the gap is monotone, so the atoms suffice.
-Every other pair (RatioExpExp, a continuous RatioLaw, a law mixing atoms and
-a density, against each other or a gamma law) adds a 4096-point log grid,
-dense enough for the implemented families but blind below its first point
-and between points.
+Every other pair (RatioExpExp, of any numerator shape, a continuous
+RatioLaw, a law mixing atoms and a density, against each other or a gamma
+law) adds a 4096-point log grid, dense enough for the implemented families
+but blind below its first point and between points.
 
 The same closed-form crossings split two gamma densities into the segments
 behind overlap_mass, total_variation and the maximal coupling.  Only a pair

@@ -113,7 +113,8 @@ def verify_same_marginals(
     (a negative control that must fail).
     """
     if construction == "maximal":
-        return _maximal_marginals(maximal_coupling_spec(d1, d2), n, seed, corrupt)
+        spec = maximal_coupling_spec(d1, d2)
+        return _maximal_marginals(spec, _maximal_draws(spec, n, seed), n, seed, corrupt)
     if construction != "comonotone":
         raise ValueError(f"unknown construction {construction!r}")
     rng = _rng(seed, f"same_marginals[{construction}]")
@@ -121,14 +122,21 @@ def verify_same_marginals(
     return _marginal_reports(construction, d1, d2, h1, h2, n, seed, corrupt)
 
 
-def _maximal_marginals(spec: MaximalCouplingSpec, n: int, seed: int, corrupt: bool):
+def _maximal_draws(spec: MaximalCouplingSpec, n: int, seed: int):
+    """(h1, h2, equal_flag) of the maximal coupling from the marginal checks' stream."""
     rng = _rng(seed, "same_marginals[maximal]")
     u_sel = _open_uniform(rng, n)
-    u_val = _open_uniform(rng, n)
-    h1, h2, eq = maximal_coupling_samples(spec, u_sel, u_val)
+    return maximal_coupling_samples(spec, u_sel, _open_uniform(rng, n))
+
+
+def _maximal_marginals(spec: MaximalCouplingSpec, draws, n: int, seed: int, corrupt: bool):
+    """The marginal checks on the draws (h1, h2, equal_flag) of _maximal_draws."""
+    h1, h2, eq = draws
     if corrupt:
+        # swap on copies: the suite shares the draws with the positive check
         swapped = ~eq
-        h1[swapped], h2[swapped] = h2[swapped].copy(), h1[swapped].copy()
+        h1, h2 = h1.copy(), h2.copy()
+        h1[swapped], h2[swapped] = h2[swapped], h1[swapped]
     return _marginal_reports("maximal", spec.d1, spec.d2, h1, h2, n, seed, corrupt)
 
 
@@ -207,12 +215,16 @@ def verify_copula_equivalence(
     levels = np.arange(1, grid_levels + 1) / (grid_levels + 1.0)
     xs = np.asarray(d1.quantile(levels))
     ys = np.asarray(d2.quantile(levels))
-    worst = 0.0
-    for x in xs:
-        le_x = h1 <= x
-        for y in ys:
-            emp = np.mean(le_x & (h2 <= y))
-            worst = max(worst, abs(emp - float(copula_joint_cdf(d1, d2, x, y))))
+    # h1 <= xs[k] iff k >= i, where i is the first index with xs[i] >= h1 (the
+    # quantiles are nondecreasing), so the joint counts are 2-D cumulative sums
+    # of the histogram of (i, j); count / n is the same double as np.mean of the mask
+    i = np.searchsorted(xs, h1, side="left")
+    j = np.searchsorted(ys, h2, side="left")
+    hist = np.bincount(i * (grid_levels + 1) + j, minlength=(grid_levels + 1) ** 2)
+    counts = hist.reshape(grid_levels + 1, -1).cumsum(axis=0).cumsum(axis=1)
+    emp = counts[:grid_levels, :grid_levels] / n
+    joint = copula_joint_cdf(d1, d2, xs[:, None], ys[None, :])
+    worst = max(0.0, float(np.max(np.abs(emp - joint))))
     threshold = 1.5 * math.sqrt(math.log(2.0 / 0.01) / (2.0 * n))
     name = "copula_equivalence" + ("[independent-uniforms]" if independent_control else "")
     kind = "negative_control" if independent_control else "positive"
@@ -228,8 +240,10 @@ def verify_maximal_equality_fraction(
 
 def _equality_fraction(spec: MaximalCouplingSpec, n: int, seed: int) -> VerificationReport:
     rng = _rng(seed, "maximal_equality_fraction")
-    _, _, eq = maximal_coupling_samples(spec, _open_uniform(rng, n), _open_uniform(rng, n))
+    # the draw is equal exactly where its selection uniform is at most p
+    # (maximal_coupling_samples), so no component quantile is needed
     p = spec.p
+    eq = _open_uniform(rng, n) <= p
     threshold = 3.0 * math.sqrt(p * (1.0 - p) / n)
     return _report("maximal_equality_fraction", n, abs(float(np.mean(eq)) - p), threshold, seed)
 
@@ -244,8 +258,9 @@ def run_verification_suite(
         p1=1.0, p2=1.0,
     )
     spec = maximal_coupling_spec(d1, d2)
+    draws = _maximal_draws(spec, n, seed)  # shared with the corrupted control
     reports: list[VerificationReport] = []
-    reports += _maximal_marginals(spec, n, seed, corrupt=False)
+    reports += _maximal_marginals(spec, draws, n, seed, corrupt=False)
     reports += verify_same_marginals("comonotone", d1, d2, n=n, seed=seed)
     reports += verify_same_marginals("comonotone", BernoulliGain(0.3), BernoulliGain(0.7),
                                      n=n, seed=seed)
@@ -266,7 +281,7 @@ def run_verification_suite(
     )
 
     if include_negative_controls:
-        reports += _maximal_marginals(spec, n, seed, corrupt=True)
+        reports += _maximal_marginals(spec, draws, n, seed, corrupt=True)
         reports.append(verify_strong_ic_independence(ic, n=n, seed=seed, shared_uniform=True))
         reports.append(verify_copula_equivalence(d1, d2, n=n, seed=seed, independent_control=True))
     return reports

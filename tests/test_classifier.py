@@ -38,6 +38,11 @@ def exp_ic(m11, m12, m21, m22, p1=1.0, p2=1.0, dependence="independent"):
 
 
 class TestClassifyBC:
+    def test_ratio_law_gain_is_sorted_by_its_mean(self):
+        mixed = RatioLaw(BernoulliGain(0.5), Exponential(1.0), 1.0)
+        report = classify_bc(BCScenario((BernoulliGain(0.5), mixed), power=1.0))
+        assert report.verdict and report.permutation == (2, 1)
+
     def test_two_exponentials_degraded(self):
         report = classify_bc(BCScenario((Exponential(1.0), Exponential(2.0)), power=1.0))
         assert report.verdict
@@ -216,12 +221,55 @@ class TestInterferenceRatio:
         assert dist == Exponential(1.0)
 
     def test_nakagami_m1_pair_matches_exponential_closed_form(self):
+        # a Nakagami m = 1 denominator is exponential: the pair takes the
+        # closed form, which the quadrature law matches
         law, exact = interference_ratio_distribution(NakagamiGain(1.0, 2.0),
                                                      NakagamiGain(1.0, 0.5), 1.5)
-        assert exact and isinstance(law, RatioLaw)
+        assert exact and law == RatioExpExp(2.0, 0.5, 1.5)
         z = np.concatenate([[0.0], np.geomspace(1e-8, 60.0, 300)])
-        closed = RatioExpExp(2.0, 0.5, 1.5)
-        assert np.max(np.abs(law.ccdf(z) - closed.ccdf(z))) <= 1e-12
+        rule = RatioLaw(NakagamiGain(1.0, 2.0), NakagamiGain(1.0, 0.5), 1.5)
+        assert np.max(np.abs(rule.ccdf(z) - law.ccdf(z))) <= 1e-12
+
+    @pytest.mark.parametrize("num, den, expected", [
+        (NakagamiGain(2.5, 4.0), Exponential(0.3), RatioExpExp(4.0, 0.3, 1.0, num_shape=2.5)),
+        (NakagamiGain(0.6, 1.5), NakagamiGain(1.0, 2.0), RatioExpExp(1.5, 2.0, 1.0, num_shape=0.6)),
+        (Exponential(1.5), NakagamiGain(1.0, 2.0), RatioExpExp(1.5, 2.0, 1.0)),
+        (NakagamiGain(128.0, 1.0), Exponential(1.0), RatioExpExp(1.0, 1.0, 1.0, num_shape=128.0)),
+    ])
+    def test_gamma_over_exponential_takes_the_closed_form(self, num, den, expected):
+        law, exact = interference_ratio_distribution(num, den, 1.0)
+        assert exact and law == expected
+
+    @pytest.mark.parametrize("num, den", [
+        (NakagamiGain(128.5, 1.0), Exponential(1.0)),   # above the family's largest shape
+        (NakagamiGain(2.5, 4.0), NakagamiGain(1.7, 1.0)),
+        (Exponential(1.0), BernoulliGain(0.5)),
+    ])
+    def test_other_pairs_keep_the_quadrature_law(self, num, den):
+        law, exact = interference_ratio_distribution(num, den, 1.0)
+        assert exact and law == RatioLaw(num, den, 1.0)
+
+    def test_very_strong_nakagami_scenario_builds_no_ratio_law(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a RatioLaw was built")
+
+        monkeypatch.setattr(RatioLaw, "__post_init__", refuse)
+        s = ICScenario(h11=Exponential(0.5), h12=Exponential(0.4), h21=NakagamiGain(2.5, 4.0),
+                       h22=Exponential(0.3), p1=1.0, p2=1.0)
+        report = classify_ic_very_strong(s)
+        assert [name for name, _ in report.order_checks] == ["h11_leq_z1", "h22_leq_z2"]
+
+    @pytest.mark.parametrize("num, den", [
+        (NakagamiGain(2.5, 4.0), Exponential(0.3)),
+        (BernoulliGain(0.3), Exponential(2.0)),
+    ])
+    def test_ratio_law_mean_is_the_product_of_means(self, num, den):
+        # E[N / (1 + P D)] = E[N] c e^c E1(c) for D exponential, c = 1 / (P E[D])
+        c = 1.0 / (1.5 * den.mean())
+        law = RatioLaw(num, den, 1.5)
+        assert law.mean() == pytest.approx(num.mean() * c * special.exp1(c) * np.exp(c), rel=1e-13)
+        atoms = RatioLaw(num, BernoulliGain(0.25), 1.5)
+        assert atoms.mean() == pytest.approx(num.mean() * (0.75 + 0.25 / 2.5), rel=1e-15)
 
     @pytest.mark.parametrize("den, den_law", [
         (NakagamiGain(1.7, 1.0), stats.gamma(1.7, scale=1.0 / 1.7)),

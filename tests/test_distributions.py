@@ -14,6 +14,7 @@ from gainorder import (
     NakagamiGain,
     PointMass,
     RatioExpExp,
+    RatioLaw,
     build_ratio,
     distribution_from_spec,
 )
@@ -221,6 +222,130 @@ class TestRatioExpExp:
             build_ratio(1.0, 1.0, -0.5)
 
 
+def _exp_exp_reference(s_n, s_d, power, h):
+    """ccdf, cdf and pdf of the exponential-over-exponential ratio, written as
+    the m = 1 family wrote them before it took a numerator shape."""
+    scale = 1.0 + h * power * s_d / s_n
+    ccdf = np.where(h >= 0.0, np.exp(-h / s_n) / scale, 1.0)
+    t = np.maximum(h, 0.0) / s_n
+    ct = power * s_d * t
+    cdf = np.where(h >= 0.0, np.where(np.isfinite(ct), (ct - np.expm1(-t)) / (1.0 + ct), 1.0), 0.0)
+    a = power * s_d
+    denom = s_n + h * a
+    pdf = np.where(h >= 0.0, np.exp(-h / s_n) * (1.0 / denom + s_n * a / denom**2), 0.0)
+    return ccdf, cdf, pdf
+
+
+def _ratio_oracle(m, w, b, power, z):
+    """(ccdf, cdf, pdf, Q(m, t), t) of Gamma(m, mean w) / (1 + power Exp(mean b))
+    at z, from 50-digit mpmath incomplete gamma functions."""
+    with mpmath.workdps(50):
+        m, w, b, power, z = (mpmath.mpf(v) for v in (m, w, b, power, z))
+        a, c = m / w, 1 / (power * b)
+        t = a * z
+        upper = mpmath.gammainc(m, t, mpmath.inf, regularized=True)
+        big = mpmath.exp(c) * (t / (t + c)) ** m * mpmath.gammainc(m, t + c, mpmath.inf,
+                                                                 regularized=True)
+        g = t ** (m - 1) * mpmath.exp(-t) / mpmath.gamma(m)
+        return (upper - big, mpmath.gammainc(m, 0, t, regularized=True) + big,
+                a * g * c / (t + c) + a * m * c * big / (t * (t + c)), upper, t)
+
+
+class TestRatioGammaExp:
+    """RatioExpExp with a numerator shape m != 1: a Nakagami-m gain over an
+    exponential interferer, in closed form."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("m", [0.55, 0.75, 2.5, 7.0])
+    @pytest.mark.parametrize("c", [1e-3, 0.1, 1.0, 30.0, 511.0, 513.0, 1000.0, 1e4])
+    def test_against_mpmath(self, m, c):
+        # c = 1 / (P s_d) on both sides of 512, where the interference term
+        # takes its scaled form; the stated bound is 64 (1 + t + m |ln t|) ulps,
+        # of Q(m, t) for the ccdf and relative for the cdf and pdf
+        w, b = 2.5, 1.0 / c
+        law = RatioExpExp(w, b, 1.0, num_shape=m)
+        zs = np.geomspace(1e-6, 60.0, 12)
+        ccdf, cdf, pdf = law.ccdf(zs), law.cdf(zs), law.pdf(zs)
+        for i, z in enumerate(zs):
+            r_ccdf, r_cdf, r_pdf, upper, t = _ratio_oracle(m, w, b, 1.0, z)
+            bound = 64 * self.EPS * (1 + t + m * abs(mpmath.log(t)))
+            assert abs(ccdf[i] - r_ccdf) <= min(1e-13, bound * upper), (z, ccdf[i], r_ccdf)
+            assert abs(cdf[i] - r_cdf) <= min(1e-13, bound * r_cdf), (z, cdf[i], r_cdf)
+            assert abs(pdf[i] - r_pdf) <= bound * r_pdf, (z, pdf[i], r_pdf)
+
+    @pytest.mark.parametrize("c", [30.0, 400.0, 600.0])
+    def test_largest_shape_against_mpmath(self, c):
+        # m = 128 next to t + c = 512, where scipy's hyperu is accurate only
+        # for arguments well above the shape
+        w, m = 2.5, 128.0
+        law = RatioExpExp(w, 1.0 / c, 1.0, num_shape=m)
+        for z in (0.5 * w, w, 2.0 * w, 4.0 * w):
+            r_ccdf, r_cdf, r_pdf, upper, t = _ratio_oracle(m, w, 1.0 / c, 1.0, z)
+            bound = 64 * self.EPS * (1 + t + m * abs(mpmath.log(t)))
+            assert abs(law.ccdf(z) - r_ccdf) <= min(1e-13, bound * upper)
+            assert abs(law.cdf(z) - r_cdf) <= min(1e-13, bound * r_cdf)
+            assert abs(law.pdf(z) - r_pdf) <= bound * r_pdf
+
+    def test_strong_interferer_keeps_the_interference_term(self):
+        # c = 1000: Q(m, t + c) underflows while e^c Q(m, t + c) does not; a
+        # form that drops that term reads Q(2.5, 1) = 0.849145, the law 0.848868
+        law = RatioExpExp(2.5, 1e-3, 1.0, num_shape=2.5)
+        r_ccdf, r_cdf, *_ = _ratio_oracle(2.5, 2.5, 1e-3, 1.0, 1.0)
+        assert abs(law.ccdf(1.0) - r_ccdf) <= 1e-13
+        assert abs(law.cdf(1.0) - r_cdf) <= 1e-13
+        assert abs(law.ccdf(1.0) - 0.848868) < 1e-6
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.3, 20.0), st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.1, 10.0))
+    def test_matches_ratio_law_quadrature(self, m, w, b, power):
+        law = RatioExpExp(w, b, power, num_shape=m)
+        rule = RatioLaw(NakagamiGain(m, w), Exponential(b), power)
+        z = w * np.geomspace(1e-6, 60.0, 64)
+        assert np.max(np.abs(law.ccdf(z) - rule.ccdf(z))) <= 1e-13
+
+    @pytest.mark.parametrize("fig_params", [
+        [(a, 1.0, 1.0) for a in (0.1, 0.3, 0.5, 0.7)],
+        [(0.1, 1.0, p) for p in (1.0, 10.0, 50.0, 100.0)],
+    ], ids=["fig3", "fig4"])
+    def test_unit_shape_is_bit_for_bit_the_exponential_form(self, fig_params):
+        # the figure command's grid and laws: build_ratio(c, a, P) on h in (0, 20]
+        h = np.linspace(20.0 / 2000, 20.0, 2000)
+        h = np.concatenate([[0.0], h])
+        for a, c, power in fig_params:
+            law = build_ratio(c, a, power)
+            assert law == RatioExpExp(c, a, power, num_shape=1.0)
+            for got, want in zip((law.ccdf(h), law.cdf(h), law.pdf(h)),
+                                 _exp_exp_reference(c, a, power, h)):
+                assert np.array_equal(got, want)
+
+    def test_no_interference_is_the_nakagami_gain(self):
+        z = np.geomspace(1e-6, 60.0, 50)
+        law, nak = RatioExpExp(4.0, 0.3, 0.0, num_shape=2.5), NakagamiGain(2.5, 4.0)
+        assert np.array_equal(law.ccdf(z), nak.ccdf(z))
+        assert np.max(np.abs(law.pdf(z) - nak.pdf(z))) <= 1e-15
+
+    def test_boundaries(self):
+        law = RatioExpExp(4.0, 0.3, 1.0, num_shape=2.5)
+        assert law.ccdf(0.0) == 1.0 and law.cdf(0.0) == 0.0 and law.pdf(0.0) == 0.0
+        assert law.ccdf(np.inf) == 0.0 and law.cdf(np.inf) == 1.0 and law.pdf(np.inf) == 0.0
+        assert law.ccdf(-1.0) == 1.0 and law.cdf(-1.0) == 0.0 and law.pdf(-1.0) == 0.0
+        assert RatioExpExp(4.0, 0.3, 1.0, num_shape=0.5).pdf(0.0) == math.inf
+
+    def test_quantile_is_the_least_crossing_double(self):
+        law = RatioExpExp(4.0, 0.3, 1.0, num_shape=2.5)
+        u = np.array([1e-12, 0.1, 0.5, 0.9, 1.0 - 1e-9])
+        q = law.quantile(u)
+        assert np.all(law.cdf(q) >= u)
+        assert np.all(law.cdf(np.nextafter(q, 0.0)) < u)
+
+    def test_shape_bounds(self):
+        assert RatioExpExp(1.0, 1.0, 1.0, num_shape=128.0).ccdf(1.0) > 0.0
+        for bad in (0.0, -1.0, math.nan, 128.5):
+            with pytest.raises(ValueError, match="num_shape"):
+                RatioExpExp(1.0, 1.0, 1.0, num_shape=bad)
+
+
 class TestEmpirical:
     def test_step_cdf_and_order_statistic_quantile(self):
         d = Empirical(values=(1.0, 2.0, 2.0, 5.0))
@@ -283,6 +408,8 @@ class TestSpecRoundTrip:
             {"family": "bernoulli", "q": 0.7},
             {"family": "point_mass", "value": 1.0},
             {"family": "ratio_exp_exp", "num_mean": 1.0, "den_mean": 0.1, "power": 1.0},
+            {"family": "ratio_exp_exp", "num_mean": 1.0, "den_mean": 0.1, "power": 1.0,
+             "num_shape": 2.5},
         ],
         ids=lambda s: s["family"],
     )

@@ -288,12 +288,13 @@ class TestExactOrder:
                  BernoulliGain(0.5), PointMass(0.7), Empirical.from_samples([0.2, 0.9, 1.4]))
         report = classify_bc(BCScenario(gains, power=1.0))
         assert not report.verdict
-        # a step law against a law mixing an atom at 0 and a density (a
-        # RatioLaw has no mean, which classify_bc sorts by, so checked directly)
+        # a step law against a law mixing an atom at 0 and a density
         mixed = RatioLaw(BernoulliGain(0.5), Exponential(1.0), 1.0)
         v = check_usual_order(BernoulliGain(0.5), mixed)
         assert v.relation is Relation.SECOND_LEQ and v.witnesses_first_gt == (1.0,)
         assert check_usual_order(mixed, BernoulliGain(0.5)) == v.mirrored()
+        report = classify_bc(BCScenario((BernoulliGain(0.5), mixed), power=1.0))
+        assert report.verdict and report.permutation == (2, 1)
         assert calls == []
         # the counters see a pair that still needs the grid
         classify_bc(BCScenario((Exponential(1.0), RatioExpExp(1.0, 1.0, 1.0)), power=1.0))

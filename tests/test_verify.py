@@ -1,10 +1,14 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gainorder import Exponential, NakagamiGain, PointMass
+import gainorder.verify as verify
+from gainorder import BernoulliGain, Exponential, NakagamiGain, PointMass
 from gainorder.classifier import ICScenario
+from gainorder.cli import main
+from gainorder.coupling import copula_joint_cdf, maximal_coupling_samples
 from gainorder.verify import (
     ks_statistic,
     mc_ergodic_rate,
@@ -13,6 +17,8 @@ from gainorder.verify import (
     verify_same_marginals,
     verify_strong_ic_independence,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def exp_ic():
@@ -134,7 +140,63 @@ class TestCopulaEquivalence:
                                          n=50_000, seed=3).passed
 
 
+def _loop_statistic(d1, d2, n, seed, independent_control):
+    """The copula statistic as a 20 x 20 loop over the joint masks."""
+    rng = verify._rng(seed, "copula_equivalence")
+    u1 = verify._open_uniform(rng, n)
+    u2 = verify._open_uniform(rng, n) if independent_control else u1
+    h1, h2 = np.asarray(d1.sample(u1)), np.asarray(d2.sample(u2))
+    levels = np.arange(1, 21) / 21.0
+    worst = 0.0
+    for x in np.asarray(d1.quantile(levels)):
+        for y in np.asarray(d2.quantile(levels)):
+            emp = np.mean((h1 <= x) & (h2 <= y))
+            worst = max(worst, abs(emp - float(copula_joint_cdf(d1, d2, x, y))))
+    return worst
+
+
+class TestCopulaCount:
+    @pytest.mark.parametrize("d1, d2", [
+        (Exponential(1.0), Exponential(2.0)),
+        (NakagamiGain(0.7, 1.0), Exponential(3.0)),
+        (BernoulliGain(0.3), BernoulliGain(0.7)),   # tied quantiles and tied draws
+        (PointMass(1.0), Exponential(1.0)),
+    ])
+    @pytest.mark.parametrize("independent", [False, True])
+    def test_same_double_as_the_mask_loop(self, d1, d2, independent):
+        report = verify_copula_equivalence(d1, d2, n=10_000, seed=4,
+                                           independent_control=independent)
+        assert report.statistic == _loop_statistic(d1, d2, 10_000, 4, independent)
+
+
 class TestSuite:
+    def test_report_is_byte_identical_to_the_recorded_one(self, tmp_path):
+        # recorded before the suite shared its maximal-coupling draws
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--seed", "11", "-n", "10000", "--include-negative-controls",
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "verify_seed11_n10000_controls.json").read_bytes()
+
+    def test_maximal_coupling_drawn_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(maximal_coupling_samples(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(verify, "maximal_coupling_samples", counted)
+        reports = run_verification_suite(seed=3, n=10_000, include_negative_controls=True)
+        assert len(calls) == 1
+        positive = [r for r in reports if r.name.startswith("same_marginals[maximal].")]
+        corrupted = [r for r in reports if r.name.startswith("same_marginals[maximal-corrupted]")]
+        assert all(r.passed for r in positive) and not any(r.passed for r in corrupted)
+        assert positive == list(verify_same_marginals("maximal", Exponential(1.0),
+                                                      Exponential(2.0), n=10_000, seed=3))
+        # the corrupted control swapped copies, not the shared draws
+        fresh = verify._maximal_draws(verify.maximal_coupling_spec(Exponential(1.0),
+                                                                   Exponential(2.0)), 10_000, 3)
+        assert all(np.array_equal(a, b) for a, b in zip(calls[0], fresh))
+
     def test_positive_suite_passes_and_negatives_fail_across_seeds(self):
         # flakiness budget: at most one positive-control failure at the 1% level
         positive_failures = 0
