@@ -199,8 +199,10 @@ class MaximalCouplingSpec:
         j = np.clip(np.searchsorted(fm.prefix, level, side="right") - 1, 0, fm.lo.size - 1)
         est = np.empty_like(u)
         for k, on in ((0, fm.first[j]), (1, ~fm.first[j])):
-            t = level[on] - fm.prefix[j[on]] + fm.cdf_lo[k, j[on]]
-            est[on] = fm.dists[k]._quantile_estimate(np.clip(t, 0.0, 1.0))
+            d = fm.dists[k]
+            t = np.clip(level[on] - fm.prefix[j[on]] + fm.cdf_lo[k, j[on]], 0.0, 1.0)
+            e = d._quantile_estimate(t)
+            est[on] = d.quantile(t) if e is None else e
         est = np.clip(est, fm.lo[j], fm.hi[j])
         return _invert_cdf(self.shared_cdf, u, est).reshape(shape)
 

@@ -34,17 +34,33 @@ __all__ = [
 _TAIL_EPS = 1e-9  # default truncation mass for grids and order checks
 
 
-def _as_float_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr
-
-
-def _scalar_or_array(out: np.ndarray):
-    return out if out.ndim else float(out)
+def _evaluate(kernel: Callable, x, below: float):
+    """kernel on the flat abscissae, clipped to x >= 0, and `below` where x < 0
+    or x is NaN; a float for a scalar x, else an array of x's shape."""
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    out = np.where(flat >= 0.0, kernel(np.maximum(flat, 0.0)), below)
+    return out.reshape(x.shape) if x.ndim else float(out[0])
 
 
 class GainDistribution:
-    """Base class for nonnegative-support scalar gain distributions."""
+    """Base class for nonnegative-support scalar gain distributions.
+
+    A family states only its formulas, as kernels on a flat float array of
+    abscissae x >= 0, +inf included: _cdf, _ccdf (1 - _cdf unless given) and,
+    for a law with a density, _pdf.  This class owns the rest of the
+    evaluation contract:
+    - any array-like argument, the result in its shape, a float for a scalar;
+    - below the support, x < 0 or NaN: cdf 0, ccdf and ccdf_left 1, pdf 0;
+    - pdf raises ValueError for a law without a density (continuous False);
+    - quantile, the generalized inverse inf{x : cdf(x) >= u} for u in [0, 1]:
+      for a step law the least atom whose float cdf reaches u (the largest
+      atom if none does), for any other law the exact inversion _invert_cdf
+      of its float cdf, seeded by the family's _quantile_estimate where it
+      has one (Exponential's _inverse is its closed form instead);
+    - sample, the quantile of uniform variates in (0, 1);
+    - tail_quantile, the largest atom of a step law.
+    """
 
     #: families with a density set this to True
     continuous: bool = True
@@ -52,44 +68,60 @@ class GainDistribution:
     # -- evaluation ---------------------------------------------------------
 
     def pdf(self, x):
-        raise NotImplementedError
+        """Density f(x); ValueError for a law without one."""
+        if not self.continuous:
+            raise ValueError(f"{type(self).__name__} has no density")
+        return _evaluate(self._pdf, x, 0.0)
 
     def cdf(self, x):
-        raise NotImplementedError
+        """CDF Pr(X <= x)."""
+        return _evaluate(self._cdf, x, 0.0)
 
     def ccdf(self, x):
         """Complementary CDF Pr(X > x), right-continuous."""
-        out = 1.0 - _as_float_array(self.cdf(x))
-        return _scalar_or_array(np.asarray(out))
+        return _evaluate(self._ccdf, x, 1.0)
 
     def ccdf_left(self, x):
         """Left limit Pr(X >= x) = ccdf(x) + Pr(X = x)."""
-        if self.continuous:
-            return self.ccdf(x)
-        x_arr = _as_float_array(x)
-        values, masses = self.atoms()
-        point = np.zeros_like(x_arr)
-        for v, m in zip(values, masses):
-            point = point + np.where(x_arr == v, m, 0.0)
-        out = _as_float_array(self.ccdf(x_arr)) + point
-        return _scalar_or_array(np.asarray(out))
+        return _evaluate(self._ccdf_left, x, 1.0)
+
+    def _ccdf(self, x):
+        return 1.0 - self._cdf(x)
+
+    def _ccdf_left(self, x):
+        out = self._ccdf(x)
+        if not self.continuous:
+            for v, m in zip(*self.atoms()):
+                out = out + np.where(x == v, m, 0.0)
+        return out
 
     def quantile(self, u):
         """Generalized inverse inf{x : cdf(x) >= u} for u in [0, 1]."""
-        raise NotImplementedError
+        u = np.asarray(u, dtype=float)
+        if not np.all((u >= 0.0) & (u <= 1.0)):
+            raise ValueError("quantile argument must lie in [0, 1]")
+        flat = u.reshape(-1)
+        atoms = step_atoms(self)
+        if atoms is None:
+            out = self._inverse(flat)
+        else:
+            xs = np.asarray(atoms[0], dtype=float)
+            out = xs[np.minimum(np.searchsorted(self.cdf(xs), flat, side="left"), xs.size - 1)]
+        return out.reshape(u.shape) if u.ndim else float(out[0])
 
-    def _quantile_estimate(self, u):
-        """A cheap approximation of quantile(u), good enough to seed _invert_cdf.
+    def _inverse(self, u: np.ndarray) -> np.ndarray:
+        """quantile of a flat array of levels of a law that is not a step law."""
+        return _invert_cdf(self.cdf, u, self._quantile_estimate(u))
 
-        Families whose exact quantile refines a closed-form estimate return
-        that estimate; the others return the quantile itself.
-        """
-        return self.quantile(u)
+    def _quantile_estimate(self, u: np.ndarray) -> np.ndarray | None:
+        """A cheap approximation of quantile(u) to seed _invert_cdf, or None
+        where the family has none."""
+        return None
 
     def sample(self, u):
         """Inverse-transform sample from a uniform variate in (0, 1)."""
-        u_arr = _as_float_array(u)
-        if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
+        u = np.asarray(u, dtype=float)
+        if np.any(u <= 0.0) or np.any(u >= 1.0):
             raise ValueError("sampling variates must lie strictly inside (0, 1)")
         return self.quantile(u)
 
@@ -107,7 +139,11 @@ class GainDistribution:
         raise NotImplementedError
 
     def tail_quantile(self, tail: float = _TAIL_EPS) -> float:
-        """Upper truncation point carrying all but `tail` of the mass."""
+        """Upper truncation point carrying all but `tail` of the mass; the
+        largest atom of a step law."""
+        atoms = step_atoms(self)
+        if atoms is not None:
+            return float(atoms[0][-1])
         q = self.quantile(1.0 - tail)
         if not math.isfinite(q):
             raise ValueError("tail quantile is not finite")
@@ -136,27 +172,24 @@ class Exponential(GainDistribution):
     def __post_init__(self):
         _check_positive("mean_gain", self.mean_gain)
 
-    def pdf(self, x):
-        x_arr = _as_float_array(x)
-        out = np.where(x_arr >= 0.0, np.exp(-x_arr / self.mean_gain) / self.mean_gain, 0.0)
-        return _scalar_or_array(out)
+    # x / -mean is the double -x / mean, one array pass fewer
 
-    def cdf(self, x):
-        x_arr = _as_float_array(x)
-        out = np.where(x_arr >= 0.0, -np.expm1(-x_arr / self.mean_gain), 0.0)
-        return _scalar_or_array(out)
+    def _pdf(self, x):
+        return np.exp(x / -self.mean_gain) / self.mean_gain
 
-    def ccdf(self, x):
-        x_arr = _as_float_array(x)
-        out = np.where(x_arr >= 0.0, np.exp(-x_arr / self.mean_gain), 1.0)
-        return _scalar_or_array(out)
+    def _cdf(self, x):
+        return -np.expm1(x / -self.mean_gain)
 
-    def quantile(self, u):
-        u_arr = _as_float_array(u)
-        _check_u(u_arr)
+    def _ccdf(self, x):
+        return np.exp(x / -self.mean_gain)
+
+    def _quantile_estimate(self, u):
         with np.errstate(divide="ignore"):
-            out = -self.mean_gain * np.log1p(-u_arr)
-        return _scalar_or_array(out)
+            return -self.mean_gain * np.log1p(-u)
+
+    # the closed form is the quantile, though not always the least double
+    # whose float cdf reaches u
+    _inverse = _quantile_estimate
 
     @property
     def support(self) -> tuple[float, float]:
@@ -235,45 +268,25 @@ class NakagamiGain(GainDistribution):
         _check_positive("m", self.m)
         _check_positive("w", self.w)
 
-    def pdf(self, x):
-        x_arr = _as_float_array(x)
-        rate = self.m / self.w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logpdf = (
-                self.m * math.log(rate)
-                - math.lgamma(self.m)
-                + (self.m - 1.0) * np.log(x_arr)
-                - rate * x_arr
-            )
-            out = np.where(x_arr > 0.0, np.exp(logpdf), 0.0)
-        # boundary limit: x^(m-1) diverges for m < 1, hits the rate for m = 1
-        if self.m == 1.0:
-            out = np.where(x_arr == 0.0, rate, out)
-        elif self.m < 1.0:
-            out = np.where(x_arr == 0.0, np.inf, out)
-        return _scalar_or_array(out)
+    def _pdf(self, x):
+        m, rate = self.m, self.m / self.w
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = np.exp(m * math.log(rate) - math.lgamma(m) + (m - 1.0) * np.log(x) - rate * x)
+        # at x = 0 the formula gives the limit itself (0 for m > 1, inf for
+        # m < 1) except at m = 1, where it reads 0 * log 0; at x = inf it reads
+        # inf - inf for m >= 1
+        if m == 1.0:
+            out = np.where(x > 0.0, out, rate)
+        return np.where(x < math.inf, out, 0.0)
 
-    def cdf(self, x):
+    def _cdf(self, x):
         from scipy.special import gammainc
 
-        x_arr = _as_float_array(x)
-        clipped = np.maximum(x_arr, 0.0)
-        out = np.where(x_arr >= 0.0, gammainc(self.m, self.m * clipped / self.w), 0.0)
-        return _scalar_or_array(out)
+        return gammainc(self.m, self.m * x / self.w)
 
-    def ccdf(self, x):
+    def _ccdf(self, x):
         # the upper tail directly: 1 - gammainc has no relative precision there
-        x_arr = _as_float_array(x)
-        clipped = np.maximum(x_arr, 0.0)
-        out = np.where(x_arr >= 0.0, _gammaincc(self.m, self.m * clipped / self.w), 1.0)
-        return _scalar_or_array(out)
-
-    def quantile(self, u):
-        u_arr = _as_float_array(u)
-        _check_u(u_arr)
-        u_flat = np.atleast_1d(u_arr)
-        out = self._quantile_estimate(u_flat)
-        return _scalar_or_array(_invert_cdf(self.cdf, u_flat, out).reshape(u_arr.shape))
+        return _gammaincc(self.m, self.m * x / self.w)
 
     def _quantile_estimate(self, u):
         from scipy.special import gammaincinv
@@ -304,23 +317,8 @@ class BernoulliGain(GainDistribution):
         if not (isinstance(self.q, (int, float)) and 0.0 <= self.q <= 1.0):
             raise ValueError(f"success probability must lie in [0, 1], got {self.q!r}")
 
-    def pdf(self, x):
-        raise ValueError("BernoulliGain has no density")
-
-    def cdf(self, x):
-        x_arr = _as_float_array(x)
-        out = np.where(x_arr >= 1.0, 1.0, np.where(x_arr >= 0.0, 1.0 - self.q, 0.0))
-        return _scalar_or_array(out)
-
-    def quantile(self, u):
-        u_arr = _as_float_array(u)
-        _check_u(u_arr)
-        lo, _ = self.support
-        out = np.where(u_arr <= 1.0 - self.q, 0.0, 1.0)
-        out = np.where(u_arr == 0.0, lo, out)
-        if self.q == 0.0:
-            out = np.zeros_like(u_arr)
-        return _scalar_or_array(out)
+    def _cdf(self, x):
+        return np.where(x >= 1.0, 1.0, 1.0 - self.q)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -338,9 +336,6 @@ class BernoulliGain(GainDistribution):
     def mean(self) -> float:
         return self.q
 
-    def tail_quantile(self, tail: float = _TAIL_EPS) -> float:
-        return self.support[1]
-
     def to_spec(self) -> dict:
         return {"family": "bernoulli", "q": self.q}
 
@@ -355,18 +350,8 @@ class PointMass(GainDistribution):
     def __post_init__(self):
         _check_nonnegative("value", self.value)
 
-    def pdf(self, x):
-        raise ValueError("PointMass has no density")
-
-    def cdf(self, x):
-        x_arr = _as_float_array(x)
-        out = np.where(x_arr >= self.value, 1.0, 0.0)
-        return _scalar_or_array(out)
-
-    def quantile(self, u):
-        u_arr = _as_float_array(u)
-        _check_u(u_arr)
-        return _scalar_or_array(np.full_like(u_arr, self.value))
+    def _cdf(self, x):
+        return np.where(x >= self.value, 1.0, 0.0)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -376,9 +361,6 @@ class PointMass(GainDistribution):
         return np.array([self.value]), np.array([1.0])
 
     def mean(self) -> float:
-        return self.value
-
-    def tail_quantile(self, tail: float = _TAIL_EPS) -> float:
         return self.value
 
     def to_spec(self) -> dict:
@@ -440,9 +422,9 @@ class RatioExpExp(GainDistribution):
             raise ValueError(f"num_shape must be at most {MAX_RATIO_SHAPE:g}, "
                              f"got {self.num_shape!r}")
 
-    def _t(self, x_arr: np.ndarray) -> np.ndarray:
-        """t = a z on the flattened clipped abscissae."""
-        return np.maximum(x_arr, 0.0).reshape(-1) * (self.num_shape / self.num_mean)
+    def _t(self, x: np.ndarray) -> np.ndarray:
+        """t = a z."""
+        return x * (self.num_shape / self.num_mean)
 
     @property
     def _c(self) -> float:
@@ -468,66 +450,52 @@ class RatioExpExp(GainDistribution):
             out[far] = np.exp(m * np.log(tf) - tf - math.lgamma(m)) * hyperu(1.0, m + 1.0, y[far])
         return out
 
-    def ccdf(self, x):
-        x_arr = _as_float_array(x)
+    def _ccdf(self, x):
         if self.num_shape != 1.0:
-            t = self._t(x_arr)
-            out = (_gammaincc(self.num_shape, t) - self._interference(t)).reshape(x_arr.shape)
-            return _scalar_or_array(np.where(x_arr >= 0.0, out, 1.0))
-        scale = 1.0 + x_arr * self.power * self.den_mean / self.num_mean
-        out = np.where(x_arr >= 0.0, np.exp(-x_arr / self.num_mean) / scale, 1.0)
-        return _scalar_or_array(out)
+            t = self._t(x)
+            return _gammaincc(self.num_shape, t) - self._interference(t)
+        out = np.exp(-x / self.num_mean)
+        if self.power == 0.0:  # Z = X, where x P would be inf * 0 at x = inf
+            return out
+        with np.errstate(over="ignore"):
+            return out / (1.0 + x * self.power * self.den_mean / self.num_mean)
 
-    def cdf(self, x):
-        x_arr = _as_float_array(x)
+    def _cdf(self, x):
         if self.num_shape != 1.0:
             from scipy.special import gammainc
 
-            t = self._t(x_arr)
-            out = (gammainc(self.num_shape, t) + self._interference(t)).reshape(x_arr.shape)
-            return _scalar_or_array(np.where(x_arr >= 0.0, out, 0.0))
+            t = self._t(x)
+            return gammainc(self.num_shape, t) + self._interference(t)
         # (k t - expm1(-t)) / (1 + k t), k = P s_d, keeps full relative
         # precision for small t, where 1 - ccdf would round to 0 below u ~ 1e-16
-        t = np.maximum(x_arr, 0.0) / self.num_mean
+        t = x / self.num_mean
         with np.errstate(over="ignore", invalid="ignore"):
             ct = self.power * self.den_mean * t
             out = (ct - np.expm1(-t)) / (1.0 + ct)
         # k t is inf (or 0 * inf) only where the cdf is 1
-        out = np.where(x_arr >= 0.0, np.where(np.isfinite(ct), out, 1.0), 0.0)
-        return _scalar_or_array(out)
+        return np.where(np.isfinite(ct), out, 1.0)
 
-    def pdf(self, x):
-        x_arr = _as_float_array(x)
-        if self.num_shape != 1.0:
-            return _scalar_or_array(self._gamma_pdf(x_arr))
-        a = self.power * self.den_mean
-        denom = self.num_mean + x_arr * a
-        out = np.exp(-x_arr / self.num_mean) * (1.0 / denom + self.num_mean * a / denom**2)
-        out = np.where(x_arr >= 0.0, out, 0.0)
-        return _scalar_or_array(out)
-
-    def _gamma_pdf(self, x_arr: np.ndarray) -> np.ndarray:
+    def _pdf(self, x):
         m, c = self.num_shape, self._c
-        t = self._t(x_arr)
+        if m == 1.0:
+            a = self.power * self.den_mean
+            out = np.exp(-x / self.num_mean)
+            if a == 0.0:  # Z = X, where x a would be inf * 0 at x = inf
+                return out * (1.0 / self.num_mean)
+            denom = self.num_mean + x * a
+            with np.errstate(over="ignore"):  # huge x: denom**2 is inf, its term 0
+                return out * (1.0 / denom + self.num_mean * a / denom**2)
+        t = self._t(x)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             share = 1.0 if math.isinf(c) else c / (t + c)
             g = np.exp((m - 1.0) * np.log(t) - t - math.lgamma(m))  # the Gamma(m, 1) density
             out = (m / self.num_mean) * share * (g + m * self._interference(t) / t)
         # the limit at z = 0 is that of g: 0 for m > 1, inf for m < 1
-        out = np.where(t > 0.0, np.where(t < math.inf, out, 0.0), 0.0 if m > 1.0 else math.inf)
-        return np.where(x_arr >= 0.0, out.reshape(x_arr.shape), 0.0)
-
-    def quantile(self, u):
-        u_arr = _as_float_array(u)
-        _check_u(u_arr)
-        u_flat = np.atleast_1d(u_arr)
-        # m != 1 has no closed-form estimate: the inversion bisects all doubles
-        out = self._quantile_estimate(u_flat) if self.num_shape == 1.0 else None
-        return _scalar_or_array(_invert_cdf(self.cdf, u_flat, out).reshape(u_arr.shape))
+        return np.where(t > 0.0, np.where(t < math.inf, out, 0.0), 0.0 if m > 1.0 else math.inf)
 
     def _quantile_estimate(self, u):
         if self.num_shape != 1.0:
-            return self.quantile(u)
+            return None  # no closed form: the inversion bisects all doubles
         # at m = 1 the closed form t = omega(1/k - ln k - ln(1 - u)) - 1/k, k = P s_d,
         # through the Wright omega function, h = s_n t; it loses digits to
         # cancellation, so it only seeds the exact inversion
@@ -587,6 +555,8 @@ def step_atoms(d: GainDistribution) -> tuple[np.ndarray, np.ndarray] | None:
     """(values, masses) of the atoms of a step law, whose atoms carry all of
     its mass (to 1e-9), so that its cdf is constant between them; None for a
     law with a continuous part."""
+    if d.continuous:
+        return None
     values, masses = d.atoms()
     return (values, masses) if masses.sum() >= 1.0 - 1e-9 else None
 
@@ -648,31 +618,35 @@ class RatioLaw(GainDistribution):
     def continuous(self) -> bool:
         return self.numerator.continuous
 
-    def ccdf(self, x):
-        x_arr = _as_float_array(x)
-        z = np.maximum(x_arr, 0.0).reshape(-1, 1)
-        on_numerator, nodes, weights = self._rule
+    def _conditioned(self, kernel: Callable, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """kernel(z) @ weights for each z in x, kernel(z) one value per node,
+        in blocks of rows."""
+        z = x.reshape(-1, 1)
         out = np.empty(z.shape[0])
-        step = max(1, _BLOCK // max(nodes.size, 1))
+        step = max(1, _BLOCK // max(weights.size, 1))
         for i in range(0, out.size, step):
-            zb = z[i:i + step]
-            if on_numerator:
-                # z = 0 and subnormal z send the argument to +inf, where cdf is 1
-                with np.errstate(divide="ignore", over="ignore"):
-                    kernel = self.denominator.cdf((nodes / zb - 1.0) / self.power)
-            else:
-                kernel = self.numerator.ccdf(zb * nodes)
-            out[i:i + step] = np.asarray(kernel) @ weights
-        out = np.where(x_arr >= 0.0, out.reshape(x_arr.shape), 1.0)
-        return _scalar_or_array(out)
+            out[i:i + step] = np.asarray(kernel(z[i:i + step])) @ weights
+        return out
 
-    def cdf(self, x):
-        return _scalar_or_array(1.0 - _as_float_array(self.ccdf(x)))
+    def _ccdf(self, x):
+        on_numerator, nodes, weights = self._rule
+        if not on_numerator:
+            return self._conditioned(lambda z: self.numerator.ccdf(z * nodes), x, weights)
 
-    def quantile(self, u):
-        u_arr = _as_float_array(u)
-        _check_u(u_arr)
-        return _scalar_or_array(_invert_cdf(self.cdf, np.atleast_1d(u_arr)).reshape(u_arr.shape))
+        def kernel(z):
+            # z = 0 and subnormal z send the argument to +inf, where cdf is 1
+            with np.errstate(divide="ignore", over="ignore"):
+                return self.denominator.cdf((nodes / z - 1.0) / self.power)
+        return self._conditioned(kernel, x, weights)
+
+    def _cdf(self, x):
+        return 1.0 - self._ccdf(x)
+
+    def _pdf(self, x):
+        # f_Z(z) = E_D[(1 + P D) f_N(z (1 + P D))], the derivative of the ccdf's
+        # rule; a law conditioned on a discrete N has no density
+        _, nodes, weights = self._rule
+        return self._conditioned(lambda z: self.numerator.pdf(z * nodes), x, weights * nodes)
 
     def mean(self) -> float:
         # N and D are independent, so E[Z] = E[N] E[1 / (1 + P D)]
@@ -717,43 +691,26 @@ class Empirical(GainDistribution):
     def _arr(self) -> np.ndarray:
         return np.asarray(self.values)
 
-    def pdf(self, x):
-        raise ValueError("Empirical has no density")
-
-    def cdf(self, x):
-        x_arr = _as_float_array(x)
+    def _cdf(self, x):
         vals = self._arr()
-        out = np.searchsorted(vals, x_arr, side="right") / vals.size
-        return _scalar_or_array(np.asarray(out, dtype=float))
+        return np.searchsorted(vals, x, side="right") / vals.size
 
-    def ccdf_left(self, x):
-        x_arr = _as_float_array(x)
+    def _ccdf_left(self, x):
         vals = self._arr()
-        out = 1.0 - np.searchsorted(vals, x_arr, side="left") / vals.size
-        return _scalar_or_array(np.asarray(out, dtype=float))
-
-    def quantile(self, u):
-        u_arr = _as_float_array(u)
-        _check_u(u_arr)
-        vals = self._arr()
-        n = vals.size
-        idx = np.maximum(np.ceil(u_arr * n).astype(int), 1) - 1
-        out = vals[np.minimum(idx, n - 1)]
-        return _scalar_or_array(np.asarray(out, dtype=float))
+        return 1.0 - np.searchsorted(vals, x, side="left") / vals.size
 
     @property
     def support(self) -> tuple[float, float]:
         return (self.values[0], self.values[-1])
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
-        vals, counts = np.unique(self._arr(), return_counts=True)
-        return vals, counts / self._arr().size
+        # the values are sorted, so each atom is a run of equal values
+        vals = self._arr()
+        first = np.flatnonzero(np.concatenate([[True], vals[1:] != vals[:-1]]))
+        return vals[first], np.diff(np.append(first, vals.size)) / vals.size
 
     def mean(self) -> float:
         return float(np.mean(self._arr()))
-
-    def tail_quantile(self, tail: float = _TAIL_EPS) -> float:
-        return self.values[-1]
 
     def to_spec(self) -> dict:
         return {"family": "empirical", "values": list(self.values)}
@@ -834,11 +791,6 @@ def distribution_from_spec(spec: dict) -> GainDistribution:
     if not isinstance(family, str) or family not in _FAMILIES:
         raise ValueError(f"unknown distribution family '{family}'")
     return _FAMILIES[family](spec)
-
-
-def _check_u(u_arr: np.ndarray) -> None:
-    if np.any(u_arr < 0.0) or np.any(u_arr > 1.0) or np.any(~np.isfinite(u_arr)):
-        raise ValueError("quantile argument must lie in [0, 1]")
 
 
 _INF_BITS = int(np.float64(np.inf).view(np.int64))

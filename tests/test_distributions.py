@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -138,6 +139,112 @@ class TestQuantile:
         approach = d.quantile(np.array([u - 1e-9, u - 1e-12, u]))
         assert approach[0] <= approach[1] <= approach[2] + 1e-12
         assert abs(approach[0] - approach[2]) < 1e-6
+
+
+CONTRACT_LAWS = [
+    Exponential(2.0),
+    NakagamiGain(2.5, 1.0),
+    NakagamiGain(1.0, 2.0),
+    NakagamiGain(0.6, 1.0),
+    BernoulliGain(0.3),
+    BernoulliGain(0.0),
+    BernoulliGain(1.0),
+    PointMass(1.5),
+    RatioExpExp(1.0, 0.1, 10.0),
+    RatioExpExp(1.7, 0.4, 0.0),
+    RatioExpExp(2.0, 0.5, 1.0, num_shape=2.5),
+    RatioExpExp(2.0, 0.5, 0.0, num_shape=0.75),
+    # conditioned on the denominator's rule, on a discrete numerator, and a step law
+    RatioLaw(Exponential(1.0), NakagamiGain(2.0, 1.0), 1.0),
+    RatioLaw(BernoulliGain(0.5), Exponential(1.0), 1.0),
+    RatioLaw(BernoulliGain(0.5), PointMass(1.0), 1.0),
+    Empirical((1.0, 2.0, 2.0, 5.0)),
+]
+BELOW_SUPPORT = [-math.inf, -1e300, -1.0, math.nan]
+FAR_ABOVE = [1e300, math.inf]
+
+
+STEP_LAWS = st.one_of(
+    st.builds(BernoulliGain, st.floats(0.0, 1.0)),
+    st.builds(PointMass, st.floats(0.0, 10.0)),
+    st.lists(st.integers(0, 12), min_size=1, max_size=60).map(
+        lambda v: Empirical.from_samples([k / 4.0 for k in v])),
+    st.builds(RatioLaw, st.builds(BernoulliGain, st.floats(0.0, 1.0)),
+              st.builds(BernoulliGain, st.floats(0.0, 1.0)), st.floats(0.1, 10.0)),
+)
+
+
+@st.composite
+def step_law_and_level(draw):
+    d = draw(STEP_LAWS)
+    xs, _ = d.atoms()
+    # a level anywhere, or exactly the float cdf at an atom
+    u = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([float(d.cdf(a)) for a in xs])))
+    return d, u
+
+
+class TestEvaluationContract:
+    """What GainDistribution gives every family: the support convention, shapes
+    and the generalized inverse."""
+
+    @pytest.mark.parametrize("d", CONTRACT_LAWS, ids=repr)
+    def test_edge_abscissae(self, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in BELOW_SUPPORT:
+                assert (d.cdf(x), d.ccdf(x), d.ccdf_left(x)) == (0.0, 1.0, 1.0), x
+            assert ((d.cdf(-0.0), d.ccdf(-0.0), d.ccdf_left(-0.0))
+                    == (d.cdf(0.0), d.ccdf(0.0), d.ccdf_left(0.0)))
+            for x in FAR_ABOVE:
+                assert (d.cdf(x), d.ccdf(x), d.ccdf_left(x)) == (1.0, 0.0, 0.0), x
+            if d.continuous:
+                assert [d.pdf(x) for x in BELOW_SUPPORT + FAR_ABOVE] == [0.0] * 6
+                assert d.pdf(-0.0) == d.pdf(0.0)
+            else:
+                with pytest.raises(ValueError, match="has no density"):
+                    d.pdf(1.0)
+
+    @pytest.mark.parametrize("d", CONTRACT_LAWS, ids=repr)
+    def test_shapes(self, d):
+        x = np.array([[-1.0, 0.0, 0.5], [1.0, 2.0, math.inf]])
+        u = np.array([[0.0, 0.1, 0.5], [0.7, 0.99, 1.0]])
+        calls = [(d.cdf, x), (d.ccdf, x), (d.ccdf_left, x), (d.quantile, u), (d.sample, u[:, 1:2])]
+        if d.continuous:
+            calls.append((d.pdf, x))
+        for f, arg in calls:
+            scalars = [f(v) for v in arg.ravel()]
+            assert all(type(v) is float for v in scalars), f
+            for shaped in (arg.ravel(), arg):
+                out = f(shaped)
+                assert isinstance(out, np.ndarray) and out.shape == shaped.shape, f
+                # a RatioLaw sums its rule by a matrix product, whose rounding
+                # can depend on the number of rows
+                np.testing.assert_allclose(out.ravel(), scalars, rtol=1e-13, atol=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(step_law_and_level())
+    def test_step_law_quantile_is_the_least_atom_reaching_u(self, law_and_level):
+        d, u = law_and_level
+        xs, _ = d.atoms()
+        reaching = [a for a in xs if d.cdf(a) >= u]
+        assert d.quantile(u) == (min(reaching) if reaching else max(xs))
+
+    def test_empirical_quantile_at_its_own_levels(self):
+        # cdf(7) is the double 7/25 = 0.28, and ceil(0.28 * 25) = 8
+        d = Empirical(tuple(float(k) for k in range(1, 26)))
+        assert d.cdf(7.0) == 0.28 and d.quantile(0.28) == 7.0
+        for n in range(1, 60):
+            d = Empirical(tuple(float(k) for k in range(1, n + 1)))
+            levels = np.arange(1, n + 1) / n
+            assert np.array_equal(d.quantile(levels), np.arange(1.0, n + 1.0)), n
+
+    def test_step_ratio_law_quantile_one_is_its_largest_atom(self):
+        d = RatioLaw(BernoulliGain(0.5), PointMass(1.0), 1.0)
+        assert d.quantile(1.0) == 0.5 and d.tail_quantile() == 0.5
+
+    def test_empirical_nan_is_below_support(self):
+        d = Empirical((1.0, 2.0))
+        assert (d.cdf(math.nan), d.ccdf(math.nan), d.ccdf_left(math.nan)) == (0.0, 1.0, 1.0)
 
 
 class TestSampling:
@@ -318,6 +425,29 @@ class TestRatioGammaExp:
             for got, want in zip((law.ccdf(h), law.cdf(h), law.pdf(h)),
                                  _exp_exp_reference(c, a, power, h)):
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("power", [0.0, 10.0])
+    def test_unit_shape_keeps_its_bits_at_the_edges(self, power):
+        # a ratio_exp_exp spec may take power 0, where x P is inf * 0 at x = inf
+        law = distribution_from_spec({"family": "ratio_exp_exp", "num_mean": 1.0,
+                                      "den_mean": 0.1, "power": power})
+        h = np.array([0.0, 5e-324, 1e-10, 1.0, 700.0, 1e300])
+        with np.errstate(all="ignore"):
+            want = _exp_exp_reference(1.0, 0.1, power, h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for got, ref in zip((law.ccdf(h), law.cdf(h), law.pdf(h)), want):
+                assert np.array_equal(got, ref)
+            assert (law.ccdf(math.inf), law.cdf(math.inf), law.pdf(math.inf)) == (0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("m", [1.0, 2.5])
+    def test_ratio_law_density_is_the_closed_form(self, m):
+        # RatioLaw's density conditions on the denominator's rule like its ccdf
+        for w, b, power in [(1.0, 0.1, 10.0), (2.0, 0.5, 1.0), (3.0, 2.0, 0.3), (0.5, 3.0, 7.0)]:
+            num = Exponential(w) if m == 1.0 else NakagamiGain(m, w)
+            rule, law = RatioLaw(num, Exponential(b), power), RatioExpExp(w, b, power, num_shape=m)
+            z = w * np.geomspace(1e-6, 60.0, 200)
+            assert np.max(np.abs(rule.pdf(z) / law.pdf(z) - 1.0)) <= 1e-10
 
     def test_no_interference_is_the_nakagami_gain(self):
         z = np.geomspace(1e-6, 60.0, 50)

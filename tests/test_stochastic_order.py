@@ -279,8 +279,8 @@ class TestExactOrder:
                 return original(*args, **kwargs)
             return wrapper
 
-        for klass in (GainDistribution, BernoulliGain, PointMass, Empirical):
-            monkeypatch.setattr(klass, "tail_quantile", counted(klass.__dict__["tail_quantile"]))
+        monkeypatch.setattr(GainDistribution, "tail_quantile",
+                            counted(GainDistribution.tail_quantile))
         monkeypatch.setattr(EvaluationGrid, "for_pair",
                             classmethod(counted(EvaluationGrid.for_pair.__func__)))
         # Exp(1) and Nakagami(2, 1) are incomparable, so every pair is checked
@@ -448,6 +448,18 @@ class TestOverlapAndTotalVariation:
             assert overlap_mass(d1, d2) == pytest.approx(
                 overlap_quadrature_oracle(d1, d2), abs=1e-8
             )
+
+    def test_continuous_ratio_law_has_a_density(self):
+        # Z = N / (1 + D), N ~ Exp(1), D ~ Gamma(2, rate 2): with s = 2 / (2 + z),
+        # f_Z = e^-z s^2 (1 + s) and ccdf_Z = e^-z s^2, so f_Z crosses e^-z once,
+        # where s^3 + s^2 = 1, and the overlap is 1 - e^-z + ccdf_Z there
+        law, exp = RatioLaw(Exponential(1.0), NakagamiGain(2.0, 1.0), 1.0), Exponential(1.0)
+        with mpmath.workdps(40):
+            s = mpmath.findroot(lambda s: s**3 + s**2 - 1, 0.75)
+            z = 2 / s - 2
+            oracle = 1 - mpmath.exp(-z) + mpmath.exp(-z) * s**2
+        assert abs(overlap_mass(law, exp) - float(oracle)) <= 1e-12
+        assert abs(total_variation(exp, law) - float(1 - oracle)) <= 1e-12
 
     def test_identical_distributions(self):
         d = Exponential(1.3)
