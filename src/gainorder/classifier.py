@@ -11,7 +11,6 @@ channel is degraded when the legitimate gain dominates the eavesdropper's.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 from .distributions import (
@@ -19,11 +18,12 @@ from .distributions import (
     Empirical,
     Exponential,
     GainDistribution,
-    NakagamiGain,
     PointMass,
     RatioExpExp,
     RatioLaw,
-    build_ratio,
+    _check_nonnegative,
+    _check_positive,
+    gamma_law,
 )
 from .stochastic_order import OrderVerdict, Relation, check_usual_order
 
@@ -43,11 +43,6 @@ INDEPENDENT = "independent"
 COMONOTONE = "comonotone"
 
 
-def _check_power(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class BCScenario:
     """K-user broadcast channel: one gain distribution per user, total power."""
@@ -58,7 +53,7 @@ class BCScenario:
     def __post_init__(self):
         if len(self.gains) < 2:
             raise ValueError("broadcast scenario needs at least 2 users")
-        _check_power("power", self.power)
+        _check_positive("power", self.power)
 
 
 @dataclass(frozen=True)
@@ -78,9 +73,8 @@ class ICScenario:
     dependence: str = INDEPENDENT
 
     def __post_init__(self):
-        for name, p in (("p1", self.p1), ("p2", self.p2)):
-            if not (isinstance(p, (int, float)) and math.isfinite(p) and p >= 0):
-                raise ValueError(f"{name} must be nonnegative and finite, got {p!r}")
+        _check_nonnegative("p1", self.p1)
+        _check_nonnegative("p2", self.p2)
         if self.dependence not in (INDEPENDENT, COMONOTONE):
             raise ValueError(f"unknown dependence mode {self.dependence!r}")
 
@@ -94,7 +88,7 @@ class WTCScenario:
     power: float
 
     def __post_init__(self):
-        _check_power("power", self.power)
+        _check_positive("power", self.power)
 
 
 @dataclass
@@ -130,6 +124,21 @@ def _confidence(*gains: GainDistribution) -> str:
     """"statistical" when a gain is an Empirical sample, whose order checks
     default to a Kolmogorov-Smirnov tolerance; "analytic" otherwise."""
     return "statistical" if any(isinstance(g, Empirical) for g in gains) else "analytic"
+
+
+def _dominance_report(topology: str, condition: str, checks: list,
+                      gains: tuple) -> ClassificationReport:
+    """The report of a condition that holds when every (name, OrderVerdict)
+    check has its first law below its second; the witnesses are the points
+    where a first law lies above."""
+    return ClassificationReport(
+        topology=topology,
+        verdict=all(verdict.first_leq for _, verdict in checks),
+        condition=condition,
+        order_checks=checks,
+        witnesses=sorted({x for _, verdict in checks for x in verdict.witnesses_first_gt}),
+        confidence=_confidence(*gains),
+    )
 
 
 _BC_REGION_NOTE = (
@@ -211,21 +220,10 @@ def classify_ic_strong(s: ICScenario, tol: float | None = None) -> Classificatio
     to the same receiver, with mutually independent gains."""
     if s.dependence != INDEPENDENT:
         raise ValueError("the strong-interference test requires independent channel gains")
-    check1 = check_usual_order(s.h11, s.h21, tol=tol)
-    check2 = check_usual_order(s.h22, s.h12, tol=tol)
-    verdict = check1.first_leq and check2.first_leq
-    report = ClassificationReport(
-        topology="ic",
-        verdict=verdict,
-        condition="strong_interference",
-        order_checks=[("h11_leq_h21", check1), ("h22_leq_h12", check2)],
-        confidence=_confidence(s.h11, s.h12, s.h21, s.h22),
-    )
-    if not verdict:
-        report.witnesses = sorted(
-            set(check1.witnesses_first_gt) | set(check2.witnesses_first_gt)
-        )
-    return report
+    checks = [("h11_leq_h21", check_usual_order(s.h11, s.h21, tol=tol)),
+              ("h22_leq_h12", check_usual_order(s.h22, s.h12, tol=tol))]
+    return _dominance_report("ic", "strong_interference", checks,
+                             (s.h11, s.h12, s.h21, s.h22))
 
 
 def interference_ratio_distribution(
@@ -240,12 +238,9 @@ def interference_ratio_distribution(
     """
     if power == 0.0 or (isinstance(denominator, PointMass) and denominator.value == 0.0):
         return numerator, True
-    den_mean = _exponential_mean(denominator)
-    if den_mean is not None:
-        if isinstance(numerator, Exponential):
-            return build_ratio(numerator.mean_gain, den_mean, power), True
-        if isinstance(numerator, NakagamiGain) and numerator.m <= MAX_RATIO_SHAPE:
-            return RatioExpExp(numerator.w, den_mean, power, num_shape=float(numerator.m)), True
+    num, den = gamma_law(numerator), gamma_law(denominator)
+    if num is not None and num[0] <= MAX_RATIO_SHAPE and den is not None and den[0] == 1.0:
+        return RatioExpExp(num[1], den[1], power, num_shape=num[0]), True
     if isinstance(numerator, PointMass) and isinstance(denominator, PointMass):
         return PointMass(numerator.value / (1.0 + power * denominator.value)), True
     if isinstance(numerator, Exponential) and isinstance(denominator, PointMass):
@@ -253,52 +248,26 @@ def interference_ratio_distribution(
     return RatioLaw(numerator, denominator, power), True
 
 
-def _exponential_mean(d: GainDistribution) -> float | None:
-    """Mean of an exponential law (Nakagami m = 1 included); None for any other law."""
-    if isinstance(d, Exponential):
-        return d.mean_gain
-    if isinstance(d, NakagamiGain) and d.m == 1.0:
-        return d.w
-    return None
-
-
 def classify_ic_very_strong(s: ICScenario, tol: float | None = None) -> ClassificationReport:
     """Very strong interference: the ratio Z1 = H21/(1 + P2 H22) dominates H11 and
     Z2 = H12/(1 + P1 H11) dominates H22."""
     z1, _ = interference_ratio_distribution(s.h21, s.h22, s.p2)
     z2, _ = interference_ratio_distribution(s.h12, s.h11, s.p1)
-    check1 = check_usual_order(s.h11, z1, tol=tol)
-    check2 = check_usual_order(s.h22, z2, tol=tol)
-    verdict = check1.first_leq and check2.first_leq
-    report = ClassificationReport(
-        topology="ic",
-        verdict=verdict,
-        condition="very_strong_interference",
-        order_checks=[("h11_leq_z1", check1), ("h22_leq_z2", check2)],
-        confidence=_confidence(s.h11, s.h12, s.h21, s.h22),
-    )
+    checks = [("h11_leq_z1", check_usual_order(s.h11, z1, tol=tol)),
+              ("h22_leq_z2", check_usual_order(s.h22, z2, tol=tol))]
+    report = _dominance_report("ic", "very_strong_interference", checks,
+                               (s.h11, s.h12, s.h21, s.h22))
     if s.dependence == COMONOTONE:
         report.notes.append(
             "comonotone mode: the admissible joint CDFs are pinned to "
             "min{F_Z1, F_H22} and min{F_Z2, F_H11} (one shared uniform drives both laws)"
-        )
-    if not verdict:
-        report.witnesses = sorted(
-            set(check1.witnesses_first_gt) | set(check2.witnesses_first_gt)
         )
     return report
 
 
 def classify_wtc(s: WTCScenario, tol: float | None = None) -> ClassificationReport:
     """Degraded wiretap channel: the legitimate gain dominates the eavesdropper's."""
-    check = check_usual_order(s.eavesdropper, s.legitimate, tol=tol)
-    report = ClassificationReport(
-        topology="wtc",
-        verdict=check.first_leq,
-        condition="degraded_wiretap",
-        order_checks=[("eavesdropper_leq_legitimate", check)],
-        confidence=_confidence(s.legitimate, s.eavesdropper),
-    )
-    if not check.first_leq:
-        report.witnesses = list(check.witnesses_first_gt)
-    return report
+    checks = [("eavesdropper_leq_legitimate",
+               check_usual_order(s.eavesdropper, s.legitimate, tol=tol))]
+    return _dominance_report("wtc", "degraded_wiretap", checks,
+                             (s.legitimate, s.eavesdropper))

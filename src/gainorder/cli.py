@@ -36,7 +36,7 @@ from .classifier import (
     classify_wtc,
 )
 from .coupling import comonotone_samples, maximal_coupling_samples, maximal_coupling_spec
-from .distributions import build_ratio, distribution_from_spec
+from .distributions import Exponential, build_ratio, distribution_from_spec
 from .markov import check_markov_degraded, markov_spec_from_json
 from .verify import run_verification_suite
 
@@ -218,18 +218,13 @@ def cmd_region(args) -> int:
     if topology != "ic":
         raise ScenarioError(f"region applies to 'ic' scenarios, not {topology!r}")
     scenario, condition = parse_ic(obj)
-    try:
-        if condition == "strong":
-            region = strong_ic_region(scenario, force=args.force)
-        else:
-            region = very_strong_ic_region(scenario, force=args.force)
-    except UnclassifiedScenarioError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return 1
+    if condition == "strong":
+        region = strong_ic_region(scenario, force=args.force)
+    else:
+        region = very_strong_ic_region(scenario, force=args.force)
     _emit_csv(["R1", "R2"], list(np.array(region.vertices, dtype=float).T), args.out)
     if args.out:
-        sidecar = Path(args.out).with_suffix(".json")
-        sidecar.write_text(json.dumps(region.to_json(), indent=2, sort_keys=True) + "\n")
+        _emit_json(region.to_json(), str(Path(args.out).with_suffix(".json")))
     return 0
 
 
@@ -240,11 +235,7 @@ def cmd_secrecy(args) -> int:
         raise ScenarioError(f"secrecy applies to 'wtc' scenarios, not {topology!r}")
     scenario = parse_wtc(obj)
     report = classify_wtc(scenario)
-    try:
-        rate = wtc_secrecy_capacity(scenario, force=args.force)
-    except UnclassifiedScenarioError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return 1
+    rate = wtc_secrecy_capacity(scenario, force=args.force)
     _emit_json({"classification": report.to_json(), "secrecy_capacity": rate.to_json()}, args.out)
     return 0 if report.verdict else 1
 
@@ -287,7 +278,7 @@ def cmd_figure(args) -> int:
     for a, c, power in params:
         z = build_ratio(c, a, power)
         # CCDF difference between the interference ratio and the direct gain
-        diff = np.asarray(z.ccdf(h)) - np.exp(-h / a)
+        diff = np.asarray(z.ccdf(h)) - Exponential(a).ccdf(h)
         columns.append(diff)
     _emit_csv(["h"] + labels, [h] + columns, args.out)
     return 0
@@ -314,37 +305,25 @@ def cmd_verify(args) -> int:
     return 0 if positives_ok else 1
 
 
-def _count(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _argument_type(expected: str, convert, accept):
+    """argparse type: the value convert reads from the text, where accept
+    holds for it; else the message "expected <expected>, got <text>"."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
 
 
-def _positive_finite(text: str) -> float:
-    """argparse type: a finite number > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
-    return value
-
-
-def _nonnegative_finite(text: str) -> float:
-    """argparse type: a finite number >= 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
-    return value
+_count = _argument_type("an integer >= 1", int, lambda v: v >= 1)
+_positive_finite = _argument_type("a finite number > 0", float,
+                                  lambda v: math.isfinite(v) and v > 0.0)
+_nonnegative_finite = _argument_type("a finite number >= 0", float,
+                                     lambda v: math.isfinite(v) and v >= 0.0)
 
 
 @functools.cache

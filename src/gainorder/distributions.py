@@ -127,10 +127,6 @@ class GainDistribution:
 
     # -- structure ----------------------------------------------------------
 
-    @property
-    def support(self) -> tuple[float, float]:
-        raise NotImplementedError
-
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """(values, masses) of the point masses; both empty for continuous families."""
         return np.empty(0), np.empty(0)
@@ -190,10 +186,6 @@ class Exponential(GainDistribution):
     # the closed form is the quantile, though not always the least double
     # whose float cdf reaches u
     _inverse = _quantile_estimate
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (0.0, math.inf)
 
     def mean(self) -> float:
         return self.mean_gain
@@ -295,10 +287,6 @@ class NakagamiGain(GainDistribution):
         # crosses u, so it only seeds the exact inversion
         return gammaincinv(self.m, u) * (self.w / self.m)
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return (0.0, math.inf)
-
     def mean(self) -> float:
         return self.w
 
@@ -319,12 +307,6 @@ class BernoulliGain(GainDistribution):
 
     def _cdf(self, x):
         return np.where(x >= 1.0, 1.0, 1.0 - self.q)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        lo = 1.0 if self.q == 1.0 else 0.0
-        hi = 0.0 if self.q == 0.0 else 1.0
-        return (lo, hi)
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         if self.q == 0.0:
@@ -352,10 +334,6 @@ class PointMass(GainDistribution):
 
     def _cdf(self, x):
         return np.where(x >= self.value, 1.0, 0.0)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.value, self.value)
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array([self.value]), np.array([1.0])
@@ -508,10 +486,6 @@ class RatioExpExp(GainDistribution):
                 t = wrightomega(1.0 / k - math.log(k) + t) - 1.0 / k
         return self.num_mean * t
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return (0.0, math.inf)
-
     def mean(self) -> float:
         x, w = law_nodes(self)
         return float(w @ x)
@@ -561,6 +535,16 @@ def step_atoms(d: GainDistribution) -> tuple[np.ndarray, np.ndarray] | None:
     return (values, masses) if masses.sum() >= 1.0 - 1e-9 else None
 
 
+def gamma_law(d: GainDistribution) -> tuple[float, float] | None:
+    """(shape, mean) of a gamma law: an Exponential has shape 1, a Nakagami-m
+    gain shape m; None for any other law."""
+    if isinstance(d, Exponential):
+        return 1.0, d.mean_gain
+    if isinstance(d, NakagamiGain):
+        return float(d.m), d.w
+    return None
+
+
 def law_nodes(d: GainDistribution, order: int = _RULE_ORDER) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x and weights w with E[f(H)] = w @ f(x) for H drawn from d.
 
@@ -595,7 +579,9 @@ class RatioLaw(GainDistribution):
     law_nodes (24 nodes on each of 22 panels), which agrees with adaptive
     quadrature to about 1e-14.  A discrete N over a continuous D conditions on
     N instead, Pr(Z > z) = sum_i Pr(N = n_i) cdf_D((n_i / z - 1) / P), exact
-    where the rule would integrate a step.
+    where the rule would integrate a step.  The ccdf, and so the cdf, is
+    clipped into [0, 1]; the rule's weights do not sum to exactly 1, so cdf(0)
+    of a continuous law can still sit a few ulps above 0.
     """
 
     numerator: GainDistribution
@@ -631,13 +617,15 @@ class RatioLaw(GainDistribution):
     def _ccdf(self, x):
         on_numerator, nodes, weights = self._rule
         if not on_numerator:
-            return self._conditioned(lambda z: self.numerator.ccdf(z * nodes), x, weights)
-
-        def kernel(z):
-            # z = 0 and subnormal z send the argument to +inf, where cdf is 1
-            with np.errstate(divide="ignore", over="ignore"):
-                return self.denominator.cdf((nodes / z - 1.0) / self.power)
-        return self._conditioned(kernel, x, weights)
+            def kernel(z):
+                return self.numerator.ccdf(z * nodes)
+        else:
+            def kernel(z):
+                # z = 0 and subnormal z send the argument to +inf, where cdf is 1
+                with np.errstate(divide="ignore", over="ignore"):
+                    return self.denominator.cdf((nodes / z - 1.0) / self.power)
+        # the rounding of the weighted sum can step a few ulps past [0, 1]
+        return np.clip(self._conditioned(kernel, x, weights), 0.0, 1.0)
 
     def _cdf(self, x):
         return 1.0 - self._ccdf(x)
@@ -698,10 +686,6 @@ class Empirical(GainDistribution):
     def _ccdf_left(self, x):
         vals = self._arr()
         return 1.0 - np.searchsorted(vals, x, side="left") / vals.size
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.values[0], self.values[-1])
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         # the values are sorted, so each atom is a run of equal values

@@ -30,10 +30,9 @@ import numpy as np
 from .distributions import (
     Empirical,
     EvaluationGrid,
-    Exponential,
     GainDistribution,
-    NakagamiGain,
     RatioLaw,
+    gamma_law,
     step_atoms,
 )
 
@@ -166,11 +165,8 @@ def _extreme_points(d1: GainDistribution, d2: GainDistribution) -> np.ndarray | 
 
 def _gamma_shape_rate(d: GainDistribution) -> tuple[float, float] | None:
     """(shape, rate) of a gamma law; None for any other law."""
-    if isinstance(d, Exponential):
-        return 1.0, 1.0 / d.mean_gain
-    if isinstance(d, NakagamiGain):
-        return float(d.m), d.m / d.w
-    return None
+    law = gamma_law(d)
+    return None if law is None else (law[0], law[0] / law[1])
 
 
 def _gamma_crossings(first: tuple[float, float], second: tuple[float, float]) -> np.ndarray:

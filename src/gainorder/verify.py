@@ -110,13 +110,17 @@ def verify_same_marginals(
     """KS test of both coupled marginals against their source CDFs at the 1% level.
 
     corrupt=True swaps the two residual components of the maximal coupling
-    (a negative control that must fail).
+    (a negative control that must fail); the comonotone coupling has no
+    residuals, so it raises ValueError there.
     """
     if construction == "maximal":
         spec = maximal_coupling_spec(d1, d2)
         return _maximal_marginals(spec, _maximal_draws(spec, n, seed), n, seed, corrupt)
     if construction != "comonotone":
         raise ValueError(f"unknown construction {construction!r}")
+    if corrupt:
+        raise ValueError("corrupt=True swaps maximal-coupling residuals; "
+                         "the comonotone coupling has none")
     rng = _rng(seed, f"same_marginals[{construction}]")
     h1, h2 = comonotone_samples(d1, d2, _open_uniform(rng, n))
     return _marginal_reports(construction, d1, d2, h1, h2, n, seed, corrupt)

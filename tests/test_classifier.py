@@ -336,3 +336,72 @@ class TestClassifyWTC:
         assert payload["topology"] == "wtc"
         assert payload["verdict"] is True
         assert payload["order_checks"][0]["relation"] == "first_leq"
+
+
+def _point_ic(h11, h12, h21, h22, p1=1.0, p2=1.0):
+    return ICScenario(h11=h11, h12=h12, h21=h21, h22=h22, p1=p1, p2=p2)
+
+
+class TestDominanceWitnesses:
+    """The witnesses of an IC or wiretap report are the sorted union of the
+    points where a check's first law lies above its second, and nothing else."""
+
+    @pytest.mark.parametrize("scenario, witnesses", [
+        # both checks fail
+        (_point_ic(PointMass(2.0), PointMass(0.5), PointMass(1.0), PointMass(3.0)),
+         [0.5, 1.0, 2.0, 3.0]),
+        # one fails; the other holds, and its reverse witnesses stay out
+        (_point_ic(PointMass(2.0), PointMass(3.0), PointMass(1.0), PointMass(0.5)), [1.0, 2.0]),
+        # one fails, the other is incomparable: only its first-above points count
+        (_point_ic(PointMass(2.0), BernoulliGain(0.5), PointMass(1.0), PointMass(0.5)),
+         [0.0, 0.5, 1.0, 2.0]),
+        # none fails
+        (_point_ic(PointMass(1.0), PointMass(3.0), PointMass(2.0), PointMass(0.5)), []),
+    ])
+    def test_strong_interference(self, scenario, witnesses):
+        report = classify_ic_strong(scenario)
+        assert report.witnesses == witnesses
+        assert report.verdict is (witnesses == [])
+
+    @pytest.mark.parametrize("scenario, witnesses", [
+        (_point_ic(PointMass(2.0), PointMass(1.0), PointMass(1.0), PointMass(1.0)),
+         [0.3333333333333333, 0.5, 1.0, 2.0]),
+        (_point_ic(PointMass(0.1), PointMass(2.0), PointMass(2.0), PointMass(0.1), 0.5, 0.5), []),
+    ])
+    def test_very_strong_interference(self, scenario, witnesses):
+        report = classify_ic_very_strong(scenario)
+        assert report.witnesses == witnesses
+        assert report.verdict is (witnesses == [])
+
+    @pytest.mark.parametrize("legitimate, eavesdropper, witnesses", [
+        (PointMass(1.0), PointMass(2.0), [1.0, 2.0]),
+        (BernoulliGain(0.5), PointMass(0.5), [0.0, 0.5]),   # incomparable
+        (PointMass(2.0), PointMass(1.0), []),
+    ])
+    def test_degraded_wiretap(self, legitimate, eavesdropper, witnesses):
+        report = classify_wtc(WTCScenario(legitimate, eavesdropper, 1.0))
+        assert report.witnesses == witnesses
+        assert report.verdict is (witnesses == [])
+
+
+class TestScenarioParameterChecks:
+    @pytest.mark.parametrize("build", [
+        lambda p: BCScenario((Exponential(1.0), Exponential(2.0)), power=p),
+        lambda p: WTCScenario(Exponential(2.0), Exponential(1.0), p),
+    ], ids=["bc", "wtc"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan"), "1.0", None])
+    def test_power_is_positive_and_finite(self, build, value):
+        with pytest.raises(ValueError) as err:
+            build(value)
+        assert str(err.value) == f"power must be a positive finite number, got {value!r}"
+
+    @pytest.mark.parametrize("name", ["p1", "p2"])
+    @pytest.mark.parametrize("value", [-1e-300, float("inf"), float("nan"), "0", None])
+    def test_interference_powers_are_nonnegative_and_finite(self, name, value):
+        powers = {"p1": 1.0, "p2": 1.0, name: value}
+        with pytest.raises(ValueError) as err:
+            exp_ic(1.0, 2.0, 2.0, 1.0, **powers)
+        assert str(err.value) == f"{name} must be a nonnegative finite number, got {value!r}"
+
+    def test_zero_interference_power_is_admitted(self):
+        assert exp_ic(1.0, 2.0, 2.0, 1.0, p1=0, p2=0.0).p1 == 0

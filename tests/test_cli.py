@@ -147,6 +147,15 @@ class TestRegionCommand:
         assert main(["region", scenario]) == 1
         assert main(["region", scenario, "--force"]) == 0
 
+    def test_unclassified_writes_one_line_and_no_file(self, tmp_path):
+        out = tmp_path / "v.csv"
+        code, stdout, err = _run(["region", write(tmp_path, "bad.json", IC_STRONG_BAD),
+                                  "--out", str(out)])
+        assert (code, stdout, err) == (1, "", "scenario does not satisfy the strong_interference "
+                                       "condition; pass force=True to evaluate the expression "
+                                       "anyway\n")
+        assert not out.exists() and not out.with_suffix(".json").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         scenario = write(tmp_path, "ic.json", IC_POINT_MASS_STRONG)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -166,6 +175,14 @@ class TestSecrecyCommand:
         reversed_wtc = dict(WTC_OK, legitimate=WTC_OK["eavesdropper"],
                             eavesdropper=WTC_OK["legitimate"])
         assert main(["secrecy", write(tmp_path, "w.json", reversed_wtc)]) == 1
+
+    def test_not_degraded_writes_one_line(self, tmp_path):
+        reversed_wtc = dict(WTC_OK, legitimate=WTC_OK["eavesdropper"],
+                            eavesdropper=WTC_OK["legitimate"])
+        code, out, err = _run(["secrecy", write(tmp_path, "w.json", reversed_wtc)])
+        assert (code, out, err) == (1, "", "scenario does not satisfy the degraded_wiretap "
+                                    "condition; pass force=True to evaluate the expression "
+                                    "anyway\n")
 
 
 class TestCouplingSampleCommand:
@@ -397,6 +414,35 @@ def _run(argv) -> tuple:
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+class TestFlagErrors:
+    """A flag argparse rejects exits 2 with its usage and one error line."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["figure", "--fig", "3", "--points", "0"],
+         "usage: gainorder figure [-h] [--out OUT] --fig FIG [--hmax HMAX]\n"
+         "                        [--points POINTS]\n"
+         "gainorder figure: error: argument --points: expected an integer >= 1, got '0'\n"),
+        (["figure", "--fig", "3", "--hmax", "nan"],
+         "usage: gainorder figure [-h] [--out OUT] --fig FIG [--hmax HMAX]\n"
+         "                        [--points POINTS]\n"
+         "gainorder figure: error: argument --hmax: expected a finite number > 0, got 'nan'\n"),
+        (["classify", "{scenario}", "--tolerance", "-1"],
+         "usage: gainorder classify [-h] [--out OUT] [--tolerance TOLERANCE] scenario\n"
+         "gainorder classify: error: argument --tolerance: expected a finite number >= 0, "
+         "got '-1'\n"),
+        (["verify", "-n", "abc"],
+         "usage: gainorder verify [-h] [--out OUT] [--seed SEED] [-n SAMPLES]\n"
+         "                        [--include-negative-controls]\n"
+         "gainorder verify: error: argument -n/--samples: expected an integer >= 1, "
+         "got 'abc'\n"),
+    ])
+    def test_exact_message_and_exit_two(self, tmp_path, monkeypatch, argv, expected):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal
+        scenario = write(tmp_path, "s.json", WTC_OK)
+        code, out, err = _run([a.format(scenario=scenario) for a in argv])
+        assert (code, out, err) == (2, "", expected)
 
 
 class TestParserReuse:

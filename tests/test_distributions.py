@@ -19,6 +19,7 @@ from gainorder import (
     build_ratio,
     distribution_from_spec,
 )
+from gainorder.distributions import gamma_law
 
 
 def ks_distance(samples: np.ndarray, cdf) -> float:
@@ -245,6 +246,41 @@ class TestEvaluationContract:
     def test_empirical_nan_is_below_support(self):
         d = Empirical((1.0, 2.0))
         assert (d.cdf(math.nan), d.ccdf(math.nan), d.ccdf_left(math.nan)) == (0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("d", [
+        RatioLaw(Exponential(1.0), NakagamiGain(2.0, 1.0), 1.0),
+        RatioLaw(NakagamiGain(0.6, 2.0), NakagamiGain(2.5, 0.5), 3.0),
+        RatioLaw(BernoulliGain(0.3), Exponential(1.0), 2.0),
+    ], ids=repr)
+    def test_ratio_law_probabilities_stay_in_the_unit_interval(self, d):
+        # the rule's weighted sum used to read cdf(0) = -4.4e-16 in this call
+        x = np.array([-1.0, 0.0, 0.5, 1.0, 2.0, math.inf])
+        cdf, ccdf = d.cdf(x), d.ccdf(x)
+        assert np.all((cdf >= 0.0) & (cdf <= 1.0)) and np.all((ccdf >= 0.0) & (ccdf <= 1.0))
+        assert (cdf[0], ccdf[0], cdf[-1], ccdf[-1]) == (0.0, 1.0, 1.0, 0.0)
+
+    def test_ratio_law_cdf_at_zero(self):
+        d = RatioLaw(Exponential(1.0), NakagamiGain(2.0, 1.0), 1.0)
+        assert d.cdf(np.array([-1.0, 0.0, 0.5, 1.0, 2.0, math.inf]))[1] == 0.0
+
+
+class TestGammaLaw:
+    @pytest.mark.parametrize("d, law", [
+        (Exponential(2.5), (1.0, 2.5)),
+        (NakagamiGain(2.5, 3.0), (2.5, 3.0)),
+        (NakagamiGain(1.0, 0.5), (1.0, 0.5)),
+        (NakagamiGain(2, 3), (2.0, 3)),
+        (BernoulliGain(0.5), None),
+        (PointMass(1.0), None),
+        (RatioExpExp(1.0, 1.0, 1.0), None),
+        (RatioExpExp(1.0, 1.0, 0.0, num_shape=2.0), None),
+        (RatioLaw(Exponential(1.0), Exponential(1.0), 1.0), None),
+        (Empirical((0.5, 1.0)), None),
+    ], ids=repr)
+    def test_every_family(self, d, law):
+        assert gamma_law(d) == law
+        if law is not None:
+            assert type(gamma_law(d)[0]) is float
 
 
 class TestSampling:

@@ -551,3 +551,23 @@ class TestConvolutionClosure:
 
 def _open_uniform(rng, n):
     return np.clip(rng.random(n), 1e-12, 1.0 - 1e-12)
+
+
+POSITIVE_PARAMETERS = st.one_of(
+    st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False), st.integers(1, 1000))
+
+
+class TestGammaShapeRate:
+    @settings(max_examples=300, deadline=None)
+    @given(m=POSITIVE_PARAMETERS, w=POSITIVE_PARAMETERS)
+    def test_same_doubles_as_the_family_parameters(self, m, w):
+        # the rate is shape / mean: 1 / mean_gain and m / w, bit for bit
+        assert stochastic_order._gamma_shape_rate(Exponential(w)) == (1.0, 1.0 / w)
+        shape, rate = stochastic_order._gamma_shape_rate(NakagamiGain(m, w))
+        assert type(shape) is float and shape == m
+        assert rate.hex() == (m / w).hex()
+
+    def test_other_laws_have_none(self):
+        for d in (PointMass(1.0), BernoulliGain(0.5), RatioExpExp(1.0, 1.0, 1.0),
+                  Empirical((1.0,))):
+            assert stochastic_order._gamma_shape_rate(d) is None

@@ -71,6 +71,13 @@ class TestSameMarginals:
         assert not (r1.passed and r2.passed)
         assert r1.kind == "negative_control"
 
+    def test_comonotone_has_no_corrupted_control(self):
+        # corrupt swaps maximal-coupling residuals, so a comonotone "control"
+        # would corrupt nothing and pass
+        with pytest.raises(ValueError, match="comonotone coupling has none"):
+            verify_same_marginals("comonotone", Exponential(1.0), Exponential(2.0),
+                                  n=10_000, corrupt=True)
+
     def test_unknown_construction_rejected(self):
         with pytest.raises(ValueError):
             verify_same_marginals("antitone", Exponential(1.0), Exponential(2.0))
