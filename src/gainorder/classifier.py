@@ -23,6 +23,7 @@ from .distributions import (
     RatioLaw,
     _check_nonnegative,
     _check_positive,
+    _store_checked,
     gamma_law,
 )
 from .stochastic_order import OrderVerdict, Relation, check_usual_order
@@ -53,7 +54,7 @@ class BCScenario:
     def __post_init__(self):
         if len(self.gains) < 2:
             raise ValueError("broadcast scenario needs at least 2 users")
-        _check_positive("power", self.power)
+        _store_checked(self, _check_positive, "power")
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,7 @@ class ICScenario:
     dependence: str = INDEPENDENT
 
     def __post_init__(self):
-        _check_nonnegative("p1", self.p1)
-        _check_nonnegative("p2", self.p2)
+        _store_checked(self, _check_nonnegative, "p1", "p2")
         if self.dependence not in (INDEPENDENT, COMONOTONE):
             raise ValueError(f"unknown dependence mode {self.dependence!r}")
 
@@ -88,7 +88,7 @@ class WTCScenario:
     power: float
 
     def __post_init__(self):
-        _check_positive("power", self.power)
+        _store_checked(self, _check_positive, "power")
 
 
 @dataclass

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -149,14 +150,32 @@ class GainDistribution:
         raise NotImplementedError
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+def _check_positive(name: str, value):
+    """value as a Python number, once it is a finite real > 0."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    return _python_number(value)
 
 
-def _check_nonnegative(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+def _check_nonnegative(name: str, value):
+    """value as a Python number, once it is a finite real >= 0."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be a nonnegative finite number, got {value!r}")
+    return _python_number(value)
+
+
+def _python_number(value):
+    """value as an int or float, which to_spec() can serialize: a numpy
+    scalar by .item(), any other real that is neither (bool is an int) by float()."""
+    if isinstance(value, np.generic):
+        return value.item()
+    return value if isinstance(value, (int, float)) else float(value)
+
+
+def _store_checked(obj, check: Callable, *names: str) -> None:
+    """Replace each named field of a frozen dataclass by check(name, value)."""
+    for name in names:
+        object.__setattr__(obj, name, check(name, getattr(obj, name)))
 
 
 @dataclass(frozen=True)
@@ -166,7 +185,7 @@ class Exponential(GainDistribution):
     mean_gain: float
 
     def __post_init__(self):
-        _check_positive("mean_gain", self.mean_gain)
+        _store_checked(self, _check_positive, "mean_gain")
 
     # x / -mean is the double -x / mean, one array pass fewer
 
@@ -257,8 +276,7 @@ class NakagamiGain(GainDistribution):
     w: float
 
     def __post_init__(self):
-        _check_positive("m", self.m)
-        _check_positive("w", self.w)
+        _store_checked(self, _check_positive, "m", "w")
 
     def _pdf(self, x):
         m, rate = self.m, self.m / self.w
@@ -330,7 +348,7 @@ class PointMass(GainDistribution):
     continuous = False
 
     def __post_init__(self):
-        _check_nonnegative("value", self.value)
+        _store_checked(self, _check_nonnegative, "value")
 
     def _cdf(self, x):
         return np.where(x >= self.value, 1.0, 0.0)
@@ -392,10 +410,9 @@ class RatioExpExp(GainDistribution):
     num_shape: float = 1.0
 
     def __post_init__(self):
-        _check_positive("num_mean", self.num_mean)
-        _check_positive("den_mean", self.den_mean)
-        _check_nonnegative("power", self.power)
-        _check_positive("num_shape", self.num_shape)
+        _store_checked(self, _check_positive, "num_mean", "den_mean")
+        _store_checked(self, _check_nonnegative, "power")
+        _store_checked(self, _check_positive, "num_shape")
         if self.num_shape > MAX_RATIO_SHAPE:
             raise ValueError(f"num_shape must be at most {MAX_RATIO_SHAPE:g}, "
                              f"got {self.num_shape!r}")
@@ -589,7 +606,7 @@ class RatioLaw(GainDistribution):
     power: float
 
     def __post_init__(self):
-        _check_positive("power", self.power)
+        _store_checked(self, _check_positive, "power")
         num, den = self.numerator, self.denominator
         on_numerator = den.continuous and not num.continuous
         if on_numerator:

@@ -17,7 +17,12 @@ is below the strong chain's after s in the usual stochastic order:
         ("rows", l, s, n): 1-based super-states l <= s and the 1-based state
         n above which the weak chain after l puts more mass than the strong
         chain after s.
-All three compare tail sums exactly, as integers over a common denominator.
+A spec keeps, next to its Fraction laws, their integer numerators over one
+common denominator D: int64 where no pmf sum can overflow, Python ints
+otherwise, so exactness never depends on size.  Each condition scales both
+chains to lcm(Dw, Ds) and compares each weak tail sum after l with the minimum
+of the strong ones over all s >= l, a running minimum along each of the m
+history axes: O(m N^(m+1)) work.  Only a failing condition lists its pairs.
 Path simulation uses floats.
 """
 
@@ -47,6 +52,7 @@ __all__ = [
 
 _SUM_TOL = 10**12  # a pmf's entries must sum to 1 within 1/_SUM_TOL
 _ZERO = frozenset((0, "0"))  # off-block entries accepted without a conversion
+_INT64_BOUND = 2**62  # a sum of n int64 entries, each below _INT64_BOUND / n, cannot overflow
 
 
 def _to_fraction(x) -> Fraction:
@@ -60,11 +66,16 @@ def _to_fraction(x) -> Fraction:
 
 
 class _Numbers(dict):
-    """Entry -> Fraction, converting each distinct entry once.
+    """Entry -> Fraction, converting each distinct entry once, and the pmfs of
+    one spec, checked together as integers once they are all read.
 
     Entries that compare equal (1, 1.0 and True) share one key; their
     Fractions are equal too.
     """
+
+    def __init__(self):
+        super().__init__()
+        self.pmfs = {}  # block -> [(entries, name), ...]; blocks in reading order
 
     def __missing__(self, x):
         self[x] = value = _to_fraction(x)
@@ -77,17 +88,43 @@ class _Numbers(dict):
         except TypeError:  # an unhashable entry, never a number: name the first bad one
             return tuple(map(_to_fraction, values))
 
-    def pmf(self, values, size: int, what: str) -> tuple:
-        """values as a pmf of `size` Fractions, summed in integers over their
-        common denominator."""
+    def pmf(self, values, size: int, block: str, name: str) -> tuple:
+        """values as `size` Fractions; numerators() checks that they sum to 1."""
+        values = tuple(values)
         probs = self.convert(values)
-        den = math.lcm(*{x.denominator for x in probs})
-        total = sum(x.numerator * (den // x.denominator) for x in probs)
-        # |total/den - 1| > 1/_SUM_TOL, without a Fraction
-        if len(probs) != size or any(x.numerator < 0 for x in probs) or \
-                abs(total - den) * _SUM_TOL > den:
-            raise ValueError(f"{what} must be a pmf: {size} nonnegative entries that sum to 1")
+        if len(probs) != size:
+            raise _not_a_pmf(name, size)
+        self.pmfs.setdefault(block, []).append((values, name))
         return probs
+
+    def numerators(self) -> tuple:
+        """(D, {block: array}): the queued pmfs as integer numerators over their
+        common denominator D, one row per pmf, int64 when no row sum can
+        overflow and Python ints otherwise.  Raises the error of the first pmf,
+        in reading order, with a negative entry or a sum off 1 by more than
+        1/_SUM_TOL."""
+        rows = {block: [values for values, _ in pmfs] for block, pmfs in self.pmfs.items()}
+        keys = set(itertools.chain.from_iterable(itertools.chain.from_iterable(rows.values())))
+        den = math.lcm(*{self[x].denominator for x in keys})
+        scaled = {x: self[x].numerator * (den // self[x].denominator) for x in keys}
+        largest = max((den, *map(abs, scaled.values())))
+        lo, hi = den - den // _SUM_TOL, den + den // _SUM_TOL  # |sum/D - 1| <= 1/_SUM_TOL
+        arrays = {}
+        for block, pmfs in self.pmfs.items():
+            count, size = len(pmfs), len(pmfs[0][0])
+            dtype = np.int64 if largest * size < _INT64_BOUND else object
+            flat = map(scaled.__getitem__, itertools.chain.from_iterable(rows[block]))
+            table = np.fromiter(flat, dtype=dtype, count=count * size).reshape(count, size)
+            total = table.sum(axis=1)
+            bad = (table < 0).any(axis=1) | (total < lo) | (total > hi)
+            if bad.any():
+                raise _not_a_pmf(pmfs[bad.argmax()][1], size)
+            arrays[block] = table
+        return den, arrays
+
+
+def _not_a_pmf(name: str, size: int) -> ValueError:
+    return ValueError(f"{name} must be a pmf: {size} nonnegative entries that sum to 1")
 
 
 def super_state(l: int, k: int, N: int) -> tuple:
@@ -148,32 +185,42 @@ class MarkovChannelSpec:
         n_super = n**k
         if len(matrix) != n_super or any(len(row) != n_super for row in matrix):
             raise ValueError(f"transition matrix must be {n_super}x{n_super}")
-        table = []
-        for l, row in enumerate(matrix, start=1):
-            start = (l - 1) % (n_super // n) * n
-            try:  # islice, not a slice: no copy of the row
-                zeros = (_ZERO.issuperset(itertools.islice(row, start))
-                         and _ZERO.issuperset(itertools.islice(row, start + n, None)))
-            except TypeError:  # an unhashable entry
-                zeros = False
-            if not zeros:  # look closer, entry by entry
-                for c, x in enumerate(row, start=1):
-                    if not start < c <= start + n and x not in (0, "0") and _to_fraction(x) != 0:
-                        raise ValueError(f"entry ({l},{c}) must be zero: column state "
-                                         f"{super_state(c, k, n)} does not extend row state "
-                                         f"{super_state(l, k, n)}")
-            table.append(parsed.pmf(row[start:start + n], n, f"row {l}"))
+        table, early = [], []
+        try:  # a pmf read before a bad entry reports its own error first
+            for l, row in enumerate(matrix, start=1):
+                start = (l - 1) % (n_super // n) * n
+                try:  # islice, not a slice: no copy of the row
+                    zeros = (_ZERO.issuperset(itertools.islice(row, start))
+                             and _ZERO.issuperset(itertools.islice(row, start + n, None)))
+                except TypeError:  # an unhashable entry
+                    zeros = False
+                if not zeros:  # look closer, entry by entry
+                    for c, x in enumerate(row, start=1):
+                        if not start < c <= start + n and x not in (0, "0") and \
+                                _to_fraction(x) != 0:
+                            raise ValueError(f"entry ({l},{c}) must be zero: column state "
+                                             f"{super_state(c, k, n)} does not extend row "
+                                             f"state {super_state(l, k, n)}")
+                table.append(parsed.pmf(row[start:start + n], n, "table", f"row {l}"))
+            initial = parsed.pmf(self.initial, n_super, "initial", "initial distribution")
+            for history, pmf in self.early_conditionals:
+                hist = tuple(map(float, parsed.convert(history)))
+                if not 1 <= len(hist) <= k or any(v not in states for v in hist):
+                    raise ValueError(f"early conditional history {hist} must be 1..k state values")
+                early.append((hist, parsed.pmf(pmf, n, "early",
+                                               f"conditional pmf for history {hist}")))
+        except Exception:
+            parsed.numerators()
+            raise
+        den, numerators = parsed.numerators()
         object.__setattr__(self, "table", tuple(table))
-        object.__setattr__(self, "initial",
-                           parsed.pmf(self.initial, n_super, "initial distribution"))
-
-        cleaned = []
-        for history, pmf in self.early_conditionals:
-            hist = tuple(map(float, parsed.convert(history)))
-            if not 1 <= len(hist) <= k or any(v not in states for v in hist):
-                raise ValueError(f"early conditional history {hist} must be 1..k state values")
-            cleaned.append((hist, parsed.pmf(pmf, n, f"conditional pmf for history {hist}")))
-        object.__setattr__(self, "early_conditionals", tuple(cleaned))
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "early_conditionals", tuple(early))
+        # the same laws as integer numerators over den, read by check_markov_degraded
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_table_numerators", numerators["table"])
+        object.__setattr__(self, "_initial_numerators", numerators["initial"][0])
+        object.__setattr__(self, "_early_numerators", numerators.get("early"))
 
     # -- derived views -------------------------------------------------------
 
@@ -254,10 +301,11 @@ def markov_spec_from_json(obj: dict) -> MarkovChannelSpec:
     )
 
 
-def _json_list(value, where: str) -> tuple:
+def _json_list(value, where: str) -> list:
+    """value itself, once it is a list: the spec keeps tuples of what it reads."""
     if not isinstance(value, list):
         raise ValueError(f"{where} must be a list, got {value!r}")
-    return tuple(value)
+    return value
 
 
 def _full_matrix(table: np.ndarray, zero) -> np.ndarray:
@@ -280,35 +328,43 @@ def ccdf_matrix(spec: MarkovChannelSpec) -> tuple:
     return tuple(map(tuple, _tails(full)))
 
 
-def _ordered_pairs(m: int, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """0-based indices (l, s), row-major, of length-m histories with l <= s elementwise."""
-    digits = np.arange(N**m)[:, None] // N ** np.arange(m - 1, -1, -1) % N
-    return np.nonzero(np.all(digits[:, None, :] <= digits[None, :, :], axis=-1))
+def _digits(m: int, N: int) -> np.ndarray:
+    """Row i: the m 0-based states of the i-th length-m history, lexicographically."""
+    return np.arange(N**m)[:, None] // N ** np.arange(m - 1, -1, -1) % N
 
 
 def comparable_pairs(k: int, N: int) -> list:
     """All 1-based row pairs (l, s) whose super-states compare elementwise <=."""
     if k < 1 or N < 1:
         raise ValueError("need k >= 1 and N >= 1")
-    l, s = _ordered_pairs(k, N)
+    digits = _digits(k, N)
+    l, s = np.nonzero(np.all(digits[:, None, :] <= digits[None, :, :], axis=-1))
     return list(zip((l + 1).tolist(), (s + 1).tolist()))
 
 
-def _tail_violations(weak_laws, strong_laws, m: int, N: int) -> list:
-    """weak_laws and strong_laws hold one rational pmf over the N states per
-    history of length m, lexicographically.  Every pair (l, s) of 0-based
-    history indices, l <= s elementwise, where some tail sum of weak_laws[l]
-    exceeds that of strong_laws[s], in row-major order, with the first such
-    0-based state n (tail Pr(next > states[n])).  Tails are compared as
-    integers over the common denominator of all entries."""
-    laws = np.array([weak_laws, strong_laws], dtype=object)
-    den = math.lcm(*{x.denominator for x in laws.flat})
-    numerators = [x.numerator * (den // x.denominator) for x in laws.flat]
-    tails = _tails(np.array(numerators, dtype=object).reshape(laws.shape))
-    l, s = _ordered_pairs(m, N)
-    above = tails[0][l] > tails[1][s]
-    return [(int(l[i]), int(s[i]), int(above[i].argmax()))
-            for i in np.flatnonzero(above.any(axis=1))]
+def _order_violations(weak: np.ndarray, strong: np.ndarray, dens: tuple, m: int, N: int):
+    """Yield, in row-major order, each pair (l, s) of 0-based history indices,
+    l <= s elementwise, where some tail sum of weak[l] exceeds that of
+    strong[s], with the first such 0-based state n (tail Pr(next > states[n])).
+
+    weak and strong hold one pmf over the N states per history of length m,
+    lexicographically, as integer numerators over dens[0] and dens[1]; both
+    are scaled to lcm(dens).  Only a history l whose weak tails exceed the
+    minimum of the strong tails over s >= l has pairs to list.
+    """
+    den = math.lcm(*dens)
+    dtype = np.int64 if den * N < _INT64_BOUND else object
+    tw, ts = (_tails(laws.astype(dtype) * (den // d)) for laws, d in zip((weak, strong), dens))
+    floor = ts.reshape((N,) * m + (N,))
+    for axis in range(m):  # running minimum from the top state down, along each history axis
+        floor = np.flip(np.minimum.accumulate(np.flip(floor, axis), axis=axis), axis)
+    exceeds = (tw > floor.reshape(ts.shape)).any(axis=1)
+    digits = _digits(m, N)
+    for l in np.flatnonzero(exceeds):
+        s = np.flatnonzero((digits >= digits[l]).all(axis=1))
+        above = tw[l] > ts[s]
+        for i in np.flatnonzero(above.any(axis=1)):
+            yield int(l), int(s[i]), int(above[i].argmax())
 
 
 @dataclass
@@ -347,18 +403,19 @@ def check_markov_degraded(weak: MarkovChannelSpec, strong: MarkovChannelSpec) ->
         verdict=False, conditional=False, initial_ok=False, early_status="vacuous", rows_ok=False
     )
 
-    N = weak.n_states
-    cert.initial_ok = not _tail_violations([weak._initial_state_law()],
-                                           [strong._initial_state_law()], 0, N)
+    N, dens = weak.n_states, (weak._den, strong._den)
+    h0 = [spec._initial_numerators.reshape(N, -1).sum(axis=1)[None, :] for spec in (weak, strong)]
+    cert.initial_ok = next(_order_violations(*h0, dens, 0, N), None) is None
     if not cert.initial_ok:
         cert.witnesses.append(("initial", "H1(0) not <=_st H2(0)"))
 
     cert.early_status = _check_early_conditionals(weak, strong, cert)
 
-    rows = _tail_violations(weak.table, strong.table, weak.order, N)
-    cert.rows_ok = not rows
-    if rows:
-        l, s, n = rows[0]
+    row = next(_order_violations(weak._table_numerators, strong._table_numerators, dens,
+                                weak.order, N), None)
+    cert.rows_ok = row is None
+    if row is not None:
+        l, s, n = row
         cert.witnesses.append(("rows", l + 1, s + 1, n + 1))
 
     fully_checked = cert.early_status in ("passed", "vacuous")
@@ -380,18 +437,22 @@ def _check_early_conditionals(weak, strong, cert) -> str:
     if not (weak.has_complete_early_conditionals() and strong.has_complete_early_conditionals()):
         return "unverified"
     status = "passed"
-    N = weak.n_states
+    N, dens = weak.n_states, (weak._den, strong._den)
     for m in range(1, weak.order):
-        for l, s, _ in _tail_violations(_early_laws(weak, m), _early_laws(strong, m), m, N):
+        for l, s, _ in _order_violations(_early_laws(weak, m), _early_laws(strong, m), dens, m, N):
             status = "failed"
             cert.witnesses.append(("early", m, super_state(l + 1, m, N), super_state(s + 1, m, N)))
     return status
 
 
-def _early_laws(spec: MarkovChannelSpec, m: int) -> list:
-    """The supplied next-state pmf after each history of length m, in lexicographic order."""
-    supplied = dict(reversed(spec.early_conditionals))  # the first entry for a history wins
-    return [supplied[hist] for hist in itertools.product(spec.states, repeat=m)]
+def _early_laws(spec: MarkovChannelSpec, m: int) -> np.ndarray:
+    """The numerators of the supplied next-state pmf after each history of
+    length m, in lexicographic order."""
+    first = {}
+    for i, (hist, _) in enumerate(spec.early_conditionals):
+        first.setdefault(hist, i)  # the first entry for a history wins
+    return spec._early_numerators[[first[hist] for hist in
+                                   itertools.product(spec.states, repeat=m)]]
 
 
 def check_indecomposable(spec: MarkovChannelSpec) -> bool:

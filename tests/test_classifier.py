@@ -405,3 +405,21 @@ class TestScenarioParameterChecks:
 
     def test_zero_interference_power_is_admitted(self):
         assert exp_ic(1.0, 2.0, 2.0, 1.0, p1=0, p2=0.0).p1 == 0
+
+
+class TestNumpyScalarPowers:
+    def test_interference_powers_from_numpy(self):
+        scenario = exp_ic(1.0, 2.0, 2.0, 1.0, p1=np.int64(1), p2=np.float32(0.5))
+        assert (scenario.p1, scenario.p2) == (1, 0.5)
+        assert type(scenario.p1) is int and type(scenario.p2) is float
+
+    @pytest.mark.parametrize("build", [
+        lambda p: BCScenario((Exponential(1.0), Exponential(2.0)), power=p),
+        lambda p: WTCScenario(Exponential(2.0), Exponential(1.0), p),
+    ], ids=["bc", "wtc"])
+    def test_power_from_numpy(self, build):
+        scenario = build(np.int64(3))
+        assert scenario.power == 3 and type(scenario.power) is int
+        with pytest.raises(ValueError) as err:
+            build(np.float64(-1.0))
+        assert str(err.value) == "power must be a positive finite number, got np.float64(-1.0)"

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -590,3 +591,41 @@ class TestSpecRoundTrip:
     def test_missing_field_named(self):
         with pytest.raises(ValueError, match="mean"):
             distribution_from_spec({"family": "exponential"})
+
+
+class TestNumpyScalarParameters:
+    """A parameter taken from a numpy array is accepted and kept as a Python
+    number, so that the spec still serializes to JSON."""
+
+    @pytest.mark.parametrize("build, spec", [
+        (lambda: Exponential(np.int64(2)), {"family": "exponential", "mean": 2}),
+        (lambda: NakagamiGain(np.int64(2), 1.0), {"family": "nakagami_gain", "m": 2, "w": 1.0}),
+        (lambda: NakagamiGain(np.float64(0.5), np.float32(0.25)),
+         {"family": "nakagami_gain", "m": 0.5, "w": 0.25}),
+        (lambda: PointMass(np.uint8(0)), {"family": "point_mass", "value": 0}),
+        (lambda: RatioExpExp(np.float32(1.5), np.int32(2), np.int64(0), np.float64(2.0)),
+         {"family": "ratio_exp_exp", "num_mean": 1.5, "den_mean": 2, "power": 0,
+          "num_shape": 2.0}),
+    ], ids=["exp-int64", "nak-int64", "nak-floats", "point-uint8", "ratio-mixed"])
+    def test_stored_as_python_numbers(self, build, spec):
+        d = build()
+        assert d.to_spec() == spec
+        assert all(type(v) in (int, float) for v in d.to_spec().values() if v != spec["family"])
+        assert json.loads(json.dumps(d.to_spec())) == spec
+
+    def test_same_law_as_the_python_parameters(self):
+        x = np.array([0.0, 0.3, 1.0, 4.0])
+        assert np.array_equal(Exponential(np.int64(2)).cdf(x), Exponential(2).cdf(x))
+        assert NakagamiGain(np.int64(2), 1.0) == NakagamiGain(2, 1.0)
+
+    @pytest.mark.parametrize("value", [np.int64(0), np.float64(np.nan), np.float32(-1.0),
+                                       np.bool_(True)])
+    def test_bad_numpy_scalars_keep_the_message(self, value):
+        with pytest.raises(ValueError) as err:
+            Exponential(value)
+        assert str(err.value) == f"mean_gain must be a positive finite number, got {value!r}"
+
+    def test_bool_is_kept_as_it_is(self):
+        assert Exponential(True).mean_gain is True
+        with pytest.raises(ValueError, match="got False"):
+            Exponential(False)

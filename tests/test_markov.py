@@ -260,16 +260,17 @@ def full_matrix(table, n, k):
 
 
 @st.composite
-def eighths_laws(draw, count, n):
-    """count pmfs over n states in multiples of 1/8 (so that the float cumsums
-    of the simulation are exact), as tail vectors t[j] = 8 Pr(X > j), j < n - 1."""
-    return [sorted(draw(st.lists(st.integers(0, 8), min_size=n - 1, max_size=n - 1)),
+def tail_laws(draw, count, n, den=8):
+    """count pmfs over n states in multiples of 1/den (1/8 keeps the float
+    cumsums of the simulation exact), as tail vectors t[j] = den Pr(X > j),
+    j < n - 1."""
+    return [sorted(draw(st.lists(st.integers(0, den), min_size=n - 1, max_size=n - 1)),
                    reverse=True) for _ in range(count)]
 
 
-def law_from_tails(tails):
-    cuts = [8] + list(tails) + [0]
-    return tuple(F(a - b, 8) for a, b in zip(cuts, cuts[1:]))
+def law_from_tails(tails, den=8):
+    cuts = [den] + list(tails) + [0]
+    return tuple(F(a - b, den) for a, b in zip(cuts, cuts[1:]))
 
 
 def lifted(weak, strong, n, m, lift):
@@ -307,8 +308,8 @@ def chain_from_tails(tails, n, k):
 def markov_pairs(draw):
     n, k = draw(st.sampled_from((2, 3))), draw(st.sampled_from((1, 2)))
     lift = draw(st.sampled_from(("all", "suffix", "none")))
-    weak = {m: draw(eighths_laws(n**m, n)) for m in range(k + 1)}
-    strong = {m: lifted(weak[m], draw(eighths_laws(n**m, n)), n, m, lift)
+    weak = {m: draw(tail_laws(n**m, n)) for m in range(k + 1)}
+    strong = {m: lifted(weak[m], draw(tail_laws(n**m, n)), n, m, lift)
               for m in range(k + 1)}
     return chain_from_tails(weak, n, k), chain_from_tails(strong, n, k)
 
@@ -526,3 +527,250 @@ class TestParseMatchesFractionReference:
         else:
             with pytest.raises(ValueError, match="row 1 must be a pmf"):
                 build()
+
+
+# -- the integer certificate against a Fraction brute force -------------------
+
+
+def reference_tails(law):
+    """Pr(next > states[n]) for n = 0..N-1, as Fractions."""
+    return [sum(law[n + 1:], F(0)) for n in range(len(law))]
+
+
+def reference_violations(weak_laws, strong_laws, m, n):
+    """Every pair (l, s) of length-m histories, l <= s elementwise, in
+    row-major order, whose weak tail after l exceeds the strong tail after s
+    somewhere, with the first such state: all as 0-based indices."""
+    hists = list(itertools.product(range(n), repeat=m))
+    weak_tails = [reference_tails(law) for law in weak_laws]
+    strong_tails = [reference_tails(law) for law in strong_laws]
+    found = []
+    for l, hl in enumerate(hists):
+        for s, hs in enumerate(hists):
+            if all(a <= b for a, b in zip(hl, hs)):
+                above = [a > b for a, b in zip(weak_tails[l], strong_tails[s])]
+                if any(above):
+                    found.append((l, s, above.index(True)))
+    return found
+
+
+def reference_certificate(weak, strong):
+    """(verdict, conditional, initial_ok, early_status, rows_ok, witnesses)
+    by enumerating every ordered pair and summing Fractions."""
+    n, k = weak.n_states, weak.order
+    h0 = [[sum(spec.initial[i * n ** (k - 1):(i + 1) * n ** (k - 1)], F(0)) for i in range(n)]
+          for spec in (weak, strong)]
+    initial_ok = not reference_violations([h0[0]], [h0[1]], 0, n)
+    witnesses = [] if initial_ok else [("initial", "H1(0) not <=_st H2(0)")]
+    # the first entry for a history counts
+    supplied = [dict(reversed(spec.early_conditionals)) for spec in (weak, strong)]
+    needed = [h for m in range(1, k) for h in itertools.product(weak.states, repeat=m)]
+    if k == 1:
+        early = "vacuous"
+    elif not all(h in table for table in supplied for h in needed):
+        early = "unverified"
+    else:
+        early = "passed"
+        for m in range(1, k):
+            hists = list(itertools.product(weak.states, repeat=m))
+            laws = [[table[h] for h in hists] for table in supplied]
+            for l, s, _ in reference_violations(*laws, m, n):
+                early = "failed"
+                witnesses.append(("early", m, super_state(l + 1, m, n), super_state(s + 1, m, n)))
+    rows = reference_violations(weak.table, strong.table, k, n)
+    if rows:
+        l, s, j = rows[0]
+        witnesses.append(("rows", l + 1, s + 1, j + 1))
+    verdict = initial_ok and not rows and early in ("passed", "vacuous")
+    conditional = initial_ok and not rows and early == "unverified"
+    return verdict, conditional, initial_ok, early, not rows, witnesses
+
+
+def certificate_fields(cert):
+    return (cert.verdict, cert.conditional, cert.initial_ok, cert.early_status, cert.rows_ok,
+            cert.witnesses)
+
+
+@st.composite
+def certificate_pairs(draw):
+    """Two chains of order k over n states, weak over denominator 6 and
+    strong over 4 or 10, whose laws after each history length are drawn at
+    random and, per length, left so, raised to dominate, or raised and then
+    lowered by one unit; with a complete, partial, missing or duplicated set
+    of early conditionals."""
+    n, k = draw(st.sampled_from((2, 3, 4))), draw(st.sampled_from((1, 2, 3)))
+    dw, ds = 6, draw(st.sampled_from((4, 10)))
+    laws = {}
+    for m in range(k + 1):  # each condition passes or fails on its own
+        raise_mode = draw(st.sampled_from(("dominate", "dominate", "near", "free")))
+        weak = draw(tail_laws(n**m, n, dw))
+        strong = draw(tail_laws(n**m, n, ds))
+        if raise_mode == "free":
+            laws[m] = ([law_from_tails(t, dw) for t in weak],
+                       [law_from_tails(t, ds) for t in strong])
+            continue
+        # over dw * ds: raised to the weak tails at or below, then lowered by slack
+        slack = int(raise_mode == "near")
+        strong = lifted([[t * ds for t in w] for w in weak], [[t * dw for t in s] for s in strong],
+                        n, m, "all")
+        laws[m] = ([law_from_tails(t, dw) for t in weak],
+                   [law_from_tails([max(0, t - slack) for t in s], dw * ds) for s in strong])
+    early_mode = draw(st.sampled_from(("complete", "partial", "none", "duplicated")))
+    states = (0.25, 0.5, 1.0, 2.0)[:n]
+    specs = []
+    for side in (0, 1):
+        table = laws[k][side]
+        h0 = laws[0][side][0]
+        initial = [h0[t[0]] * F(1, n ** (k - 1)) for t in itertools.product(range(n), repeat=k)]
+        early = [(tuple(states[i] for i in h), law) for m in range(1, k)
+                 for h, law in zip(itertools.product(range(n), repeat=m), laws[m][side])]
+        if early_mode == "partial" and early:
+            early = early[:draw(st.integers(0, len(early) - 1))]
+        elif early_mode == "none":
+            early = []
+        elif early_mode == "duplicated" and early:  # a later entry for a history is ignored
+            early = early + [(early[0][0], laws[1][1 - side][-1])]
+        specs.append(MarkovChannelSpec(states=states, order=k, matrix=full_matrix(table, n, k),
+                                       initial=initial, early_conditionals=tuple(early)))
+    return tuple(specs)
+
+
+def window_law(start, n, weights=(F(1, 2), F(1, 3), F(1, 6))):
+    """weights placed from state `start` upwards, mass past the top folded onto it."""
+    law = [F(0)] * n
+    for j, w in enumerate(weights):
+        law[min(max(start, 0) + j, n - 1)] += w
+    return law
+
+
+def window_chain(n, k, lift, broken=None):
+    """Order-k chain whose next state after history h starts its window at
+    max(h) + lift; the row of super-state `broken` (0-based digits) starts two
+    states lower.  Early conditionals are complete."""
+    table = [window_law(max(h) + lift - 2 * (h == broken), n)
+             for h in itertools.product(range(n), repeat=k)]
+    h0 = window_law(lift, n)
+    initial = [h0[h[0]] * F(1, n ** (k - 1)) for h in itertools.product(range(n), repeat=k)]
+    states = tuple(float(i + 1) for i in range(n))
+    early = tuple((tuple(states[i] for i in h), window_law(max(h) + lift, n))
+                  for m in range(1, k) for h in itertools.product(range(n), repeat=m))
+    return MarkovChannelSpec(states=states, order=k, matrix=full_matrix(table, n, k),
+                             initial=initial, early_conditionals=early)
+
+
+class TestCertificateMatchesFractionReference:
+    @settings(max_examples=150, deadline=None)
+    @given(pair=certificate_pairs())
+    def test_same_certificate(self, pair):
+        weak, strong = pair
+        cert = check_markov_degraded(weak, strong)
+        assert certificate_fields(cert) == reference_certificate(weak, strong)
+
+    @pytest.mark.parametrize("n, k, broken, witness", [
+        (60, 1, (40,), ("rows", 41, 41, 40)),
+        (10, 2, (3, 5), ("rows", 6, 36, 5)),
+        (6, 3, (2, 1, 3), ("rows", 4, 82, 3)),
+    ])
+    def test_negative_chain_at_workload_size(self, n, k, broken, witness):
+        weak, strong = window_chain(n, k, 0), window_chain(n, k, 1, broken)
+        cert = check_markov_degraded(weak, strong)
+        assert certificate_fields(cert) == (False, False, True, "vacuous" if k == 1 else "passed",
+                                            False, [witness])
+        assert certificate_fields(cert) == reference_certificate(weak, strong)
+        assert check_markov_degraded(weak, window_chain(n, k, 1)).verdict
+
+    @pytest.mark.parametrize("gap, verdict", [(F(0), True), (F(1, 3 * 2**55), False)])
+    def test_common_denominator_past_int64(self, gap, verdict):
+        # 0.1 is 3602879701896397 / 2^55.  With thirds the weak chain's D is
+        # 3 * 2^55, so D * 60 > 2^62; with 7ths, 11ths and 13ths the strong
+        # chain's is 3003 * 2^55, and the common denominator passes 2^63 itself
+        n, tenth = 60, F(0.1)
+        weak_weights = (tenth, F(1, 3), 1 - tenth - F(1, 3))
+        strong_weights = (F(1, 7), F(1, 11), F(1, 13), tenth,
+                          1 - tenth - F(1, 7) - F(1, 11) - F(1, 13))
+
+        def entries(law):
+            return [0.1 if x == tenth else str(x) if x else 0 for x in law]
+
+        weak_rows = [window_law(l, n, weak_weights) for l in range(n)]
+        strong_rows = [window_law(0, n, (tenth + gap, F(1, 3) - gap, weak_weights[2]))] + \
+            [window_law(s + 1, n, strong_weights) for s in range(1, n)]
+        weak, strong = (MarkovChannelSpec(states=tuple(range(1, n + 1)), order=1,
+                                          matrix=[entries(law) for law in rows],
+                                          initial=entries(weak_rows[0]))
+                        for rows in (weak_rows, strong_rows))
+        assert weak._table_numerators.dtype == strong._table_numerators.dtype == object
+        assert math.lcm(weak._den, strong._den) >= 2**63
+        cert = check_markov_degraded(weak, strong)
+        assert cert.verdict is verdict
+        assert certificate_fields(cert) == reference_certificate(weak, strong)
+        if not verdict:
+            assert cert.witnesses == [("rows", 1, 1, 1)]
+
+
+def with_entries(rows, *changes):
+    """rows (a tuple of tuples) with entries (i, j) replaced: changes are (i, j, value)."""
+    out = [list(row) for row in rows]
+    for i, j, value in changes:
+        out[i][j] = value
+    return tuple(map(tuple, out))
+
+
+# P4 in rows 1-4 (0-based 0-3); its off-block entries are columns 2, 3 of rows
+# 0 and 2 and columns 0, 1 of rows 1 and 3
+BAD_ORDER_CASES = {
+    "bad pmf, then off-block entry": (
+        with_entries(P4, (1, 2, "1/2"), (2, 3, "1/5")), INIT4_WEAK, EARLY4_WEAK,
+        "row 2 must be a pmf"),
+    "off-block entry, then bad pmf": (
+        with_entries(P4, (1, 0, "1/5"), (2, 0, "1/2")), INIT4_WEAK, EARLY4_WEAK,
+        "entry (2,1) must be zero"),
+    "off-block entry and bad pmf in one row": (
+        with_entries(P4, (1, 0, "1/5"), (1, 2, "1/2")), INIT4_WEAK, EARLY4_WEAK,
+        "entry (2,1) must be zero"),
+    "negative entry, then unreadable entry": (
+        with_entries(P4, (0, 0, "-1/2"), (0, 1, "3/2"), (1, 2, "abc")), INIT4_WEAK,
+        EARLY4_WEAK, "row 1 must be a pmf"),
+    "unreadable entry, then bad pmf": (
+        with_entries(P4, (0, 1, "abc"), (1, 2, "1/2")), INIT4_WEAK, EARLY4_WEAK,
+        "cannot interpret 'abc'"),
+    "bad last row, then unreadable initial": (
+        with_entries(P4, (3, 3, "1/5")), ("abc",) + INIT4_WEAK[1:], EARLY4_WEAK,
+        "row 4 must be a pmf"),
+    "initial 'abc', then bad early pmf": (
+        P4, ("abc",) + INIT4_WEAK[1:], (((0.0,), ("1/2", "1/3")), EARLY4_WEAK[1]),
+        "cannot interpret 'abc'"),
+    "initial '1/0', then bad early pmf": (
+        P4, ("1/0",) + INIT4_WEAK[1:], (((0.0,), ("1/2", "1/3")), EARLY4_WEAK[1]),
+        "cannot interpret '1/0'"),
+    "initial nan, then bad early pmf": (
+        P4, (math.nan,) + INIT4_WEAK[1:], (((0.0,), ("1/2", "1/3")), EARLY4_WEAK[1]),
+        "cannot interpret nan"),
+    "bad initial sum, then bad early history": (
+        P4, ("1/2",) + INIT4_WEAK[1:], (((0.5,), ("1/2", "1/2")),),
+        "initial distribution must be a pmf"),
+    "short initial, then bad early pmf": (
+        P4, INIT4_WEAK[1:], (((0.0,), ("1/2", "1/3")),), "initial distribution must be a pmf"),
+    "bad early pmf, then short early pmf": (
+        P4, INIT4_WEAK, (((0.0,), ("1/2", "1/3")), ((1.0,), ("1",))),
+        "conditional pmf for history (0.0,) must be a pmf"),
+    "bad early pmf, then unreadable history": (
+        P4, INIT4_WEAK, (((0.0,), ("-1", "2")), (("abc",), ("1/2", "1/2"))),
+        "conditional pmf for history (0.0,) must be a pmf"),
+    "short early pmf, then bad early pmf": (
+        P4, INIT4_WEAK, (((0.0,), ("1",)), ((1.0,), ("1/2", "1/3"))),
+        "conditional pmf for history (0.0,) must be a pmf"),
+}
+
+
+class TestParseErrorOrder:
+    """The pmf sums are checked together, after every entry is read; the
+    errors still come out in reading order, row by row."""
+
+    @pytest.mark.parametrize("case", BAD_ORDER_CASES, ids=list(BAD_ORDER_CASES))
+    def test_same_error_as_the_reference(self, case):
+        matrix, initial, early, message = BAD_ORDER_CASES[case]
+        got = outcome(lambda: MarkovChannelSpec(states=BINARY_STATES, order=2, matrix=matrix,
+                                                initial=initial, early_conditionals=early))
+        assert got == outcome(lambda: reference_parse(BINARY_STATES, 2, matrix, initial, early))
+        assert got[0] is ValueError and got[1].startswith(message)
