@@ -164,6 +164,13 @@ def _check_nonnegative(name: str, value):
     return _python_number(value)
 
 
+def _check_probability(name: str, value):
+    """value as a Python number, once it is a real in [0, 1]."""
+    if not (isinstance(value, numbers.Real) and 0 <= value <= 1):
+        raise ValueError(f"success probability must lie in [0, 1], got {value!r}")
+    return _python_number(value)
+
+
 def _python_number(value):
     """value as an int or float, which to_spec() can serialize: a numpy
     scalar by .item(), any other real that is neither (bool is an int) by float()."""
@@ -320,8 +327,7 @@ class BernoulliGain(GainDistribution):
     continuous = False
 
     def __post_init__(self):
-        if not (isinstance(self.q, (int, float)) and 0.0 <= self.q <= 1.0):
-            raise ValueError(f"success probability must lie in [0, 1], got {self.q!r}")
+        _store_checked(self, _check_probability, "q")
 
     def _cdf(self, x):
         return np.where(x >= 1.0, 1.0, 1.0 - self.q)

@@ -23,7 +23,11 @@ otherwise, so exactness never depends on size.  Each condition scales both
 chains to lcm(Dw, Ds) and compares each weak tail sum after l with the minimum
 of the strong ones over all s >= l, a running minimum along each of the m
 history axes: O(m N^(m+1)) work.  Only a failing condition lists its pairs.
-Path simulation uses floats.
+The certificate, the path simulation and the float and tail views all read one
+table of integer laws per history length.  Each float, a law entry or a cdf
+level, is an exact integer sum divided once by Python's correctly rounded int
+division; rounding is monotone, so a certified pair stays path-ordered for
+every uniform.
 """
 
 from __future__ import annotations
@@ -233,45 +237,9 @@ class MarkovChannelSpec:
         return self.n_states ** self.order
 
     def matrix_float(self) -> np.ndarray:
-        """The full N^k x N^k transition matrix in floats."""
-        return _full_matrix(np.array(self.table, dtype=float), 0.0)
-
-    def initial_state_marginal(self) -> np.ndarray:
-        """Law of H(0): the first coordinate of the initial super-state."""
-        return self._initial_state_law().astype(float)
-
-    def _initial_state_law(self) -> np.ndarray:
-        """Law of H(0) as an object array of Fractions."""
-        return np.array(self.initial, dtype=object).reshape(self.n_states, -1).sum(axis=1)
-
-    def conditional_after(self, history_idx: tuple) -> np.ndarray:
-        """pmf of the next state given a history of 1..k-1 state indices.
-
-        Prefers an explicitly supplied early conditional; otherwise conditions
-        the initial super-state law on the history prefix.
-        """
-        m = len(history_idx)
-        if not 1 <= m < self.order:
-            raise ValueError("history length must be in 1..k-1")
-        values = tuple(self.states[i] for i in history_idx)
-        for hist, pmf in self.early_conditionals:
-            if hist == values:
-                return np.array([float(x) for x in pmf])
-        joint = np.zeros(self.n_states)
-        for l in range(1, self.n_super + 1):
-            tup = super_state(l, self.order, self.n_states)
-            if tup[:m] == tuple(history_idx):
-                joint[tup[m]] += float(self.initial[l - 1])
-        total = joint.sum()
-        if total <= 0.0:
-            raise ValueError(f"history {values} has zero probability and no explicit conditional")
-        return joint / total
-
-    def has_complete_early_conditionals(self) -> bool:
-        """True when every history of each length 1..k-1 has an explicit conditional."""
-        supplied = {hist for hist, _ in self.early_conditionals}
-        return all(hist in supplied for m in range(1, self.order)
-                   for hist in itertools.product(self.states, repeat=m))
+        """The full N^k x N^k transition matrix in floats, each entry rounded once."""
+        table = _next_state_laws(self)[-1][0]
+        return _full_matrix(_quotients(table, [self._den] * len(table)), 0.0)
 
 
 def markov_spec_from_json(obj: dict) -> MarkovChannelSpec:
@@ -322,15 +290,48 @@ def _tails(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a[..., ::-1], axis=-1)[..., ::-1] - a
 
 
+def _quotients(numerators: np.ndarray, totals: list) -> np.ndarray:
+    """numerators[i, j] / totals[i] as floats, rounded once by Python's int
+    division: numpy's division of int64 numerators past 2^53 is not."""
+    return np.array([[a / t for a in row] for row, t in zip(numerators.tolist(), totals)])
+
+
 def ccdf_matrix(spec: MarkovChannelSpec) -> tuple:
     """Row-wise tail sums: entry (l, n) = sum_{j > n} P[l][j], exact rationals."""
-    full = _full_matrix(np.array(spec.table, dtype=object), Fraction(0))
-    return tuple(map(tuple, _tails(full)))
+    tails = _tails(_full_matrix(_next_state_laws(spec)[-1][0], 0)).tolist()
+    return tuple(tuple(Fraction(t, spec._den) for t in row) for row in tails)
 
 
 def _digits(m: int, N: int) -> np.ndarray:
     """Row i: the m 0-based states of the i-th length-m history, lexicographically."""
     return np.arange(N**m)[:, None] // N ** np.arange(m - 1, -1, -1) % N
+
+
+def _next_state_laws(spec: MarkovChannelSpec) -> list:
+    """[(laws, totals, stated)] for each history length m = 0..k: row h of laws
+    holds the integer numerators of the next state's law after the h-th
+    history of length m (lexicographic), totals[h] their sum, and stated is
+    whether the spec states each of these laws rather than implying some.
+
+    m = 0: the law of H(0).  1 <= m < k: the first supplied early conditional
+    for the history; otherwise the initial law conditioned on the history,
+    uniform where it has probability 0.  m = k: the table.  Stated laws are
+    over the spec's common denominator, conditioned ones over their total.
+    """
+    N, k = spec.n_states, spec.order
+    # reversed, so that the first entry for a history wins
+    first = {hist: i for i, (hist, _) in reversed(list(enumerate(spec.early_conditionals)))}
+    out = []
+    for m in range(k):
+        laws = spec._initial_numerators.reshape(N**m, N, -1).sum(axis=2)
+        found = [first.get(hist) for hist in itertools.product(spec.states, repeat=m)]
+        rows = [h for h, i in enumerate(found) if i is not None]
+        if rows:
+            laws[rows] = spec._early_numerators[[found[h] for h in rows]]
+        laws[laws.sum(axis=1) == 0] = 1
+        out.append((laws, laws.sum(axis=1), m == 0 or len(rows) == N**m))
+    table = spec._table_numerators
+    return out + [(table, table.sum(axis=1), True)]
 
 
 def comparable_pairs(k: int, N: int) -> list:
@@ -403,16 +404,26 @@ def check_markov_degraded(weak: MarkovChannelSpec, strong: MarkovChannelSpec) ->
         verdict=False, conditional=False, initial_ok=False, early_status="vacuous", rows_ok=False
     )
 
-    N, dens = weak.n_states, (weak._den, strong._den)
-    h0 = [spec._initial_numerators.reshape(N, -1).sum(axis=1)[None, :] for spec in (weak, strong)]
-    cert.initial_ok = next(_order_violations(*h0, dens, 0, N), None) is None
+    N, k = weak.n_states, weak.order
+    laws = [_next_state_laws(spec) for spec in (weak, strong)]
+
+    def violations(m):
+        return _order_violations(laws[0][m][0], laws[1][m][0], (weak._den, strong._den), m, N)
+
+    cert.initial_ok = next(violations(0), None) is None
     if not cert.initial_ok:
         cert.witnesses.append(("initial", "H1(0) not <=_st H2(0)"))
 
-    cert.early_status = _check_early_conditionals(weak, strong, cert)
+    if k > 1:  # (ii) only when both specs state every early conditional
+        stated = all(given for side in laws for _, _, given in side)
+        cert.early_status = "passed" if stated else "unverified"
+        for m in range(1, k if stated else 1):
+            for l, s, _ in violations(m):
+                cert.early_status = "failed"
+                cert.witnesses.append(("early", m, super_state(l + 1, m, N),
+                                       super_state(s + 1, m, N)))
 
-    row = next(_order_violations(weak._table_numerators, strong._table_numerators, dens,
-                                weak.order, N), None)
+    row = next(violations(k), None)
     cert.rows_ok = row is None
     if row is not None:
         l, s, n = row
@@ -420,39 +431,13 @@ def check_markov_degraded(weak: MarkovChannelSpec, strong: MarkovChannelSpec) ->
 
     fully_checked = cert.early_status in ("passed", "vacuous")
     cert.verdict = cert.initial_ok and cert.rows_ok and fully_checked
-    cert.conditional = (
-        cert.initial_ok and cert.rows_ok and cert.early_status == "unverified"
-    )
+    cert.conditional = cert.initial_ok and cert.rows_ok and cert.early_status == "unverified"
     if cert.conditional:
         cert.notes.append(
             "early-step conditionals were not supplied; conditions on steps 1..k-1 "
             "are unverified and the certificate is conditional on them"
         )
     return cert
-
-
-def _check_early_conditionals(weak, strong, cert) -> str:
-    if weak.order == 1:
-        return "vacuous"
-    if not (weak.has_complete_early_conditionals() and strong.has_complete_early_conditionals()):
-        return "unverified"
-    status = "passed"
-    N, dens = weak.n_states, (weak._den, strong._den)
-    for m in range(1, weak.order):
-        for l, s, _ in _order_violations(_early_laws(weak, m), _early_laws(strong, m), dens, m, N):
-            status = "failed"
-            cert.witnesses.append(("early", m, super_state(l + 1, m, N), super_state(s + 1, m, N)))
-    return status
-
-
-def _early_laws(spec: MarkovChannelSpec, m: int) -> np.ndarray:
-    """The numerators of the supplied next-state pmf after each history of
-    length m, in lexicographic order."""
-    first = {}
-    for i, (hist, _) in enumerate(spec.early_conditionals):
-        first.setdefault(hist, i)  # the first entry for a history wins
-    return spec._early_numerators[[first[hist] for hist in
-                                   itertools.product(spec.states, repeat=m)]]
 
 
 def check_indecomposable(spec: MarkovChannelSpec) -> bool:
@@ -477,13 +462,8 @@ def stationary_distribution(spec: MarkovChannelSpec) -> np.ndarray:
     return pi / pi.sum()
 
 
-def coupled_paths(
-    weak: MarkovChannelSpec,
-    strong: MarkovChannelSpec,
-    length: int,
-    uniforms: np.ndarray,
-    force: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
+def coupled_paths(weak: MarkovChannelSpec, strong: MarkovChannelSpec, length: int,
+                  uniforms: np.ndarray, force: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Simulate both chains from one shared uniform stream per step.
 
     uniforms has shape (n_paths, length); entry (p, m) drives step m of path p
@@ -491,44 +471,25 @@ def coupled_paths(
     current conditional law.  Returns two (n_paths, length) arrays of state
     values.  Refuses unverified pairs unless force=True.
     """
-    if not force:
-        cert = check_markov_degraded(weak, strong)
-        if not cert.verdict:
-            raise ValueError(
-                "degradedness is not certified for this pair; pass force=True to simulate anyway"
-            )
+    if not force and not check_markov_degraded(weak, strong).verdict:
+        raise ValueError("degradedness is not certified for this pair; "
+                         "pass force=True to simulate anyway")
     u = np.atleast_2d(np.asarray(uniforms, dtype=float))
     if u.shape[1] != length:
         raise ValueError(f"uniform stream must have {length} columns, got {u.shape[1]}")
     if np.any((u <= 0.0) | (u >= 1.0)):
         raise ValueError("uniforms must lie strictly inside (0, 1)")
 
-    paths = [_simulate_chain(spec, length, u) for spec in (weak, strong)]
-    return paths[0], paths[1]
+    return tuple(_simulate_chain(spec, length, u) for spec in (weak, strong))
 
 
 def _simulate_chain(spec: MarkovChannelSpec, length: int, u: np.ndarray) -> np.ndarray:
     k, N = spec.order, spec.n_states
-    table_cums = np.cumsum(np.array(spec.table, dtype=float), axis=1)
+    cdfs = [_quotients(np.cumsum(laws, axis=1), totals.tolist())
+            for laws, totals, _ in _next_state_laws(spec)]
     idx_path = np.empty(u.shape, dtype=int)
     hist = np.zeros(u.shape[0], dtype=int)  # flat index of each path's last min(m, k) states
-    for m in range(length):
-        if m == 0:
-            cums = np.cumsum(spec.initial_state_marginal())[None, :]
-        elif m < k:  # conditional law given each history of length m
-            cums = np.empty((N**m, N))
-            for flat, h in enumerate(itertools.product(range(N), repeat=m)):
-                try:
-                    cums[flat] = np.cumsum(spec.conditional_after(h))
-                except ValueError:
-                    cums[flat] = np.cumsum(np.full(N, 1.0 / N))  # unreachable history
-        else:
-            cums = table_cums
-        idx_path[:, m] = _rowwise_ginv(cums[hist], u[:, m])
+    for m in range(length):  # the least state whose cdf reaches u: the generalized inverse
+        idx_path[:, m] = (cdfs[min(m, k)][hist] < u[:, m, None]).sum(axis=1)
         hist = hist % N ** (k - 1) * N + idx_path[:, m]
     return np.asarray(spec.states)[idx_path]
-
-
-def _rowwise_ginv(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Smallest index j with cum_rows[i, j] >= u[i], per row."""
-    return (cum_rows < u[:, None]).sum(axis=1)

@@ -606,7 +606,11 @@ class TestNumpyScalarParameters:
         (lambda: RatioExpExp(np.float32(1.5), np.int32(2), np.int64(0), np.float64(2.0)),
          {"family": "ratio_exp_exp", "num_mean": 1.5, "den_mean": 2, "power": 0,
           "num_shape": 2.0}),
-    ], ids=["exp-int64", "nak-int64", "nak-floats", "point-uint8", "ratio-mixed"])
+        (lambda: BernoulliGain(np.int64(1)), {"family": "bernoulli", "q": 1}),
+        (lambda: BernoulliGain(np.float32(0.5)), {"family": "bernoulli", "q": 0.5}),
+        (lambda: BernoulliGain(np.float64(0.5)), {"family": "bernoulli", "q": 0.5}),
+    ], ids=["exp-int64", "nak-int64", "nak-floats", "point-uint8", "ratio-mixed",
+            "bern-int64", "bern-float32", "bern-float64"])
     def test_stored_as_python_numbers(self, build, spec):
         d = build()
         assert d.to_spec() == spec
@@ -624,6 +628,13 @@ class TestNumpyScalarParameters:
         with pytest.raises(ValueError) as err:
             Exponential(value)
         assert str(err.value) == f"mean_gain must be a positive finite number, got {value!r}"
+
+    @pytest.mark.parametrize("value", [np.int64(2), np.float64(np.nan), np.float32(-0.5),
+                                       np.bool_(True), math.inf, "0.5"])
+    def test_bad_success_probabilities_keep_the_message(self, value):
+        with pytest.raises(ValueError) as err:
+            BernoulliGain(value)
+        assert str(err.value) == f"success probability must lie in [0, 1], got {value!r}"
 
     def test_bool_is_kept_as_it_is(self):
         assert Exponential(True).mean_gain is True

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gainorder.markov import (
@@ -261,9 +261,8 @@ def full_matrix(table, n, k):
 
 @st.composite
 def tail_laws(draw, count, n, den=8):
-    """count pmfs over n states in multiples of 1/den (1/8 keeps the float
-    cumsums of the simulation exact), as tail vectors t[j] = den Pr(X > j),
-    j < n - 1."""
+    """count pmfs over n states in multiples of 1/den (eighths are exact in
+    binary, tenths are not), as tail vectors t[j] = den Pr(X > j), j < n - 1."""
     return [sorted(draw(st.lists(st.integers(0, den), min_size=n - 1, max_size=n - 1)),
                    reverse=True) for _ in range(count)]
 
@@ -288,11 +287,12 @@ def lifted(weak, strong, n, m, lift):
     return out
 
 
-def chain_from_tails(tails, n, k):
+def chain_from_tails(tails, n, k, den=8):
     """Chain over n states whose laws after the histories of length m = 0..k
-    have the tail vectors tails[m]; H(1) given H(0) follows the early law."""
-    states = (0.5, 1.0, 2.0)[:n]
-    laws = {m: [law_from_tails(t) for t in tails[m]] for m in tails}
+    have the tail vectors tails[m], over den; H(1) given H(0) follows the
+    early law."""
+    states = (0.5, 1.0, 2.0, 4.0)[:n]
+    laws = {m: [law_from_tails(t, den) for t in tails[m]] for m in tails}
     h0 = laws[0][0]
     if k == 1:
         return MarkovChannelSpec(states=states, order=1, matrix=full_matrix(laws[1], n, 1),
@@ -306,22 +306,49 @@ def chain_from_tails(tails, n, k):
 
 @st.composite
 def markov_pairs(draw):
-    n, k = draw(st.sampled_from((2, 3))), draw(st.sampled_from((1, 2)))
+    """(n, k, den, weak tails, strong tails) for chain_from_tails: plain data,
+    so that a failing example prints."""
+    n, k = draw(st.sampled_from((2, 3, 4))), draw(st.sampled_from((1, 2)))
     lift = draw(st.sampled_from(("all", "suffix", "none")))
-    weak = {m: draw(tail_laws(n**m, n)) for m in range(k + 1)}
-    strong = {m: lifted(weak[m], draw(tail_laws(n**m, n)), n, m, lift)
+    den = draw(st.sampled_from((8, 10)))
+    weak = {m: draw(tail_laws(n**m, n, den)) for m in range(k + 1)}
+    strong = {m: lifted(weak[m], draw(tail_laws(n**m, n, den)), n, m, lift)
               for m in range(k + 1)}
-    return chain_from_tails(weak, n, k), chain_from_tails(strong, n, k)
+    return n, k, den, weak, strong
+
+
+def cdf_levels(*specs):
+    """Each cumulative level of the specs' stated laws in floats, summed in
+    floats and rounded once from the exact sum, and the doubles on either
+    side of each: the uniforms inside (0, 1) where a float cdf falls on one
+    side or the other."""
+    levels = set()
+    for spec in specs:
+        block = len(spec.initial) // spec.n_states
+        h0 = [sum(spec.initial[i * block:(i + 1) * block], F(0)) for i in range(spec.n_states)]
+        for law in (*spec.table, h0, *(pmf for _, pmf in spec.early_conditionals)):
+            levels.update(np.cumsum(np.array(law, dtype=float)).tolist())
+            levels.update(float(sum(law[:j + 1], F(0))) for j in range(len(law)))
+    levels = np.array(sorted(levels))
+    levels = np.concatenate([levels, np.nextafter(levels, 0.0), np.nextafter(levels, 1.0)])
+    return levels[(levels > 0.0) & (levels < 1.0)]
 
 
 class TestCertificateSoundness:
     @settings(max_examples=80, deadline=None)
     @given(pair=markov_pairs())
+    # every law (3/10, 0, 7/10) against (1/10, 2/10, 7/10): equal cdfs whose
+    # float sums differ, 0.3 < 0.1 + 0.2
+    @example(pair=(3, 2, 10, {0: [[7, 7]], 1: [[7, 7]] * 3, 2: [[7, 7]] * 9},
+                   {0: [[9, 7]], 1: [[9, 7]] * 3, 2: [[9, 7]] * 9}))
     def test_certified_pairs_couple_pathwise(self, pair):
-        weak, strong = pair
+        n, k, den, *tails = pair
+        weak, strong = (chain_from_tails(t, n, k, den) for t in tails)
         if not check_markov_degraded(weak, strong).verdict:
             return
-        u = np.clip(np.random.default_rng(7).random((500, 8)), 1e-12, 1 - 1e-12)
+        rng = np.random.default_rng(7)
+        u = np.vstack([np.clip(rng.random((500, 8)), 1e-12, 1 - 1e-12),
+                       rng.choice(cdf_levels(weak, strong), (500, 8))])
         p1, p2 = coupled_paths(weak, strong, 8, u)
         assert np.all(p1 <= p2)
 
@@ -384,6 +411,18 @@ class TestCoupledPaths:
         occupancy = np.array([np.mean(path[0] == v) for v in spec.states])
         tv = 0.5 * np.abs(occupancy - pi_super).sum()
         assert tv <= 0.02
+
+    def test_certified_pair_ordered_at_a_rounding_boundary(self):
+        # both laws put 3/10 on the lowest state; in floats 3/10 rounds below
+        # 0.1 + 0.2, so a cdf summed in floats sends the weak chain above the
+        # strong one for u at the next double above 3/10
+        def chain(*law):
+            return MarkovChannelSpec(states=(0, 1, 2), order=1, matrix=(law,) * 3, initial=law)
+
+        weak, strong = chain("3/10", 0, "7/10"), chain("1/10", "2/10", "7/10")
+        assert check_markov_degraded(weak, strong).verdict
+        p1, p2 = coupled_paths(weak, strong, 1, np.array([[0.30000000000000004]]))
+        assert np.all(p1 <= p2)
 
     def test_bad_uniform_shape_rejected(self):
         weak, strong = chain3(P3, INIT3_WEAK), chain3(Q3, INIT3_STRONG)
@@ -681,24 +720,7 @@ class TestCertificateMatchesFractionReference:
 
     @pytest.mark.parametrize("gap, verdict", [(F(0), True), (F(1, 3 * 2**55), False)])
     def test_common_denominator_past_int64(self, gap, verdict):
-        # 0.1 is 3602879701896397 / 2^55.  With thirds the weak chain's D is
-        # 3 * 2^55, so D * 60 > 2^62; with 7ths, 11ths and 13ths the strong
-        # chain's is 3003 * 2^55, and the common denominator passes 2^63 itself
-        n, tenth = 60, F(0.1)
-        weak_weights = (tenth, F(1, 3), 1 - tenth - F(1, 3))
-        strong_weights = (F(1, 7), F(1, 11), F(1, 13), tenth,
-                          1 - tenth - F(1, 7) - F(1, 11) - F(1, 13))
-
-        def entries(law):
-            return [0.1 if x == tenth else str(x) if x else 0 for x in law]
-
-        weak_rows = [window_law(l, n, weak_weights) for l in range(n)]
-        strong_rows = [window_law(0, n, (tenth + gap, F(1, 3) - gap, weak_weights[2]))] + \
-            [window_law(s + 1, n, strong_weights) for s in range(1, n)]
-        weak, strong = (MarkovChannelSpec(states=tuple(range(1, n + 1)), order=1,
-                                          matrix=[entries(law) for law in rows],
-                                          initial=entries(weak_rows[0]))
-                        for rows in (weak_rows, strong_rows))
+        weak, strong = past_int64_pair(gap)
         assert weak._table_numerators.dtype == strong._table_numerators.dtype == object
         assert math.lcm(weak._den, strong._den) >= 2**63
         cert = check_markov_degraded(weak, strong)
@@ -706,6 +728,63 @@ class TestCertificateMatchesFractionReference:
         assert certificate_fields(cert) == reference_certificate(weak, strong)
         if not verdict:
             assert cert.witnesses == [("rows", 1, 1, 1)]
+
+
+def past_int64_pair(gap):
+    """Two 60-state chains whose numerators are Python ints: 0.1 is
+    3602879701896397 / 2^55.  With thirds the weak chain's D is 3 * 2^55, so
+    D * 60 > 2^62; with 7ths, 11ths and 13ths the strong chain's is
+    3003 * 2^55, and the common denominator passes 2^63 itself.  The strong
+    chain's first row moves `gap` from its lowest state to the next."""
+    n, tenth = 60, F(0.1)
+    weak_weights = (tenth, F(1, 3), 1 - tenth - F(1, 3))
+    strong_weights = (F(1, 7), F(1, 11), F(1, 13), tenth,
+                      1 - tenth - F(1, 7) - F(1, 11) - F(1, 13))
+
+    def entries(law):
+        return [0.1 if x == tenth else str(x) if x else 0 for x in law]
+
+    weak_rows = [window_law(l, n, weak_weights) for l in range(n)]
+    strong_rows = [window_law(0, n, (tenth + gap, F(1, 3) - gap, weak_weights[2]))] + \
+        [window_law(s + 1, n, strong_weights) for s in range(1, n)]
+    return tuple(MarkovChannelSpec(states=tuple(range(1, n + 1)), order=1,
+                                   matrix=[entries(law) for law in rows],
+                                   initial=entries(weak_rows[0]))
+                 for rows in (weak_rows, strong_rows))
+
+
+def past_2_53():
+    """Three states, every law (0.1, 2/3, rest): D = 3 * 2^55 and int64
+    numerators past 2^53, where a double no longer holds every integer."""
+    law = (0.1, "2/3", str(1 - F(0.1) - F(2, 3)))
+    return MarkovChannelSpec(states=(0.0, 1.0, 2.0), order=1, matrix=(law,) * 3, initial=law)
+
+
+def reference_ccdf(spec):
+    """ccdf_matrix from the Fraction table: each full row's tail sums."""
+    rows = full_matrix(spec.table, spec.n_states, spec.order)
+    return tuple(tuple(itertools.accumulate(reversed(row[1:]), initial=F(0)))[::-1]
+                 for row in rows)
+
+
+class TestExactViews:
+    def test_int64_numerators_past_2_53(self):
+        spec = past_2_53()
+        assert spec._den == 108086391056891904
+        assert spec._table_numerators.dtype == np.int64
+        assert spec._table_numerators.max() > 2**53
+        reference = np.array(spec.table, dtype=float)
+        # numpy rounds each int64 to a double before it divides: two entries a row differ
+        assert not np.array_equal(spec._table_numerators / spec._den, reference)
+        assert spec.matrix_float().tobytes() == reference.tobytes()
+        assert ccdf_matrix(spec) == reference_ccdf(spec)
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["weak", "strong"])
+    def test_python_int_numerators(self, side):
+        spec = past_int64_pair(F(1, 3 * 2**55))[side]
+        assert spec._table_numerators.dtype == object
+        assert spec.matrix_float().tobytes() == np.array(spec.table, dtype=float).tobytes()
+        assert ccdf_matrix(spec) == reference_ccdf(spec)
 
 
 def with_entries(rows, *changes):
