@@ -131,13 +131,15 @@ def _rate(expectation, *laws: GainDistribution) -> RateValue:
     return RateValue(bits, "quadrature", abs(bits - expectation(_COMPANION_ORDER)[0]) + rounding)
 
 
-def ergodic_rate(d: GainDistribution, power: float) -> RateValue:
+def ergodic_rate(d: GainDistribution, power: float, *, _nodes=law_nodes) -> RateValue:
     """Ergodic rate E[C(H * power)] of a single fading link.
 
     Discrete gains are summed exactly; a continuous gain is integrated in
     quantile space by 24-point Gauss-Legendre on each of 22 panels
     (distributions.law_nodes), and the error estimate is the distance to the
-    12-point companion rule on the same panels.
+    12-point companion rule on the same panels.  A caller that evaluates
+    several rates over the same laws may pass its own `_nodes`, a stand-in for
+    law_nodes that returns the same nodes.
     """
     if power < 0.0 or not math.isfinite(power):
         raise ValueError("power must be nonnegative and finite")
@@ -145,28 +147,29 @@ def ergodic_rate(d: GainDistribution, power: float) -> RateValue:
         raise ValueError("distribution has divergent mean")
 
     def expectation(order) -> tuple[float, int]:
-        x, w = law_nodes(d, order)
+        x, w = _nodes(d, order)
         return float(w @ c_of(power * x)), x.size
 
     return _rate(expectation, d)
 
 
 def pair_sum_rate(
-    d_a: GainDistribution, power_a: float, d_b: GainDistribution, power_b: float
+    d_a: GainDistribution, power_a: float, d_b: GainDistribution, power_b: float,
+    *, _nodes=law_nodes,
 ) -> RateValue:
     """E[C(Ha * Pa + Hb * Pb)] for independent gains.
 
     The tensor product of the two laws' rules (distributions.law_nodes):
     exact over atoms, and the quantile-space Gauss-Legendre rule of
     ergodic_rate along each continuous gain, with the same companion error
-    estimate.
+    estimate; `_nodes` as in ergodic_rate.
     """
     for p in (power_a, power_b):
         if p < 0.0 or not math.isfinite(p):
             raise ValueError("powers must be nonnegative and finite")
 
     def expectation(order) -> tuple[float, int]:
-        (xa, wa), (xb, wb) = law_nodes(d_a, order), law_nodes(d_b, order)
+        (xa, wa), (xb, wb) = _nodes(d_a, order), _nodes(d_b, order)
         # the grid of C values in blocks of rows: an Empirical can carry ~1e6 atoms
         step = max(1, _BLOCK // xb.size)
         total = 0.0
@@ -248,11 +251,20 @@ def strong_ic_region(s: ICScenario, force: bool = False) -> RateRegion:
     report = classify_ic_strong(s)
     if not report.verdict and not force:
         raise UnclassifiedScenarioError(report)
+    # each gain enters an ergodic rate and a pair-sum rate: its rules are
+    # computed once for this region
+    rules: dict = {}
+
+    def nodes(d: GainDistribution, order: int) -> tuple[np.ndarray, np.ndarray]:
+        if (d, order) not in rules:
+            rules[d, order] = law_nodes(d, order)
+        return rules[d, order]
+
     constraints = []
     for gain_1, gain_2 in ((s.h11, s.h12), (s.h21, s.h22)):
-        r1 = ergodic_rate(gain_1, s.p1).bits
-        r2 = ergodic_rate(gain_2, s.p2).bits
-        rsum = pair_sum_rate(gain_1, s.p1, gain_2, s.p2).bits
+        r1 = ergodic_rate(gain_1, s.p1, _nodes=nodes).bits
+        r2 = ergodic_rate(gain_2, s.p2, _nodes=nodes).bits
+        rsum = pair_sum_rate(gain_1, s.p1, gain_2, s.p2, _nodes=nodes).bits
         constraints += [(1.0, 0.0, r1), (0.0, 1.0, r2), (1.0, 1.0, rsum)]
     return region_from_constraints(constraints)
 

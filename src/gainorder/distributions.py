@@ -58,7 +58,7 @@ class GainDistribution:
       for a step law the least atom whose float cdf reaches u (the largest
       atom if none does), for any other law the exact inversion _invert_cdf
       of its float cdf, seeded by the family's _quantile_estimate where it
-      has one (Exponential's _inverse is its closed form instead);
+      has one;
     - sample, the quantile of uniform variates in (0, 1);
     - tail_quantile, the largest atom of a step law.
     """
@@ -104,15 +104,11 @@ class GainDistribution:
         flat = u.reshape(-1)
         atoms = step_atoms(self)
         if atoms is None:
-            out = self._inverse(flat)
+            out = _invert_cdf(self.cdf, flat, self._quantile_estimate(flat))
         else:
             xs = np.asarray(atoms[0], dtype=float)
             out = xs[np.minimum(np.searchsorted(self.cdf(xs), flat, side="left"), xs.size - 1)]
         return out.reshape(u.shape) if u.ndim else float(out[0])
-
-    def _inverse(self, u: np.ndarray) -> np.ndarray:
-        """quantile of a flat array of levels of a law that is not a step law."""
-        return _invert_cdf(self.cdf, u, self._quantile_estimate(u))
 
     def _quantile_estimate(self, u: np.ndarray) -> np.ndarray | None:
         """A cheap approximation of quantile(u) to seed _invert_cdf, or None
@@ -206,18 +202,47 @@ class Exponential(GainDistribution):
         return np.exp(x / -self.mean_gain)
 
     def _quantile_estimate(self, u):
-        with np.errstate(divide="ignore"):
-            return -self.mean_gain * np.log1p(-u)
+        # the closed form aimed at the rounding boundary of u (see _upper_tail)
+        # at every level, as it costs the same as at u: -mean ln((1 - u) +
+        # ulp(u)/2), with ln(1 - u) from log1p so that it keeps its digits
+        # below u = 1/2.  The float cdf rounds on its own, so this still misses
+        # the least double whose float cdf reaches u by an ulp or so.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return -self.mean_gain * (np.log1p(-u) + np.log1p(0.5 * np.spacing(u) / (1.0 - u)))
 
-    # the closed form is the quantile, though not always the least double
-    # whose float cdf reaches u
-    _inverse = _quantile_estimate
+    def tail_quantile(self, tail: float = _TAIL_EPS) -> float:
+        # a truncation point wants the law's own (1 - tail) quantile, which the
+        # closed form gives; the float cdf is flat near 1, so the least double
+        # at which it reaches 1 - tail sits up to a few 1e-9 lower
+        with np.errstate(divide="ignore"):
+            q = float(-self.mean_gain * np.log1p(-np.float64(1.0 - tail)))
+        if not math.isfinite(q):
+            raise ValueError("tail quantile is not finite")
+        return q
 
     def mean(self) -> float:
         return self.mean_gain
 
     def to_spec(self) -> dict:
         return {"family": "exponential", "mean": self.mean_gain}
+
+
+def _upper_tail(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(tail, mass): where u > 31/32, and there the upper-tail mass
+    (1 - u) + ulp(u)/2 at which a correctly rounded cdf first reaches u.
+
+    A float cdf rounds a true value within half an ulp of u to u, so its
+    crossing of u sits where the true cdf is u - ulp(u)/2, not u.  That shift
+    moves the answer by about 1/(4 (1 - u) ln(1/(1 - u))) ulps of x for a
+    gamma law, which outgrows the few ulps a seed from the lower tail is off
+    once 1 - u < 1/32; only the upper tail can aim at it, because 1 - u is
+    exact for u >= 1/2 while u - ulp(u)/2 is not a double.  In the bulk the
+    lower-tail seeds stay: an upper-tail inverse there is no closer (for
+    Nakagami m = 1/2 it is about 100 ulps off for u in [3/4, 7/8)).
+    """
+    tail = u > 0.96875
+    ut = u[tail]
+    return tail, (1.0 - ut) + 0.5 * np.spacing(ut)
 
 
 @functools.cache
@@ -306,11 +331,15 @@ class NakagamiGain(GainDistribution):
         return _gammaincc(self.m, self.m * x / self.w)
 
     def _quantile_estimate(self, u):
-        from scipy.special import gammaincinv
+        from scipy.special import gammaincinv, gammainccinv
 
-        # gammaincinv can sit a few ulps off the double where the float cdf
-        # crosses u, so it only seeds the exact inversion
-        return gammaincinv(self.m, u) * (self.w / self.m)
+        # the inverses can sit a few ulps off the double where the float cdf
+        # crosses u, so they only seed the exact inversion
+        tail, mass = _upper_tail(u)
+        est = np.empty_like(u)
+        est[~tail] = gammaincinv(self.m, u[~tail])
+        est[tail] = gammainccinv(self.m, mass)
+        return est * (self.w / self.m)
 
     def mean(self) -> float:
         return self.w
@@ -817,30 +846,40 @@ def _invert_cdf(cdf: Callable, u, x: np.ndarray | None = None) -> np.ndarray:
     so the search bisects bit patterns.  Without estimates it bisects all of
     [0, inf], 63 cdf evaluations; estimates x (one per level, overwritten
     with the answers) first gallop in ulps to a bracket cdf(lo) < u <= cdf(hi),
-    so an estimate d ulps off costs about 2 log2(d) evaluations.  The
-    estimates come from a closed form (NakagamiGain, RatioExpExp, the maximal
-    coupling's shared part) or from a table and Newton steps (its residuals);
-    they set the cost and, where the cdf wobbles, which crossing is returned.
+    so an estimate d ulps off costs about 2 log2(d) evaluations, and one at
+    the answer or just below it two.  The estimates come from a closed form
+    (Exponential and NakagamiGain aim at the rounding boundary of u, see
+    _upper_tail; RatioExpExp; the maximal coupling's shared part) or from a
+    table and Newton steps (its residuals); they set the cost and, where the
+    cdf wobbles, which crossing is returned.
     """
     u = np.asarray(u, dtype=float)
     out = np.empty_like(u) if x is None else x
     inner = (u > 0.0) & (u < 1.0)
-    out[u == 0.0] = 0.0
-    out[u == 1.0] = np.inf
-    uu = u[inner]
+    # a basic slice where every level is interior: views, no boolean gathers
+    part = slice(None) if inner.all() else inner
+    uu = u[part]
     # bracket lo < answer <= hi in bit order, lo = -1 standing below 0
     if x is None:
         lo = np.full(uu.shape, -1, dtype=np.int64)
         hi = np.full(uu.shape, _INF_BITS, dtype=np.int64)
     else:
-        k = out[inner].view(np.int64)
+        k = out[part].view(np.int64)
         np.clip(k, 0, _INF_BITS, out=k)
         ge = cdf(k.view(np.float64)) >= uu
-        # estimates that satisfy cdf >= u gallop down, the others gallop up
-        lo = np.where(ge, -1, k)
-        hi = np.where(ge, k, _INF_BITS)
-        todo = np.arange(k.size)
-        step = 1
+        # estimates that satisfy cdf >= u gallop down, the others gallop up.
+        # The first step, to the neighbour, runs on whole arrays in arithmetic
+        # (np.where on a random mask costs more than the cdf): most levels end
+        # there, bracketed by the estimate and its neighbour
+        probe = np.clip(k + 1 - 2 * ge, 0, _INF_BITS)
+        ok = cdf(probe.view(np.float64)) >= uu
+        lo, hi = np.minimum(k, probe), np.maximum(k, probe)
+        todo = np.flatnonzero(ok == ge)
+        down, probe = ge[todo], probe[todo]
+        lo[todo] = np.where(down, -1, probe)
+        hi[todo] = np.where(down, probe, _INF_BITS)
+        todo = todo[(probe > 0) & (probe < _INF_BITS)]
+        step = 2
         while todo.size:
             down = ge[todo]
             probe = np.clip(np.where(down, hi[todo] - step, lo[todo] + step), 0, _INF_BITS)
@@ -856,5 +895,7 @@ def _invert_cdf(cdf: Callable, u, x: np.ndarray | None = None) -> np.ndarray:
         hi[todo] = np.where(ok, mid, hi[todo])
         lo[todo] = np.where(ok, lo[todo], mid)
         todo = todo[hi[todo] - lo[todo] > 1]
-    out[inner] = hi.view(np.float64)
+    out[part] = hi.view(np.float64)
+    out[u == 0.0] = 0.0
+    out[u == 1.0] = np.inf
     return out

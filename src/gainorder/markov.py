@@ -209,8 +209,10 @@ class MarkovChannelSpec:
             initial = parsed.pmf(self.initial, n_super, "initial", "initial distribution")
             for history, pmf in self.early_conditionals:
                 hist = tuple(map(float, parsed.convert(history)))
-                if not 1 <= len(hist) <= k or any(v not in states for v in hist):
-                    raise ValueError(f"early conditional history {hist} must be 1..k state values")
+                # a history of length k is a row of the matrix: it conditions nothing
+                if not 1 <= len(hist) < k or any(v not in states for v in hist):
+                    raise ValueError(f"early conditional history {hist} must be 1..k-1 "
+                                     f"state values, k = {k}")
                 early.append((hist, parsed.pmf(pmf, n, "early",
                                                f"conditional pmf for history {hist}")))
         except Exception:

@@ -252,6 +252,28 @@ class TestStrongICRegion:
             for r1, r2 in region.vertices:
                 assert all(a1 * r1 + a2 * r2 <= b + 1e-9 for a1, a2, b in mac)
 
+    def test_each_rule_computed_once(self, monkeypatch):
+        # each gain enters an ergodic rate and a pair-sum rate, each with the
+        # default and the companion rule: 16 requests for 8 distinct rules
+        s = ICScenario(NakagamiGain(0.7, 1.0), NakagamiGain(2.0, 3.0), NakagamiGain(2.2, 4.0),
+                       Exponential(1.0), 1.3, 0.8)
+        calls = []
+        law_nodes = gainorder.capacity.law_nodes
+
+        def counted(d, order):
+            calls.append((d, order))
+            return law_nodes(d, order)
+
+        monkeypatch.setattr(gainorder.capacity, "law_nodes", counted)
+        region = strong_ic_region(s, force=True)
+        assert sorted(calls, key=repr) == sorted(
+            {(d, order) for d in (s.h11, s.h12, s.h21, s.h22) for order in (24, 12)}, key=repr)
+        # the same rates as the calls that compute their own rules
+        rates = [rate for g1, g2 in ((s.h11, s.h12), (s.h21, s.h22))
+                 for rate in (ergodic_rate(g1, s.p1).bits, ergodic_rate(g2, s.p2).bits,
+                              pair_sum_rate(g1, s.p1, g2, s.p2).bits)]
+        assert [b for _, _, b in region.constraints] == rates
+
     def test_unclassified_rejected_and_forceable(self):
         bad = ICScenario(Exponential(2.0), Exponential(1.0), Exponential(1.0), Exponential(2.0),
                          1.0, 1.0)

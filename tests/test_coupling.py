@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from gainorder import BernoulliGain, Exponential, NakagamiGain
+from gainorder import BernoulliGain, Exponential, NakagamiGain, coupling
 from gainorder.coupling import (
     comonotone_samples,
     copula_joint_ccdf,
@@ -117,6 +117,54 @@ def exp_pair_residual_2(x, u):
         return float(4 * mass - u)
 
 
+def true_cdf(d, x):
+    """The cdf of a gamma law at the double x, in 40 digits."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        if isinstance(d, Exponential):
+            return -mpmath.expm1(-x / d.mean_gain)
+        return mpmath.gammainc(d.m, 0, d.m * x / d.w, regularized=True)
+
+
+def true_component(spec, part, x):
+    """(true cdf, rounding bound) of a maximal-coupling component at x: part
+    0 is the shared law, 1 and 2 the residuals.  The true cdf is the
+    component's piecewise sum taken on the marginals' exact cdfs at the same
+    segment bounds; the bound is the one _PiecewiseMinCdf derives for its
+    float value from the errors of the O(1) marginal cdf values it sums."""
+    fm, ulp = spec._fmin, mpmath.mpf(2.0**-53)
+    bounds = list(fm.lo) + [math.inf]
+    j = int(fm.segment(np.array([x]))[0])
+    with mpmath.workdps(40):
+        def cdf(k, y):
+            return mpmath.mpf(1) if math.isinf(y) else true_cdf(fm.dists[k], y)
+
+        def err(k, y):
+            if math.isinf(y) or y == 0.0:  # the float cdfs read 1 and 0 exactly there
+                return mpmath.mpf(0)
+            return abs(mpmath.mpf(float(fm.dists[k].cdf(y))) - cdf(k, y))
+
+        def term(i, top):
+            """(rise over segment i up to top, the errors of its O(1) values,
+            its additions)"""
+            if part == 0:
+                ks, adds = [(0 if fm.first[i] else 1, 1)], 2
+            elif fm.live[part - 1, i]:
+                ks, adds = [(part - 1, 1), (2 - part, -1)], 4
+            else:
+                return 0, 0, 0
+            rise = sum(sign * (cdf(k, top) - cdf(k, bounds[i])) for k, sign in ks)
+            errors = sum(err(k, top) + err(k, bounds[i]) for k, _ in ks)
+            return rise, errors, adds
+
+        terms = [term(i, bounds[i + 1]) for i in range(j)] + [term(j, x)]
+        value, e_value = sum(t[0] for t in terms), sum(t[1] + t[2] * ulp for t in terms)
+        full = [term(i, bounds[i + 1]) for i in range(len(bounds) - 1)]
+        mass, e_mass = sum(t[0] for t in full), sum(t[1] + t[2] * ulp for t in full)
+        level = value / mass
+        return level, e_value / mass + level * e_mass / mass + ulp
+
+
 GAMMA_LAWS = st.one_of(
     st.builds(Exponential, st.floats(0.2, 5.0)),
     st.builds(NakagamiGain, st.sampled_from((0.3, 0.75, 1.0, 2.2, 4.0)), st.floats(0.2, 5.0)),
@@ -144,6 +192,10 @@ class TestMaximalCouplingQuantiles:
     # a residual quantile at a tiny level, just above an interior crossing
     @example(d1=Exponential(1.7984493856015655), d2=NakagamiGain(2.2, 1.4534914670559127),
              levels=[(0.875, 1e-48)])
+    # residual 2 near the top of its segment, where it is flat and gammainc's
+    # error makes it cross u at doubles 4e-9 apart
+    @example(d1=Exponential(4.0), d2=NakagamiGain(0.75, 1.25),
+             levels=[(0.75, 0.9999999999989999)])
     def test_every_draw_is_a_crossing_of_its_component_cdf(self, d1, d2, levels):
         spec = maximal_coupling_spec(d1, d2)
         u_sel, u = np.array(levels).T
@@ -153,23 +205,55 @@ class TestMaximalCouplingQuantiles:
             # one law: every draw is shared and is that law's own quantile
             assert np.all(h1 == d1.quantile(u))
             return
-        parts = [(spec.shared_cdf, eq, h1, spec.p),
-                 (lambda x: spec.residual_cdf(1, x), ~eq, h1, 1.0 - spec.p),
-                 (lambda x: spec.residual_cdf(2, x), ~eq, h2, 1.0 - spec.p)]
-        for cdf, rows, q, mass in parts:
+        parts = [(spec.shared_cdf, eq, h1, 0),
+                 (lambda x: spec.residual_cdf(1, x), ~eq, h1, 1),
+                 (lambda x: spec.residual_cdf(2, x), ~eq, h2, 2)]
+        for cdf, rows, q, part in parts:
             if not np.any(rows):
                 continue
             level, q = u[rows], q[rows]
             assert np.all(cdf(q) >= level)
             assert np.all(cdf(np.nextafter(q, 0.0)) < level)
             # the estimate-free search may stop at another crossing where the
-            # cdf, a difference of O(1) values over its mass, wobbles; then the
-            # two answers are close, or the cdf is flat between them
+            # cdf, a sum of O(1) values over its mass, wobbles; then the two
+            # answers are close, or the draw crosses u in the true cdf too, to
+            # within the cdf's stated rounding bound
             ref = _invert_cdf(cdf, level)
             close = np.abs(ref - q) <= 1e-12 * ref + 4.0 * np.spacing(q)
-            noise = 4.0 * np.spacing(1.0) / mass
-            same_level = np.abs(cdf(ref) - cdf(q)) <= 4.0 * np.spacing(level) + noise
-            assert np.all(close | same_level)
+            for x, v in zip(q[~close], level[~close]):
+                at, e_at = true_component(spec, part, x)
+                below, e_below = true_component(spec, part, np.nextafter(x, 0.0))
+                assert at >= v - e_at
+                assert below < v + e_below
+
+
+class TestResidualTables:
+    @pytest.mark.parametrize("d1, d2", [
+        (NakagamiGain(0.75, 1.0), NakagamiGain(2.2, 2.0)),
+        (Exponential(1.0), Exponential(3.0)),
+        (Exponential(4.0), NakagamiGain(0.75, 1.25)),
+    ])
+    def test_built_by_one_forward_evaluation(self, monkeypatch, d1, d2):
+        spec = maximal_coupling_spec(d1, d2)
+        points = []
+        residual_cdf = spec.residual_cdf
+
+        def counted(which, x):
+            points.append(np.size(x))
+            return residual_cdf(which, x)
+
+        def refuse(*args):
+            raise AssertionError("a table level was inverted")
+
+        monkeypatch.setattr(spec, "residual_cdf", counted)
+        monkeypatch.setattr(coupling, "_invert_cdf", refuse)
+        tables = spec._tables
+        # one residual cdf evaluation per abscissa, no inversion
+        assert points == [xs.size for _, xs, _ in tables]
+        for which, (levels, xs, _) in zip((1, 2), tables):
+            assert np.all(np.diff(levels) >= 0.0) and np.all(np.diff(xs) >= 0.0)
+            assert xs[-1] == np.inf and np.all(np.isfinite(xs[:-1]))
+            assert np.array_equal(levels, np.maximum.accumulate(residual_cdf(which, xs)))
 
 
 class TestComonotoneCoupling:

@@ -149,6 +149,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=r"cannot interpret \[0.1\]"):
             MarkovChannelSpec(states=states, order=1, matrix=P3, initial=INIT3_WEAK)
 
+    def test_early_history_of_length_k_rejected(self):
+        # the row after (0, 0) is (1/2, 1/2); a length-k "early" conditional
+        # (1, 0) after (0, 0) would be kept and read by nothing
+        assert chain4(P4, INIT4_WEAK).table[0] == (F(1, 2), F(1, 2))
+        early = EARLY4_WEAK + (((0.0, 0.0), ("1", "0")),)
+        message = r"\(0\.0, 0\.0\) must be 1\.\.k-1 state values, k = 2"
+        with pytest.raises(ValueError, match=message):
+            chain4(P4, INIT4_WEAK, early)
+
     def test_json_round_trip(self):
         spec = markov_spec_from_json(
             {"k": 1, "states": list(THREE_STATES), "matrix": [list(r) for r in P3],
@@ -471,8 +480,9 @@ def reference_parse(states, k, matrix, initial, early):
     cleaned = []
     for history, pmf in early:
         hist = tuple(float(reference_fraction(v)) for v in history)
-        if not 1 <= len(hist) <= k or any(v not in states for v in hist):
-            raise ValueError(f"early conditional history {hist} must be 1..k state values")
+        if not 1 <= len(hist) < k or any(v not in states for v in hist):
+            raise ValueError(f"early conditional history {hist} must be 1..k-1 "
+                             f"state values, k = {k}")
         cleaned.append((hist, reference_pmf(pmf, n, f"conditional pmf for history {hist}")))
     return states, tuple(table), initial, tuple(cleaned)
 
@@ -636,7 +646,9 @@ def certificate_pairs(draw):
     strong over 4 or 10, whose laws after each history length are drawn at
     random and, per length, left so, raised to dominate, or raised and then
     lowered by one unit; with a complete, partial, missing or duplicated set
-    of early conditionals."""
+    of early conditionals.  Each chain is drawn as the plain tuple (states, k,
+    matrix, initial, early) of MarkovChannelSpec's arguments, which hypothesis
+    can print where it cannot print a spec."""
     n, k = draw(st.sampled_from((2, 3, 4))), draw(st.sampled_from((1, 2, 3)))
     dw, ds = 6, draw(st.sampled_from((4, 10)))
     laws = {}
@@ -669,8 +681,7 @@ def certificate_pairs(draw):
             early = []
         elif early_mode == "duplicated" and early:  # a later entry for a history is ignored
             early = early + [(early[0][0], laws[1][1 - side][-1])]
-        specs.append(MarkovChannelSpec(states=states, order=k, matrix=full_matrix(table, n, k),
-                                       initial=initial, early_conditionals=tuple(early)))
+        specs.append((states, k, full_matrix(table, n, k), tuple(initial), tuple(early)))
     return tuple(specs)
 
 
@@ -701,7 +712,9 @@ class TestCertificateMatchesFractionReference:
     @settings(max_examples=150, deadline=None)
     @given(pair=certificate_pairs())
     def test_same_certificate(self, pair):
-        weak, strong = pair
+        weak, strong = (MarkovChannelSpec(states=states, order=k, matrix=matrix, initial=initial,
+                                          early_conditionals=early)
+                        for states, k, matrix, initial, early in pair)
         cert = check_markov_degraded(weak, strong)
         assert certificate_fields(cert) == reference_certificate(weak, strong)
 

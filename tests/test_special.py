@@ -21,6 +21,7 @@ from scipy.special import exp1
 from gainorder import Exponential, NakagamiGain, RatioExpExp
 from gainorder.capacity import _scaled_exp1
 from gainorder.coupling import maximal_coupling_spec
+from gainorder.distributions import law_nodes
 
 
 def gamma_p(s, x):
@@ -129,6 +130,7 @@ def family(d):
 
 
 LAWS = st.one_of(
+    st.builds(lambda mean: family(Exponential(mean)), st.floats(0.05, 20.0)),
     st.builds(lambda m, w: family(NakagamiGain(m, w)), st.sampled_from(SHAPES),
               st.floats(0.05, 20.0)),
     st.builds(lambda sn, sd, p: family(RatioExpExp(sn, sd, p)), st.floats(0.05, 20.0),
@@ -185,3 +187,39 @@ class TestNakagamiQuantile:
         q = RatioExpExp(1.0, 1.0, 1.0).quantile(1e-30)
         assert q == pytest.approx(5e-31, rel=1e-12, abs=0.0)
         assert NakagamiGain(0.3, 1.0).quantile(1e-300) == 1e-323
+        # the closed form -mean log1p(-u) gives the next double up, whose
+        # predecessor's float cdf already reaches u
+        assert Exponential(4.333401440430294).quantile(1e-300) == 4.333401440430294e-300
+
+
+class TestInversionCost:
+    """Cdf evaluations of the exact inversion from each family's seed:
+    counts, so they repeat exactly."""
+
+    @staticmethod
+    def counted(monkeypatch, family):
+        calls = []
+        kernel = family._cdf
+
+        def cdf(self, x):
+            calls.append(x.size)
+            return kernel(self, x)
+
+        monkeypatch.setattr(family, "_cdf", cdf)
+        return calls
+
+    @pytest.mark.parametrize("m", [0.5, 0.75, 1.6, 2.2, 4.0])
+    def test_nakagami_rule_in_few_cdf_calls(self, monkeypatch, m):
+        # the 528 quadrature levels reach 1 - 1e-10, where seeds aimed at u
+        # instead of its rounding boundary sat 1e10 ulps off and took 72 calls
+        calls = self.counted(monkeypatch, NakagamiGain)
+        x, _ = law_nodes(NakagamiGain(m, 1.3))
+        assert x.size == 528
+        assert len(calls) <= 16
+
+    @pytest.mark.parametrize("mean", [0.7, 2.0, 3.3])
+    def test_exponential_in_few_cdf_points_per_level(self, monkeypatch, mean):
+        u = np.random.default_rng(8).random(20000)
+        calls = self.counted(monkeypatch, Exponential)
+        Exponential(mean).quantile(u)
+        assert sum(calls) <= 2.5 * u.size
