@@ -1,8 +1,10 @@
 """Ergodic rate expressions attached to each successful classification.
 
-Rates are in bits per channel use with C(x) = (1/2) log2(1 + x); the 1/2
-factor is kept uniformly, including for the complex-noise interference model,
-to match the convention the sufficient conditions were stated under.
+A region or secrecy capacity takes the ClassificationReport its caller holds,
+and one gate, _admit, checks it: this module never classifies.  Rates are in
+bits per channel use with C(x) = (1/2) log2(1 + x); the 1/2 factor is kept
+uniformly, including for the complex-noise interference model, to match the
+convention the sufficient conditions were stated under.
 Every expectation over the gain laws goes through one rule,
 distributions.law_nodes: atoms are summed exactly, and a continuous gain is
 integrated in quantile space by Gauss-Legendre on fixed panels, with the
@@ -18,14 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import (
-    ClassificationReport,
-    ICScenario,
-    WTCScenario,
-    classify_ic_strong,
-    classify_ic_very_strong,
-    classify_wtc,
-)
+from .classifier import ClassificationReport, ICScenario, WTCScenario
 from .distributions import _BLOCK, _COMPANION_ORDER, _RULE_ORDER, GainDistribution, law_nodes
 
 __all__ = [
@@ -245,12 +240,20 @@ def region_from_constraints(constraints) -> RateRegion:
     return RateRegion(constraints=tuple(cons), vertices=tuple(ordered))
 
 
-def strong_ic_region(s: ICScenario, force: bool = False) -> RateRegion:
-    """Capacity region under strong interference: the intersection of the two
-    three-constraint multiple-access regions, one per receiver."""
-    report = classify_ic_strong(s)
+def _admit(report: ClassificationReport, condition: str, force: bool) -> None:
+    """The gate of every capacity expression: `report`, the caller's verdict on
+    the scenario, must be on `condition` and must hold unless forced."""
+    if report.condition != condition:
+        raise ValueError(f"expected a {condition} report, got {report.condition}")
     if not report.verdict and not force:
         raise UnclassifiedScenarioError(report)
+
+
+def strong_ic_region(s: ICScenario, report: ClassificationReport,
+                     force: bool = False) -> RateRegion:
+    """Capacity region under strong interference: the intersection of the two
+    three-constraint multiple-access regions, one per receiver."""
+    _admit(report, "strong_interference", force)
     # each gain enters an ergodic rate and a pair-sum rate: its rules are
     # computed once for this region
     rules: dict = {}
@@ -269,27 +272,25 @@ def strong_ic_region(s: ICScenario, force: bool = False) -> RateRegion:
     return region_from_constraints(constraints)
 
 
-def very_strong_ic_region(s: ICScenario, force: bool = False) -> RateRegion:
+def very_strong_ic_region(s: ICScenario, report: ClassificationReport,
+                          force: bool = False) -> RateRegion:
     """Capacity region under very strong interference: the interference-free
     rectangle R1 <= E[C(H11 P1)], R2 <= E[C(H22 P2)]."""
-    report = classify_ic_very_strong(s)
-    if not report.verdict and not force:
-        raise UnclassifiedScenarioError(report)
+    _admit(report, "very_strong_interference", force)
     r1 = ergodic_rate(s.h11, s.p1).bits
     r2 = ergodic_rate(s.h22, s.p2).bits
     return region_from_constraints([(1.0, 0.0, r1), (0.0, 1.0, r2)])
 
 
-def wtc_secrecy_capacity(s: WTCScenario, force: bool = False) -> RateValue:
+def wtc_secrecy_capacity(s: WTCScenario, report: ClassificationReport,
+                         force: bool = False) -> RateValue:
     """Ergodic secrecy capacity E[C(H P)] - E[C(G P)] of the degraded wiretap channel.
 
     Linearity of the expectation makes the coupling irrelevant to the value;
     degradedness guarantees nonnegativity, so a negative value raises rather
     than being clamped.
     """
-    report = classify_wtc(s)
-    if not report.verdict and not force:
-        raise UnclassifiedScenarioError(report)
+    _admit(report, "degraded_wiretap", force)
     top = ergodic_rate(s.legitimate, s.power)
     bottom = ergodic_rate(s.eavesdropper, s.power)
     bits = top.bits - bottom.bits

@@ -187,41 +187,49 @@ def _cells(values: np.ndarray) -> list[str]:
 # -- commands -----------------------------------------------------------------
 
 
+def _classified(obj: dict, topology: str, tol: float | None = None) -> tuple:
+    """A bc, ic or wtc scenario object's scenario and its one classification;
+    an ic object names the condition it is classified under."""
+    if topology == "ic":
+        scenario, condition = parse_ic(obj)
+        classify = classify_ic_strong if condition == "strong" else classify_ic_very_strong
+    elif topology == "bc":
+        scenario, classify = parse_bc(obj), classify_bc
+    elif topology == "wtc":
+        scenario, classify = parse_wtc(obj), classify_wtc
+    else:
+        raise ScenarioError(f"unknown topology {topology!r}")
+    return scenario, classify(scenario, tol=tol)
+
+
+def _classified_file(args, topology: str) -> tuple:
+    """_classified on the scenario file of a command that takes `topology` only."""
+    obj = load_scenario(args.scenario)
+    found = _require(obj, "topology")
+    if found != topology:
+        raise ScenarioError(f"{args.command} applies to {topology!r} scenarios, not {found!r}")
+    return _classified(obj, topology)
+
+
 def cmd_classify(args) -> int:
     obj = load_scenario(args.scenario)
     topology = _require(obj, "topology")
-    tol = args.tolerance
-    if topology == "bc":
-        report = classify_bc(parse_bc(obj), tol=tol)
-    elif topology == "ic":
-        scenario, condition = parse_ic(obj)
-        if condition == "strong":
-            report = classify_ic_strong(scenario, tol=tol)
-        else:
-            report = classify_ic_very_strong(scenario, tol=tol)
-    elif topology == "wtc":
-        report = classify_wtc(parse_wtc(obj), tol=tol)
-    elif topology == "markov_bc":
-        if tol is not None:
+    if topology == "markov_bc":
+        if args.tolerance is not None:
             raise ScenarioError("--tolerance does not apply to a markov_bc scenario: "
                                 "its certificate is exact")
         return _certify_markov(obj, args.out)
-    else:
-        raise ScenarioError(f"unknown topology {topology!r}")
+    _, report = _classified(obj, topology, args.tolerance)
     _emit_json(report.to_json(), args.out)
     return 0 if report.verdict else 1
 
 
 def cmd_region(args) -> int:
-    obj = load_scenario(args.scenario)
-    topology = _require(obj, "topology")
-    if topology != "ic":
-        raise ScenarioError(f"region applies to 'ic' scenarios, not {topology!r}")
-    scenario, condition = parse_ic(obj)
-    if condition == "strong":
-        region = strong_ic_region(scenario, force=args.force)
+    scenario, report = _classified_file(args, "ic")
+    if report.condition == "strong_interference":
+        region = strong_ic_region(scenario, report, force=args.force)
     else:
-        region = very_strong_ic_region(scenario, force=args.force)
+        region = very_strong_ic_region(scenario, report, force=args.force)
     _emit_csv(["R1", "R2"], list(np.array(region.vertices, dtype=float).T), args.out)
     if args.out:
         _emit_json(region.to_json(), str(Path(args.out).with_suffix(".json")))
@@ -229,13 +237,8 @@ def cmd_region(args) -> int:
 
 
 def cmd_secrecy(args) -> int:
-    obj = load_scenario(args.scenario)
-    topology = _require(obj, "topology")
-    if topology != "wtc":
-        raise ScenarioError(f"secrecy applies to 'wtc' scenarios, not {topology!r}")
-    scenario = parse_wtc(obj)
-    report = classify_wtc(scenario)
-    rate = wtc_secrecy_capacity(scenario, force=args.force)
+    scenario, report = _classified_file(args, "wtc")
+    rate = wtc_secrecy_capacity(scenario, report, force=args.force)
     _emit_json({"classification": report.to_json(), "secrecy_capacity": rate.to_json()}, args.out)
     return 0 if report.verdict else 1
 

@@ -657,13 +657,15 @@ class RatioLaw(GainDistribution):
         return self.numerator.continuous
 
     def _conditioned(self, kernel: Callable, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """kernel(z) @ weights for each z in x, kernel(z) one value per node,
-        in blocks of rows."""
+        """The sum of kernel(z) * weights for each z in x, kernel(z) one value
+        per node, in blocks of rows.  Each row is summed on its own: the
+        rounding of a matrix product depends on how many rows one call holds,
+        and a point's value must not."""
         z = x.reshape(-1, 1)
         out = np.empty(z.shape[0])
         step = max(1, _BLOCK // max(weights.size, 1))
         for i in range(0, out.size, step):
-            out[i:i + step] = np.asarray(kernel(z[i:i + step])) @ weights
+            out[i:i + step] = (np.asarray(kernel(z[i:i + step])) * weights).sum(axis=1)
         return out
 
     def _ccdf(self, x):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,15 +51,7 @@ class VerificationReport:
     kind: str = "positive"  # "negative_control" entries are expected to fail
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "sample_size": self.sample_size,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "seed": self.seed,
-            "kind": self.kind,
-        }
+        return asdict(self)
 
 
 def _report(name, n, statistic, threshold, seed, kind="positive") -> VerificationReport:

@@ -19,7 +19,7 @@ from gainorder.capacity import (
     strong_ic_region,
     wtc_secrecy_capacity,
 )
-from gainorder.classifier import ICScenario, WTCScenario
+from gainorder.classifier import ICScenario, WTCScenario, classify_ic_strong, classify_wtc
 from gainorder.cli import main
 from gainorder.coupling import (
     comonotone_samples,
@@ -234,7 +234,8 @@ def test_criterion_7_rate_oracles():
         assert abs(mc.bits - closed) <= tol
         assert abs(mc.bits - quad_rate.bits) <= tol
 
-    secrecy = wtc_secrecy_capacity(WTCScenario(Exponential(2.0), Exponential(1.0), 1.0))
+    wtc = WTCScenario(Exponential(2.0), Exponential(1.0), 1.0)
+    secrecy = wtc_secrecy_capacity(wtc, classify_wtc(wtc))
     oracle = exponential_rate_closed_form(2.0, 1.0) - exponential_rate_closed_form(1.0, 1.0)
     assert abs(secrecy.bits - 0.2355656051985441) <= 1e-3
     assert abs(secrecy.bits - oracle) <= 1e-3
@@ -262,7 +263,7 @@ def test_criterion_8_ratio_distribution():
 @criterion(9, "strong-IC point-mass region vertices are exactly the half-bit square")
 def test_criterion_9_strong_ic_vertices():
     s = ICScenario(PointMass(1.0), PointMass(2.0), PointMass(2.0), PointMass(1.0), 1.0, 1.0)
-    region = strong_ic_region(s)
+    region = strong_ic_region(s, classify_ic_strong(s))
     expected = [(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.0, 0.5)]
     assert len(region.vertices) == len(expected)
     for got, want in zip(region.vertices, expected):

@@ -22,9 +22,30 @@ from gainorder.capacity import (
     very_strong_ic_region,
     wtc_secrecy_capacity,
 )
-from gainorder.classifier import ICScenario, WTCScenario
+from gainorder.classifier import (
+    ICScenario,
+    WTCScenario,
+    classify_ic_strong,
+    classify_ic_very_strong,
+    classify_wtc,
+)
 from gainorder.stochastic_order import check_usual_order
 from gainorder.verify import mc_ergodic_rate
+
+
+IC_SQUARE = ICScenario(PointMass(1.0), PointMass(2.0), PointMass(2.0), PointMass(1.0), 1.0, 1.0)
+
+
+def strong(s, force=False):
+    return strong_ic_region(s, classify_ic_strong(s), force=force)
+
+
+def very_strong(s, force=False):
+    return very_strong_ic_region(s, classify_ic_very_strong(s), force=force)
+
+
+def secrecy(s, force=False):
+    return wtc_secrecy_capacity(s, classify_wtc(s), force=force)
 
 
 class TestCOf:
@@ -226,12 +247,12 @@ class TestStrongICRegion:
         return ICScenario(PointMass(1.0), PointMass(2.0), PointMass(2.0), PointMass(1.0), 1.0, 1.0)
 
     def test_point_mass_square(self):
-        region = strong_ic_region(self.make_point_mass_scenario())
+        region = strong(self.make_point_mass_scenario())
         assert region.vertices == ((0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.0, 0.5))
 
     def test_zero_power_single_vertex(self):
         s = ICScenario(PointMass(1.0), PointMass(2.0), PointMass(2.0), PointMass(1.0), 0.0, 0.0)
-        region = strong_ic_region(s)
+        region = strong(s)
         assert region.vertices == ((0.0, 0.0),)
 
     def test_bernoulli_direct_rate_constraint(self):
@@ -239,14 +260,14 @@ class TestStrongICRegion:
             BernoulliGain(0.5), BernoulliGain(1.0), BernoulliGain(1.0), BernoulliGain(0.5),
             1.0, 1.0,
         )
-        region = strong_ic_region(s)
+        region = strong(s)
         r1_bounds = [b for a1, a2, b in region.constraints if (a1, a2) == (1.0, 0.0)]
         assert min(r1_bounds) == pytest.approx(0.25, abs=1e-12)
 
     def test_contained_in_each_mac_region(self):
         s = ICScenario(Exponential(1.0), Exponential(2.0), Exponential(2.0), Exponential(1.0),
                        1.0, 1.0)
-        region = strong_ic_region(s)
+        region = strong(s)
         per_receiver = [region.constraints[:3], region.constraints[3:]]
         for mac in per_receiver:
             for r1, r2 in region.vertices:
@@ -265,7 +286,7 @@ class TestStrongICRegion:
             return law_nodes(d, order)
 
         monkeypatch.setattr(gainorder.capacity, "law_nodes", counted)
-        region = strong_ic_region(s, force=True)
+        region = strong(s, force=True)
         assert sorted(calls, key=repr) == sorted(
             {(d, order) for d in (s.h11, s.h12, s.h21, s.h22) for order in (24, 12)}, key=repr)
         # the same rates as the calls that compute their own rules
@@ -278,28 +299,46 @@ class TestStrongICRegion:
         bad = ICScenario(Exponential(2.0), Exponential(1.0), Exponential(1.0), Exponential(2.0),
                          1.0, 1.0)
         with pytest.raises(UnclassifiedScenarioError):
-            strong_ic_region(bad)
-        region = strong_ic_region(bad, force=True)
+            strong(bad)
+        region = strong(bad, force=True)
         assert isinstance(region, RateRegion)
+
+
+class TestReportGate:
+    def test_capacity_never_classifies(self):
+        assert not [name for name in dir(gainorder.capacity) if name.startswith("classify_")]
+
+    @pytest.mark.parametrize("expression, s, other", [
+        (strong_ic_region, IC_SQUARE, classify_ic_very_strong(IC_SQUARE)),
+        (very_strong_ic_region, IC_SQUARE, classify_ic_strong(IC_SQUARE)),
+        (wtc_secrecy_capacity, WTCScenario(PointMass(3.0), PointMass(1.0), 1.0),
+         classify_ic_strong(IC_SQUARE)),
+    ], ids=["strong", "very_strong", "wiretap"])
+    def test_report_of_another_condition_rejected(self, expression, s, other):
+        assert other.verdict
+        for force in (False, True):
+            with pytest.raises(ValueError, match="report") as info:
+                expression(s, other, force=force)
+            assert not isinstance(info.value, UnclassifiedScenarioError)
 
 
 class TestVeryStrongICRegion:
     def test_point_mass_square_corner(self):
         s = ICScenario(PointMass(1.0), PointMass(2.0), PointMass(2.0), PointMass(1.0), 1.0, 1.0)
-        region = very_strong_ic_region(s)
+        region = very_strong(s)
         assert (0.5, 0.5) in region.vertices
 
     def test_exponential_rectangle_corner(self):
         s = ICScenario(Exponential(0.1), Exponential(1.0), Exponential(1.0), Exponential(0.1),
                        1.0, 1.0)
-        region = very_strong_ic_region(s)
+        region = very_strong(s)
         corner = exponential_rate_closed_form(0.1, 1.0)
         assert max(r1 for r1, _ in region.vertices) == pytest.approx(corner, abs=1e-6)
         assert max(r2 for _, r2 in region.vertices) == pytest.approx(corner, abs=1e-6)
 
     def test_zero_p1_collapses_r1(self):
         s = ICScenario(PointMass(1.0), PointMass(2.0), PointMass(2.0), PointMass(1.0), 0.0, 1.0)
-        region = very_strong_ic_region(s)
+        region = very_strong(s)
         assert max(r1 for r1, _ in region.vertices) == 0.0
 
 
@@ -307,24 +346,24 @@ class TestWtcSecrecyCapacity:
     def test_exponential_pair_value(self):
         # (e^0.5 E1(0.5) - e E1(1)) / (2 ln 2), frozen from the closed-form oracle
         s = WTCScenario(Exponential(2.0), Exponential(1.0), 1.0)
-        got = wtc_secrecy_capacity(s)
+        got = secrecy(s)
         oracle = exponential_rate_closed_form(2.0, 1.0) - exponential_rate_closed_form(1.0, 1.0)
         assert got.bits == pytest.approx(0.2355656051985441, abs=1e-3)
         assert got.bits == pytest.approx(oracle, abs=1e-9)
 
     def test_equal_gains_zero_secrecy(self):
         s = WTCScenario(Exponential(1.0), Exponential(1.0), 1.0)
-        assert wtc_secrecy_capacity(s).bits == pytest.approx(0.0, abs=1e-9)
+        assert secrecy(s).bits == pytest.approx(0.0, abs=1e-9)
 
     def test_point_mass_scalar_values(self):
         s = WTCScenario(PointMass(3.0), PointMass(1.0), 1.0)
-        assert wtc_secrecy_capacity(s).bits == pytest.approx(0.5, abs=1e-12)
+        assert secrecy(s).bits == pytest.approx(0.5, abs=1e-12)
 
     def test_not_degraded_rejected(self):
         s = WTCScenario(Exponential(1.0), Exponential(2.0), 1.0)
         with pytest.raises(UnclassifiedScenarioError):
-            wtc_secrecy_capacity(s)
-        forced = wtc_secrecy_capacity(s, force=True)
+            secrecy(s)
+        forced = secrecy(s, force=True)
         assert forced.bits < 0.0  # reversed order yields the negated value
 
     def test_nonnegative_whenever_degraded(self):
@@ -335,11 +374,11 @@ class TestWtcSecrecyCapacity:
         ]
         for leg, eav in pairs:
             s = WTCScenario(leg, eav, 2.0)
-            assert wtc_secrecy_capacity(s).bits >= 0.0
+            assert secrecy(s).bits >= 0.0
 
     def test_negative_rate_on_degraded_channel_raises(self, monkeypatch):
         # swapped rates under a degraded verdict stand in for a failed quadrature
         rates = {2.0: RateValue(0.1, "quadrature", 0.0), 1.0: RateValue(0.2, "quadrature", 0.0)}
         monkeypatch.setattr(gainorder.capacity, "ergodic_rate", lambda d, p: rates[d.mean_gain])
         with pytest.raises(RuntimeError, match="negative secrecy rate"):
-            wtc_secrecy_capacity(WTCScenario(Exponential(2.0), Exponential(1.0), 1.0))
+            secrecy(WTCScenario(Exponential(2.0), Exponential(1.0), 1.0))

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import sys
 import unittest.mock
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gainorder import classifier as classifier_module
 from gainorder import cli
 from gainorder.cli import _emit_csv, build_parser, main
 
@@ -183,6 +185,39 @@ class TestSecrecyCommand:
         assert (code, out, err) == (1, "", "scenario does not satisfy the degraded_wiretap "
                                     "condition; pass force=True to evaluate the expression "
                                     "anyway\n")
+
+
+CLASSIFIERS = ("classify_bc", "classify_ic_strong", "classify_ic_very_strong", "classify_wtc")
+
+
+class TestOneClassificationPerCommand:
+    @pytest.mark.parametrize("argv, scenario, classifier", [
+        (["classify"], BC_OK, "classify_bc"),
+        (["classify"], IC_STRONG_BAD, "classify_ic_strong"),
+        (["region"], IC_POINT_MASS_STRONG, "classify_ic_strong"),
+        (["region"], IC_STRONG_BAD, "classify_ic_strong"),
+        (["region", "--force"], IC_STRONG_BAD, "classify_ic_strong"),
+        (["region"], dict(IC_POINT_MASS_STRONG, condition="very_strong"),
+         "classify_ic_very_strong"),
+        (["secrecy"], WTC_OK, "classify_wtc"),
+        (["secrecy", "--force"], dict(WTC_OK, legitimate=WTC_OK["eavesdropper"],
+                                      eavesdropper=WTC_OK["legitimate"]), "classify_wtc"),
+    ])
+    def test_one_classifier_call(self, tmp_path, monkeypatch, argv, scenario, classifier):
+        # every module that imports a classifier calls the counted one
+        calls = []
+        for name in CLASSIFIERS:
+            original = getattr(classifier_module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            for module in [m for key, m in sys.modules.items() if key.startswith("gainorder")]:
+                if module.__dict__.get(name) is original:
+                    monkeypatch.setattr(module, name, counted)
+        code, _, _ = _run([argv[0], write(tmp_path, "s.json", scenario), *argv[1:]])
+        assert code in (0, 1) and calls == [classifier]
 
 
 class TestCouplingSampleCommand:
