@@ -392,8 +392,9 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except UnclassifiedScenarioError as exc:
-        sys.stderr.write(f"{exc}\n")
+    except UnclassifiedScenarioError as exc:  # the library's message names force=True
+        sys.stderr.write(f"scenario does not satisfy the {exc.report.condition} condition; "
+                         "pass --force to evaluate the expression anyway\n")
         return 1
     except Exception as exc:
         # exit 1 is the negative verdict, so every other failure, a malformed

@@ -17,13 +17,13 @@ is below the strong chain's after s in the usual stochastic order:
         ("rows", l, s, n): 1-based super-states l <= s and the 1-based state
         n above which the weak chain after l puts more mass than the strong
         chain after s.
-A spec keeps, next to its Fraction laws, their integer numerators over one
-common denominator D: int64 where no pmf sum can overflow, Python ints
-otherwise, so exactness never depends on size.  Each condition scales both
-chains to lcm(Dw, Ds) and compares each weak tail sum after l with the minimum
-of the strong ones over all s >= l, a running minimum along each of the m
-history axes: O(m N^(m+1)) work.  Only a failing condition lists its pairs.
-The certificate, the path simulation and the float and tail views all read one
+A spec's record is its laws as integer numerators over one common
+denominator D: int64 where no pmf sum can overflow, Python ints otherwise, so
+exactness never depends on size.  Each condition scales both chains to
+lcm(Dw, Ds) and compares each weak tail sum after l with the minimum of the
+strong ones over all s >= l, a running minimum along each of the m history
+axes: O(m N^(m+1)) work.  Only a failing condition lists its pairs.  The
+certificate, the path simulation and the float and tail views all read one
 table of integer laws per history length.  Each float, a law entry or a cdf
 level, is an exact integer sum divided once by Python's correctly rounded int
 division; rounding is monotone, so a certified pair stays path-ordered for
@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -71,7 +71,7 @@ def _to_fraction(x) -> Fraction:
 
 class _Numbers(dict):
     """Entry -> Fraction, converting each distinct entry once, and the pmfs of
-    one spec, checked together as integers once they are all read.
+    one spec, checked together and kept as integers once they are all read.
 
     Entries that compare equal (1, 1.0 and True) share one key; their
     Fractions are equal too.
@@ -92,21 +92,19 @@ class _Numbers(dict):
         except TypeError:  # an unhashable entry, never a number: name the first bad one
             return tuple(map(_to_fraction, values))
 
-    def pmf(self, values, size: int, block: str, name: str) -> tuple:
-        """values as `size` Fractions; numerators() checks that they sum to 1."""
+    def pmf(self, values, size: int, block: str, name: str) -> None:
+        """Queue `size` numbers as a row of block; numerators() checks their sum."""
         values = tuple(values)
-        probs = self.convert(values)
-        if len(probs) != size:
+        if len(self.convert(values)) != size:
             raise _not_a_pmf(name, size)
         self.pmfs.setdefault(block, []).append((values, name))
-        return probs
 
     def numerators(self) -> tuple:
         """(D, {block: array}): the queued pmfs as integer numerators over their
         common denominator D, one row per pmf, int64 when no row sum can
-        overflow and Python ints otherwise.  Raises the error of the first pmf,
-        in reading order, with a negative entry or a sum off 1 by more than
-        1/_SUM_TOL."""
+        overflow and Python ints otherwise, each read-only.  Raises the error
+        of the first pmf, in reading order, with a negative entry or a sum off
+        1 by more than 1/_SUM_TOL."""
         rows = {block: [values for values, _ in pmfs] for block, pmfs in self.pmfs.items()}
         keys = set(itertools.chain.from_iterable(itertools.chain.from_iterable(rows.values())))
         den = math.lcm(*{self[x].denominator for x in keys})
@@ -123,6 +121,7 @@ class _Numbers(dict):
             bad = (table < 0).any(axis=1) | (total < lo) | (total > hi)
             if bad.any():
                 raise _not_a_pmf(pmfs[bad.argmax()][1], size)
+            table.flags.writeable = False
             arrays[block] = table
         return den, arrays
 
@@ -156,32 +155,33 @@ def super_state_index(indices, N: int) -> int:
     return l + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class MarkovChannelSpec:
-    """One k-th order finite-state Markov fading channel.
+    """One k-th order finite-state Markov fading channel, kept as integer laws.
 
-    states holds the strictly increasing gain values; matrix is the row-stochastic
-    N^k x N^k transition matrix over super-states, which is validated and kept
-    as its next-state table; initial is the joint law of the first super-state
-    (H(0), ..., H(k-1)); early_conditionals optionally supplies, for each
-    history of length 1..k-1 (as a tuple of state values), the pmf of the next
-    state - data that condition (ii) needs but the matrix does not determine.
+    Built from states (strictly increasing gain values), order k, matrix (the
+    row-stochastic N^k x N^k transition matrix over super-states), initial (the
+    joint law of H(0), ..., H(k-1)) and early_conditionals, optional (history,
+    pmf) pairs: the next state's law after 1..k-1 state values, which condition
+    (ii) needs but the matrix does not determine.  The record holds each law as
+    read-only integer numerators over den: the next-state table, the initial
+    law and one early row per entry of histories.  Specs compare by identity.
     """
 
-    states: tuple
+    states: tuple  # of float
     order: int
-    matrix: InitVar[tuple]
-    initial: tuple           # of Fraction, length N^order
-    early_conditionals: tuple = ()  # of (history value-tuple, pmf tuple)
-    table: tuple = field(init=False)  # N^order rows of N Fractions: the next-state laws
+    den: int
+    table_numerators: np.ndarray  # N^k x N: the next-state law after each super-state
+    initial_numerators: np.ndarray  # N^k
+    early_numerators: np.ndarray  # len(histories) x N
+    histories: tuple  # of state-value tuples
 
-    def __post_init__(self, matrix):
+    def __init__(self, states, order, matrix, initial, early_conditionals=()):
         parsed = _Numbers()  # one conversion per distinct entry of this spec
-        states = tuple(map(float, parsed.convert(self.states)))
+        states = tuple(map(float, parsed.convert(states)))
         if not states or any(b <= a for a, b in zip(states, states[1:])):
             raise ValueError("state values must be a nonempty, strictly increasing list")
-        object.__setattr__(self, "states", states)
-        n, k = len(states), self.order
+        n, k = len(states), order
         if k < 1:
             raise ValueError("chain order must be >= 1")
         if n > 1 and k > len(matrix):  # then n^k > len(matrix): spare the huge power
@@ -189,7 +189,7 @@ class MarkovChannelSpec:
         n_super = n**k
         if len(matrix) != n_super or any(len(row) != n_super for row in matrix):
             raise ValueError(f"transition matrix must be {n_super}x{n_super}")
-        table, early = [], []
+        histories = []
         try:  # a pmf read before a bad entry reports its own error first
             for l, row in enumerate(matrix, start=1):
                 start = (l - 1) % (n_super // n) * n
@@ -205,28 +205,27 @@ class MarkovChannelSpec:
                             raise ValueError(f"entry ({l},{c}) must be zero: column state "
                                              f"{super_state(c, k, n)} does not extend row "
                                              f"state {super_state(l, k, n)}")
-                table.append(parsed.pmf(row[start:start + n], n, "table", f"row {l}"))
-            initial = parsed.pmf(self.initial, n_super, "initial", "initial distribution")
-            for history, pmf in self.early_conditionals:
+                parsed.pmf(row[start:start + n], n, "table", f"row {l}")
+            parsed.pmf(initial, n_super, "initial", "initial distribution")
+            for history, pmf in early_conditionals:
                 hist = tuple(map(float, parsed.convert(history)))
                 # a history of length k is a row of the matrix: it conditions nothing
                 if not 1 <= len(hist) < k or any(v not in states for v in hist):
                     raise ValueError(f"early conditional history {hist} must be 1..k-1 "
                                      f"state values, k = {k}")
-                early.append((hist, parsed.pmf(pmf, n, "early",
-                                               f"conditional pmf for history {hist}")))
+                parsed.pmf(pmf, n, "early", f"conditional pmf for history {hist}")
+                histories.append(hist)
         except Exception:
             parsed.numerators()
             raise
-        den, numerators = parsed.numerators()
-        object.__setattr__(self, "table", tuple(table))
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "early_conditionals", tuple(early))
-        # the same laws as integer numerators over den, read by check_markov_degraded
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_table_numerators", numerators["table"])
-        object.__setattr__(self, "_initial_numerators", numerators["initial"][0])
-        object.__setattr__(self, "_early_numerators", numerators.get("early"))
+        den, laws = parsed.numerators()
+        early = laws.get("early", np.empty((0, n), dtype=np.int64))
+        early.flags.writeable = False
+        for name, value in (("states", states), ("order", k), ("den", den),
+                            ("table_numerators", laws["table"]),
+                            ("initial_numerators", laws["initial"][0]),
+                            ("early_numerators", early), ("histories", tuple(histories))):
+            object.__setattr__(self, name, value)
 
     # -- derived views -------------------------------------------------------
 
@@ -240,8 +239,7 @@ class MarkovChannelSpec:
 
     def matrix_float(self) -> np.ndarray:
         """The full N^k x N^k transition matrix in floats, each entry rounded once."""
-        table = _next_state_laws(self)[-1][0]
-        return _full_matrix(_quotients(table, [self._den] * len(table)), 0.0)
+        return _full_matrix(_quotients(self.table_numerators, [self.den] * self.n_super), 0.0)
 
 
 def markov_spec_from_json(obj: dict) -> MarkovChannelSpec:
@@ -288,7 +286,7 @@ def _full_matrix(table: np.ndarray, zero) -> np.ndarray:
 
 
 def _tails(a: np.ndarray) -> np.ndarray:
-    """tails[..., n] = sum_{j > n} a[..., j]; exact on object arrays of ints or Fractions."""
+    """tails[..., n] = sum_{j > n} a[..., j]; exact on integer arrays, object ones included."""
     return np.cumsum(a[..., ::-1], axis=-1)[..., ::-1] - a
 
 
@@ -300,8 +298,8 @@ def _quotients(numerators: np.ndarray, totals: list) -> np.ndarray:
 
 def ccdf_matrix(spec: MarkovChannelSpec) -> tuple:
     """Row-wise tail sums: entry (l, n) = sum_{j > n} P[l][j], exact rationals."""
-    tails = _tails(_full_matrix(_next_state_laws(spec)[-1][0], 0)).tolist()
-    return tuple(tuple(Fraction(t, spec._den) for t in row) for row in tails)
+    tails = _tails(_full_matrix(spec.table_numerators, 0)).tolist()
+    return tuple(tuple(Fraction(t, spec.den) for t in row) for row in tails)
 
 
 def _digits(m: int, N: int) -> np.ndarray:
@@ -322,17 +320,17 @@ def _next_state_laws(spec: MarkovChannelSpec) -> list:
     """
     N, k = spec.n_states, spec.order
     # reversed, so that the first entry for a history wins
-    first = {hist: i for i, (hist, _) in reversed(list(enumerate(spec.early_conditionals)))}
+    first = {hist: i for i, hist in reversed(list(enumerate(spec.histories)))}
     out = []
     for m in range(k):
-        laws = spec._initial_numerators.reshape(N**m, N, -1).sum(axis=2)
+        laws = spec.initial_numerators.reshape(N**m, N, -1).sum(axis=2)
         found = [first.get(hist) for hist in itertools.product(spec.states, repeat=m)]
         rows = [h for h, i in enumerate(found) if i is not None]
         if rows:
-            laws[rows] = spec._early_numerators[[found[h] for h in rows]]
+            laws[rows] = spec.early_numerators[[found[h] for h in rows]]
         laws[laws.sum(axis=1) == 0] = 1
         out.append((laws, laws.sum(axis=1), m == 0 or len(rows) == N**m))
-    table = spec._table_numerators
+    table = spec.table_numerators
     return out + [(table, table.sum(axis=1), True)]
 
 
@@ -410,7 +408,7 @@ def check_markov_degraded(weak: MarkovChannelSpec, strong: MarkovChannelSpec) ->
     laws = [_next_state_laws(spec) for spec in (weak, strong)]
 
     def violations(m):
-        return _order_violations(laws[0][m][0], laws[1][m][0], (weak._den, strong._den), m, N)
+        return _order_violations(laws[0][m][0], laws[1][m][0], (weak.den, strong.den), m, N)
 
     cert.initial_ok = next(violations(0), None) is None
     if not cert.initial_ok:

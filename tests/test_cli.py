@@ -154,7 +154,7 @@ class TestRegionCommand:
         code, stdout, err = _run(["region", write(tmp_path, "bad.json", IC_STRONG_BAD),
                                   "--out", str(out)])
         assert (code, stdout, err) == (1, "", "scenario does not satisfy the strong_interference "
-                                       "condition; pass force=True to evaluate the expression "
+                                       "condition; pass --force to evaluate the expression "
                                        "anyway\n")
         assert not out.exists() and not out.with_suffix(".json").exists()
 
@@ -183,7 +183,7 @@ class TestSecrecyCommand:
                             eavesdropper=WTC_OK["legitimate"])
         code, out, err = _run(["secrecy", write(tmp_path, "w.json", reversed_wtc)])
         assert (code, out, err) == (1, "", "scenario does not satisfy the degraded_wiretap "
-                                    "condition; pass force=True to evaluate the expression "
+                                    "condition; pass --force to evaluate the expression "
                                     "anyway\n")
 
 

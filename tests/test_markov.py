@@ -66,6 +66,16 @@ def chain4(matrix, initial, early=()):
     )
 
 
+def fraction_laws(spec):
+    """(table, initial, early_conditionals) read off the spec's integer record
+    as Fraction tuples: its laws in the form it was given them."""
+    def rows(numerators):
+        return tuple(tuple(F(x, spec.den) for x in row) for row in numerators.tolist())
+
+    return (rows(spec.table_numerators), rows(spec.initial_numerators[None])[0],
+            tuple(zip(spec.histories, rows(spec.early_numerators))))
+
+
 class TestSuperState:
     def test_binary_second_order_labels(self):
         assert super_state(1, 2, 2) == (0, 0)
@@ -152,7 +162,7 @@ class TestSpecValidation:
     def test_early_history_of_length_k_rejected(self):
         # the row after (0, 0) is (1/2, 1/2); a length-k "early" conditional
         # (1, 0) after (0, 0) would be kept and read by nothing
-        assert chain4(P4, INIT4_WEAK).table[0] == (F(1, 2), F(1, 2))
+        assert fraction_laws(chain4(P4, INIT4_WEAK))[0][0] == (F(1, 2), F(1, 2))
         early = EARLY4_WEAK + (((0.0, 0.0), ("1", "0")),)
         message = r"\(0\.0, 0\.0\) must be 1\.\.k-1 state values, k = 2"
         with pytest.raises(ValueError, match=message):
@@ -333,9 +343,10 @@ def cdf_levels(*specs):
     side or the other."""
     levels = set()
     for spec in specs:
-        block = len(spec.initial) // spec.n_states
-        h0 = [sum(spec.initial[i * block:(i + 1) * block], F(0)) for i in range(spec.n_states)]
-        for law in (*spec.table, h0, *(pmf for _, pmf in spec.early_conditionals)):
+        table, initial, early = fraction_laws(spec)
+        block = len(initial) // spec.n_states
+        h0 = [sum(initial[i * block:(i + 1) * block], F(0)) for i in range(spec.n_states)]
+        for law in (*table, h0, *(pmf for _, pmf in early)):
             levels.update(np.cumsum(np.array(law, dtype=float)).tolist())
             levels.update(float(sum(law[:j + 1], F(0))) for j in range(len(law)))
     levels = np.array(sorted(levels))
@@ -557,7 +568,7 @@ class TestParseMatchesFractionReference:
         def parse():
             spec = MarkovChannelSpec(states=states, order=k, matrix=matrix, initial=initial,
                                      early_conditionals=early)
-            return spec.states, spec.table, spec.initial, spec.early_conditionals
+            return (spec.states, *fraction_laws(spec))
 
         got = outcome(parse)
         assert got == outcome(lambda: reference_parse(states, k, matrix, initial, early))
@@ -607,12 +618,13 @@ def reference_certificate(weak, strong):
     """(verdict, conditional, initial_ok, early_status, rows_ok, witnesses)
     by enumerating every ordered pair and summing Fractions."""
     n, k = weak.n_states, weak.order
-    h0 = [[sum(spec.initial[i * n ** (k - 1):(i + 1) * n ** (k - 1)], F(0)) for i in range(n)]
-          for spec in (weak, strong)]
+    (weak_table, *weak_laws), (strong_table, *strong_laws) = map(fraction_laws, (weak, strong))
+    h0 = [[sum(initial[i * n ** (k - 1):(i + 1) * n ** (k - 1)], F(0)) for i in range(n)]
+          for initial, _ in (weak_laws, strong_laws)]
     initial_ok = not reference_violations([h0[0]], [h0[1]], 0, n)
     witnesses = [] if initial_ok else [("initial", "H1(0) not <=_st H2(0)")]
     # the first entry for a history counts
-    supplied = [dict(reversed(spec.early_conditionals)) for spec in (weak, strong)]
+    supplied = [dict(reversed(early)) for _, early in (weak_laws, strong_laws)]
     needed = [h for m in range(1, k) for h in itertools.product(weak.states, repeat=m)]
     if k == 1:
         early = "vacuous"
@@ -626,7 +638,7 @@ def reference_certificate(weak, strong):
             for l, s, _ in reference_violations(*laws, m, n):
                 early = "failed"
                 witnesses.append(("early", m, super_state(l + 1, m, n), super_state(s + 1, m, n)))
-    rows = reference_violations(weak.table, strong.table, k, n)
+    rows = reference_violations(weak_table, strong_table, k, n)
     if rows:
         l, s, j = rows[0]
         witnesses.append(("rows", l + 1, s + 1, j + 1))
@@ -734,8 +746,8 @@ class TestCertificateMatchesFractionReference:
     @pytest.mark.parametrize("gap, verdict", [(F(0), True), (F(1, 3 * 2**55), False)])
     def test_common_denominator_past_int64(self, gap, verdict):
         weak, strong = past_int64_pair(gap)
-        assert weak._table_numerators.dtype == strong._table_numerators.dtype == object
-        assert math.lcm(weak._den, strong._den) >= 2**63
+        assert weak.table_numerators.dtype == strong.table_numerators.dtype == object
+        assert math.lcm(weak.den, strong.den) >= 2**63
         cert = check_markov_degraded(weak, strong)
         assert cert.verdict is verdict
         assert certificate_fields(cert) == reference_certificate(weak, strong)
@@ -775,7 +787,7 @@ def past_2_53():
 
 def reference_ccdf(spec):
     """ccdf_matrix from the Fraction table: each full row's tail sums."""
-    rows = full_matrix(spec.table, spec.n_states, spec.order)
+    rows = full_matrix(fraction_laws(spec)[0], spec.n_states, spec.order)
     return tuple(tuple(itertools.accumulate(reversed(row[1:]), initial=F(0)))[::-1]
                  for row in rows)
 
@@ -783,21 +795,82 @@ def reference_ccdf(spec):
 class TestExactViews:
     def test_int64_numerators_past_2_53(self):
         spec = past_2_53()
-        assert spec._den == 108086391056891904
-        assert spec._table_numerators.dtype == np.int64
-        assert spec._table_numerators.max() > 2**53
-        reference = np.array(spec.table, dtype=float)
+        assert spec.den == 108086391056891904
+        assert spec.table_numerators.dtype == np.int64
+        assert spec.table_numerators.max() > 2**53
+        reference = np.array(fraction_laws(spec)[0], dtype=float)
         # numpy rounds each int64 to a double before it divides: two entries a row differ
-        assert not np.array_equal(spec._table_numerators / spec._den, reference)
+        assert not np.array_equal(spec.table_numerators / spec.den, reference)
         assert spec.matrix_float().tobytes() == reference.tobytes()
         assert ccdf_matrix(spec) == reference_ccdf(spec)
 
     @pytest.mark.parametrize("side", [0, 1], ids=["weak", "strong"])
     def test_python_int_numerators(self, side):
         spec = past_int64_pair(F(1, 3 * 2**55))[side]
-        assert spec._table_numerators.dtype == object
-        assert spec.matrix_float().tobytes() == np.array(spec.table, dtype=float).tobytes()
+        assert spec.table_numerators.dtype == object
+        reference = np.array(fraction_laws(spec)[0], dtype=float)
+        assert spec.matrix_float().tobytes() == reference.tobytes()
         assert ccdf_matrix(spec) == reference_ccdf(spec)
+
+
+def rebuilt(spec):
+    """The spec built again from its own record, each law as fraction strings."""
+    def strings(law):
+        return [str(x) for x in law]
+
+    table, initial, early = fraction_laws(spec)
+    return MarkovChannelSpec(
+        states=spec.states, order=spec.order,
+        matrix=full_matrix([strings(law) for law in table], spec.n_states, spec.order),
+        initial=strings(initial), early_conditionals=[(h, strings(law)) for h, law in early])
+
+
+RECORD_SPECS = {
+    "k=1": lambda: chain3(P3, INIT3_WEAK),
+    "k=2": lambda: chain4(P4, INIT4_WEAK),
+    "k=2 with early": lambda: chain4(P4, INIT4_WEAK, EARLY4_WEAK),
+    "int64 past 2^53": past_2_53,
+    "Python ints, weak": lambda: past_int64_pair(F(1, 3 * 2**55))[0],
+    "Python ints, strong": lambda: past_int64_pair(F(1, 3 * 2**55))[1],
+}
+NUMERATORS = ("table_numerators", "initial_numerators", "early_numerators")
+
+
+class TestOneRecord:
+    """A spec keeps its laws once, as read-only integer numerators over den."""
+
+    @pytest.mark.parametrize("name", list(RECORD_SPECS)[:3])
+    def test_fraction_fields_are_gone(self, name):
+        spec = RECORD_SPECS[name]()
+        for removed in ("table", "initial", "early_conditionals"):
+            assert not hasattr(spec, removed)
+
+    @pytest.mark.parametrize("name", RECORD_SPECS)
+    def test_rebuilt_from_its_record(self, name):
+        spec = RECORD_SPECS[name]()
+        again = rebuilt(spec)
+        assert (again.states, again.order, again.den, again.histories) == \
+            (spec.states, spec.order, spec.den, spec.histories)
+        for field in NUMERATORS:
+            ours, theirs = getattr(spec, field), getattr(again, field)
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            assert np.array_equal(ours, theirs)
+
+    def test_record_is_read_only(self):
+        weak = chain4(P4, INIT4_WEAK, EARLY4_WEAK)
+        strong = chain4(Q4, INIT4_STRONG, EARLY4_STRONG)
+        before = certificate_fields(check_markov_degraded(weak, strong))
+        assert before[0] is True
+        for field in NUMERATORS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(weak, field)[0] = 0
+        assert certificate_fields(check_markov_degraded(weak, strong)) == before
+        assert not any(getattr(RECORD_SPECS[name](), field).flags.writeable
+                       for name in RECORD_SPECS for field in NUMERATORS)
+
+    def test_specs_compare_by_identity(self):
+        spec = chain3(P3, INIT3_WEAK)
+        assert spec == spec and spec != chain3(P3, INIT3_WEAK)
 
 
 def with_entries(rows, *changes):
