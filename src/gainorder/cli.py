@@ -173,12 +173,24 @@ def _cells(values: np.ndarray) -> list[str]:
     import orjson
 
     values = np.ascontiguousarray(values, dtype=np.float64)
-    # orjson writes repr's shortest round-trip digits for every double with
-    # 1e-4 <= |x| < 1e16 and for +-0.0; below and above that it differs from
-    # repr in notation only (0.00001, 1e16), and it writes NaN and +-inf as null
-    cells = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    # orjson writes repr's shortest round-trip digits for every finite double;
+    # outside 1e-4 <= |x| < 1e16 it differs from repr in layout only.  Its
+    # exponents get repr's: e-7 -> e-07 (a 0 after e- when one digit follows)
+    # and e16 -> e+16 (a + after an e that a digit follows).  It writes
+    # 1e-5 <= |x| < 1e-4 positionally (0.000015 for 1.5e-05) and NaN and +-inf
+    # as null, so repr formats those cells alone
+    raw = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    if b"e" in raw:
+        text = np.frombuffer(raw, dtype=np.uint8)
+        e = np.flatnonzero(text == ord("e"))
+        minus = text[e + 1] == ord("-")
+        # the closing ] ends the last cell, so e + 3 stays inside the text
+        fix = ~minus | (text[e + 3] < ord("0")) | (text[e + 3] > ord("9"))
+        raw = np.insert(text, np.where(minus, e + 2, e + 1)[fix],
+                        np.where(minus, ord("0"), ord("+"))[fix]).tobytes()
+    cells = raw[1:-1].decode().split(",")
     size = np.abs(values)
-    other = np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (values != 0.0))
+    other = np.flatnonzero(((size >= 1e-5) & (size < 1e-4)) | ~np.isfinite(values))
     for i, x in zip(other.tolist(), values[other].tolist()):
         cells[i] = repr(x)
     return cells

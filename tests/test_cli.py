@@ -280,8 +280,11 @@ def _nextafters(x, n=3):
     return out
 
 
-# the edges of the range where orjson writes repr's digits, and their neighbours
-CSV_EDGES = [v for x in (1e-4, 1e16) for e in _nextafters(x) for v in (e, -e)]
+# the edges of orjson's layouts and their neighbours: where it stops writing
+# positionally (1e-5 and 1e-4 below, 1e16 above) and one-, two- and
+# three-digit exponents of both signs
+CSV_EDGES = [v for x in (1e-100, 1e-10, 1e-9, 1e-5, 1e-4, 1e16, 1e100)
+             for e in _nextafters(x) for v in (e, -e)]
 CSV_FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
     st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.0**53,
@@ -344,6 +347,30 @@ class TestCsvOutput:
             got = _emitted(header, columns, tmp_path_factory.mktemp("csv"))
         assert got == (expected, expected)
 
+    def test_every_power_of_ten_and_its_neighbours(self):
+        # every decimal exponent a double has, on both sides of each power
+        values = [v for e in range(-323, 309) for x in _nextafters(float(f"1e{e}"), n=1)
+                  for v in (x, -x)]
+        assert cli._cells(np.array(values)) == list(map(repr, values))
+
+    @pytest.mark.parametrize("band, nonfinite", [(0, 0), (1, 0), (0, 3), (7, 2), (500, 40)])
+    def test_repr_formats_the_band_and_nonfinite_cells_alone(self, band, nonfinite):
+        # 2000 finite cells outside [1e-5, 1e-4) that repr must not format
+        # (exponents of both signs, positional cells, subnormals), then band
+        # and NaN/+-inf cells, one repr call each
+        rng = np.random.default_rng(band + nonfinite)
+        subnormals = rng.integers(1, 2**52, 400, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([10.0 ** rng.uniform(-300, -6, 800),
+                                 10.0 ** rng.uniform(np.log10(0.5), 300, 800), subnormals,
+                                 10.0 ** rng.uniform(-5, -4, band)])
+        values *= np.where(rng.random(values.size) < 0.5, 1.0, -1.0)
+        values = np.concatenate([values, rng.choice([np.nan, np.inf, -np.inf], nonfinite)])
+        rng.shuffle(values)
+        with unittest.mock.patch.object(cli, "repr", create=True, wraps=repr) as spy:
+            cells = cli._cells(values)
+        assert spy.call_count == band + nonfinite
+        assert cells == list(map(repr, values.tolist()))
+
     def test_each_write_holds_at_most_one_block(self):
         writes = []
 
@@ -386,6 +413,17 @@ class TestFigureCommand:
             assert np.min(data[:, col]) >= -1e-12
         dip_region = data[data[:, 0] < 0.05]
         assert np.min(dip_region[:, 4]) <= -0.003
+
+    @pytest.mark.parametrize("fig", ["3", "4"])
+    def test_same_bytes_as_the_reference(self, tmp_path, fig):
+        # the columns cmd_figure computes, written cell by cell through repr
+        out = tmp_path / "fig.csv"
+        with unittest.mock.patch.object(cli, "_emit_csv", wraps=cli._emit_csv) as spy:
+            assert main(["figure", "--fig", fig, "--points", "200", "--out", str(out)]) == 0
+        header, columns, _ = spy.call_args.args
+        text = out.read_text()
+        assert text == reference_csv(header, columns)
+        assert "e-" in text   # cells below 1e-4 are in the table
 
     def test_unknown_figure_exits_two(self, tmp_path):
         assert main(["figure", "--fig", "5"]) == 2
