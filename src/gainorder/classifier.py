@@ -151,16 +151,20 @@ _BC_REGION_NOTE = (
 def classify_bc(s: BCScenario, tol: float | None = None) -> ClassificationReport:
     """Search for a permutation that chains the user gains in the usual stochastic order.
 
-    Sorting by mean is a sound pre-filter (the order implies ordered means); if
-    the sorted chain fails, all permutations are tried for K <= 6.
+    Sorting by mean is a sound pre-filter (the order implies ordered means).  If
+    the sorted chain fails and K <= 6, a depth-first search over the user
+    indices, each level in increasing order, extends a path only along pairs
+    whose first law is below the second, and returns the lexicographically
+    first chain: the first permutation that chains, without visiting the
+    orders whose prefix already fails.  Each unordered pair is checked once.
     """
     gains = list(s.gains)
     k = len(gains)
     verdicts = {}
 
     def check(i: int, j: int) -> OrderVerdict:
-        # the permutation search meets each pair many times, in both orders;
-        # one check per unordered pair, the reverse read off it
+        # the chain search can meet a pair in both orders; one check per
+        # unordered pair, the reverse read off it
         if (i, j) not in verdicts:
             if (j, i) in verdicts:
                 verdicts[i, j] = verdicts[j, i].mirrored()
@@ -171,11 +175,9 @@ def classify_bc(s: BCScenario, tol: float | None = None) -> ClassificationReport
     order = sorted(range(k), key=lambda i: gains[i].mean())
     chain = _try_chain(check, order)
     if chain is None and k <= 6:
-        for perm in itertools.permutations(range(k)):
-            chain = _try_chain(check, list(perm))
-            if chain is not None:
-                order = list(perm)
-                break
+        order = _first_chain(check, k)
+        if order is not None:
+            chain = _try_chain(check, order)
     report = ClassificationReport(
         topology="bc",
         verdict=chain is not None,
@@ -205,6 +207,26 @@ def _try_chain(check, order):
             return None
         checks.append((f"user{a + 1}_leq_user{b + 1}", verdict))
     return checks
+
+
+def _first_chain(check, k):
+    """The lexicographically first order of the k users in which each law is
+    below the next, or None: a depth-first search that extends a path by the
+    unused users in increasing order, along check(last, j).first_leq only."""
+    path = []
+
+    def extend() -> bool:
+        if len(path) == k:
+            return True
+        for j in range(k):
+            if j not in path and (not path or check(path[-1], j).first_leq):
+                path.append(j)
+                if extend():
+                    return True
+                path.pop()
+        return False
+
+    return path if extend() else None
 
 
 def _find_incomparable_pair(check, k):

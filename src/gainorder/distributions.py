@@ -538,6 +538,41 @@ class RatioExpExp(GainDistribution):
                 t = wrightomega(1.0 / k - math.log(k) + t) - 1.0 / k
         return self.num_mean * t
 
+    def tail_quantile(self, tail: float = _TAIL_EPS) -> float:
+        # at m = 1 the law's own quantile at the double level 1 - tail, as
+        # Exponential.tail_quantile takes it: with q = 1 - fl(1 - tail), exact,
+        # and k = P s_d, ccdf(s_n t) = e^-t / (1 + k t) = q solves
+        # F(t) = t + ln(1 + k t) + ln q = 0.  F is convex and increasing in
+        # ln t, so Newton steps in ln t from any t >= root descend onto the
+        # root; both terms are nonnegative, so the root is at most -ln q and
+        # 1 + k t at most 1/q, and a start at the lesser bound keeps k t below
+        # 1/q (k itself may be inf, where the law sits at 0).  F is read as
+        # ln(q e^t (1 + k t)), which keeps its absolute error within a few
+        # half-ulps of 1 at any k, so t is within a few ulps:
+        # dF/d(ln t) >= 1 - q >= 1/2 for tail <= 1/2
+        if self.num_shape != 1.0:
+            return super().tail_quantile(tail)
+        level = np.float64(1.0 - tail)
+        with np.errstate(divide="ignore"):
+            t = float(-np.log1p(-level))
+        k = self.power * self.den_mean
+        if k > 0.0 and 0.0 < t < math.inf:
+            q = 1.0 - float(level)
+            t = min(t, (1.0 / q - 1.0) / k)
+            while t > 0.0:
+                kt = k * t
+                f = math.log(q * math.exp(t) * (1.0 + kt))
+                if not f > 0.0:
+                    break
+                below = t * math.exp(-f / (t + kt / (1.0 + kt)))
+                if not below < t:
+                    break
+                t = below
+        x = self.num_mean * t
+        if not math.isfinite(x):
+            raise ValueError("tail quantile is not finite")
+        return x
+
     def mean(self) -> float:
         x, w = law_nodes(self)
         return float(w @ x)

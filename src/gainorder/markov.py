@@ -55,7 +55,6 @@ __all__ = [
 ]
 
 _SUM_TOL = 10**12  # a pmf's entries must sum to 1 within 1/_SUM_TOL
-_ZERO = frozenset((0, "0"))  # off-block entries accepted without a conversion
 _INT64_BOUND = 2**62  # a sum of n int64 entries, each below _INT64_BOUND / n, cannot overflow
 
 
@@ -193,11 +192,16 @@ class MarkovChannelSpec:
         try:  # a pmf read before a bad entry reports its own error first
             for l, row in enumerate(matrix, start=1):
                 start = (l - 1) % (n_super // n) * n
-                try:  # islice, not a slice: no copy of the row
-                    zeros = (_ZERO.issuperset(itertools.islice(row, start))
-                             and _ZERO.issuperset(itertools.islice(row, start + n, None)))
-                except TypeError:  # an unhashable entry
-                    zeros = False
+                block = row[start:start + n]
+                # every off-block entry spelled as the first one, 0 or "0", is
+                # counted; one count per spelling, as a count across spellings
+                # pays a slow mixed-type comparison per entry
+                zero = row[0] if start else row[-1]  # off the block where k > 1
+                try:
+                    zeros = zero in (0, "0") and \
+                        row.count(zero) - block.count(zero) == n_super - n
+                except (AttributeError, TypeError, ValueError):  # a numpy row has no
+                    zeros = False  # count(); an entry may fail to compare with zero
                 if not zeros:  # look closer, entry by entry
                     for c, x in enumerate(row, start=1):
                         if not start < c <= start + n and x not in (0, "0") and \
@@ -205,7 +209,7 @@ class MarkovChannelSpec:
                             raise ValueError(f"entry ({l},{c}) must be zero: column state "
                                              f"{super_state(c, k, n)} does not extend row "
                                              f"state {super_state(l, k, n)}")
-                parsed.pmf(row[start:start + n], n, "table", f"row {l}")
+                parsed.pmf(block, n, "table", f"row {l}")
             parsed.pmf(initial, n_super, "initial", "initial distribution")
             for history, pmf in early_conditionals:
                 hist = tuple(map(float, parsed.convert(history)))

@@ -1,5 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from gainorder import (
@@ -14,6 +19,7 @@ from gainorder import (
 import gainorder.classifier
 from gainorder.classifier import (
     BCScenario,
+    ClassificationReport,
     ICScenario,
     WTCScenario,
     classify_bc,
@@ -22,7 +28,7 @@ from gainorder.classifier import (
     classify_wtc,
     interference_ratio_distribution,
 )
-from gainorder.stochastic_order import Relation, check_usual_order
+from gainorder.stochastic_order import OrderVerdict, Relation, check_usual_order
 
 
 def exp_ic(m11, m12, m21, m22, p1=1.0, p2=1.0, dependence="independent"):
@@ -117,6 +123,105 @@ class TestClassifyBC:
         for weak, strong in zip(chain[:-1], chain[1:]):
             h1, h2 = comonotone_samples(weak, strong, u)
             assert np.mean(h1 <= h2) == 1.0
+
+
+def reference_classify_bc(s, tol=None):
+    """classify_bc with the search it had before its depth-first one: the
+    sorted chain, then every permutation in lexicographic order, through the
+    same one-check-per-unordered-pair cache."""
+    gains, verdicts = list(s.gains), {}
+    k = len(gains)
+
+    def check(i, j):
+        if (i, j) not in verdicts:
+            if (j, i) in verdicts:
+                verdicts[i, j] = verdicts[j, i].mirrored()
+            else:
+                verdicts[i, j] = check_usual_order(gains[i], gains[j], tol=tol)
+        return verdicts[i, j]
+
+    def try_chain(order):
+        checks = []
+        for a, b in zip(order[:-1], order[1:]):
+            if not check(a, b).first_leq:
+                return None
+            checks.append((f"user{a + 1}_leq_user{b + 1}", check(a, b)))
+        return checks
+
+    order = sorted(range(k), key=lambda i: gains[i].mean())
+    chain = try_chain(order)
+    if chain is None and k <= 6:
+        for perm in itertools.permutations(range(k)):
+            chain = try_chain(list(perm))
+            if chain is not None:
+                order = list(perm)
+                break
+    report = ClassificationReport(
+        topology="bc", verdict=chain is not None, condition="degraded_chain",
+        notes=[gainorder.classifier._BC_REGION_NOTE],
+        confidence="statistical" if any(isinstance(g, Empirical) for g in gains) else "analytic")
+    if chain is not None:
+        report.order_checks = chain
+        report.permutation = tuple(i + 1 for i in order)
+    else:
+        for i, j in itertools.combinations(range(k), 2):
+            verdict = check(i, j)
+            if verdict.relation is Relation.INCOMPARABLE:
+                report.order_checks = [(f"user{i + 1}_vs_user{j + 1}", verdict)]
+                report.witnesses = sorted(set(verdict.witnesses_first_gt)
+                                          | set(verdict.witnesses_second_gt))
+                break
+    return report
+
+
+MEANS = st.sampled_from([0.5, 1.0, 2.0])
+# every family, on few parameters so that equal laws and equal means recur
+BC_GAINS = st.one_of(
+    st.builds(Exponential, MEANS),
+    st.builds(NakagamiGain, st.sampled_from([0.5, 1.0, 2.0]), MEANS),
+    st.builds(BernoulliGain, st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+    st.builds(PointMass, st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+    st.builds(RatioExpExp, MEANS, MEANS, st.sampled_from([0.0, 1.0]),
+              num_shape=st.sampled_from([1.0, 2.0])),
+    st.sampled_from([RatioLaw(BernoulliGain(0.5), Exponential(1.0), 1.0)]),
+    st.lists(st.integers(0, 8), min_size=1, max_size=6).map(
+        lambda v: Empirical.from_samples([x / 4.0 for x in v])),
+)
+
+
+class TestChainSearch:
+    """The depth-first chain search against every permutation in order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(gains=st.lists(BC_GAINS, min_size=2, max_size=6),
+           tol=st.one_of(st.none(), st.sampled_from([0.0, 1e-6, 0.05])))
+    def test_same_report_as_the_permutation_loop(self, gains, tol):
+        s = BCScenario(tuple(gains), power=1.0)
+        assert classify_bc(s, tol=tol).to_json() == reference_classify_bc(s, tol=tol).to_json()
+
+    def test_incomparable_set_prunes_the_orders(self, monkeypatch):
+        # a Bernoulli/exponential pair whose CCDFs cross (the exponential's
+        # ccdf at 1 is 0.3) in a chain that is ordered otherwise: no order chains
+        gains = (Exponential(2.0), BernoulliGain(0.4), PointMass(0.0), Exponential(2.6),
+                 Exponential(-1.0 / math.log(0.3)), BernoulliGain(0.2))
+        calls, reads = [], []
+
+        def counting(d1, d2, **kwargs):
+            calls.append((d1, d2))
+            return check_usual_order(d1, d2, **kwargs)
+
+        def first_leq(verdict):
+            reads.append(verdict)
+            return verdict.relation in (Relation.FIRST_LEQ, Relation.EQUAL)
+
+        monkeypatch.setattr(gainorder.classifier, "check_usual_order", counting)
+        monkeypatch.setattr(OrderVerdict, "first_leq", property(first_leq))
+        report = classify_bc(BCScenario(gains, power=1.0))
+        assert not report.verdict and report.order_checks[0][0] == "user2_vs_user5"
+        assert len(calls) == 15  # one per unordered pair
+        # the permutation loop read at least one verdict for each of its 721
+        # candidate orders (1175 here); the search reads one per edge it tries
+        assert len(reads) <= 200
 
 
 class TestClassifyICStrong:

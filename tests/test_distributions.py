@@ -20,6 +20,7 @@ from gainorder import (
     build_ratio,
     distribution_from_spec,
 )
+from gainorder import distributions
 from gainorder.distributions import gamma_law
 
 
@@ -387,6 +388,76 @@ class TestRatioExpExp:
             build_ratio(1.0, -1.0, 1.0)
         with pytest.raises(ValueError):
             build_ratio(1.0, 1.0, -0.5)
+
+
+def _ratio_tail_root(s_n, k, tail):
+    """s_n t for the root t of e^-t / (1 + k t) = q, q = 1 - fl(1 - tail), by
+    40-digit mpmath bisection of t + ln(1 + k t) = -ln q on [0, -ln q]; None
+    where q is 0 and the root is infinite, 0 where k is inf."""
+    q = 1.0 - (1.0 - tail)  # exact: fl(1 - tail) >= 1/2
+    if q == 0.0:
+        return None
+    if math.isinf(k):
+        return mpmath.mpf(0)
+    with mpmath.workdps(40):
+        k, target = mpmath.mpf(k), -mpmath.log(mpmath.mpf(q))
+        lo, hi = mpmath.mpf(0), target
+        while hi - lo > hi * mpmath.mpf(10) ** -36:
+            mid = (lo + hi) / 2
+            if mid + mpmath.log1p(k * mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        return mpmath.mpf(s_n) * hi
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return str(exc)
+
+
+SCALES = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+
+
+class TestRatioTailQuantile:
+    """At m = 1 the truncation point is the law's own (1 - tail) quantile, in
+    closed form up to Newton steps: no inversion of the float cdf."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(s_n=SCALES, s_d=SCALES,
+           power=st.one_of(st.just(0.0), st.floats(-12.0, 12.0).map(lambda e: 10.0**e)),
+           tail=st.one_of(st.sampled_from([1e-9, 1e-12, 0.5, 1e-300]),
+                          st.floats(-300.0, math.log10(0.5)).map(lambda e: 10.0**e),
+                          st.floats(-17.0, math.log10(0.5)).map(lambda e: 10.0**e)))
+    @example(s_n=1.0, s_d=1e-3, power=1e12, tail=0.5)
+    @example(s_n=1e3, s_d=1e3, power=1e12, tail=2.0**-53)
+    # k t past the largest double at t = -ln q, and k itself inf
+    @example(s_n=1.0, s_d=1e154, power=1e154, tail=1e-9)
+    @example(s_n=2.0, s_d=1e100, power=1e207, tail=0.5)
+    @example(s_n=1.0, s_d=1e200, power=1e200, tail=1e-9)
+    def test_matches_the_mpmath_root(self, s_n, s_d, power, tail):
+        def no_inversion(*args):
+            raise AssertionError("tail_quantile inverted the float cdf")
+
+        law = RatioExpExp(s_n, s_d, power)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(distributions, "_invert_cdf", no_inversion)
+            got = _outcome(lambda: law.tail_quantile(tail))
+        expected = _ratio_tail_root(s_n, power * s_d, tail)
+        if expected is None:
+            assert got == "tail quantile is not finite"
+        else:
+            # the residual's rounding, over a slope of at least 1 - q >= 1/2
+            assert abs(mpmath.mpf(got) - expected) <= 8 * math.ulp(float(expected))
+        if power == 0.0:
+            assert got == _outcome(lambda: Exponential(s_n).tail_quantile(tail))
+
+    def test_other_shapes_invert_the_cdf(self):
+        law = RatioExpExp(4.0, 0.3, 1.0, num_shape=2.5)
+        x = law.tail_quantile(1e-9)
+        assert x == law.quantile(1.0 - 1e-9)
 
 
 def _exp_exp_reference(s_n, s_d, power, h):

@@ -939,3 +939,93 @@ class TestParseErrorOrder:
                                                 initial=initial, early_conditionals=early))
         assert got == outcome(lambda: reference_parse(BINARY_STATES, 2, matrix, initial, early))
         assert got[0] is ValueError and got[1].startswith(message)
+
+
+# -- the off-block zero scan against the per-entry reference -------------------
+
+OFF_BLOCK_ZEROS = (0, 0.0, -0.0, False, "0", "0/1", "-0")
+OFF_BLOCK_NONZERO = ("1e-300", 1e-300, [0], "abc", "1/2", 1, True)
+
+
+@st.composite
+def zero_spelled_chains(draw):
+    """(states, k, matrix, initial): each row's block a pmf and each off-block
+    entry a zero in a spelling drawn per entry."""
+    # k >= 2: at k = 1 the one block is the whole row
+    n, k = draw(st.sampled_from(((2, 2), (3, 2), (2, 3))))
+    n_super = n**k
+    matrix = []
+    for l in range(n_super):
+        row = [draw(st.sampled_from(OFF_BLOCK_ZEROS)) for _ in range(n_super)]
+        start = l % (n_super // n) * n
+        row[start:start + n] = draw(pmf_entries(n))
+        matrix.append(row)
+    return (0.5, 1.0, 2.0)[:n], k, matrix, draw(pmf_entries(n_super))
+
+
+def canonical_zeros(matrix, n, k, zero="0"):
+    """matrix with every off-block entry spelled zero: "0" as the JSON form
+    writes it, or 0 as a JSON number."""
+    n_super = n**k
+    out = []
+    for l, row in enumerate(matrix):
+        start = l % (n_super // n) * n
+        out.append([zero] * start + list(row[start:start + n]) + [zero] * (n_super - start - n))
+    return out
+
+
+class ReadOnceRow(list):
+    """A row that fails if it is read entry by entry rather than counted."""
+
+    def __iter__(self):
+        raise AssertionError("row read entry by entry")
+
+
+class TestZeroScan:
+    """A row whose off-block entries all equal its first, 0 or "0", is
+    accepted by a count; any other row is read entry by entry, with the same
+    record or error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(chain=zero_spelled_chains())
+    def test_any_zero_spelling_gives_the_same_record(self, chain):
+        states, k, matrix, initial = chain
+        spec = MarkovChannelSpec(states=states, order=k, matrix=matrix, initial=initial)
+        for zero in ("0", 0, 0.0, False):
+            rows = canonical_zeros(matrix, len(states), k, zero)
+            counted = MarkovChannelSpec(states=states, order=k, initial=initial,
+                                        matrix=[ReadOnceRow(row) for row in rows])
+            assert spec.den == counted.den
+            for field in NUMERATORS:
+                ours, theirs = getattr(spec, field), getattr(counted, field)
+                assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+        table, init, _ = reference_parse(states, k, matrix, initial, ())[1:]
+        assert fraction_laws(spec)[:2] == (table, init)
+
+    @settings(max_examples=150, deadline=None)
+    @given(chain=zero_spelled_chains(), canonical=st.sampled_from([None, "0", 0]),
+           where=st.data(), bad=st.sampled_from(OFF_BLOCK_NONZERO))
+    def test_one_nonzero_entry_raises_the_same_error(self, chain, canonical, where, bad):
+        states, k, matrix, initial = chain
+        n, n_super = len(states), len(states)**k
+        if canonical is not None:
+            matrix = canonical_zeros(matrix, n, k, canonical)
+        l = where.draw(st.integers(0, n_super - 1))
+        start = l % (n_super // n) * n
+        c = where.draw(st.sampled_from([c for c in range(n_super) if not start <= c < start + n]))
+        matrix[l][c] = bad
+        got = outcome(lambda: MarkovChannelSpec(states=states, order=k, matrix=matrix,
+                                                initial=initial))
+        assert got[0] is ValueError
+        assert got == outcome(lambda: reference_parse(states, k, matrix, initial, ()))
+
+    def test_numpy_rows_have_no_count_and_are_read_entry_by_entry(self):
+        rows = [[0.5, 0.5, 0, 0], [0, 0, 0.25, 0.75], [0.5, 0.5, 0, 0], [0, 0, 0.125, 0.875]]
+        spec = MarkovChannelSpec(BINARY_STATES, 2, np.array(rows), np.full(4, 0.25))
+        listed = MarkovChannelSpec(BINARY_STATES, 2, rows, [0.25] * 4)
+        assert spec.den == listed.den
+        assert np.array_equal(spec.table_numerators, listed.table_numerators)
+        bad = np.array(rows)
+        bad[1, 0] = 1e-300
+        with pytest.raises(ValueError, match=r"entry \(2,1\) must be zero"):
+            MarkovChannelSpec(BINARY_STATES, 2, bad, np.full(4, 0.25))
