@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import GainDistribution, _invert_cdf, _panel_nodes
+from .distributions import GainDistribution, _invert_cdf, _levels, _panel_nodes
 from .stochastic_order import DensitySegment, density_segments
 
 __all__ = [
@@ -98,26 +98,32 @@ class _PiecewiseMinCdf:
         self._near = np.minimum(self.lo, self.hi - self.lo) / 16.0
 
     def segment(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(np.searchsorted(self.lo, x, side="right") - 1, 0, self.lo.size - 1)
+        """Index of the segment holding each x >= 0 (0 for NaN)."""
+        return _cell(self.lo[1:], x)
 
     def _rise(self, k: int, x: np.ndarray, j: np.ndarray) -> np.ndarray:
         """F_k(x) - F_k(lo_j)."""
-        return np.asarray(self.dists[k].cdf(x), dtype=float) - self.cdf_lo[k, j]
+        return self.dists[k]._cdf(x) - self.cdf_lo[k, j]
+
+    # unnorm and residual call the marginals' kernels on x clipped to [0, inf]
+    # (NaN stays NaN) and read 0 wherever x > 0 fails, as the contract does
 
     def unnorm(self, x):
         x_arr = np.asarray(x, dtype=float)
-        xs = x_arr.reshape(-1)
+        xs = np.maximum(x_arr.reshape(-1), 0.0)
         j = self.segment(xs)
         out = np.empty_like(xs)
-        for k, on in ((0, self.first[j]), (1, ~self.first[j])):
-            out[on] = self.prefix[j[on]] + self.dists[k].cdf(xs[on]) - self.cdf_lo[k, j[on]]
-        out = np.where(xs <= 0.0, 0.0, out).reshape(x_arr.shape)
+        first = self.first[j]
+        for k, at in ((0, np.flatnonzero(first)), (1, np.flatnonzero(~first))):
+            j_at = j[at]
+            out[at] = self.prefix[j_at] + self.dists[k]._cdf(xs[at]) - self.cdf_lo[k, j_at]
+        out = np.where(xs > 0.0, out, 0.0).reshape(x_arr.shape)
         return np.clip(out, 0.0, self.total)
 
     def residual(self, k: int, x):
         """Unnormalized cdf of residual k (0 for d1, 1 for d2)."""
         x_arr = np.asarray(x, dtype=float)
-        xs = x_arr.reshape(-1)
+        xs = np.maximum(x_arr.reshape(-1), 0.0)
         j = self.segment(xs)
         out = self.res_prefix[k, j]
         near = self.live[k, j] & (xs - self.lo[j] < self._near[j])
@@ -125,17 +131,27 @@ class _PiecewiseMinCdf:
         xs_on, j_on = xs[on], j[on]
         out[on] += self._rise(k, xs_on, j_on) - self._rise(1 - k, xs_on, j_on)
         out[near] += self._integral(k, self.lo[j[near]], xs[near])
-        out = np.where(xs <= 0.0, 0.0, out).reshape(x_arr.shape)
+        out = np.where(xs > 0.0, out, 0.0).reshape(x_arr.shape)
         return np.clip(out, 0.0, self.res_total[k])
 
     def _integral(self, k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Gauss-Legendre integral of f_k - f_o over each [a, b]."""
         nodes, weights = _unit_rule()
-        t = a[:, None] + (b - a)[:, None] * nodes
-        gap = self.dists[k].pdf(t) - self.dists[1 - k].pdf(t)
+        t = (a[:, None] + (b - a)[:, None] * nodes).reshape(-1)
+        gap = (self.dists[k]._pdf(t) - self.dists[1 - k]._pdf(t)).reshape(-1, nodes.size)
         # row by row, not a matrix product: BLAS sums a row in an order that
         # depends on how many rows it is given, and a cdf must not
         return (b - a) * np.sum(gap * weights, axis=1)
+
+
+def _cell(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The number of sorted edges at or below each x, one comparison per edge:
+    for the few inner edges of a coupling that is a fraction of what
+    searchsorted costs, which branches on every key."""
+    n = np.zeros(x.shape, dtype=np.intp)
+    for edge in edges:
+        n += x >= edge
+    return n
 
 
 # the tables below are built on first use: at import, numpy work would add to
@@ -216,16 +232,17 @@ class MaximalCouplingSpec:
 
     def shared_quantile(self, u):
         shape = np.shape(u)
-        u = np.asarray(u, dtype=float).reshape(-1)
+        u = _levels(u).reshape(-1)
         fm = self._fmin
         level = u * self.p
-        j = np.clip(np.searchsorted(fm.prefix, level, side="right") - 1, 0, fm.lo.size - 1)
+        j = _cell(fm.prefix[1:-1], level)
         est = np.empty_like(u)
-        for k, on in ((0, fm.first[j]), (1, ~fm.first[j])):
-            d = fm.dists[k]
-            t = np.clip(level[on] - fm.prefix[j[on]] + fm.cdf_lo[k, j[on]], 0.0, 1.0)
+        first = fm.first[j]
+        for k, at in ((0, np.flatnonzero(first)), (1, np.flatnonzero(~first))):
+            d, j_at = fm.dists[k], j[at]
+            t = np.clip(level[at] - fm.prefix[j_at] + fm.cdf_lo[k, j_at], 0.0, 1.0)
             e = d._quantile_estimate(t)
-            est[on] = d.quantile(t) if e is None else e
+            est[at] = d.quantile(t) if e is None else e
         est = np.clip(est, fm.lo[j], fm.hi[j])
         return _invert_cdf(self.shared_cdf, u, est).reshape(shape)
 
@@ -264,7 +281,7 @@ class MaximalCouplingSpec:
 
     def residual_quantile(self, which: int, u):
         shape = np.shape(u)
-        u = np.asarray(u, dtype=float).reshape(-1)
+        u = _levels(u).reshape(-1)
         levels, xs, slopes = self._tables[which - 1]
         dk, do = self._fmin.dists[which - 1], self._fmin.dists[2 - which]
         mass = self._fmin.res_total[which - 1]
@@ -282,7 +299,7 @@ class MaximalCouplingSpec:
             est = a + t * (chord + (1.0 - t) * ((1.0 - t) * ends[0] - t * ends[1]))
             est = np.where(np.isfinite(est), np.clip(est, a, b), a)
             for _ in range(_NEWTON_STEPS):
-                pdf = (np.asarray(dk.pdf(est)) - np.asarray(do.pdf(est))) / mass
+                pdf = (dk._pdf(est) - do._pdf(est)) / mass
                 step = (self.residual_cdf(which, est) - u) / pdf
                 est = np.clip(np.where(np.isfinite(step), est - step, est), a, b)
         return _invert_cdf(lambda x: self.residual_cdf(which, x), u, est).reshape(shape)
@@ -302,21 +319,24 @@ def maximal_coupling_samples(spec: MaximalCouplingSpec, u_select, u_value):
     """
     u_select = np.asarray(u_select, dtype=float)
     u_value = np.asarray(u_value, dtype=float)
-    if np.any((u_select <= 0) | (u_select >= 1) | (u_value <= 0) | (u_value >= 1)):
+    if not np.all((u_select > 0) & (u_select < 1) & (u_value > 0) & (u_value < 1)):
         raise ValueError("uniform variates must lie strictly inside (0, 1)")
     equal = u_select <= spec.p
-    h1 = np.empty_like(u_value)
-    h2 = np.empty_like(u_value)
     if spec.p >= 1.0:
         shared = np.asarray(spec.d1.quantile(u_value))
         return shared, shared.copy(), np.ones_like(u_value, dtype=bool)
-    if np.any(equal):
-        shared = spec.shared_quantile(u_value[equal])
-        h1[equal] = shared
-        h2[equal] = shared
-    if np.any(~equal):
-        h1[~equal] = spec.residual_quantile(1, u_value[~equal])
-        h2[~equal] = spec.residual_quantile(2, u_value[~equal])
+    h1 = np.empty_like(u_value)
+    h2 = np.empty_like(u_value)
+    # flat views, split by index arrays: a random mask gathers at several
+    # times the cost of its indices
+    u_flat, h1_flat, h2_flat = u_value.reshape(-1), h1.reshape(-1), h2.reshape(-1)
+    same, apart = np.flatnonzero(equal), np.flatnonzero(~equal)
+    if same.size:
+        h1_flat[same] = h2_flat[same] = spec.shared_quantile(u_flat[same])
+    if apart.size:
+        u_apart = u_flat[apart]
+        h1_flat[apart] = spec.residual_quantile(1, u_apart)
+        h2_flat[apart] = spec.residual_quantile(2, u_apart)
     return h1, h2, equal
 
 
@@ -324,7 +344,7 @@ def comonotone_samples(d1: GainDistribution, d2: GainDistribution, u):
     """Both coordinates from one shared uniform per draw through the generalized
     inverses; returns (h1, h2) arrays."""
     u = np.asarray(u, dtype=float)
-    if np.any((u <= 0.0) | (u >= 1.0)):
+    if not np.all((u > 0.0) & (u < 1.0)):
         raise ValueError("uniform variates must lie strictly inside (0, 1)")
     return np.asarray(d1.quantile(u)), np.asarray(d2.quantile(u))
 

@@ -98,13 +98,11 @@ class GainDistribution:
 
     def quantile(self, u):
         """Generalized inverse inf{x : cdf(x) >= u} for u in [0, 1]."""
-        u = np.asarray(u, dtype=float)
-        if not np.all((u >= 0.0) & (u <= 1.0)):
-            raise ValueError("quantile argument must lie in [0, 1]")
+        u = _levels(u)
         flat = u.reshape(-1)
         atoms = step_atoms(self)
         if atoms is None:
-            out = _invert_cdf(self.cdf, flat, self._quantile_estimate(flat))
+            out = _invert_cdf(self._cdf, flat, self._quantile_estimate(flat))
         else:
             xs = np.asarray(atoms[0], dtype=float)
             out = xs[np.minimum(np.searchsorted(self.cdf(xs), flat, side="left"), xs.size - 1)]
@@ -118,7 +116,7 @@ class GainDistribution:
     def sample(self, u):
         """Inverse-transform sample from a uniform variate in (0, 1)."""
         u = np.asarray(u, dtype=float)
-        if np.any(u <= 0.0) or np.any(u >= 1.0):
+        if not np.all((u > 0.0) & (u < 1.0)):
             raise ValueError("sampling variates must lie strictly inside (0, 1)")
         return self.quantile(u)
 
@@ -144,6 +142,14 @@ class GainDistribution:
 
     def to_spec(self) -> dict:
         raise NotImplementedError
+
+
+def _levels(u) -> np.ndarray:
+    """u as a float array, once every level lies in [0, 1] (NaN does not)."""
+    u = np.asarray(u, dtype=float)
+    if not np.all((u >= 0.0) & (u <= 1.0)):
+        raise ValueError("quantile argument must lie in [0, 1]")
+    return u
 
 
 def _check_positive(name: str, value):
@@ -871,6 +877,10 @@ _INF_BITS = int(np.float64(np.inf).view(np.int64))
 
 def _invert_cdf(cdf: Callable, u, x: np.ndarray | None = None) -> np.ndarray:
     """Generalized inverse inf{y >= 0 : cdf(y) >= u} of a cdf on [0, inf], to the double.
+
+    cdf is a kernel on flat arrays of doubles in [0, inf]: every probe is one
+    (the search clips bit patterns to that range), never a NaN or a negative,
+    so a family passes its bare _cdf, without _evaluate's guards and passes.
 
     u = 0 maps to 0 and u = 1 to inf.  For interior u the answer is a crossing
     of the float cdf: the double y with cdf(y) >= u > cdf(previous double).

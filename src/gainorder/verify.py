@@ -130,7 +130,7 @@ def _maximal_marginals(spec: MaximalCouplingSpec, draws, n: int, seed: int, corr
     h1, h2, eq = draws
     if corrupt:
         # swap on copies: the suite shares the draws with the positive check
-        swapped = ~eq
+        swapped = np.flatnonzero(~eq)
         h1, h2 = h1.copy(), h2.copy()
         h1[swapped], h2[swapped] = h2[swapped], h1[swapped]
     return _marginal_reports("maximal", spec.d1, spec.d2, h1, h2, n, seed, corrupt)
@@ -211,11 +211,16 @@ def verify_copula_equivalence(
     levels = np.arange(1, grid_levels + 1) / (grid_levels + 1.0)
     xs = np.asarray(d1.quantile(levels))
     ys = np.asarray(d2.quantile(levels))
-    # h1 <= xs[k] iff k >= i, where i is the first index with xs[i] >= h1 (the
-    # quantiles are nondecreasing), so the joint counts are 2-D cumulative sums
-    # of the histogram of (i, j); count / n is the same double as np.mean of the mask
-    i = np.searchsorted(xs, h1, side="left")
-    j = np.searchsorted(ys, h2, side="left")
+    # h1 <= xs[k] iff k >= i, where i, the number of grid points below h1, is
+    # the first index with xs[i] >= h1 (the quantiles are nondecreasing), so the
+    # joint counts are 2-D cumulative sums of the histogram of (i, j); count / n
+    # is the same double as np.mean of the mask.  One comparison per grid point
+    # counts i at under half the cost of searchsorted
+    i = np.zeros(h1.shape, dtype=np.intp)
+    j = np.zeros(h2.shape, dtype=np.intp)
+    for x, y in zip(xs, ys):
+        i += h1 > x
+        j += h2 > y
     hist = np.bincount(i * (grid_levels + 1) + j, minlength=(grid_levels + 1) ** 2)
     counts = hist.reshape(grid_levels + 1, -1).cumsum(axis=0).cumsum(axis=1)
     emp = counts[:grid_levels, :grid_levels] / n

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -25,6 +26,11 @@ from gainorder.stochastic_order import check_usual_order, total_variation
 
 def open_uniform(rng, n):
     return np.clip(rng.random(n), 1e-12, 1.0 - 1e-12)
+
+
+def same_doubles(a, b) -> bool:
+    """Whether two arrays hold the same doubles, bit for bit."""
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
 def ks_distance(samples, cdf):
@@ -105,6 +111,26 @@ class TestMaximalCoupling:
             maximal_coupling_samples(spec, np.array([0.0]), np.array([0.5]))
         with pytest.raises(ValueError):
             maximal_coupling_samples(spec, np.array([0.5]), np.array([1.0]))
+
+    @pytest.mark.parametrize("u_select, u_value", [(0.9, math.nan), (math.nan, 0.5),
+                                                   (0.2, math.nan), (math.nan, math.nan)])
+    def test_nan_uniforms_rejected(self, u_select, u_value):
+        # a NaN passes every `<=` and `>=` test, so only a check that it fails
+        # can reject it
+        spec = maximal_coupling_spec(Exponential(1.0), Exponential(2.0))
+        with pytest.raises(ValueError, match="strictly inside"):
+            maximal_coupling_samples(spec, np.array([u_select]), np.array([u_value]))
+        with pytest.raises(ValueError, match="strictly inside"):
+            comonotone_samples(spec.d1, spec.d2, np.array([0.5, u_value * u_select]))
+
+    @pytest.mark.parametrize("u", [math.nan, -0.5, 1.5])
+    def test_component_quantiles_reject_levels_outside_the_unit_interval(self, u):
+        spec = maximal_coupling_spec(Exponential(1.0), Exponential(2.0))
+        quantiles = [spec.shared_quantile] + [
+            functools.partial(spec.residual_quantile, which) for which in (1, 2)]
+        for quantile in quantiles:
+            with pytest.raises(ValueError, match=r"quantile argument must lie in \[0, 1\]"):
+                quantile(np.array([0.5, u]))
 
 
 def exp_pair_residual_2(x, u):
@@ -254,6 +280,163 @@ class TestResidualTables:
             assert np.all(np.diff(levels) >= 0.0) and np.all(np.diff(xs) >= 0.0)
             assert xs[-1] == np.inf and np.all(np.isfinite(xs[:-1]))
             assert np.array_equal(levels, np.maximum.accumulate(residual_cdf(which, xs)))
+
+
+# The code that the fast paths replaced, kept as references: searchsorted for
+# the segment and prefix lookups, the marginals' public cdf and pdf for their
+# kernels, and boolean masks for the data-dependent splits.
+
+
+def searchsorted_segment(fm, x):
+    return np.clip(np.searchsorted(fm.lo, x, side="right") - 1, 0, fm.lo.size - 1)
+
+
+def searchsorted_prefix(fm, level):
+    return np.clip(np.searchsorted(fm.prefix, level, side="right") - 1, 0, fm.lo.size - 1)
+
+
+def masked_unnorm(fm, xs):
+    j = searchsorted_segment(fm, xs)
+    out = np.empty_like(xs)
+    for k, on in ((0, fm.first[j]), (1, ~fm.first[j])):
+        out[on] = fm.prefix[j[on]] + fm.dists[k].cdf(xs[on]) - fm.cdf_lo[k, j[on]]
+    return np.clip(np.where(xs <= 0.0, 0.0, out), 0.0, fm.total)
+
+
+def masked_residual(fm, k, xs):
+    j = searchsorted_segment(fm, xs)
+    out = fm.res_prefix[k, j]
+    near = fm.live[k, j] & (xs - fm.lo[j] < fm._near[j])
+    on = fm.live[k, j] & ~near
+
+    def rise(i):
+        return np.asarray(fm.dists[i].cdf(xs[on]), dtype=float) - fm.cdf_lo[i, j[on]]
+
+    out[on] += rise(k) - rise(1 - k)
+    a, b = fm.lo[j[near]], xs[near]
+    nodes, weights = coupling._unit_rule()
+    t = a[:, None] + (b - a)[:, None] * nodes
+    gap = fm.dists[k].pdf(t) - fm.dists[1 - k].pdf(t)
+    # x = -inf counted as near the crossing at 0, and its integral read
+    # -inf * 0 (with a warning) before the final where discarded it
+    with np.errstate(invalid="ignore"):
+        out[near] += (b - a) * np.sum(gap * weights, axis=1)
+    return np.clip(np.where(xs <= 0.0, 0.0, out), 0.0, fm.res_total[k])
+
+
+def masked_samples(spec, u_select, u_value):
+    equal = u_select <= spec.p
+    h1, h2 = np.empty_like(u_value), np.empty_like(u_value)
+    if np.any(equal):
+        shared = spec.shared_quantile(u_value[equal])
+        h1[equal] = shared
+        h2[equal] = shared
+    if np.any(~equal):
+        h1[~equal] = spec.residual_quantile(1, u_value[~equal])
+        h2[~equal] = spec.residual_quantile(2, u_value[~equal])
+    return h1, h2, equal
+
+
+def masked_shared_quantile(spec, u):
+    fm = spec._fmin
+    level = u * spec.p
+    j = searchsorted_prefix(fm, level)
+    est = np.empty_like(u)
+    for k, on in ((0, fm.first[j]), (1, ~fm.first[j])):
+        d = fm.dists[k]
+        t = np.clip(level[on] - fm.prefix[j[on]] + fm.cdf_lo[k, j[on]], 0.0, 1.0)
+        e = d._quantile_estimate(t)
+        est[on] = d.quantile(t) if e is None else e
+    est = np.clip(est, fm.lo[j], fm.hi[j])
+    return _invert_cdf(spec.shared_cdf, u, est)
+
+
+FAST_PATH_PAIRS = [
+    (Exponential(1.0), Exponential(2.0)),
+    (NakagamiGain(0.75, 1.0), NakagamiGain(2.2, 3.0)),
+    (NakagamiGain(2.5, 1.5), Exponential(2.0)),
+    (Exponential(0.01), Exponential(100.0)),             # p near 0
+    (NakagamiGain(6.0, 0.1), NakagamiGain(6.0, 10.0)),   # p near 0
+    (Exponential(1.0), Exponential(1.001)),              # p near 1
+    (NakagamiGain(2.0, 1.0), NakagamiGain(2.0, 1.001)),  # p near 1
+]
+
+
+def edges_and_neighbours(edges) -> np.ndarray:
+    """0, inf, and each edge with the doubles next to it."""
+    edges = np.asarray(edges, dtype=float)
+    return np.concatenate([[0.0, np.inf], edges, np.nextafter(edges, -np.inf),
+                           np.nextafter(edges, np.inf)])
+
+
+@functools.cache
+def fast_path_spec(i):
+    return maximal_coupling_spec(*FAST_PATH_PAIRS[i])
+
+
+PAIR_INDEX = st.sampled_from(range(len(FAST_PATH_PAIRS)))
+# below 1e300: the marginals' kernels still warn of an overflow near the
+# largest double, with or without the fast paths (ROADMAP item 2)
+ABSCISSAE = st.lists(st.one_of(st.floats(0.0, 20.0), st.floats(0.0, 1e300), st.just(math.inf),
+                               st.floats(-math.inf, 0.0)), min_size=1, max_size=20)
+
+
+class TestFastPaths:
+    """Each fast path gives the same doubles as the code it replaced."""
+
+    def test_overlap_masses_reach_both_ends(self):
+        ps = [fast_path_spec(i).p for i in range(len(FAST_PATH_PAIRS))]
+        assert min(ps) < 1e-3 and max(ps) > 0.999
+
+    @pytest.mark.parametrize("i", range(len(FAST_PATH_PAIRS)))
+    def test_prefix_lookup_at_every_prefix_and_its_neighbours(self, i):
+        spec = fast_path_spec(i)
+        fm = spec._fmin
+        level = np.concatenate([edges_and_neighbours(fm.prefix), [spec.p]])
+        assert np.array_equal(coupling._cell(fm.prefix[1:-1], level),
+                              searchsorted_prefix(fm, level))
+        u = np.clip(edges_and_neighbours(fm.prefix / spec.p), 0.0, 1.0)
+        assert same_doubles(spec.shared_quantile(u), masked_shared_quantile(spec, u))
+
+    @pytest.mark.parametrize("i", range(len(FAST_PATH_PAIRS)))
+    def test_component_cdfs_at_every_bound_and_next_to_each_crossing(self, i):
+        fm = fast_path_spec(i)._fmin
+        near = fm.lo[1:, None] * (1.0 + np.array([1e-12, 1e-6, 1e-3, 0.05]))
+        x = np.concatenate([edges_and_neighbours(fm.lo), [-np.inf, -1e300, -1.0, -0.0],
+                            near.ravel()])
+        self.assert_component_cdfs_match(fm, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(i=PAIR_INDEX, xs=ABSCISSAE)
+    def test_component_cdfs_anywhere(self, i, xs):
+        self.assert_component_cdfs_match(fast_path_spec(i)._fmin, np.array(xs))
+
+    @staticmethod
+    def assert_component_cdfs_match(fm, x):
+        assert np.array_equal(fm.segment(x), searchsorted_segment(fm, x))
+        assert same_doubles(fm.unnorm(x), masked_unnorm(fm, x))
+        for k in (0, 1):
+            assert same_doubles(fm.residual(k, x), masked_residual(fm, k, x))
+
+    @settings(max_examples=30, deadline=None)
+    @given(i=PAIR_INDEX, u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    def test_shared_quantile_against_the_masked_seeds(self, i, u):
+        spec = fast_path_spec(i)
+        u = np.array(u)
+        assert same_doubles(spec.shared_quantile(u), masked_shared_quantile(spec, u))
+
+    @pytest.mark.parametrize("i", range(len(FAST_PATH_PAIRS)))
+    def test_samples_against_the_masked_split(self, i):
+        spec = fast_path_spec(i)
+        rng = np.random.default_rng(40 + i)
+        u_sel, u = open_uniform(rng, 3000), open_uniform(rng, 3000)
+        # both branches, also where p sits near 0 or 1
+        u_sel[:200] = spec.p * rng.random(200)
+        u_sel[200:400] = spec.p + (1.0 - spec.p) * rng.random(200)
+        u_sel = np.clip(u_sel, 1e-300, 1.0 - 2.0**-53)
+        got, ref = maximal_coupling_samples(spec, u_sel, u), masked_samples(spec, u_sel, u)
+        assert all(same_doubles(a, b) for a, b in zip(got[:2], ref[:2]))
+        assert np.array_equal(got[2], ref[2]) and got[2].any() and not got[2].all()
 
 
 class TestComonotoneCoupling:

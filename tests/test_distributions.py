@@ -168,6 +168,8 @@ CONTRACT_LAWS = [
     RatioLaw(BernoulliGain(0.5), PointMass(1.0), 1.0),
     Empirical((1.0, 2.0, 2.0, 5.0)),
 ]
+# the laws whose quantile is an exact inversion of the cdf, not an atom search
+INVERTED_LAWS = [d for d in CONTRACT_LAWS if distributions.step_atoms(d) is None]
 BELOW_SUPPORT = [-math.inf, -1e300, -1.0, math.nan]
 FAR_ABOVE = [1e300, math.inf]
 
@@ -241,6 +243,29 @@ class TestEvaluationContract:
             batch = f(x)
             assert same_doubles(batch, [f(v) for v in points]), f
             assert same_doubles(f(x[order]), batch[order]), f
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(CONTRACT_LAWS),
+           st.lists(st.one_of(st.floats(0.0, 12.0), st.floats(0.0, 1e300), st.just(math.inf)),
+                    min_size=1, max_size=40))
+    def test_kernels_are_the_public_evaluation_on_the_support(self, d, points):
+        # what lets the exact inversion call a family's kernels directly
+        x = np.array(points)
+        pairs = [(d._cdf, d.cdf)] + ([(d._pdf, d.pdf)] if d.continuous else [])
+        for kernel, public in pairs:
+            assert same_doubles(kernel(x), public(x)), public
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(INVERTED_LAWS),
+           st.lists(st.one_of(st.sampled_from([0.0, 1e-300, 0.5, 1.0 - 1e-9, 1.0 - 2.0**-53,
+                                                1.0]),
+                              st.floats(-300.0, -1.0).map(lambda e: 10.0**e),
+                              st.floats(0.0, 1.0)),
+                    min_size=1, max_size=40))
+    def test_quantile_inverts_the_kernel_as_it_inverted_the_public_cdf(self, d, levels):
+        u = np.array(levels)
+        ref = distributions._invert_cdf(d.cdf, u, d._quantile_estimate(u))
+        assert same_doubles(d.quantile(u), ref)
 
     @settings(max_examples=300, deadline=None)
     @given(step_law_and_level())
@@ -324,6 +349,8 @@ class TestSampling:
             Exponential(1.0).sample(0.0)
         with pytest.raises(ValueError):
             Exponential(1.0).sample(1.0)
+        with pytest.raises(ValueError, match="sampling variates must lie strictly inside"):
+            Exponential(1.0).sample([0.5, math.nan])
 
     @pytest.mark.parametrize(
         "dist",

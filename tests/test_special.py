@@ -18,10 +18,11 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import exp1
 
-from gainorder import Exponential, NakagamiGain, RatioExpExp
+from gainorder import Exponential, NakagamiGain, RatioExpExp, distributions
 from gainorder.capacity import _scaled_exp1
-from gainorder.coupling import maximal_coupling_spec
+from gainorder.coupling import maximal_coupling_samples, maximal_coupling_spec
 from gainorder.distributions import law_nodes
+from test_coupling import true_component
 
 
 def gamma_p(s, x):
@@ -112,21 +113,39 @@ def coupling_spec(i):
 
 
 def coupling_component(i, part):
-    """(cdf, quantile, cdf noise floor) of one component of a maximal coupling.
+    """(cdf, quantile, truth) of one component of a maximal coupling, where
+    truth(x) is its true cdf at x and the bound on its float cdf's rounding
+    error there that _PiecewiseMinCdf derives.
 
     The component cdfs subtract O(1) marginal cdf values, so they carry an
     absolute rounding noise of a few ulps of 1; a residual whose support
     starts at an interior density crossing reads that noise right above it.
     """
     spec = coupling_spec(i)
-    noise = 4.0 * np.spacing(1.0)
+    truth = functools.partial(true_component, spec, part)
     if part == 0:
-        return spec.shared_cdf, spec.shared_quantile, noise
-    return lambda x: spec.residual_cdf(part, x), lambda u: spec.residual_quantile(part, u), noise
+        return spec.shared_cdf, spec.shared_quantile, truth
+    return lambda x: spec.residual_cdf(part, x), lambda u: spec.residual_quantile(part, u), truth
 
 
 def family(d):
-    return d.cdf, d.quantile, 0.0
+    return d.cdf, d.quantile, None
+
+
+@pytest.mark.parametrize("i", range(len(COUPLED_PAIRS)))
+def test_component_cdfs_off_the_support_and_at_inf(i):
+    # below the support and at NaN a cdf reads 0, as the evaluation contract
+    # says; a NaN once sorted past the last segment and read 1.  At inf it
+    # reads what it reads far out, which the order of the sum can leave an
+    # ulp below 1 (the shared part of the third pair)
+    spec = coupling_spec(i)
+    x = np.array([-np.inf, -0.0, np.nan, np.inf, 1e300])
+    for cdf in (spec.shared_cdf,) + tuple(
+            functools.partial(spec.residual_cdf, which) for which in (1, 2)):
+        values = cdf(x).tolist()
+        assert [float(cdf(v)) for v in x] == values
+        assert values[:3] == [0.0, 0.0, 0.0]
+        assert values[3] == values[4] >= 1.0 - 2.0**-53
 
 
 LAWS = st.one_of(
@@ -154,7 +173,7 @@ class TestNakagamiQuantile:
     @settings(max_examples=150, deadline=None)
     @given(law=LAWS, levels=st.lists(QUANTILE_LEVELS, min_size=1, max_size=6))
     def test_least_inverse_of_the_float_cdf(self, law, levels):
-        cdf, quantile, noise = law
+        cdf, quantile, truth = law
         u = np.array(levels)
         q = quantile(u)
         assert q.shape == u.shape
@@ -170,11 +189,19 @@ class TestNakagamiQuantile:
         # brentq in log space places the root to about 1e-12 relative, and to
         # an ulp among subnormals
         close = np.abs(ref - q) <= 1e-12 * ref + 4.0 * np.spacing(q)
-        # where the float cdf is flat (u near 1) or below its noise floor, the
-        # quantile is not resolved to 1e-12 and the reference stops anywhere on
-        # that stretch; there the two answers must agree through the cdf
-        same_level = np.abs(cdf(ref) - cdf(q)) <= 4.0 * np.spacing(u) + noise
-        assert np.all(close | same_level)
+        # where the float cdf is flat (u near 1) the quantile is not resolved to
+        # 1e-12 and the reference stops anywhere on that stretch; there the two
+        # answers must agree through the cdf
+        if truth is None:
+            assert np.all(close | (np.abs(cdf(ref) - cdf(q)) <= 4.0 * np.spacing(u)))
+            return
+        # a component cdf also wobbles, by up to its stated rounding bound, so
+        # there the answer must cross u in the true cdf to within that bound
+        for x, v in zip(q[~close], u[~close]):
+            at, e_at = truth(x)
+            below, e_below = truth(np.nextafter(x, 0.0))
+            assert at >= v - e_at
+            assert below < v + e_below
 
     def test_scalar_in_scalar_out(self):
         q = NakagamiGain(2.5, 3.0).quantile(0.5)
@@ -216,6 +243,39 @@ class TestInversionCost:
         x, _ = law_nodes(NakagamiGain(m, 1.3))
         assert x.size == 528
         assert len(calls) <= 16
+
+    @staticmethod
+    def evaluations(monkeypatch):
+        """Calls of _evaluate, the public evaluation's guard around a kernel."""
+        calls = []
+        evaluate = distributions._evaluate
+
+        def counted(kernel, x, below):
+            calls.append(np.size(x))
+            return evaluate(kernel, x, below)
+
+        monkeypatch.setattr(distributions, "_evaluate", counted)
+        return calls
+
+    def test_exponential_quantile_inverts_the_bare_kernel(self, monkeypatch):
+        calls = self.evaluations(monkeypatch)
+        Exponential(2.0).quantile(np.random.default_rng(3).random(5000))
+        assert calls == []
+
+    @pytest.mark.parametrize("pair", [0, 2])
+    def test_maximal_samples_evaluate_a_fixed_number_of_times(self, monkeypatch, pair):
+        # the probes and Newton points of every inversion go to the kernels;
+        # only the residual tables' densities, once per spec, are guarded
+        calls = self.evaluations(monkeypatch)
+        counts = []
+        for n in (300, 30_000):
+            spec = maximal_coupling_spec(*COUPLED_PAIRS[pair])
+            rng = np.random.default_rng(n)
+            start = len(calls)
+            _, _, eq = maximal_coupling_samples(spec, rng.random(n), rng.random(n))
+            assert eq.any() and not eq.all()
+            counts.append(len(calls) - start)
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("mean", [0.7, 2.0, 3.3])
     def test_exponential_in_few_cdf_points_per_level(self, monkeypatch, mean):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gainorder.verify as verify
-from gainorder import BernoulliGain, Exponential, NakagamiGain, PointMass
+from gainorder import BernoulliGain, Empirical, Exponential, NakagamiGain, PointMass
 from gainorder.classifier import ICScenario
 from gainorder.cli import main
 from gainorder.coupling import copula_joint_cdf, maximal_coupling_samples
@@ -162,18 +162,46 @@ def _loop_statistic(d1, d2, n, seed, independent_control):
     return worst
 
 
+def _searchsorted_statistic(d1, d2, n, seed, independent_control):
+    """The copula statistic with the grid cells found by searchsorted."""
+    rng = verify._rng(seed, "copula_equivalence")
+    u1 = verify._open_uniform(rng, n)
+    u2 = verify._open_uniform(rng, n) if independent_control else u1
+    h1, h2 = np.asarray(d1.sample(u1)), np.asarray(d2.sample(u2))
+    levels = np.arange(1, 21) / 21.0
+    xs, ys = np.asarray(d1.quantile(levels)), np.asarray(d2.quantile(levels))
+    i = np.searchsorted(xs, h1, side="left")
+    j = np.searchsorted(ys, h2, side="left")
+    hist = np.bincount(i * 21 + j, minlength=21 ** 2)
+    emp = hist.reshape(21, -1).cumsum(axis=0).cumsum(axis=1)[:20, :20] / n
+    joint = copula_joint_cdf(d1, d2, xs[:, None], ys[None, :])
+    return max(0.0, float(np.max(np.abs(emp - joint))))
+
+
 class TestCopulaCount:
-    @pytest.mark.parametrize("d1, d2", [
+    PAIRS = [
         (Exponential(1.0), Exponential(2.0)),
         (NakagamiGain(0.7, 1.0), Exponential(3.0)),
         (BernoulliGain(0.3), BernoulliGain(0.7)),   # tied quantiles and tied draws
         (PointMass(1.0), Exponential(1.0)),
-    ])
+    ]
+
+    @pytest.mark.parametrize("d1, d2", PAIRS)
     @pytest.mark.parametrize("independent", [False, True])
     def test_same_double_as_the_mask_loop(self, d1, d2, independent):
         report = verify_copula_equivalence(d1, d2, n=10_000, seed=4,
                                            independent_control=independent)
         assert report.statistic == _loop_statistic(d1, d2, 10_000, 4, independent)
+
+    @pytest.mark.parametrize("d1, d2", PAIRS + [
+        (Empirical((0.5, 1.0, 1.0, 2.0, 2.0, 2.0)), Empirical((1.0, 1.5, 3.0)))])
+    @pytest.mark.parametrize("independent", [False, True])
+    def test_same_double_as_searchsorted(self, d1, d2, independent):
+        # each draw counts the grid points below it, ties not included
+        for seed in (4, 5):
+            report = verify_copula_equivalence(d1, d2, n=10_000, seed=seed,
+                                               independent_control=independent)
+            assert report.statistic == _searchsorted_statistic(d1, d2, 10_000, seed, independent)
 
 
 class TestSuite:
