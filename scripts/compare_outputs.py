@@ -105,12 +105,10 @@ def check_coupling(op: dict, workdir: Path, old: np.ndarray, new: np.ndarray) ->
         spec = maximal_coupling_spec(d1, d2)
         u_val = np.clip(rng.random(n), 1e-12, 1.0 - 1e-12)
         eq = new[:, 2] == 1.0
-        if spec.p >= 1.0:  # one law: both columns are its quantiles
-            parts = [(d1.cdf, 0, u_val, every), (d1.cdf, 1, u_val, every)]
-        else:
-            parts = [(spec.shared_cdf, 0, u_val, eq), (spec.shared_cdf, 1, u_val, eq),
-                     (lambda x: spec.residual_cdf(1, x), 0, u_val, ~eq),
-                     (lambda x: spec.residual_cdf(2, x), 1, u_val, ~eq)]
+        # at p = 1 the shared law is d1 and every draw is shared
+        parts = [(spec.shared.cdf, 0, u_val, eq), (spec.shared.cdf, 1, u_val, eq)]
+        if spec.p < 1.0:
+            parts += [(law.cdf, col, u_val, ~eq) for col, law in enumerate(spec.residuals)]
     for cdf, col, level, rows in parts:
         rows = rows & moved(old[:, col], new[:, col])
         bad = ~is_crossing(cdf, new[rows, col], level[rows])

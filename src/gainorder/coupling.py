@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import GainDistribution, _invert_cdf, _levels, _panel_nodes
+from .distributions import GainDistribution, _invert_cdf, _panel_nodes
 from .stochastic_order import DensitySegment, density_segments
 
 __all__ = [
@@ -101,37 +101,28 @@ class _PiecewiseMinCdf:
         """Index of the segment holding each x >= 0 (0 for NaN)."""
         return _cell(self.lo[1:], x)
 
-    def _rise(self, k: int, x: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """F_k(x) - F_k(lo_j)."""
-        return self.dists[k]._cdf(x) - self.cdf_lo[k, j]
+    # unnorm and residual are kernels on flat x in [0, inf]; the parts'
+    # public cdfs guard x < 0 and NaN
 
-    # unnorm and residual call the marginals' kernels on x clipped to [0, inf]
-    # (NaN stays NaN) and read 0 wherever x > 0 fails, as the contract does
-
-    def unnorm(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        xs = np.maximum(x_arr.reshape(-1), 0.0)
+    def unnorm(self, xs: np.ndarray) -> np.ndarray:
         j = self.segment(xs)
         out = np.empty_like(xs)
         first = self.first[j]
         for k, at in ((0, np.flatnonzero(first)), (1, np.flatnonzero(~first))):
             j_at = j[at]
             out[at] = self.prefix[j_at] + self.dists[k]._cdf(xs[at]) - self.cdf_lo[k, j_at]
-        out = np.where(xs > 0.0, out, 0.0).reshape(x_arr.shape)
         return np.clip(out, 0.0, self.total)
 
-    def residual(self, k: int, x):
+    def residual(self, k: int, xs: np.ndarray) -> np.ndarray:
         """Unnormalized cdf of residual k (0 for d1, 1 for d2)."""
-        x_arr = np.asarray(x, dtype=float)
-        xs = np.maximum(x_arr.reshape(-1), 0.0)
         j = self.segment(xs)
         out = self.res_prefix[k, j]
         near = self.live[k, j] & (xs - self.lo[j] < self._near[j])
         on = self.live[k, j] & ~near
         xs_on, j_on = xs[on], j[on]
-        out[on] += self._rise(k, xs_on, j_on) - self._rise(1 - k, xs_on, j_on)
+        out[on] += ((self.dists[k]._cdf(xs_on) - self.cdf_lo[k, j_on])
+                    - (self.dists[1 - k]._cdf(xs_on) - self.cdf_lo[1 - k, j_on]))
         out[near] += self._integral(k, self.lo[j[near]], xs[near])
-        out = np.where(xs > 0.0, out, 0.0).reshape(x_arr.shape)
         return np.clip(out, 0.0, self.res_total[k])
 
     def _integral(self, k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -176,65 +167,40 @@ def _table_levels() -> np.ndarray:
 _NEWTON_STEPS = 2
 
 
-class MaximalCouplingSpec:
-    """Precomputed decomposition f_k = p * (f_min / p) + (1 - p) * residual_k.
+class _Part(GainDistribution):
+    """A component of a maximal coupling, a gain law of its own: its cdf is
+    an unnormalized cdf of _PiecewiseMinCdf over the component's mass."""
 
-    p is the overlap mass of the two densities; the shared component and the
-    two residual CDFs are evaluated exactly piecewise between the density
-    crossings, so the mixture reconstructs each marginal CDF to rounding.
+    def __init__(self, name: str, fm: _PiecewiseMinCdf, mass: float):
+        if not mass > 0.0:
+            raise ValueError(f"the {name} has no mass in floating point")
+        self._name, self._fm, self._mass = name, fm, mass
 
-    Every component quantile is the exact `_invert_cdf` of its float cdf, a
-    double where that cdf crosses u, seeded with an estimate so that the
-    search only gallops a few ulps:
-    - shared: on the segment holding level u the shared law is one marginal's
-      law, so the estimate is that marginal's quantile estimate at the shifted
-      level u p - prefix[j] + F_i(lo_j);
-    - residual k: cubic Hermite interpolation of the inverse in a table of
-      the residual's cdf and density at about 500 points per segment it lives
-      on, packed toward both ends of the segment and evaluated once, forward,
-      on the first residual draw; then two Newton steps on the residual
-      density (f_k - f_o) / (1 - p), each kept inside its table cell.
-    The component cdfs subtract O(1) marginal cdf values, so they can wobble
-    (_PiecewiseMinCdf states by how much) and cross u at several neighbouring
-    doubles; the answer is the crossing nearest the estimate, which can differ
-    from the one an estimate-free search finds by up to a few hundred ulps.
-    """
+    def __repr__(self) -> str:
+        return f"<{self._name} of {self._fm.dists[0]!r} and {self._fm.dists[1]!r}>"
 
-    def __init__(self, d1: GainDistribution, d2: GainDistribution):
-        for d in (d1, d2):
-            if not d.continuous:
-                raise ValueError(
-                    "maximal coupling requires continuous densities; the comonotone "
-                    "and copula constructions handle discrete gains"
-                )
-        self.d1 = d1
-        self.d2 = d2
-        self.segments = density_segments(d1, d2)
-        self._fmin = _PiecewiseMinCdf(d1, d2, self.segments)
-        self.p = 1.0 if d1 == d2 else float(min(max(self._fmin.total, 0.0), 1.0))
 
-    # -- exact component CDFs -------------------------------------------------
+class _SharedPart(_Part):
+    """The shared law f_min / p."""
 
-    def shared_cdf(self, x):
-        if self.p <= 0.0:
-            raise ValueError("shared component is empty (p = 0)")
-        return np.asarray(self._fmin.unnorm(x)) / self.p
+    def __init__(self, fm: _PiecewiseMinCdf, p: float):
+        super().__init__("shared part", fm, p)
+        # the sum at inf can round below p: the cdf reads 1 wherever the sum
+        # reaches its value there, also where the last segment's marginal is 1
+        self._top = fm.unnorm(np.array([np.inf]))[0]
 
-    def residual_cdf(self, which: int, x):
-        if self.p >= 1.0:
-            raise ValueError("residual components are empty (p = 1)")
-        mass = self._fmin.res_total[which - 1]
-        if mass <= 0.0:
-            raise ValueError(f"residual component {which} has no mass in floating point")
-        return np.minimum(self._fmin.residual(which - 1, x) / mass, 1.0)
+    def _cdf(self, x):
+        out = self._fm.unnorm(x)
+        return np.where(out < self._top, out / self._mass, 1.0)
 
-    # -- seeded component quantiles ---------------------------------------------
+    def _pdf(self, x):
+        return np.minimum(self._fm.dists[0]._pdf(x), self._fm.dists[1]._pdf(x)) / self._mass
 
-    def shared_quantile(self, u):
-        shape = np.shape(u)
-        u = _levels(u).reshape(-1)
-        fm = self._fmin
-        level = u * self.p
+    def _quantile_estimate(self, u):
+        # on the segment holding level u the shared law is one marginal's law,
+        # so the estimate is that marginal's at the shifted level
+        fm = self._fm
+        level = u * self._mass
         j = _cell(fm.prefix[1:-1], level)
         est = np.empty_like(u)
         first = fm.first[j]
@@ -243,17 +209,31 @@ class MaximalCouplingSpec:
             t = np.clip(level[at] - fm.prefix[j_at] + fm.cdf_lo[k, j_at], 0.0, 1.0)
             e = d._quantile_estimate(t)
             est[at] = d.quantile(t) if e is None else e
-        est = np.clip(est, fm.lo[j], fm.hi[j])
-        return _invert_cdf(self.shared_cdf, u, est).reshape(shape)
+        return np.clip(est, fm.lo[j], fm.hi[j])
+
+
+class _ResidualPart(_Part):
+    """Residual k of the maximal coupling, (f_k - f_min) / (1 - p): 0 for
+    d1, 1 for d2."""
+
+    def __init__(self, fm: _PiecewiseMinCdf, k: int):
+        super().__init__(f"residual {k + 1}", fm, fm.res_total[k])
+        self._k = k
+
+    def _cdf(self, x):
+        return np.minimum(self._fm.residual(self._k, x) / self._mass, 1.0)
+
+    def _pdf(self, x):
+        fm, k = self._fm, self._k
+        with np.errstate(invalid="ignore"):  # inf - inf where both densities are at 0
+            gap = (fm.dists[k]._pdf(x) - fm.dists[1 - k]._pdf(x)) / self._mass
+        return np.where(fm.live[k, fm.segment(x)], gap, 0.0)
 
     @functools.cached_property
-    def _tables(self) -> tuple:
-        return tuple(self._residual_table(which) for which in (1, 2))
-
-    def _residual_table(self, which: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Levels, abscissae and slopes dx/du of residual `which`: its cdf and
-        inverse density at points packed toward both ends of each segment it
-        lives on.
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Levels, abscissae and slopes dx/du: the residual's cdf and inverse
+        density at about 500 points packed toward both ends of each segment
+        it lives on, evaluated once, forward, on the first residual draw.
 
         Near a density crossing the residual's quantile has a square-root
         singularity, so the points pack like the levels of _table_levels.  The
@@ -261,9 +241,7 @@ class MaximalCouplingSpec:
         the largest level below 1, where both marginal cdfs have stopped
         rising in floats, and the cdf at inf closes the table.
         """
-        fm = self._fmin
-        k = which - 1
-        unit = _table_levels()
+        fm, k = self._fm, self._k
         xs = []
         for j in np.flatnonzero(fm.live[k]):
             if fm.res_prefix[k, j + 1] > fm.res_prefix[k, j]:
@@ -271,27 +249,25 @@ class MaximalCouplingSpec:
                 if math.isinf(hi):
                     # residual k lives here, so its law has the heavier tail
                     hi = max(lo, fm.dists[k].quantile(1.0 - 2.0**-53))
-                xs += [[lo], lo + (hi - lo) * unit, [hi]]
+                xs += [[lo], lo + (hi - lo) * _table_levels(), [hi]]
         xs = np.concatenate(xs + [[np.inf]])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            slopes = fm.res_total[k] / (np.asarray(fm.dists[k].pdf(xs))
-                                        - np.asarray(fm.dists[1 - k].pdf(xs)))
+            slopes = self._mass / (np.asarray(fm.dists[k].pdf(xs))
+                                   - np.asarray(fm.dists[1 - k].pdf(xs)))
         # a wobbling cdf can read lower at a larger point
-        return np.maximum.accumulate(self.residual_cdf(which, xs)), xs, slopes
+        return np.maximum.accumulate(self._cdf(xs)), xs, slopes
 
-    def residual_quantile(self, which: int, u):
-        shape = np.shape(u)
-        u = _levels(u).reshape(-1)
-        levels, xs, slopes = self._tables[which - 1]
-        dk, do = self._fmin.dists[which - 1], self._fmin.dists[2 - which]
-        mass = self._fmin.res_total[which - 1]
-        # a cell lies inside one segment the residual lives on, so f_k - f_o
-        # is its density there
+    def _quantile_estimate(self, u):
+        """Cubic Hermite interpolation of the inverse in _table, then two
+        Newton steps on the density (f_k - f_o) / (1 - p), each kept inside
+        its table cell: a cell lies inside one segment the residual lives on."""
+        levels, xs, slopes = self._table
+        dk, do = self._fm.dists[self._k], self._fm.dists[1 - self._k]
         c = np.clip(np.searchsorted(levels, u, side="right") - 1, 0, levels.size - 2)
         a, b = xs[c], xs[c + 1]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # the cubic Hermite interpolant of the inverse; at an end where the
-            # density vanishes (a crossing) its slope is the chord's
+            # at an end where the density vanishes (a crossing) the
+            # interpolant's slope is the chord's
             h, chord = levels[c + 1] - levels[c], b - a
             t = (u - levels[c]) / h
             ends = [np.where((s > 0.0) & (s < np.inf), s - chord, 0.0)
@@ -299,10 +275,42 @@ class MaximalCouplingSpec:
             est = a + t * (chord + (1.0 - t) * ((1.0 - t) * ends[0] - t * ends[1]))
             est = np.where(np.isfinite(est), np.clip(est, a, b), a)
             for _ in range(_NEWTON_STEPS):
-                pdf = (dk._pdf(est) - do._pdf(est)) / mass
-                step = (self.residual_cdf(which, est) - u) / pdf
+                pdf = (dk._pdf(est) - do._pdf(est)) / self._mass
+                step = (self._cdf(est) - u) / pdf
                 est = np.clip(np.where(np.isfinite(step), est - step, est), a, b)
-        return _invert_cdf(lambda x: self.residual_cdf(which, x), u, est).reshape(shape)
+        return est
+
+
+class MaximalCouplingSpec:
+    """Precomputed decomposition f_k = p * (f_min / p) + (1 - p) * residual_k.
+
+    p is the overlap mass of the two densities.  The shared law f_min / p
+    (`shared`, d1 itself at p = 1) and the residual laws (`residuals`, a
+    pair) are GainDistributions, built on first use.  Their cdfs are exact
+    piecewise between the density crossings, so the mixture reconstructs each
+    marginal cdf to rounding; but they subtract O(1) marginal cdf values, so
+    they can wobble (_PiecewiseMinCdf states by how much) and cross u at
+    several neighbouring doubles.  A quantile is the crossing nearest its
+    part's _quantile_estimate, which can differ from the one an estimate-free
+    search finds by up to a few hundred ulps.
+    """
+
+    def __init__(self, d1: GainDistribution, d2: GainDistribution):
+        if not (d1.continuous and d2.continuous):
+            raise ValueError("maximal coupling requires continuous densities; the comonotone "
+                             "and copula constructions handle discrete gains")
+        self.d1, self.d2 = d1, d2
+        self.segments = density_segments(d1, d2)
+        self._fmin = _PiecewiseMinCdf(d1, d2, self.segments)
+        self.p = 1.0 if d1 == d2 else float(min(max(self._fmin.total, 0.0), 1.0))
+
+    @functools.cached_property
+    def shared(self) -> GainDistribution:
+        return self.d1 if self.p >= 1.0 else _SharedPart(self._fmin, self.p)
+
+    @functools.cached_property
+    def residuals(self) -> tuple[GainDistribution, GainDistribution]:
+        return _ResidualPart(self._fmin, 0), _ResidualPart(self._fmin, 1)
 
 
 def maximal_coupling_spec(d1: GainDistribution, d2: GainDistribution) -> MaximalCouplingSpec:
@@ -317,27 +325,26 @@ def maximal_coupling_samples(spec: MaximalCouplingSpec, u_select, u_value):
     both residuals are inverted at the same u_value, which is allowed because
     only the marginals are constrained and keeps the sampler deterministic.
     """
-    u_select = np.asarray(u_select, dtype=float)
-    u_value = np.asarray(u_value, dtype=float)
+    u_select, u_value = np.asarray(u_select, dtype=float), np.asarray(u_value, dtype=float)
     if not np.all((u_select > 0) & (u_select < 1) & (u_value > 0) & (u_value < 1)):
         raise ValueError("uniform variates must lie strictly inside (0, 1)")
     equal = u_select <= spec.p
-    if spec.p >= 1.0:
-        shared = np.asarray(spec.d1.quantile(u_value))
-        return shared, shared.copy(), np.ones_like(u_value, dtype=bool)
-    h1 = np.empty_like(u_value)
-    h2 = np.empty_like(u_value)
+    h1, h2 = np.empty_like(u_value), np.empty_like(u_value)
     # flat views, split by index arrays: a random mask gathers at several
     # times the cost of its indices
     u_flat, h1_flat, h2_flat = u_value.reshape(-1), h1.reshape(-1), h2.reshape(-1)
     same, apart = np.flatnonzero(equal), np.flatnonzero(~equal)
     if same.size:
-        h1_flat[same] = h2_flat[same] = spec.shared_quantile(u_flat[same])
+        h1_flat[same] = h2_flat[same] = _draw(spec.shared, u_flat[same])
     if apart.size:
         u_apart = u_flat[apart]
-        h1_flat[apart] = spec.residual_quantile(1, u_apart)
-        h2_flat[apart] = spec.residual_quantile(2, u_apart)
+        h1_flat[apart], h2_flat[apart] = (_draw(law, u_apart) for law in spec.residuals)
     return h1, h2, equal
+
+
+def _draw(law: GainDistribution, u: np.ndarray) -> np.ndarray:
+    """law.quantile(u) for flat levels already checked to lie in (0, 1)."""
+    return _invert_cdf(law._cdf, u, law._quantile_estimate(u))
 
 
 def comonotone_samples(d1: GainDistribution, d2: GainDistribution, u):

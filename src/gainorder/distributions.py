@@ -60,7 +60,8 @@ class GainDistribution:
       of its float cdf, seeded by the family's _quantile_estimate where it
       has one;
     - sample, the quantile of uniform variates in (0, 1);
-    - tail_quantile, the largest atom of a step law.
+    - tail_quantile, the largest atom of a step law;
+    - mean, by the quadrature rule of law_nodes unless a family has a closed form.
     """
 
     #: families with a density set this to True
@@ -127,7 +128,8 @@ class GainDistribution:
         return np.empty(0), np.empty(0)
 
     def mean(self) -> float:
-        raise NotImplementedError
+        x, w = law_nodes(self)
+        return float(w @ x)
 
     def tail_quantile(self, tail: float = _TAIL_EPS) -> float:
         """Upper truncation point carrying all but `tail` of the mass; the
@@ -579,10 +581,6 @@ class RatioExpExp(GainDistribution):
             raise ValueError("tail quantile is not finite")
         return x
 
-    def mean(self) -> float:
-        x, w = law_nodes(self)
-        return float(w @ x)
-
     def to_spec(self) -> dict:
         spec = {
             "family": "ratio_exp_exp",
@@ -880,7 +878,7 @@ def _invert_cdf(cdf: Callable, u, x: np.ndarray | None = None) -> np.ndarray:
 
     cdf is a kernel on flat arrays of doubles in [0, inf]: every probe is one
     (the search clips bit patterns to that range), never a NaN or a negative,
-    so a family passes its bare _cdf, without _evaluate's guards and passes.
+    so a law passes its bare _cdf, without _evaluate's guards and passes.
 
     u = 0 maps to 0 and u = 1 to inf.  For interior u the answer is a crossing
     of the float cdf: the double y with cdf(y) >= u > cdf(previous double).

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from gainorder import BernoulliGain, Exponential, NakagamiGain, coupling
+from gainorder.capacity import ergodic_rate
 from gainorder.coupling import (
     comonotone_samples,
     copula_joint_ccdf,
@@ -21,7 +22,7 @@ from gainorder.coupling import (
     verify_copula_axioms,
 )
 from gainorder.distributions import _invert_cdf
-from gainorder.stochastic_order import check_usual_order, total_variation
+from gainorder.stochastic_order import Relation, check_usual_order, total_variation
 
 
 def open_uniform(rng, n):
@@ -97,8 +98,8 @@ class TestMaximalCoupling:
         # p * shared + (1 - p) * residual_k equals F_k pointwise
         spec = maximal_coupling_spec(Exponential(1.0), Exponential(2.0))
         xs = np.linspace(0.01, 12.0, 200)
-        for which, d in ((1, spec.d1), (2, spec.d2)):
-            mix = spec.p * spec.shared_cdf(xs) + (1 - spec.p) * spec.residual_cdf(which, xs)
+        for residual, d in zip(spec.residuals, (spec.d1, spec.d2)):
+            mix = spec.p * spec.shared.cdf(xs) + (1 - spec.p) * residual.cdf(xs)
             assert np.max(np.abs(mix - np.asarray(d.cdf(xs)))) < 1e-12
 
     def test_discrete_inputs_rejected(self):
@@ -126,11 +127,9 @@ class TestMaximalCoupling:
     @pytest.mark.parametrize("u", [math.nan, -0.5, 1.5])
     def test_component_quantiles_reject_levels_outside_the_unit_interval(self, u):
         spec = maximal_coupling_spec(Exponential(1.0), Exponential(2.0))
-        quantiles = [spec.shared_quantile] + [
-            functools.partial(spec.residual_quantile, which) for which in (1, 2)]
-        for quantile in quantiles:
+        for law in (spec.shared, *spec.residuals):
             with pytest.raises(ValueError, match=r"quantile argument must lie in \[0, 1\]"):
-                quantile(np.array([0.5, u]))
+                law.quantile(np.array([0.5, u]))
 
 
 def exp_pair_residual_2(x, u):
@@ -201,6 +200,51 @@ OPEN_LEVELS = st.one_of(
 )
 
 
+COUPLED_PAIRS = (
+    (Exponential(1.0), Exponential(2.0)),
+    (NakagamiGain(2.5, 1.5), Exponential(2.0)),
+    (NakagamiGain(0.75, 1.0), NakagamiGain(2.2, 3.0)),
+)
+
+
+@functools.cache
+def coupling_spec(i):
+    return maximal_coupling_spec(*COUPLED_PAIRS[i])
+
+
+def coupling_parts(i):
+    """The shared law and the two residual laws of a maximal coupling."""
+    spec = coupling_spec(i)
+    return spec.shared, *spec.residuals
+
+
+class TestComponentsAreGainLaws:
+    # residual 2 of the second pair lives on [0, 0.468] and [2.741, inf): its
+    # quantile jumps at the level between, which the rate's quantile rule
+    # does not resolve
+    @pytest.mark.parametrize("i, k", [
+        (i, k) if (i, k) != (1, 1) else pytest.param(i, k, marks=pytest.mark.xfail(
+            strict=True, reason="the quantile rule misses a residual's gap in support"))
+        for i in range(len(COUPLED_PAIRS)) for k in (0, 1)])
+    def test_rates_mix_like_the_marginals(self, i, k):
+        # f_k = p shared + (1 - p) residual_k, so the rates mix the same way,
+        # within the rates' stated errors
+        spec = coupling_spec(i)
+        marginal, shared, residual = (ergodic_rate(d, 1.0) for d in (
+            COUPLED_PAIRS[i][k], spec.shared, spec.residuals[k]))
+        mix = spec.p * shared.bits + (1.0 - spec.p) * residual.bits
+        bound = (marginal.error_estimate + spec.p * shared.error_estimate
+                 + (1.0 - spec.p) * residual.error_estimate)
+        assert abs(mix - marginal.bits) <= bound
+
+    @pytest.mark.parametrize("i", range(len(COUPLED_PAIRS)))
+    def test_separated_residuals_are_ordered(self, i):
+        separated = residual_supports_separated(*COUPLED_PAIRS[i])
+        relation = check_usual_order(*coupling_spec(i).residuals).relation
+        assert separated == (i != 1)
+        assert relation == (Relation.FIRST_LEQ if separated else Relation.INCOMPARABLE)
+
+
 class TestMaximalCouplingQuantiles:
     def test_tiny_levels_above_an_interior_crossing(self):
         # the residual's cdf is ~ (x - c)^2 / 4 there; a difference of two O(x - c)
@@ -209,7 +253,7 @@ class TestMaximalCouplingQuantiles:
         c = 2.0 * math.log(2.0)
         for u in (1e-17, 1e-14):
             ref = brentq(exp_pair_residual_2, c, c + 1.0, args=(u,), xtol=1e-300, rtol=1e-15)
-            assert float(spec.residual_quantile(2, u)) == pytest.approx(ref, rel=1e-12, abs=0.0)
+            assert spec.residuals[1].quantile(u) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(d1=GAMMA_LAWS, d2=GAMMA_LAWS,
@@ -231,9 +275,8 @@ class TestMaximalCouplingQuantiles:
             # one law: every draw is shared and is that law's own quantile
             assert np.all(h1 == d1.quantile(u))
             return
-        parts = [(spec.shared_cdf, eq, h1, 0),
-                 (lambda x: spec.residual_cdf(1, x), ~eq, h1, 1),
-                 (lambda x: spec.residual_cdf(2, x), ~eq, h2, 2)]
+        parts = [(spec.shared.cdf, eq, h1, 0), (spec.residuals[0].cdf, ~eq, h1, 1),
+                 (spec.residuals[1].cdf, ~eq, h2, 2)]
         for cdf, rows, q, part in parts:
             if not np.any(rows):
                 continue
@@ -260,26 +303,29 @@ class TestResidualTables:
         (Exponential(4.0), NakagamiGain(0.75, 1.25)),
     ])
     def test_built_by_one_forward_evaluation(self, monkeypatch, d1, d2):
-        spec = maximal_coupling_spec(d1, d2)
+        residuals = maximal_coupling_spec(d1, d2).residuals
         points = []
-        residual_cdf = spec.residual_cdf
 
-        def counted(which, x):
-            points.append(np.size(x))
-            return residual_cdf(which, x)
+        def counted(kernel):
+            def cdf(x):
+                points.append(np.size(x))
+                return kernel(x)
+            return cdf
 
         def refuse(*args):
             raise AssertionError("a table level was inverted")
 
-        monkeypatch.setattr(spec, "residual_cdf", counted)
+        for residual in residuals:
+            monkeypatch.setattr(residual, "_cdf", counted(residual._cdf))
         monkeypatch.setattr(coupling, "_invert_cdf", refuse)
-        tables = spec._tables
+        tables = [residual._table for residual in residuals]
         # one residual cdf evaluation per abscissa, no inversion
         assert points == [xs.size for _, xs, _ in tables]
-        for which, (levels, xs, _) in zip((1, 2), tables):
+        monkeypatch.undo()
+        for residual, (levels, xs, _) in zip(residuals, tables):
             assert np.all(np.diff(levels) >= 0.0) and np.all(np.diff(xs) >= 0.0)
             assert xs[-1] == np.inf and np.all(np.isfinite(xs[:-1]))
-            assert np.array_equal(levels, np.maximum.accumulate(residual_cdf(which, xs)))
+            assert np.array_equal(levels, np.maximum.accumulate(residual.cdf(xs)))
 
 
 # The code that the fast paths replaced, kept as references: searchsorted for
@@ -328,12 +374,12 @@ def masked_samples(spec, u_select, u_value):
     equal = u_select <= spec.p
     h1, h2 = np.empty_like(u_value), np.empty_like(u_value)
     if np.any(equal):
-        shared = spec.shared_quantile(u_value[equal])
+        shared = spec.shared.quantile(u_value[equal])
         h1[equal] = shared
         h2[equal] = shared
     if np.any(~equal):
-        h1[~equal] = spec.residual_quantile(1, u_value[~equal])
-        h2[~equal] = spec.residual_quantile(2, u_value[~equal])
+        h1[~equal] = spec.residuals[0].quantile(u_value[~equal])
+        h2[~equal] = spec.residuals[1].quantile(u_value[~equal])
     return h1, h2, equal
 
 
@@ -348,7 +394,7 @@ def masked_shared_quantile(spec, u):
         e = d._quantile_estimate(t)
         est[on] = d.quantile(t) if e is None else e
     est = np.clip(est, fm.lo[j], fm.hi[j])
-    return _invert_cdf(spec.shared_cdf, u, est)
+    return _invert_cdf(spec.shared.cdf, u, est)
 
 
 FAST_PATH_PAIRS = [
@@ -396,34 +442,44 @@ class TestFastPaths:
         assert np.array_equal(coupling._cell(fm.prefix[1:-1], level),
                               searchsorted_prefix(fm, level))
         u = np.clip(edges_and_neighbours(fm.prefix / spec.p), 0.0, 1.0)
-        assert same_doubles(spec.shared_quantile(u), masked_shared_quantile(spec, u))
+        assert same_doubles(spec.shared.quantile(u), masked_shared_quantile(spec, u))
 
     @pytest.mark.parametrize("i", range(len(FAST_PATH_PAIRS)))
     def test_component_cdfs_at_every_bound_and_next_to_each_crossing(self, i):
-        fm = fast_path_spec(i)._fmin
+        spec = fast_path_spec(i)
+        fm = spec._fmin
         near = fm.lo[1:, None] * (1.0 + np.array([1e-12, 1e-6, 1e-3, 0.05]))
         x = np.concatenate([edges_and_neighbours(fm.lo), [-np.inf, -1e300, -1.0, -0.0],
                             near.ravel()])
-        self.assert_component_cdfs_match(fm, x)
+        self.assert_component_cdfs_match(spec, x)
 
     @settings(max_examples=60, deadline=None)
     @given(i=PAIR_INDEX, xs=ABSCISSAE)
     def test_component_cdfs_anywhere(self, i, xs):
-        self.assert_component_cdfs_match(fast_path_spec(i)._fmin, np.array(xs))
+        self.assert_component_cdfs_match(fast_path_spec(i), np.array(xs))
 
     @staticmethod
-    def assert_component_cdfs_match(fm, x):
+    def assert_component_cdfs_match(spec, x):
+        # the kernels take x in [0, inf]; below it, each part's public cdf
+        # reads what the masked references read, normalized by the part's mass
+        fm, on = spec._fmin, x >= 0.0
         assert np.array_equal(fm.segment(x), searchsorted_segment(fm, x))
-        assert same_doubles(fm.unnorm(x), masked_unnorm(fm, x))
+        assert same_doubles(fm.unnorm(x[on]), masked_unnorm(fm, x[on]))
         for k in (0, 1):
-            assert same_doubles(fm.residual(k, x), masked_residual(fm, k, x))
+            assert same_doubles(fm.residual(k, x[on]), masked_residual(fm, k, x[on]))
+        shared = masked_unnorm(fm, x)
+        top = fm.unnorm(np.array([np.inf]))[0]
+        assert same_doubles(spec.shared.cdf(x), np.where(shared < top, shared / spec.p, 1.0))
+        for k, residual in enumerate(spec.residuals):
+            mass = fm.res_total[k]
+            assert same_doubles(residual.cdf(x), np.minimum(masked_residual(fm, k, x) / mass, 1.0))
 
     @settings(max_examples=30, deadline=None)
     @given(i=PAIR_INDEX, u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
     def test_shared_quantile_against_the_masked_seeds(self, i, u):
         spec = fast_path_spec(i)
         u = np.array(u)
-        assert same_doubles(spec.shared_quantile(u), masked_shared_quantile(spec, u))
+        assert same_doubles(spec.shared.quantile(u), masked_shared_quantile(spec, u))
 
     @pytest.mark.parametrize("i", range(len(FAST_PATH_PAIRS)))
     def test_samples_against_the_masked_split(self, i):

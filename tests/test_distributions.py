@@ -22,6 +22,7 @@ from gainorder import (
 )
 from gainorder import distributions
 from gainorder.distributions import gamma_law
+from test_coupling import COUPLED_PAIRS, coupling_parts
 
 
 def ks_distance(samples: np.ndarray, cdf) -> float:
@@ -167,6 +168,8 @@ CONTRACT_LAWS = [
     RatioLaw(BernoulliGain(0.5), Exponential(1.0), 1.0),
     RatioLaw(BernoulliGain(0.5), PointMass(1.0), 1.0),
     Empirical((1.0, 2.0, 2.0, 5.0)),
+    # the shared and residual laws of maximal couplings
+    *(law for i in range(len(COUPLED_PAIRS)) for law in coupling_parts(i)),
 ]
 # the laws whose quantile is an exact inversion of the cdf, not an atom search
 INVERTED_LAWS = [d for d in CONTRACT_LAWS if distributions.step_atoms(d) is None]

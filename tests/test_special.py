@@ -22,7 +22,7 @@ from gainorder import Exponential, NakagamiGain, RatioExpExp, distributions
 from gainorder.capacity import _scaled_exp1
 from gainorder.coupling import maximal_coupling_samples, maximal_coupling_spec
 from gainorder.distributions import law_nodes
-from test_coupling import true_component
+from test_coupling import COUPLED_PAIRS, coupling_parts, coupling_spec, true_component
 
 
 def gamma_p(s, x):
@@ -100,18 +100,6 @@ QUANTILE_LEVELS = st.one_of(
     st.just(1.0 - 1e-9),
     st.just(1.0),
 )
-COUPLED_PAIRS = (
-    (Exponential(1.0), Exponential(2.0)),
-    (NakagamiGain(2.5, 1.5), Exponential(2.0)),
-    (NakagamiGain(0.75, 1.0), NakagamiGain(2.2, 3.0)),
-)
-
-
-@functools.cache
-def coupling_spec(i):
-    return maximal_coupling_spec(*COUPLED_PAIRS[i])
-
-
 def coupling_component(i, part):
     """(cdf, quantile, truth) of one component of a maximal coupling, where
     truth(x) is its true cdf at x and the bound on its float cdf's rounding
@@ -122,11 +110,8 @@ def coupling_component(i, part):
     starts at an interior density crossing reads that noise right above it.
     """
     spec = coupling_spec(i)
-    truth = functools.partial(true_component, spec, part)
-    if part == 0:
-        return spec.shared_cdf, spec.shared_quantile, truth
-    return lambda x: spec.residual_cdf(part, x), lambda u: spec.residual_quantile(part, u), truth
-
+    law = coupling_parts(i)[part]
+    return law.cdf, law.quantile, functools.partial(true_component, spec, part)
 
 def family(d):
     return d.cdf, d.quantile, None
@@ -135,17 +120,14 @@ def family(d):
 @pytest.mark.parametrize("i", range(len(COUPLED_PAIRS)))
 def test_component_cdfs_off_the_support_and_at_inf(i):
     # below the support and at NaN a cdf reads 0, as the evaluation contract
-    # says; a NaN once sorted past the last segment and read 1.  At inf it
-    # reads what it reads far out, which the order of the sum can leave an
-    # ulp below 1 (the shared part of the third pair)
-    spec = coupling_spec(i)
+    # says; a NaN once sorted past the last segment and read 1.  At inf and
+    # far out it reads 1, though the shared part's sum there once rounded an
+    # ulp below its mass (the third pair)
     x = np.array([-np.inf, -0.0, np.nan, np.inf, 1e300])
-    for cdf in (spec.shared_cdf,) + tuple(
-            functools.partial(spec.residual_cdf, which) for which in (1, 2)):
-        values = cdf(x).tolist()
-        assert [float(cdf(v)) for v in x] == values
-        assert values[:3] == [0.0, 0.0, 0.0]
-        assert values[3] == values[4] >= 1.0 - 2.0**-53
+    for law in coupling_parts(i):
+        values = law.cdf(x).tolist()
+        assert [law.cdf(v) for v in x] == values
+        assert values == [0.0, 0.0, 0.0, 1.0, 1.0]
 
 
 LAWS = st.one_of(
