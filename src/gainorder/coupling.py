@@ -18,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import GainDistribution, _invert_cdf, _panel_nodes
+from .distributions import (GainDistribution, _hermite_inverse, _invert_cdf, _panel_nodes,
+                            _table_levels)
 from .stochastic_order import DensitySegment, density_segments
 
 __all__ = [
@@ -155,15 +156,6 @@ def _unit_rule() -> tuple[np.ndarray, np.ndarray]:
     return _panel_nodes(np.array([0.0, 1.0]), 8)
 
 
-@functools.cache
-def _table_levels() -> np.ndarray:
-    """Levels of the residual quantile tables: logistic in t on [-34.5, 34.5],
-    so they pack geometrically toward 0 and 1 (1e-15 and 1 - 1e-15)."""
-    low = np.exp(np.linspace(-34.5, 0.0, 256))
-    low = low / (1.0 + low)
-    return np.unique(np.concatenate([low, 1.0 - low]))
-
-
 _NEWTON_STEPS = 2
 
 
@@ -229,6 +221,13 @@ class _ResidualPart(_Part):
             gap = (fm.dists[k]._pdf(x) - fm.dists[1 - k]._pdf(x)) / self._mass
         return np.where(fm.live[k, fm.segment(x)], gap, 0.0)
 
+    def _quantile_jumps(self):
+        # a segment the residual does not live on is a gap in its support,
+        # unless it starts or ends the support; its cdf is flat there
+        fm = self._fm
+        levels = self._cdf(fm.hi[~fm.live[self._k]])
+        return tuple(float(v) for v in levels if 0.0 < v < 1.0)
+
     @functools.cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Levels, abscissae and slopes dx/du: the residual's cdf and inverse
@@ -261,19 +260,9 @@ class _ResidualPart(_Part):
         """Cubic Hermite interpolation of the inverse in _table, then two
         Newton steps on the density (f_k - f_o) / (1 - p), each kept inside
         its table cell: a cell lies inside one segment the residual lives on."""
-        levels, xs, slopes = self._table
         dk, do = self._fm.dists[self._k], self._fm.dists[1 - self._k]
-        c = np.clip(np.searchsorted(levels, u, side="right") - 1, 0, levels.size - 2)
-        a, b = xs[c], xs[c + 1]
+        est, a, b = _hermite_inverse(self._table, u)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # at an end where the density vanishes (a crossing) the
-            # interpolant's slope is the chord's
-            h, chord = levels[c + 1] - levels[c], b - a
-            t = (u - levels[c]) / h
-            ends = [np.where((s > 0.0) & (s < np.inf), s - chord, 0.0)
-                    for s in (slopes[c] * h, slopes[c + 1] * h)]
-            est = a + t * (chord + (1.0 - t) * ((1.0 - t) * ends[0] - t * ends[1]))
-            est = np.where(np.isfinite(est), np.clip(est, a, b), a)
             for _ in range(_NEWTON_STEPS):
                 pdf = (dk._pdf(est) - do._pdf(est)) / self._mass
                 step = (self._cdf(est) - u) / pdf

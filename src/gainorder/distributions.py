@@ -114,6 +114,11 @@ class GainDistribution:
         where the family has none."""
         return None
 
+    def _quantile_jumps(self) -> tuple[float, ...]:
+        """The levels in (0, 1) at which the quantile jumps over a gap in the
+        support of a law with a density; law_nodes breaks its panels there."""
+        return ()
+
     def sample(self, u):
         """Inverse-transform sample from a uniform variate in (0, 1)."""
         u = np.asarray(u, dtype=float)
@@ -253,6 +258,37 @@ def _upper_tail(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tail, (1.0 - ut) + 0.5 * np.spacing(ut)
 
 
+_TABLE_FROM = 2048  # NakagamiGain batches above this many levels seed from its table
+
+
+@functools.cache
+def _table_levels() -> np.ndarray:
+    """Levels of the quantile tables: logistic in t on [-34.5, 34.5], so they
+    pack geometrically toward 0 and 1 (1e-15 and 1 - 1e-15), where a
+    quantile is singular."""
+    low = np.exp(np.linspace(-34.5, 0.0, 256))
+    low = low / (1.0 + low)
+    return np.unique(np.concatenate([low, 1.0 - low]))
+
+
+def _hermite_inverse(table, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(estimate, a, b): the cubic Hermite interpolant of an inverse cdf at
+    each level u, from a table of sorted levels, abscissae and slopes dx/du,
+    and the ends of the table cell [a, b] that holds it."""
+    levels, xs, slopes = table
+    c = np.clip(np.searchsorted(levels, u, side="right") - 1, 0, levels.size - 2)
+    a, b = xs[c], xs[c + 1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # at an end where the density vanishes (or is infinite) the
+        # interpolant's slope is the chord's
+        h, chord = levels[c + 1] - levels[c], b - a
+        t = (u - levels[c]) / h
+        ends = [np.where((s > 0.0) & (s < np.inf), s - chord, 0.0)
+                for s in (slopes[c] * h, slopes[c + 1] * h)]
+        est = a + t * (chord + (1.0 - t) * ((1.0 - t) * ends[0] - t * ends[1]))
+        return np.where(np.isfinite(est), np.clip(est, a, b), a), a, b
+
+
 @functools.cache
 def _lgamma1p_coefficients() -> tuple[float, ...]:
     from scipy.special import zeta
@@ -339,6 +375,33 @@ class NakagamiGain(GainDistribution):
         return _gammaincc(self.m, self.m * x / self.w)
 
     def _quantile_estimate(self, u):
+        # a batch larger than _TABLE_FROM seeds from the quantile table: one
+        # Halley step from the table's cubic Hermite interpolant lands within
+        # a few ulps for about one cdf and one pdf per level, where scipy's
+        # inverses take three to four cdfs each.  A smaller batch (the rate
+        # nodes, a tail quantile) would not repay the table's 511 inverses,
+        # and levels outside its span keep the inverses too
+        if u.size <= _TABLE_FROM:
+            return self._inverse_seed(u)
+        levels, m = self._table[0], self.m
+        est, a, b = _hermite_inverse(self._table, u)
+        # the same residual as the inversion's target: cdf - u in the bulk,
+        # the upper-tail mass minus the ccdf above u = 31/32 (see _upper_tail)
+        tail, mass = _upper_tail(u)
+        tail, bulk = np.flatnonzero(tail), np.flatnonzero(~tail)
+        f = np.empty_like(u)
+        f[bulk] = self._cdf(est[bulk]) - u[bulk]
+        f[tail] = mass - self._ccdf(est[tail])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # Halley's step with the density's exact log-slope f''/f'
+            newton = f / self._pdf(est)
+            step = newton / (1.0 - 0.5 * newton * ((m - 1.0) / est - m / self.w))
+        est = np.clip(np.where(np.isfinite(step), est - step, est), a, b)
+        out = np.flatnonzero((u < levels[0]) | (u > levels[-1]))
+        est[out] = self._inverse_seed(u[out])
+        return est
+
+    def _inverse_seed(self, u):
         from scipy.special import gammaincinv, gammainccinv
 
         # the inverses can sit a few ulps off the double where the float cdf
@@ -348,6 +411,19 @@ class NakagamiGain(GainDistribution):
         est[~tail] = gammaincinv(self.m, u[~tail])
         est[tail] = gammainccinv(self.m, mass)
         return est * (self.w / self.m)
+
+    @functools.cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Levels of _table_levels, the family's quantiles there and the
+        slopes dx/du = 1/pdf, from the bare kernels on the first large batch."""
+        from scipy.special import gammaincinv, gammainccinv
+
+        levels = _table_levels()
+        half = levels <= 0.5
+        xs = np.concatenate([gammaincinv(self.m, levels[half]),
+                             gammainccinv(self.m, 1.0 - levels[~half])]) * (self.w / self.m)
+        with np.errstate(divide="ignore"):
+            return levels, xs, 1.0 / self._pdf(xs)
 
     def mean(self) -> float:
         return self.w
@@ -533,7 +609,14 @@ class RatioExpExp(GainDistribution):
 
     def _quantile_estimate(self, u):
         if self.num_shape != 1.0:
-            return None  # no closed form: the inversion bisects all doubles
+            # the cdf keeps its relative precision below u = 1/2; above it the
+            # ccdf aims at the rounding boundary of u, as _upper_tail does
+            est = np.empty_like(u)
+            lower, upper = np.flatnonzero(u <= 0.5), np.flatnonzero(u > 0.5)
+            uu = u[upper]
+            est[lower] = self._newton_quantile(u[lower], False)
+            est[upper] = self._newton_quantile((1.0 - uu) + 0.5 * np.spacing(uu), True)
+            return est
         # at m = 1 the closed form t = omega(1/k - ln k - ln(1 - u)) - 1/k, k = P s_d,
         # through the Wright omega function, h = s_n t; it loses digits to
         # cancellation, so it only seeds the exact inversion
@@ -557,15 +640,16 @@ class RatioExpExp(GainDistribution):
         # 1/q (k itself may be inf, where the law sits at 0).  F is read as
         # ln(q e^t (1 + k t)), which keeps its absolute error within a few
         # half-ulps of 1 at any k, so t is within a few ulps:
-        # dF/d(ln t) >= 1 - q >= 1/2 for tail <= 1/2
-        if self.num_shape != 1.0:
-            return super().tail_quantile(tail)
+        # dF/d(ln t) >= 1 - q >= 1/2 for tail <= 1/2.  At m != 1 the root of
+        # ccdf = q comes from _newton_quantile
         level = np.float64(1.0 - tail)
+        q = 1.0 - float(level)
+        if self.num_shape != 1.0:
+            return self._finite(float(self._newton_quantile(np.array([q]), True)[0]))
         with np.errstate(divide="ignore"):
             t = float(-np.log1p(-level))
         k = self.power * self.den_mean
         if k > 0.0 and 0.0 < t < math.inf:
-            q = 1.0 - float(level)
             t = min(t, (1.0 / q - 1.0) / k)
             while t > 0.0:
                 kt = k * t
@@ -576,9 +660,48 @@ class RatioExpExp(GainDistribution):
                 if not below < t:
                     break
                 t = below
-        x = self.num_mean * t
+        return self._finite(self.num_mean * t)
+
+    @staticmethod
+    def _finite(x: float) -> float:
         if not math.isfinite(x):
             raise ValueError("tail quantile is not finite")
+        return x
+
+    def _newton_quantile(self, g: np.ndarray, upper: bool) -> np.ndarray:
+        """The law's quantiles at ccdf g (upper) or at cdf g, for m != 1: Newton
+        steps in s = ln z on ln G(z) = ln g, G the ccdf or the cdf, from the
+        numerator's quantile at a level that bounds the root.
+
+        ln Z is ln X minus ln(1 + P D), two variables with log-concave
+        densities, so it has one too (Prekopa) and ln G is concave in s: the
+        steps from a bound move monotonically onto the root.  Z <= X, so the
+        numerator's quantile at ccdf g bounds the root from above.  From below,
+        x^-m P(m, a x) decreases in x, so cdf(z) = E[P(m, a z (1 + P D))]
+        <= M P(m, a z) with M = E[(1 + P D)^m] = c U(1, m + 2, c), and the
+        numerator's quantile at cdf g / M bounds it.  Each level steps while
+        its step moves toward the root, and stops within the rounding of ln G
+        over its slope z pdf / G.
+        """
+        from scipy.special import gammainccinv, gammaincinv, hyperu
+
+        m, c = self.num_shape, self._c
+        if upper:
+            x, kernel, sign = gammainccinv(m, g), self._ccdf, 1.0
+        else:
+            bound = 1.0 if math.isinf(c) else c * float(hyperu(1.0, m + 2.0, c))
+            x, kernel, sign = gammaincinv(m, g / bound), self._cdf, -1.0
+        x *= self.num_mean / m
+        todo = np.arange(x.size)
+        while todo.size:
+            xt = x[todo]
+            gt = kernel(xt)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+                f = np.log(gt / g[todo])  # < 0 on the side of the root the steps leave
+                new = xt * np.exp(sign * f * gt / (xt * self._pdf(xt)))
+            go = (f < 0.0) & (sign * (xt - new) > 0.0)
+            x[todo[go]] = new[go]
+            todo = todo[go]
         return x
 
     def to_spec(self) -> dict:
@@ -601,14 +724,17 @@ def _panel_nodes(breaks: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray
     return (breaks[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
-@functools.cache
-def _quantile_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=32)  # bounded: each residual with a gap has its jumps
+def _quantile_rule(order: int, jumps: tuple[float, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the `order`-point rule of law_nodes on each of its
-    22 panels of [0, 1]; built on first use, so import does no numpy work."""
+    22 panels of [0, 1], split at the levels `jumps`; built on first use, so
+    import does no numpy work."""
     # a quantile is singular at u = 0 (like u^(1/m) for Nakagami-m) and at u = 1,
     # so the panels shrink geometrically toward both ends of [0, 1]
     edges = 10.0 ** -np.arange(10.0, 0.0, -1.0)
     panels = np.concatenate([[0.0], edges, [0.5], 1.0 - edges[::-1], [1.0]])
+    if jumps:
+        panels = np.unique(np.concatenate([panels, jumps]))
     return _panel_nodes(panels, order)
 
 
@@ -642,9 +768,11 @@ def law_nodes(d: GainDistribution, order: int = _RULE_ORDER) -> tuple[np.ndarray
     A step law gives its atoms and masses, so the sum is exact.  A continuous
     law gives its quantiles at a fixed Gauss-Legendre rule in u-space: 24
     nodes on each of 22 panels by default, or the 12-node companion rule on
-    the same panels.  A law that is neither, such as a discrete numerator over
-    a continuous denominator, has atoms carrying less than all of its mass and
-    raises ValueError.
+    the same panels; a panel that holds a level where the quantile jumps
+    (_quantile_jumps) is split there, so no panel integrates across a jump.
+    A law that is neither, such as a discrete numerator over a continuous
+    denominator, has atoms carrying less than all of its mass and raises
+    ValueError.
     """
     if not d.continuous:
         atoms = step_atoms(d)
@@ -654,7 +782,7 @@ def law_nodes(d: GainDistribution, order: int = _RULE_ORDER) -> tuple[np.ndarray
                 "a law mixing atoms and a density has no quadrature rule"
             )
         return atoms
-    u, w = _quantile_rule(order)
+    u, w = _quantile_rule(order, d._quantile_jumps())
     return np.asarray(d.quantile(u)), w
 
 
@@ -893,10 +1021,13 @@ def _invert_cdf(cdf: Callable, u, x: np.ndarray | None = None) -> np.ndarray:
     with the answers) first gallop in ulps to a bracket cdf(lo) < u <= cdf(hi),
     so an estimate d ulps off costs about 2 log2(d) evaluations, and one at
     the answer or just below it two.  The estimates come from a closed form
-    (Exponential and NakagamiGain aim at the rounding boundary of u, see
-    _upper_tail; RatioExpExp; the maximal coupling's shared part) or from a
-    table and Newton steps (its residuals); they set the cost and, where the
-    cdf wobbles, which crossing is returned.
+    or scipy's inverses (Exponential, and NakagamiGain on batches of at most
+    _TABLE_FROM levels, aim at the rounding boundary of u, see _upper_tail;
+    RatioExpExp at m = 1; the maximal coupling's shared part), from Newton
+    steps (RatioExpExp at m != 1), or from a table, its cubic Hermite
+    interpolant and a refining step (NakagamiGain on larger batches, one
+    Halley step; the coupling's residuals, two Newton steps); they set the
+    cost and, where the cdf wobbles, which crossing is returned.
     """
     u = np.asarray(u, dtype=float)
     out = np.empty_like(u) if x is None else x

@@ -220,12 +220,9 @@ def coupling_parts(i):
 
 class TestComponentsAreGainLaws:
     # residual 2 of the second pair lives on [0, 0.468] and [2.741, inf): its
-    # quantile jumps at the level between, which the rate's quantile rule
-    # does not resolve
-    @pytest.mark.parametrize("i, k", [
-        (i, k) if (i, k) != (1, 1) else pytest.param(i, k, marks=pytest.mark.xfail(
-            strict=True, reason="the quantile rule misses a residual's gap in support"))
-        for i in range(len(COUPLED_PAIRS)) for k in (0, 1)])
+    # quantile jumps at the level between, where the rate's quantile rule
+    # breaks a panel
+    @pytest.mark.parametrize("i, k", [(i, k) for i in range(len(COUPLED_PAIRS)) for k in (0, 1)])
     def test_rates_mix_like_the_marginals(self, i, k):
         # f_k = p shared + (1 - p) residual_k, so the rates mix the same way,
         # within the rates' stated errors
@@ -236,6 +233,20 @@ class TestComponentsAreGainLaws:
         bound = (marginal.error_estimate + spec.p * shared.error_estimate
                  + (1.0 - spec.p) * residual.error_estimate)
         assert abs(mix - marginal.bits) <= bound
+
+    def test_a_gap_in_the_support_is_a_quantile_jump(self):
+        # residual 2 of the second pair states the level of its gap, where its
+        # quantile jumps from the gap's bottom to its top; no other part does
+        spec = coupling_spec(1)
+        fm, residual = spec._fmin, spec.residuals[1]
+        (gap,) = np.flatnonzero(~fm.live[1])
+        (jump,) = residual._quantile_jumps()
+        # (the float cdf wobbles by a few ulps below the gap)
+        assert residual.quantile(jump - 1e-12) <= fm.lo[gap]
+        assert residual.quantile(jump + 1e-12) >= fm.hi[gap]
+        others = [law for i in range(len(COUPLED_PAIRS)) for law in coupling_parts(i)
+                  if law is not residual]
+        assert all(law._quantile_jumps() == () for law in others + list(COUPLED_PAIRS[1]))
 
     @pytest.mark.parametrize("i", range(len(COUPLED_PAIRS)))
     def test_separated_residuals_are_ordered(self, i):

@@ -451,6 +451,34 @@ def _outcome(fn):
 SCALES = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
 
 
+# the law of the issue that found the slow m != 1 truncation point, and the
+# ratio law of the sampling benchmark's vs-nak-subtol at seed 7
+OTHER_SHAPE_LAWS = [RatioExpExp(1.0, 2.0, 1.3, num_shape=2.5),
+                    RatioExpExp(4.243192211902917, 0.3068389606944103, 0.8129728104456536,
+                                num_shape=2.5)]
+
+
+def _ratio_root(law, level, upper, near):
+    """The z at which a RatioExpExp with m != 1 has ccdf (upper) or cdf
+    `level`, by 40-digit bisection in ln z on _ratio_oracle, from a bracket
+    grown around `near`."""
+    def below(z):
+        ccdf, cdf, *_ = _ratio_oracle(law.num_shape, law.num_mean, law.den_mean, law.power, z)
+        return ccdf > level if upper else cdf < level
+
+    with mpmath.workdps(40):
+        step = 1 + mpmath.mpf(10) ** -6
+        lo, hi = mpmath.mpf(near) / step, mpmath.mpf(near) * step
+        while below(hi):
+            hi, step = hi * step, step**2
+        while not below(lo):
+            lo, step = lo / step, step**2
+        while hi / lo - 1 > mpmath.mpf(10) ** -20:
+            mid = mpmath.sqrt(lo * hi)
+            lo, hi = (mid, hi) if below(mid) else (lo, mid)
+        return hi
+
+
 class TestRatioTailQuantile:
     """At m = 1 the truncation point is the law's own (1 - tail) quantile, in
     closed form up to Newton steps: no inversion of the float cdf."""
@@ -484,10 +512,19 @@ class TestRatioTailQuantile:
         if power == 0.0:
             assert got == _outcome(lambda: Exponential(s_n).tail_quantile(tail))
 
-    def test_other_shapes_invert_the_cdf(self):
-        law = RatioExpExp(4.0, 0.3, 1.0, num_shape=2.5)
-        x = law.tail_quantile(1e-9)
-        assert x == law.quantile(1.0 - 1e-9)
+    @pytest.mark.parametrize("law", OTHER_SHAPE_LAWS)
+    @pytest.mark.parametrize("tail", [1e-9, 1e-12, 0.5])
+    def test_other_shapes_match_the_mpmath_root(self, law, tail):
+        # Newton steps on the ccdf from the numerator's quantile, no inversion
+        # of the float cdf, which sat about 4e-9 relative below the root
+        def no_inversion(*args):
+            raise AssertionError("tail_quantile inverted the float cdf")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(distributions, "_invert_cdf", no_inversion)
+            got = law.tail_quantile(tail)
+        root = _ratio_root(law, 1.0 - (1.0 - tail), True, got)
+        assert abs(mpmath.mpf(got) / root - 1) <= 1e-13
 
 
 def _exp_exp_reference(s_n, s_d, power, h):
@@ -622,6 +659,18 @@ class TestRatioGammaExp:
         assert law.ccdf(np.inf) == 0.0 and law.cdf(np.inf) == 1.0 and law.pdf(np.inf) == 0.0
         assert law.ccdf(-1.0) == 1.0 and law.cdf(-1.0) == 0.0 and law.pdf(-1.0) == 0.0
         assert RatioExpExp(4.0, 0.3, 1.0, num_shape=0.5).pdf(0.0) == math.inf
+
+    @pytest.mark.parametrize("law", OTHER_SHAPE_LAWS)
+    def test_quantile_estimate_against_mpmath(self, law):
+        # Newton steps on the cdf below u = 1/2 and on the ccdf above it, at
+        # the rounding boundary (1 - u) + ulp(u)/2 there; the inversion then
+        # finishes from within a few ulps, not by bisecting all doubles
+        u = np.array([1e-300, 1e-30, 1e-12, 0.1, 0.5, 0.7, 0.99, 1.0 - 1e-9])
+        est = law._quantile_estimate(u.copy())
+        for level, x in zip(u, est):
+            upper = level > 0.5
+            target = (1.0 - level) + 0.5 * np.spacing(level) if upper else level
+            assert abs(mpmath.mpf(x) / _ratio_root(law, target, upper, x) - 1) <= 1e-13
 
     def test_quantile_is_the_least_crossing_double(self):
         law = RatioExpExp(4.0, 0.3, 1.0, num_shape=2.5)

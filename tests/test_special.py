@@ -155,8 +155,26 @@ class TestNakagamiQuantile:
     @settings(max_examples=150, deadline=None)
     @given(law=LAWS, levels=st.lists(QUANTILE_LEVELS, min_size=1, max_size=6))
     def test_least_inverse_of_the_float_cdf(self, law, levels):
+        self.check_inverse(law, np.array(levels))
+
+    @pytest.mark.parametrize("m", SHAPES + (7.0,))
+    def test_large_batches_from_the_table(self, m):
+        # more than _TABLE_FROM levels seed from the quantile table and a
+        # Halley step: the levels of QUANTILE_LEVELS, levels above 31/32 and
+        # next to the table's ends, and levels outside its span
+        rng = np.random.default_rng(int(10 * m))
+        ends = distributions._table_levels()[[0, -1]]
+        u = np.concatenate([
+            rng.random(1500), 1.0 - rng.random(500) / 32.0, 10.0 ** rng.uniform(-300, -8, 200),
+            [0.0, 1.0, 1e-12, 1.0 - 1e-12, 1.0 - 1e-9, 1e-15, 1e-16, 1.0 - 2.0**-53],
+            np.nextafter(ends, 0.5), ends, np.nextafter(ends, [0.0, 1.0]),
+        ])
+        assert u.size > distributions._TABLE_FROM
+        self.check_inverse(family(NakagamiGain(m, 1.7)), u)
+
+    @staticmethod
+    def check_inverse(law, u):
         cdf, quantile, truth = law
-        u = np.array(levels)
         q = quantile(u)
         assert q.shape == u.shape
         assert np.all(q[u == 0.0] == 0.0)
@@ -225,6 +243,59 @@ class TestInversionCost:
         x, _ = law_nodes(NakagamiGain(m, 1.3))
         assert x.size == 528
         assert len(calls) <= 16
+
+    @staticmethod
+    def inverse_seed(d, u):
+        """The seed of a batch of at most _TABLE_FROM levels: scipy's inverses,
+        gammainccinv aimed at the rounding boundary of u above u = 31/32."""
+        from scipy.special import gammainccinv, gammaincinv
+
+        tail = u > 0.96875
+        est = gammaincinv(d.m, u)
+        est[tail] = gammainccinv(d.m, (1.0 - u[tail]) + 0.5 * np.spacing(u[tail]))
+        return est * (d.w / d.m)
+
+    @pytest.mark.parametrize("m", [0.5, 0.75, 1.6, 2.2, 4.0])
+    def test_nakagami_batch_seeds_from_the_table(self, monkeypatch, m):
+        # scipy's inverses see only the table's 511 levels and the 4 levels
+        # outside its span; the cdf and ccdf points per level, the Halley
+        # step's included, measured 5.9 at m = 0.5 down to 3.9 at m = 4
+        import scipy.special
+
+        inverted = []
+        for name in ("gammaincinv", "gammainccinv"):
+            def counted(a, x, inverse=getattr(scipy.special, name)):
+                inverted.append(np.size(x))
+                return inverse(a, x)
+            monkeypatch.setattr(scipy.special, name, counted)
+        points = self.counted(monkeypatch, NakagamiGain)
+        ccdf = NakagamiGain._ccdf
+
+        def counted_ccdf(self, x):
+            points.append(x.size)
+            return ccdf(self, x)
+
+        monkeypatch.setattr(NakagamiGain, "_ccdf", counted_ccdf)
+        u = np.random.default_rng(9).random(30_000)
+        u[:4] = [1e-300, 1e-16, 1.0 - 2.0**-53, 0.0]
+        NakagamiGain(m, 1.3).quantile(u)
+        assert sum(inverted) == distributions._table_levels().size + 4
+        assert sum(points) <= 6.0 * u.size
+
+    @pytest.mark.parametrize("m", [0.3, 0.75, 2.2])
+    @pytest.mark.parametrize("n", [1, 528, 2048])
+    def test_small_batches_keep_the_inverse_seed(self, m, n):
+        d = NakagamiGain(m, 1.3)
+        u = np.random.default_rng(n).random(n)
+        want = distributions._invert_cdf(d._cdf, u, self.inverse_seed(d, u))
+        assert np.array_equal(d.quantile(u), want)
+
+    def test_levels_outside_the_table_keep_the_inverse_seed(self):
+        d = NakagamiGain(0.75, 1.3)
+        out = np.array([1e-300, 1e-20, 1e-16, 1.0 - 2.0**-53, 1.0 - 2.0**-52])
+        u = np.concatenate([out, np.random.default_rng(4).random(3000)])
+        want = distributions._invert_cdf(d._cdf, out, self.inverse_seed(d, out))
+        assert np.array_equal(d.quantile(u)[:out.size], want)
 
     @staticmethod
     def evaluations(monkeypatch):

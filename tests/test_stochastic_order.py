@@ -297,8 +297,9 @@ class TestExactOrder:
         assert report.verdict and report.permutation == (2, 1)
         assert calls == []
         # the counters see a pair that still needs the grid, and a ratio law
-        # (numerator shape m != 1) whose truncation point inverts its cdf
-        classify_bc(BCScenario((Exponential(1.0), RatioExpExp(1.0, 1.0, 1.0, num_shape=2.0)),
+        # by quadrature whose truncation point inverts its cdf
+        classify_bc(BCScenario((Exponential(1.0), RatioLaw(NakagamiGain(2.0, 1.0),
+                                                           Exponential(1.0), 1.0)),
                                power=1.0))
         assert "EvaluationGrid.for_pair" in calls
         assert "GainDistribution.tail_quantile" in calls
