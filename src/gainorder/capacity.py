@@ -8,7 +8,8 @@ convention the sufficient conditions were stated under.
 Every expectation over the gain laws goes through one rule,
 distributions.law_nodes: atoms are summed exactly, and a continuous gain is
 integrated in quantile space by Gauss-Legendre on fixed panels, with the
-distance to a coarser companion rule as the error estimate.  The closed form
+distance to a coarser companion rule as the error estimate.  Each law
+memoizes its rules, so rates that share a law share its nodes.  The closed form
 via the exponential integral for exponential gains and the Monte Carlo
 estimator verify.mc_ergodic_rate are the independent cross-checks.
 """
@@ -126,15 +127,13 @@ def _rate(expectation, *laws: GainDistribution) -> RateValue:
     return RateValue(bits, "quadrature", abs(bits - expectation(_COMPANION_ORDER)[0]) + rounding)
 
 
-def ergodic_rate(d: GainDistribution, power: float, *, _nodes=law_nodes) -> RateValue:
+def ergodic_rate(d: GainDistribution, power: float) -> RateValue:
     """Ergodic rate E[C(H * power)] of a single fading link.
 
     Discrete gains are summed exactly; a continuous gain is integrated in
     quantile space by 24-point Gauss-Legendre on each of 22 panels
     (distributions.law_nodes), and the error estimate is the distance to the
-    12-point companion rule on the same panels.  A caller that evaluates
-    several rates over the same laws may pass its own `_nodes`, a stand-in for
-    law_nodes that returns the same nodes.
+    12-point companion rule on the same panels.
     """
     if power < 0.0 or not math.isfinite(power):
         raise ValueError("power must be nonnegative and finite")
@@ -142,29 +141,28 @@ def ergodic_rate(d: GainDistribution, power: float, *, _nodes=law_nodes) -> Rate
         raise ValueError("distribution has divergent mean")
 
     def expectation(order) -> tuple[float, int]:
-        x, w = _nodes(d, order)
+        x, w = law_nodes(d, order)
         return float(w @ c_of(power * x)), x.size
 
     return _rate(expectation, d)
 
 
 def pair_sum_rate(
-    d_a: GainDistribution, power_a: float, d_b: GainDistribution, power_b: float,
-    *, _nodes=law_nodes,
+    d_a: GainDistribution, power_a: float, d_b: GainDistribution, power_b: float
 ) -> RateValue:
     """E[C(Ha * Pa + Hb * Pb)] for independent gains.
 
     The tensor product of the two laws' rules (distributions.law_nodes):
     exact over atoms, and the quantile-space Gauss-Legendre rule of
     ergodic_rate along each continuous gain, with the same companion error
-    estimate; `_nodes` as in ergodic_rate.
+    estimate.
     """
     for p in (power_a, power_b):
         if p < 0.0 or not math.isfinite(p):
             raise ValueError("powers must be nonnegative and finite")
 
     def expectation(order) -> tuple[float, int]:
-        (xa, wa), (xb, wb) = _nodes(d_a, order), _nodes(d_b, order)
+        (xa, wa), (xb, wb) = law_nodes(d_a, order), law_nodes(d_b, order)
         # the grid of C values in blocks of rows: an Empirical can carry ~1e6 atoms
         step = max(1, _BLOCK // xb.size)
         total = 0.0
@@ -254,20 +252,11 @@ def strong_ic_region(s: ICScenario, report: ClassificationReport,
     """Capacity region under strong interference: the intersection of the two
     three-constraint multiple-access regions, one per receiver."""
     _admit(report, "strong_interference", force)
-    # each gain enters an ergodic rate and a pair-sum rate: its rules are
-    # computed once for this region
-    rules: dict = {}
-
-    def nodes(d: GainDistribution, order: int) -> tuple[np.ndarray, np.ndarray]:
-        if (d, order) not in rules:
-            rules[d, order] = law_nodes(d, order)
-        return rules[d, order]
-
     constraints = []
     for gain_1, gain_2 in ((s.h11, s.h12), (s.h21, s.h22)):
-        r1 = ergodic_rate(gain_1, s.p1, _nodes=nodes).bits
-        r2 = ergodic_rate(gain_2, s.p2, _nodes=nodes).bits
-        rsum = pair_sum_rate(gain_1, s.p1, gain_2, s.p2, _nodes=nodes).bits
+        r1 = ergodic_rate(gain_1, s.p1).bits
+        r2 = ergodic_rate(gain_2, s.p2).bits
+        rsum = pair_sum_rate(gain_1, s.p1, gain_2, s.p2).bits
         constraints += [(1.0, 0.0, r1), (0.0, 1.0, r2), (1.0, 1.0, rsum)]
     return region_from_constraints(constraints)
 

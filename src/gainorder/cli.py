@@ -38,7 +38,7 @@ from .classifier import (
 from .coupling import comonotone_samples, maximal_coupling_samples, maximal_coupling_spec
 from .distributions import Exponential, build_ratio, distribution_from_spec
 from .markov import check_markov_degraded, markov_spec_from_json
-from .verify import run_verification_suite
+from .verify import _open_uniform, run_verification_suite
 
 __all__ = ["main"]
 
@@ -259,14 +259,13 @@ def cmd_coupling_sample(args) -> int:
     obj = load_scenario(args.scenario)
     d1, d2 = parse_pair(obj)
     rng = np.random.default_rng(args.seed)
-    u = np.clip(rng.random(args.samples), 1e-12, 1.0 - 1e-12)
+    u = _open_uniform(rng, args.samples)
     if args.construction == "comonotone":
         h1, h2 = comonotone_samples(d1, d2, u)
         flags = None
     else:
         spec = maximal_coupling_spec(d1, d2)
-        u_val = np.clip(rng.random(args.samples), 1e-12, 1.0 - 1e-12)
-        h1, h2, flags = maximal_coupling_samples(spec, u, u_val)
+        h1, h2, flags = maximal_coupling_samples(spec, u, _open_uniform(rng, args.samples))
     _emit_csv(["h1", "h2", "equal_flag"], [h1, h2, flags], args.out)
     return 0
 

@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import (GainDistribution, _hermite_inverse, _invert_cdf, _panel_nodes,
-                            _table_levels)
+from .distributions import (GainDistribution, _hermite_inverse, _invert_cdf, _open_unit,
+                            _panel_nodes, _table_levels)
 from .stochastic_order import DensitySegment, density_segments
 
 __all__ = [
@@ -314,9 +314,7 @@ def maximal_coupling_samples(spec: MaximalCouplingSpec, u_select, u_value):
     both residuals are inverted at the same u_value, which is allowed because
     only the marginals are constrained and keeps the sampler deterministic.
     """
-    u_select, u_value = np.asarray(u_select, dtype=float), np.asarray(u_value, dtype=float)
-    if not np.all((u_select > 0) & (u_select < 1) & (u_value > 0) & (u_value < 1)):
-        raise ValueError("uniform variates must lie strictly inside (0, 1)")
+    u_select, u_value = _open_unit(u_select), _open_unit(u_value)
     equal = u_select <= spec.p
     h1, h2 = np.empty_like(u_value), np.empty_like(u_value)
     # flat views, split by index arrays: a random mask gathers at several
@@ -339,9 +337,7 @@ def _draw(law: GainDistribution, u: np.ndarray) -> np.ndarray:
 def comonotone_samples(d1: GainDistribution, d2: GainDistribution, u):
     """Both coordinates from one shared uniform per draw through the generalized
     inverses; returns (h1, h2) arrays."""
-    u = np.asarray(u, dtype=float)
-    if not np.all((u > 0.0) & (u < 1.0)):
-        raise ValueError("uniform variates must lie strictly inside (0, 1)")
+    u = _open_unit(u)
     return np.asarray(d1.quantile(u)), np.asarray(d2.quantile(u))
 
 
@@ -430,12 +426,11 @@ def verify_copula_axioms(candidate: Callable = min_copula, grid_u=None,
     )
 
 
-def residual_supports_separated(d1: GainDistribution, d2: GainDistribution,
-                                resolution: float = 1e-9) -> bool:
+def residual_supports_separated(d1: GainDistribution, d2: GainDistribution) -> bool:
     """True iff the residual density of d1 lives entirely below that of d2.
 
     The residual of d1 is (f1 - f_min)+, supported where f1 > f2; equality of
-    the supports' boundary counts as separated.  Identical inputs have empty
+    the supports' boundary, to 1e-9, counts as separated.  Identical inputs have empty
     residuals and are vacuously separated.
     """
     if d1 == d2:
@@ -451,4 +446,4 @@ def residual_supports_separated(d1: GainDistribution, d2: GainDistribution,
             sup_res1 = max(sup_res1, seg.hi)
     if math.isinf(sup_res1) and sup_res1 < 0:
         return True  # empty residual for d1
-    return sup_res1 <= inf_res2 + resolution
+    return sup_res1 <= inf_res2 + 1e-9

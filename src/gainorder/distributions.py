@@ -5,7 +5,8 @@ scalar random variable, and exposes exact cdf/ccdf evaluation, the
 generalized-inverse quantile inf{x : F(x) >= u}, and inverse-transform
 sampling.  Values are immutable after construction and every method is a pure
 function, so instances can be shared freely across threads; RNG state always
-lives with the caller, who passes uniform variates in.
+lives with the caller, who passes uniform variates in.  A law's caches (its
+quadrature rules, quantile tables) fill idempotently on first use, so that holds.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ class GainDistribution:
       of its float cdf, seeded by the family's _quantile_estimate where it
       has one;
     - sample, the quantile of uniform variates in (0, 1);
-    - tail_quantile, the largest atom of a step law;
-    - mean, by the quadrature rule of law_nodes unless a family has a closed form.
+    - tail_quantile for a tail in (0, 1), else ValueError: the largest atom of
+      a step law, else the family's finite _tail_point, quantile(1 - tail) by default;
+    - mean, by law_nodes' memoized read-only rule unless a family has a closed form.
     """
 
     #: families with a density set this to True
@@ -121,10 +123,7 @@ class GainDistribution:
 
     def sample(self, u):
         """Inverse-transform sample from a uniform variate in (0, 1)."""
-        u = np.asarray(u, dtype=float)
-        if not np.all((u > 0.0) & (u < 1.0)):
-            raise ValueError("sampling variates must lie strictly inside (0, 1)")
-        return self.quantile(u)
+        return self.quantile(_open_unit(u))
 
     # -- structure ----------------------------------------------------------
 
@@ -137,18 +136,32 @@ class GainDistribution:
         return float(w @ x)
 
     def tail_quantile(self, tail: float = _TAIL_EPS) -> float:
-        """Upper truncation point carrying all but `tail` of the mass; the
-        largest atom of a step law."""
+        """Upper truncation point carrying all but `tail` of the mass, for a
+        tail in (0, 1); the largest atom of a step law."""
+        if not 0.0 < tail < 1.0:
+            raise ValueError(f"tail must lie strictly inside (0, 1), got {tail!r}")
         atoms = step_atoms(self)
         if atoms is not None:
             return float(atoms[0][-1])
-        q = self.quantile(1.0 - tail)
+        q = self._tail_point(tail)
         if not math.isfinite(q):
             raise ValueError("tail quantile is not finite")
         return q
 
+    def _tail_point(self, tail: float) -> float:
+        """The truncation point of a law with a continuous part."""
+        return self.quantile(1.0 - tail)
+
     def to_spec(self) -> dict:
         raise NotImplementedError
+
+
+def _open_unit(u) -> np.ndarray:
+    """u as a float array, once every sampling variate lies strictly inside (0, 1)."""
+    u = np.asarray(u, dtype=float)
+    if not np.all((u > 0.0) & (u < 1.0)):
+        raise ValueError("sampling variates must lie strictly inside (0, 1)")
+    return u
 
 
 def _levels(u) -> np.ndarray:
@@ -223,15 +236,12 @@ class Exponential(GainDistribution):
         with np.errstate(divide="ignore", invalid="ignore"):
             return -self.mean_gain * (np.log1p(-u) + np.log1p(0.5 * np.spacing(u) / (1.0 - u)))
 
-    def tail_quantile(self, tail: float = _TAIL_EPS) -> float:
+    def _tail_point(self, tail):
         # a truncation point wants the law's own (1 - tail) quantile, which the
         # closed form gives; the float cdf is flat near 1, so the least double
         # at which it reaches 1 - tail sits up to a few 1e-9 lower
         with np.errstate(divide="ignore"):
-            q = float(-self.mean_gain * np.log1p(-np.float64(1.0 - tail)))
-        if not math.isfinite(q):
-            raise ValueError("tail quantile is not finite")
-        return q
+            return float(-self.mean_gain * np.log1p(-np.float64(1.0 - tail)))
 
     def mean(self) -> float:
         return self.mean_gain
@@ -629,9 +639,9 @@ class RatioExpExp(GainDistribution):
                 t = wrightomega(1.0 / k - math.log(k) + t) - 1.0 / k
         return self.num_mean * t
 
-    def tail_quantile(self, tail: float = _TAIL_EPS) -> float:
+    def _tail_point(self, tail):
         # at m = 1 the law's own quantile at the double level 1 - tail, as
-        # Exponential.tail_quantile takes it: with q = 1 - fl(1 - tail), exact,
+        # Exponential._tail_point takes it: with q = 1 - fl(1 - tail), exact,
         # and k = P s_d, ccdf(s_n t) = e^-t / (1 + k t) = q solves
         # F(t) = t + ln(1 + k t) + ln q = 0.  F is convex and increasing in
         # ln t, so Newton steps in ln t from any t >= root descend onto the
@@ -645,7 +655,7 @@ class RatioExpExp(GainDistribution):
         level = np.float64(1.0 - tail)
         q = 1.0 - float(level)
         if self.num_shape != 1.0:
-            return self._finite(float(self._newton_quantile(np.array([q]), True)[0]))
+            return float(self._newton_quantile(np.array([q]), True)[0])
         with np.errstate(divide="ignore"):
             t = float(-np.log1p(-level))
         k = self.power * self.den_mean
@@ -660,13 +670,7 @@ class RatioExpExp(GainDistribution):
                 if not below < t:
                     break
                 t = below
-        return self._finite(self.num_mean * t)
-
-    @staticmethod
-    def _finite(x: float) -> float:
-        if not math.isfinite(x):
-            raise ValueError("tail quantile is not finite")
-        return x
+        return self.num_mean * t
 
     def _newton_quantile(self, g: np.ndarray, upper: bool) -> np.ndarray:
         """The law's quantiles at ccdf g (upper) or at cdf g, for m != 1: Newton
@@ -716,12 +720,19 @@ class RatioExpExp(GainDistribution):
         return spec
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, flagged read-only: a cached rule is shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _panel_nodes(breaks: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of an `order`-point Gauss-Legendre rule on each panel
-    between consecutive breaks."""
+    between consecutive breaks, read-only."""
     x, w = np.polynomial.legendre.leggauss(order)
     half = 0.5 * np.diff(breaks)[:, None]
-    return (breaks[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
+    return _read_only((breaks[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel())
 
 
 @functools.lru_cache(maxsize=32)  # bounded: each residual with a gap has its jumps
@@ -772,18 +783,23 @@ def law_nodes(d: GainDistribution, order: int = _RULE_ORDER) -> tuple[np.ndarray
     (_quantile_jumps) is split there, so no panel integrates across a jump.
     A law that is neither, such as a discrete numerator over a continuous
     denominator, has atoms carrying less than all of its mass and raises
-    ValueError.
+    ValueError.  Each (law, order) rule is built once and memoized on the law
+    as read-only arrays, so a rate, a mean and a RatioLaw share it.
     """
-    if not d.continuous:
-        atoms = step_atoms(d)
-        if atoms is None:
+    rules = vars(d).setdefault("_rules", {})
+    key = order if d.continuous else None  # a step law has one rule, its atoms
+    if key not in rules:
+        rule = step_atoms(d)
+        if d.continuous:
+            u, w = _quantile_rule(order, d._quantile_jumps())
+            rule = np.asarray(d.quantile(u)), w
+        elif rule is None:
             raise ValueError(
                 f"the atoms of {type(d).__name__} carry mass {d.atoms()[1].sum():.6g} < 1: "
                 "a law mixing atoms and a density has no quadrature rule"
             )
-        return atoms
-    u, w = _quantile_rule(order, d._quantile_jumps())
-    return np.asarray(d.quantile(u)), w
+        rules[key] = _read_only(*rule)
+    return rules[key]
 
 
 _BLOCK = 1 << 17  # kernel evaluations per block: 1 MB of doubles
@@ -957,16 +973,15 @@ class EvaluationGrid:
         return self.points
 
     @classmethod
-    def log_spaced(cls, x_max: float, n: int = 4096, span: float = 1e9) -> "EvaluationGrid":
+    def log_spaced(cls, x_max: float) -> "EvaluationGrid":
+        """4096 points evenly in log x on [x_max / 1e9, x_max]."""
         _check_positive("x_max", x_max)
-        return cls(points=np.geomspace(x_max / span, x_max, n))
+        return cls(points=np.geomspace(x_max / 1e9, x_max, 4096))
 
     @classmethod
-    def for_pair(cls, d1: GainDistribution, d2: GainDistribution, n: int = 4096,
-                 tail: float = _TAIL_EPS) -> "EvaluationGrid":
-        """Default grid up to the heavier tail's (1 - tail) quantile."""
-        x_max = max(d1.tail_quantile(tail), d2.tail_quantile(tail), 1e-6)
-        return cls.log_spaced(x_max, n=n)
+    def for_pair(cls, d1: GainDistribution, d2: GainDistribution) -> "EvaluationGrid":
+        """Default grid up to the heavier tail's truncation point."""
+        return cls.log_spaced(max(d1.tail_quantile(), d2.tail_quantile(), 1e-6))
 
 
 _FAMILIES: dict[str, Callable[[dict], GainDistribution]] = {

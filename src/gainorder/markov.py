@@ -40,6 +40,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .distributions import _open_unit
+
 __all__ = [
     "MarkovChannelSpec",
     "MarkovCertificate",
@@ -478,11 +480,9 @@ def coupled_paths(weak: MarkovChannelSpec, strong: MarkovChannelSpec, length: in
     if not force and not check_markov_degraded(weak, strong).verdict:
         raise ValueError("degradedness is not certified for this pair; "
                          "pass force=True to simulate anyway")
-    u = np.atleast_2d(np.asarray(uniforms, dtype=float))
+    u = np.atleast_2d(_open_unit(uniforms))
     if u.shape[1] != length:
         raise ValueError(f"uniform stream must have {length} columns, got {u.shape[1]}")
-    if np.any((u <= 0.0) | (u >= 1.0)):
-        raise ValueError("uniforms must lie strictly inside (0, 1)")
 
     return tuple(_simulate_chain(spec, length, u) for spec in (weak, strong))
 

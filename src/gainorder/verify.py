@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 KS_CRIT_1PCT = 1.628  # sup |F_emp - F| critical coefficient at the 1% level
+_COPULA_LEVELS = 20  # quantile levels per axis of the copula check's grid
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,7 @@ def _rng(seed: int, test_name: str) -> np.random.Generator:
 
 
 def _open_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n uniform variates from rng, clipped into [1e-12, 1 - 1e-12]."""
     return np.clip(rng.random(n), 1e-12, 1.0 - 1e-12)
 
 
@@ -191,12 +193,11 @@ def verify_copula_equivalence(
     d2: GainDistribution,
     n: int = 100_000,
     seed: int = 0,
-    grid_levels: int = 20,
     independent_control: bool = False,
 ) -> VerificationReport:
     """Sup-gap between the empirical comonotone joint CDF and min{F1, F2}.
 
-    Evaluated on a quantile grid; the DKW-style threshold is
+    Evaluated on a quantile grid of _COPULA_LEVELS levels a side; the DKW-style threshold is
     1.5 * sqrt(ln(2/0.01) / (2n)).  independent_control=True samples the two
     coordinates from independent uniforms instead, which must fail (the joint
     CDF then tracks F1*F2, not the minimum).
@@ -208,7 +209,7 @@ def verify_copula_equivalence(
     u2 = _open_uniform(rng, n) if independent_control else u1
     h1 = np.asarray(d1.sample(u1))
     h2 = np.asarray(d2.sample(u2))
-    levels = np.arange(1, grid_levels + 1) / (grid_levels + 1.0)
+    levels = np.arange(1, _COPULA_LEVELS + 1) / (_COPULA_LEVELS + 1.0)
     xs = np.asarray(d1.quantile(levels))
     ys = np.asarray(d2.quantile(levels))
     # h1 <= xs[k] iff k >= i, where i, the number of grid points below h1, is
@@ -221,9 +222,9 @@ def verify_copula_equivalence(
     for x, y in zip(xs, ys):
         i += h1 > x
         j += h2 > y
-    hist = np.bincount(i * (grid_levels + 1) + j, minlength=(grid_levels + 1) ** 2)
-    counts = hist.reshape(grid_levels + 1, -1).cumsum(axis=0).cumsum(axis=1)
-    emp = counts[:grid_levels, :grid_levels] / n
+    hist = np.bincount(i * (_COPULA_LEVELS + 1) + j, minlength=(_COPULA_LEVELS + 1) ** 2)
+    counts = hist.reshape(_COPULA_LEVELS + 1, -1).cumsum(axis=0).cumsum(axis=1)
+    emp = counts[:_COPULA_LEVELS, :_COPULA_LEVELS] / n
     joint = copula_joint_cdf(d1, d2, xs[:, None], ys[None, :])
     worst = max(0.0, float(np.max(np.abs(emp - joint))))
     threshold = 1.5 * math.sqrt(math.log(2.0 / 0.01) / (2.0 * n))

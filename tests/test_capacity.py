@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import gainorder.capacity
-from gainorder import BernoulliGain, Exponential, NakagamiGain, PointMass, RatioLaw
+from gainorder import (BernoulliGain, Exponential, GainDistribution, NakagamiGain, PointMass,
+                       RatioExpExp, RatioLaw, distribution_from_spec)
 from gainorder.capacity import (
     RateRegion,
     RateValue,
@@ -107,6 +110,42 @@ class TestErgodicRate:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             ergodic_rate(Exponential(1.0), -1.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: RatioExpExp(2.0, 0.5, 1.0, num_shape=2.5),
+        lambda: RatioLaw(Exponential(1.0), NakagamiGain(2.0, 1.0), 1.0),
+    ], ids=["ratio-exp-exp", "ratio-law"])
+    def test_a_rate_builds_each_rule_once(self, build, monkeypatch):
+        # the mean, the rate and the companion rule read the law's memoized
+        # rules (a RatioLaw's mean its denominator's), so on a fresh law one
+        # rate inverts the default and the companion rule and nothing else
+        d = build()
+        sizes = []
+        quantile = GainDistribution.quantile
+
+        def counted(law, u):
+            sizes.append(np.size(u))
+            return quantile(law, u)
+
+        monkeypatch.setattr(GainDistribution, "quantile", counted)
+        rate = ergodic_rate(d, 1.3)
+        assert sizes == [22 * 24, 22 * 12]
+        assert ergodic_rate(d, 1.3) == rate and len(sizes) == 2
+
+    def test_threads_sharing_a_fresh_law_read_one_rate(self):
+        # the memo fills idempotently: threads that race to build a law's
+        # rules all read the rate one thread alone reads
+        expected = ergodic_rate(NakagamiGain(0.8, 1.7), 2.0)
+        d = NakagamiGain(0.8, 1.7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(ergodic_rate, d, 2.0) for _ in range(16)]
+                rates = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert rates == [expected] * 16
 
 
 class TestPairSumRate:
@@ -275,22 +314,26 @@ class TestStrongICRegion:
 
     def test_each_rule_computed_once(self, monkeypatch):
         # each gain enters an ergodic rate and a pair-sum rate, each with the
-        # default and the companion rule: 16 requests for 8 distinct rules
+        # default and the companion rule: 16 requests for 8 distinct rules,
+        # each inverted once on its (fresh) law, which memoizes it
         s = ICScenario(NakagamiGain(0.7, 1.0), NakagamiGain(2.0, 3.0), NakagamiGain(2.2, 4.0),
                        Exponential(1.0), 1.3, 0.8)
+        report = classify_ic_strong(s)
         calls = []
-        law_nodes = gainorder.capacity.law_nodes
+        quantile = GainDistribution.quantile
 
-        def counted(d, order):
-            calls.append((d, order))
-            return law_nodes(d, order)
+        def counted(d, u):
+            calls.append((d, np.size(u)))
+            return quantile(d, u)
 
-        monkeypatch.setattr(gainorder.capacity, "law_nodes", counted)
-        region = strong(s, force=True)
+        monkeypatch.setattr(GainDistribution, "quantile", counted)
+        region = strong_ic_region(s, report, force=True)
         assert sorted(calls, key=repr) == sorted(
-            {(d, order) for d in (s.h11, s.h12, s.h21, s.h22) for order in (24, 12)}, key=repr)
-        # the same rates as the calls that compute their own rules
-        rates = [rate for g1, g2 in ((s.h11, s.h12), (s.h21, s.h22))
+            {(d, 22 * order) for d in (s.h11, s.h12, s.h21, s.h22) for order in (24, 12)},
+            key=repr)
+        # the same rates as on fresh laws, which build their own rules
+        fresh = [distribution_from_spec(d.to_spec()) for d in (s.h11, s.h12, s.h21, s.h22)]
+        rates = [rate for g1, g2 in (fresh[:2], fresh[2:])
                  for rate in (ergodic_rate(g1, s.p1).bits, ergodic_rate(g2, s.p2).bits,
                               pair_sum_rate(g1, s.p1, g2, s.p2).bits)]
         assert [b for _, _, b in region.constraints] == rates

@@ -210,6 +210,9 @@ class TestEvaluationContract:
                     == (d.cdf(0.0), d.ccdf(0.0), d.ccdf_left(0.0)))
             for x in FAR_ABOVE:
                 assert (d.cdf(x), d.ccdf(x), d.ccdf_left(x)) == (1.0, 0.0, 0.0), x
+            # the smallest subnormal; the largest double still warns (an overflow)
+            tiny = (d.cdf(5e-324), d.ccdf(5e-324), d.ccdf_left(5e-324))
+            assert all(0.0 <= v <= 1.0 for v in tiny), tiny
             if d.continuous:
                 assert [d.pdf(x) for x in BELOW_SUPPORT + FAR_ABOVE] == [0.0] * 6
                 assert d.pdf(-0.0) == d.pdf(0.0)
@@ -295,6 +298,26 @@ class TestEvaluationContract:
     def test_step_ratio_law_quantile_one_is_its_largest_atom(self):
         d = RatioLaw(BernoulliGain(0.5), PointMass(1.0), 1.0)
         assert d.quantile(1.0) == 0.5 and d.tail_quantile() == 0.5
+
+    @pytest.mark.parametrize("d", CONTRACT_LAWS, ids=repr)
+    def test_tail_outside_the_open_unit_interval_raises(self, d):
+        # one contract for every law: a step law no longer ignores the tail,
+        # and Exponential(1).tail_quantile(2) no longer reads -ln 2
+        for tail in (0.0, 1.0, 2.0, -0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"^tail must lie strictly inside \(0, 1\), got "):
+                d.tail_quantile(tail)
+
+    @pytest.mark.parametrize("d", [NakagamiGain(2.5, 1.0), Empirical((1.0, 2.0, 2.0, 5.0))],
+                             ids=repr)
+    def test_quadrature_rules_are_read_only(self, d):
+        # a rule is memoized on its law (its weights shared by every law), so
+        # one caller's w *= ... would corrupt every later rate
+        for order in (24, 12):
+            rule = distributions.law_nodes(d, order)
+            assert distributions.law_nodes(d, order) is rule
+            for a in rule:
+                with pytest.raises(ValueError, match="read-only"):
+                    a *= 2.0
 
     def test_empirical_nan_is_below_support(self):
         d = Empirical((1.0, 2.0))
@@ -706,14 +729,14 @@ class TestEmpirical:
 
 class TestEvaluationGrid:
     def test_log_spacing_strictly_increasing(self):
-        g = EvaluationGrid.log_spaced(10.0, n=128)
+        g = EvaluationGrid.log_spaced(10.0)
         arr = g.as_array()
-        assert arr.size == 128
+        assert arr.size == 4096 and arr[0] == pytest.approx(1e-8)
         assert np.all(np.diff(arr) > 0)
         assert g.x_max == pytest.approx(10.0)
 
     def test_pair_grid_covers_heavier_tail(self):
-        g = EvaluationGrid.for_pair(Exponential(1.0), Exponential(2.0), n=64)
+        g = EvaluationGrid.for_pair(Exponential(1.0), Exponential(2.0))
         assert g.x_max >= Exponential(2.0).tail_quantile(1e-9) - 1e-9
 
     def test_rejects_bad_grids(self):
@@ -736,7 +759,7 @@ class TestEvaluationGrid:
         arr = np.array([0.1, 0.2, 0.3])
         EvaluationGrid(points=arr)
         arr[0] = 0.0  # the caller's array stays its own and writable
-        assert EvaluationGrid.log_spaced(10.0, n=64).as_array().flags.writeable is False
+        assert EvaluationGrid.log_spaced(10.0).as_array().flags.writeable is False
 
 
 class TestSpecRoundTrip:

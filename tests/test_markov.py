@@ -421,6 +421,15 @@ class TestCoupledPaths:
         p1, p2 = coupled_paths(weak, strong, 60, u, force=True)
         assert np.mean(p1 <= p2) < 1.0
 
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, math.nan])
+    def test_uniforms_outside_the_open_unit_interval_raise(self, bad):
+        # the samplers' one check; a NaN once walked its paths to the least state
+        spec = chain3(P3, INIT3_WEAK)
+        u = np.full((3, 4), 0.5)
+        u[1, 2] = bad
+        with pytest.raises(ValueError, match="strictly inside"):
+            coupled_paths(spec, spec, 4, u, force=True)
+
     def test_occupancy_converges_to_stationary(self):
         spec = chain3(P3, INIT3_WEAK)
         pi_super = stationary_distribution(spec)
