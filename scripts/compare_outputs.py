@@ -90,20 +90,21 @@ def check_coupling(op: dict, workdir: Path, old: np.ndarray, new: np.ndarray) ->
     """Problems with the moved draws of a coupling-sample op in NEW_TREE."""
     from gainorder.cli import load_scenario, parse_pair
     from gainorder.coupling import maximal_coupling_spec
+    from gainorder.verify import _open_uniform
 
     args = [str(a) for a in op["args"]]
     construction = args[args.index("--construction") + 1]
     n, seed = int(args[args.index("-n") + 1]), int(args[args.index("--seed") + 1])
     d1, d2 = parse_pair(load_scenario(str(workdir / "scenarios" / f"{op['name']}.json")))
     rng = np.random.default_rng(seed)
-    u = np.clip(rng.random(n), 1e-12, 1.0 - 1e-12)
+    u = _open_uniform(rng, n)
     problems = []
     every = np.ones(n, dtype=bool)
     if construction == "comonotone":
         parts = [(d1.cdf, 0, u, every), (d2.cdf, 1, u, every)]
     else:
         spec = maximal_coupling_spec(d1, d2)
-        u_val = np.clip(rng.random(n), 1e-12, 1.0 - 1e-12)
+        u_val = _open_uniform(rng, n)
         eq = new[:, 2] == 1.0
         # at p = 1 the shared law is d1 and every draw is shared
         parts = [(spec.shared.cdf, 0, u_val, eq), (spec.shared.cdf, 1, u_val, eq)]

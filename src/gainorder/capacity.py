@@ -6,12 +6,12 @@ bits per channel use with C(x) = (1/2) log2(1 + x); the 1/2 factor is kept
 uniformly, including for the complex-noise interference model, to match the
 convention the sufficient conditions were stated under.
 Every expectation over the gain laws goes through one rule,
-distributions.law_nodes: atoms are summed exactly, and a continuous gain is
-integrated in quantile space by Gauss-Legendre on fixed panels, with the
-distance to a coarser companion rule as the error estimate.  Each law
-memoizes its rules, so rates that share a law share its nodes.  The closed form
-via the exponential integral for exponential gains and the Monte Carlo
-estimator verify.mc_ergodic_rate are the independent cross-checks.
+distributions.law_nodes: a step law's atoms are summed exactly, and an atomless
+gain is integrated in quantile space by Gauss-Legendre on fixed panels, with the
+distance to a coarser companion rule as the error estimate.  Each law memoizes
+its rules, so rates that share a law share its nodes.  The closed form via the
+exponential integral for exponential gains and the Monte Carlo estimator
+verify.mc_ergodic_rate are the independent cross-checks.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import ClassificationReport, ICScenario, WTCScenario
-from .distributions import _BLOCK, _COMPANION_ORDER, _RULE_ORDER, GainDistribution, law_nodes
+from .distributions import (_BLOCK, _COMPANION_ORDER, _RULE_ORDER, GainDistribution,
+                            law_nodes, step_atoms)
 
 __all__ = [
     "RateValue",
@@ -118,10 +119,10 @@ def _rate(expectation, *laws: GainDistribution) -> RateValue:
     at most `depth` times on its way into the sum, so rounding moves the sum
     by at most depth * eps of itself.  The two rules' sums can round to the
     same double, so without the bound a rate one ulp off could claim error 0.
-    Sums over atoms alone are exact.
+    Sums over the atoms of step laws alone are exact.
     """
     bits, depth = expectation(_RULE_ORDER)
-    if not any(d.continuous for d in laws):
+    if all(step_atoms(d) is not None for d in laws):
         return RateValue(bits, "closed_form", 0.0)
     rounding = depth * _EPS * abs(bits)
     return RateValue(bits, "quadrature", abs(bits - expectation(_COMPANION_ORDER)[0]) + rounding)
@@ -130,10 +131,10 @@ def _rate(expectation, *laws: GainDistribution) -> RateValue:
 def ergodic_rate(d: GainDistribution, power: float) -> RateValue:
     """Ergodic rate E[C(H * power)] of a single fading link.
 
-    Discrete gains are summed exactly; a continuous gain is integrated in
-    quantile space by 24-point Gauss-Legendre on each of 22 panels
-    (distributions.law_nodes), and the error estimate is the distance to the
-    12-point companion rule on the same panels.
+    A step law is summed exactly over its atoms; an atomless gain is
+    integrated in quantile space by 24-point Gauss-Legendre on each of 22
+    panels (distributions.law_nodes), and the error estimate is the distance
+    to the 12-point companion rule on the same panels.
     """
     if power < 0.0 or not math.isfinite(power):
         raise ValueError("power must be nonnegative and finite")
@@ -153,8 +154,8 @@ def pair_sum_rate(
     """E[C(Ha * Pa + Hb * Pb)] for independent gains.
 
     The tensor product of the two laws' rules (distributions.law_nodes):
-    exact over atoms, and the quantile-space Gauss-Legendre rule of
-    ergodic_rate along each continuous gain, with the same companion error
+    exact over a step law's atoms, and the quantile-space Gauss-Legendre rule
+    of ergodic_rate along each atomless gain, with the same companion error
     estimate.
     """
     for p in (power_a, power_b):
@@ -277,7 +278,7 @@ def wtc_secrecy_capacity(s: WTCScenario, report: ClassificationReport,
 
     Linearity of the expectation makes the coupling irrelevant to the value;
     degradedness guarantees nonnegativity, so a negative value raises rather
-    than being clamped.
+    than being clamped.  It is closed-form when both of its rates are.
     """
     _admit(report, "degraded_wiretap", force)
     top = ergodic_rate(s.legitimate, s.power)
@@ -286,4 +287,5 @@ def wtc_secrecy_capacity(s: WTCScenario, report: ClassificationReport,
     err = top.error_estimate + bottom.error_estimate
     if report.verdict and bits < -1e-9:
         raise RuntimeError("degraded wiretap channel produced a negative secrecy rate")
-    return RateValue(bits, "quadrature", err)
+    method = "closed_form" if top.method == bottom.method == "closed_form" else "quadrature"
+    return RateValue(bits, method, err)

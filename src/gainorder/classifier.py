@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from .distributions import (
     MAX_RATIO_SHAPE,
-    Empirical,
     Exponential,
     GainDistribution,
     PointMass,
@@ -26,7 +25,7 @@ from .distributions import (
     _store_checked,
     gamma_law,
 )
-from .stochastic_order import OrderVerdict, Relation, check_usual_order
+from .stochastic_order import OrderVerdict, Relation, _empirical_parts, check_usual_order
 
 __all__ = [
     "BCScenario",
@@ -99,7 +98,7 @@ class ClassificationReport:
     order_checks: list = field(default_factory=list)  # (name, OrderVerdict) pairs
     witnesses: list = field(default_factory=list)
     notes: list = field(default_factory=list)
-    confidence: str = "analytic"  # "statistical" when a gain is an Empirical sample
+    confidence: str = "analytic"  # "statistical" when a gain rests on an Empirical sample
     permutation: tuple | None = None  # degraded BC user order, weakest first (1-based)
 
     def to_json(self) -> dict:
@@ -121,9 +120,9 @@ class ClassificationReport:
 
 
 def _confidence(*gains: GainDistribution) -> str:
-    """"statistical" when a gain is an Empirical sample, whose order checks
-    default to a Kolmogorov-Smirnov tolerance; "analytic" otherwise."""
-    return "statistical" if any(isinstance(g, Empirical) for g in gains) else "analytic"
+    """"statistical" when a gain rests on an Empirical sample, whose order
+    checks default to a Kolmogorov-Smirnov tolerance; "analytic" otherwise."""
+    return "statistical" if any(_empirical_parts(*gains)) else "analytic"
 
 
 def _dominance_report(topology: str, condition: str, checks: list,

@@ -334,6 +334,8 @@ def _argument_type(expected: str, convert, accept):
 
 
 _count = _argument_type("an integer >= 1", int, lambda v: v >= 1)
+# the copula and rate checks of the suite need 1e4 samples
+_suite_size = _argument_type("an integer >= 10000", int, lambda v: v >= 10**4)
 _positive_finite = _argument_type("a finite number > 0", float,
                                   lambda v: math.isfinite(v) and v > 0.0)
 _nonnegative_finite = _argument_type("a finite number >= 0", float,
@@ -391,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[out, seed],
                        help="run the Monte Carlo verification suite")
-    p.add_argument("-n", "--samples", type=_count, default=100_000)
+    p.add_argument("-n", "--samples", type=_suite_size, default=100_000)
     p.add_argument("--include-negative-controls", action="store_true")
 
     return parser

@@ -393,19 +393,18 @@ def verify_copula_axioms(candidate: Callable = min_copula, grid_u=None,
     if np.any(np.diff(g) <= 0) or g[0] < 0.0 or g[-1] > 1.0:
         raise ValueError("grid must be sorted inside [0, 1]")
 
+    n, zeros, ones = g.size, np.zeros_like(g), np.ones_like(g)
+    # the four sides once each: C(u, 0) = 0 = C(0, v), then C(u, 1) = u and C(1, v) = v
+    u, v = np.concatenate([g, zeros, g, ones]), np.concatenate([zeros, g, ones, g])
+    c = np.asarray(candidate(u, v), dtype=float)
+    gap = np.abs(c - np.concatenate([zeros, zeros, g, g]))
+    grounded, margins = bool(np.all(gap[:2 * n] <= tol)), bool(np.all(gap[2 * n:] <= tol))
     first_violation = None
-    grounded = np.max(np.abs(candidate(g, np.zeros_like(g)))) <= tol
-    grounded &= np.max(np.abs(candidate(np.zeros_like(g), g))) <= tol
-    if not grounded and first_violation is None:
-        bad = np.argmax(np.abs(candidate(g, np.zeros_like(g))))
-        first_violation = (float(g[bad]), 0.0, float(candidate(g[bad], 0.0)))
-
-    margins = np.max(np.abs(candidate(g, np.ones_like(g)) - g)) <= tol
-    margins &= np.max(np.abs(candidate(np.ones_like(g), g) - g)) <= tol
-    if not margins and first_violation is None:
-        vals = candidate(g, np.ones_like(g))
-        bad = np.argmax(np.abs(vals - g))
-        first_violation = (float(g[bad]), 1.0, float(np.asarray(vals)[bad]))
+    if not (grounded and margins):
+        # the worst point on the failing sides, grounded first; argmax takes a NaN first
+        side = 0 if not grounded else 2 * n
+        i = side + int(np.argmax(gap[side:side + 2 * n]))
+        first_violation = (float(u[i]), float(v[i]), float(c[i]))
 
     uu, vv = np.meshgrid(g, g, indexing="ij")
     c = np.asarray(candidate(uu, vv), dtype=float)
@@ -413,14 +412,13 @@ def verify_copula_axioms(candidate: Callable = min_copula, grid_u=None,
     two_increasing = bool(np.all(volume >= -tol))
     if not two_increasing and first_violation is None:
         i, j = np.unravel_index(np.argmin(volume), volume.shape)
-        first_violation = (
-            float(g[i]), float(g[i + 1]), float(g[j]), float(g[j + 1]), float(volume[i, j])
-        )
+        first_violation = (float(g[i]), float(g[i + 1]), float(g[j]), float(g[j + 1]),
+                           float(volume[i, j]))
 
     return CopulaAxiomReport(
         passed=bool(grounded and margins and two_increasing),
-        grounded_ok=bool(grounded),
-        margins_ok=bool(margins),
+        grounded_ok=grounded,
+        margins_ok=margins,
         two_increasing_ok=two_increasing,
         first_violation=first_violation,
     )

@@ -50,7 +50,9 @@ class GainDistribution:
 
     A family states only its formulas, as kernels on a flat float array of
     abscissae x >= 0, +inf included: _cdf, _ccdf (1 - _cdf unless given) and,
-    for a law with a density, _pdf.  This class owns the rest of the
+    for a law with a density (`continuous`), _pdf; and its atoms, which alone
+    decide its structure: a step law's carry all of its mass (step_atoms), an
+    atomless law's none, a mixed law's some.  This class owns the rest of the
     evaluation contract:
     - any array-like argument, the result in its shape, a float for a scalar;
     - below the support, x < 0 or NaN: cdf 0, ccdf and ccdf_left 1, pdf 0;
@@ -94,9 +96,8 @@ class GainDistribution:
 
     def _ccdf_left(self, x):
         out = self._ccdf(x)
-        if not self.continuous:
-            for v, m in zip(*self.atoms()):
-                out = out + np.where(x == v, m, 0.0)
+        for v, m in zip(*self.atoms()):
+            out = out + np.where(x == v, m, 0.0)
         return out
 
     def quantile(self, u):
@@ -118,8 +119,13 @@ class GainDistribution:
 
     def _quantile_jumps(self) -> tuple[float, ...]:
         """The levels in (0, 1) at which the quantile jumps over a gap in the
-        support of a law with a density; law_nodes breaks its panels there."""
+        support of an atomless law; law_nodes breaks its panels there."""
         return ()
+
+    def _support(self) -> np.ndarray:
+        """Sorted disjoint rows (lo, hi) holding the support: a step law's atoms, else [0, inf]."""
+        atoms = step_atoms(self)
+        return np.array([[0.0, np.inf]]) if atoms is None else np.column_stack([atoms[0]] * 2)
 
     def sample(self, u):
         """Inverse-transform sample from a uniform variate in (0, 1)."""
@@ -128,7 +134,7 @@ class GainDistribution:
     # -- structure ----------------------------------------------------------
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
-        """(values, masses) of the point masses; both empty for continuous families."""
+        """(values, masses) of the point masses; both empty for an atomless law."""
         return np.empty(0), np.empty(0)
 
     def mean(self) -> float:
@@ -149,7 +155,7 @@ class GainDistribution:
         return q
 
     def _tail_point(self, tail: float) -> float:
-        """The truncation point of a law with a continuous part."""
+        """The truncation point of a law that is not a step law."""
         return self.quantile(1.0 - tail)
 
     def to_spec(self) -> dict:
@@ -172,25 +178,21 @@ def _levels(u) -> np.ndarray:
     return u
 
 
-def _check_positive(name: str, value):
-    """value as a Python number, once it is a finite real > 0."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-    return _python_number(value)
+def _checker(accept: Callable, message: str) -> Callable:
+    """check(name, value): value as a Python number, once it is a real that accept takes."""
+    def check(name: str, value):
+        if not (isinstance(value, numbers.Real) and accept(value)):
+            raise ValueError(message.format(name=name, value=value))
+        return _python_number(value)
+    return check
 
 
-def _check_nonnegative(name: str, value):
-    """value as a Python number, once it is a finite real >= 0."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be a nonnegative finite number, got {value!r}")
-    return _python_number(value)
-
-
-def _check_probability(name: str, value):
-    """value as a Python number, once it is a real in [0, 1]."""
-    if not (isinstance(value, numbers.Real) and 0 <= value <= 1):
-        raise ValueError(f"success probability must lie in [0, 1], got {value!r}")
-    return _python_number(value)
+_check_positive = _checker(lambda v: math.isfinite(v) and v > 0,
+                           "{name} must be a positive finite number, got {value!r}")
+_check_nonnegative = _checker(lambda v: math.isfinite(v) and v >= 0,
+                              "{name} must be a nonnegative finite number, got {value!r}")
+_check_probability = _checker(lambda v: 0 <= v <= 1,
+                              "success probability must lie in [0, 1], got {value!r}")
 
 
 def _python_number(value):
@@ -456,14 +458,8 @@ class BernoulliGain(GainDistribution):
         return np.where(x >= 1.0, 1.0, 1.0 - self.q)
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.q == 0.0:
-            return np.array([0.0]), np.array([1.0])
-        if self.q == 1.0:
-            return np.array([1.0]), np.array([1.0])
-        return np.array([0.0, 1.0]), np.array([1.0 - self.q, self.q])
-
-    def mean(self) -> float:
-        return self.q
+        values, masses = np.array([0.0, 1.0]), np.array([1.0 - self.q, self.q])
+        return values[masses > 0.0], masses[masses > 0.0]
 
     def to_spec(self) -> dict:
         return {"family": "bernoulli", "q": self.q}
@@ -484,9 +480,6 @@ class PointMass(GainDistribution):
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array([self.value]), np.array([1.0])
-
-    def mean(self) -> float:
-        return self.value
 
     def to_spec(self) -> dict:
         return {"family": "point_mass", "value": self.value}
@@ -755,12 +748,15 @@ _COMPANION_ORDER = 12  # its rule's distance to the default rule estimates the e
 
 def step_atoms(d: GainDistribution) -> tuple[np.ndarray, np.ndarray] | None:
     """(values, masses) of the atoms of a step law, whose atoms carry all of
-    its mass (to 1e-9), so that its cdf is constant between them; None for a
-    law with a continuous part."""
-    if d.continuous:
-        return None
+    its mass (to 1e-9), so that its cdf is constant between them; None for
+    any other law."""
     values, masses = d.atoms()
     return (values, masses) if masses.sum() >= 1.0 - 1e-9 else None
+
+
+def _atomless(d: GainDistribution) -> bool:
+    """Whether the atoms of d carry none of its mass."""
+    return not d.atoms()[1].any()
 
 
 def gamma_law(d: GainDistribution) -> tuple[float, float] | None:
@@ -776,28 +772,28 @@ def gamma_law(d: GainDistribution) -> tuple[float, float] | None:
 def law_nodes(d: GainDistribution, order: int = _RULE_ORDER) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x and weights w with E[f(H)] = w @ f(x) for H drawn from d.
 
-    A step law gives its atoms and masses, so the sum is exact.  A continuous
+    A step law gives its atoms and masses, so the sum is exact.  An atomless
     law gives its quantiles at a fixed Gauss-Legendre rule in u-space: 24
     nodes on each of 22 panels by default, or the 12-node companion rule on
     the same panels; a panel that holds a level where the quantile jumps
     (_quantile_jumps) is split there, so no panel integrates across a jump.
-    A law that is neither, such as a discrete numerator over a continuous
-    denominator, has atoms carrying less than all of its mass and raises
-    ValueError.  Each (law, order) rule is built once and memoized on the law
-    as read-only arrays, so a rate, a mean and a RatioLaw share it.
+    A mixed law, such as a step numerator over a continuous denominator,
+    raises ValueError.  Each (law, order) rule is built once and memoized on
+    the law as read-only arrays, so a rate, a mean and a RatioLaw share it.
     """
     rules = vars(d).setdefault("_rules", {})
-    key = order if d.continuous else None  # a step law has one rule, its atoms
+    key = None if None in rules else order  # a step law has one rule, its atoms
     if key not in rules:
         rule = step_atoms(d)
-        if d.continuous:
+        if rule is not None:
+            key = None
+        elif _atomless(d):
             u, w = _quantile_rule(order, d._quantile_jumps())
             rule = np.asarray(d.quantile(u)), w
-        elif rule is None:
+        else:
             raise ValueError(
                 f"the atoms of {type(d).__name__} carry mass {d.atoms()[1].sum():.6g} < 1: "
-                "a law mixing atoms and a density has no quadrature rule"
-            )
+                "a law mixing atoms and an atomless part has no quadrature rule")
         rules[key] = _read_only(*rule)
     return rules[key]
 
@@ -810,13 +806,15 @@ class RatioLaw(GainDistribution):
     """Law of Z = N / (1 + P D) for independent gains N (numerator) and D, P > 0.
 
     It conditions on D, Pr(Z > z) = E_D[Pr(N > z (1 + P D))]: exactly over
-    D's atoms when D is discrete, else by the quantile-space rule of
-    law_nodes (24 nodes on each of 22 panels), which agrees with adaptive
-    quadrature to about 1e-14.  A discrete N over a continuous D conditions on
-    N instead, Pr(Z > z) = sum_i Pr(N = n_i) cdf_D((n_i / z - 1) / P), exact
-    where the rule would integrate a step.  The ccdf, and so the cdf, is
-    clipped into [0, 1]; the rule's weights do not sum to exactly 1, so cdf(0)
-    of a continuous law can still sit a few ulps above 0.
+    D's atoms when D is a step law, else by the quantile-space rule of
+    law_nodes, which agrees with adaptive quadrature to about 1e-14; a mixed
+    D has no rule and raises ValueError.  A step law N over an atomless D
+    conditions on N instead, exact where the rule would integrate a step:
+    Pr(Z > z) = sum_i Pr(N = n_i) cdf_D((n_i / z - 1) / P).  Such a Z can
+    have gaps in its support, n_i / (1 + P supp D) for each atom; its own
+    rule splits at them.  The ccdf, and so the cdf, is clipped into [0, 1];
+    the rule's weights do not sum to exactly 1, so cdf(0) of an atomless law
+    can still sit a few ulps above 0.
     """
 
     numerator: GainDistribution
@@ -825,15 +823,14 @@ class RatioLaw(GainDistribution):
 
     def __post_init__(self):
         _store_checked(self, _check_positive, "power")
-        num, den = self.numerator, self.denominator
-        on_numerator = den.continuous and not num.continuous
-        if on_numerator:
-            values, weights = num.atoms()
+        atoms = step_atoms(self.numerator) if _atomless(self.denominator) else None
+        if atoms is not None:
+            values, weights = atoms
             nodes, weights = values[values > 0.0], weights[values > 0.0]
         else:
-            values, weights = law_nodes(den)
+            values, weights = law_nodes(self.denominator)
             nodes = 1.0 + self.power * values
-        object.__setattr__(self, "_rule", (on_numerator, nodes, weights))
+        object.__setattr__(self, "_rule", (atoms is not None, nodes, weights))
 
     @property
     def continuous(self) -> bool:
@@ -869,7 +866,7 @@ class RatioLaw(GainDistribution):
 
     def _pdf(self, x):
         # f_Z(z) = E_D[(1 + P D) f_N(z (1 + P D))], the derivative of the ccdf's
-        # rule; a law conditioned on a discrete N has no density
+        # rule; a law conditioned on a step law N has no density
         _, nodes, weights = self._rule
         return self._conditioned(lambda z: self.numerator.pdf(z * nodes), x, weights * nodes)
 
@@ -880,13 +877,25 @@ class RatioLaw(GainDistribution):
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         values, masses = self.numerator.atoms()
-        if self.denominator.continuous:
+        if _atomless(self.denominator):
             # only N = 0 keeps Z on an atom
             return values[values == 0.0], masses[values == 0.0]
         den_values, den_masses = self.denominator.atoms()
         ratios = np.divide.outer(values, 1.0 + self.power * den_values).ravel()
         z, idx = np.unique(ratios, return_inverse=True)
         return z, np.bincount(idx.ravel(), np.outer(masses, den_masses).ravel(), z.size)
+
+    def _support(self) -> np.ndarray:
+        # z = n / (1 + P d) falls as d grows; the products merged where they meet
+        n, d = self.numerator._support(), 1.0 + self.power * self.denominator._support()
+        lo, hi = np.divide.outer(n[:, 0], d[:, 1]).ravel(), np.divide.outer(n[:, 1], d[:, 0]).ravel()
+        lo, reach = np.sort(lo), np.maximum.accumulate(hi[np.argsort(lo)])
+        gap = lo[1:] > reach[:-1]
+        return np.column_stack([lo[np.append(True, gap)], reach[np.append(gap, True)]])
+
+    def _quantile_jumps(self) -> tuple[float, ...]:
+        # the cdf is flat across each gap of the support, at its level below the gap
+        return tuple(float(v) for v in self.cdf(self._support()[:-1, 1]) if 0.0 < v < 1.0)
 
 
 @dataclass(frozen=True)

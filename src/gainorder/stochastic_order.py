@@ -9,10 +9,10 @@ known finite set, the decision is exact:
   so its extremes sit at the density crossings, found in closed form;
 - a step law (its atoms carry all of its mass) against any law: between
   atoms the gap is monotone, so the atoms suffice.
-Every other pair (RatioExpExp, of any numerator shape, a continuous
-RatioLaw, a law mixing atoms and a density, against each other or a gamma
-law) adds a 4096-point log grid, dense enough for the implemented families
-but blind below its first point and between points.
+Every other pair (RatioExpExp, of any numerator shape, a RatioLaw that is
+not a step law, against each other or a gamma law) adds a 4096-point log
+grid, dense enough for the implemented families but blind below its first
+point and between points.
 
 The same closed-form crossings split two gamma densities into the segments
 behind overlap_mass, total_variation and the maximal coupling.  Only a pair
@@ -112,14 +112,18 @@ _MIRROR = {Relation.FIRST_LEQ: Relation.SECOND_LEQ, Relation.SECOND_LEQ: Relatio
 
 
 def default_order_tolerance(d1: GainDistribution, d2: GainDistribution) -> float:
-    """1e-9 for analytic families; twice the KS bound for empirical inputs,
-    the numerator and denominator of a ratio law included."""
-    tol = DEFAULT_TOL
-    for d in (d1, d2):
-        for g in (d.numerator, d.denominator) if isinstance(d, RatioLaw) else (d,):
-            if isinstance(g, Empirical):
-                tol = max(tol, 2.0 * 1.36 / math.sqrt(g.sample_size))
-    return tol
+    """1e-9, or twice the KS bound of the smallest Empirical sample the laws rest on."""
+    return max([DEFAULT_TOL] + [2.0 * 1.36 / math.sqrt(g.sample_size)
+                                for g in _empirical_parts(d1, d2)])
+
+
+def _empirical_parts(*laws: GainDistribution):
+    """The Empirical samples the laws rest on, through RatioLaw parts at any depth."""
+    for d in laws:
+        if isinstance(d, RatioLaw):
+            yield from _empirical_parts(d.numerator, d.denominator)
+        elif isinstance(d, Empirical):
+            yield d
 
 
 def check_usual_order(

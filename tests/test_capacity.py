@@ -34,6 +34,7 @@ from gainorder.classifier import (
 )
 from gainorder.stochastic_order import check_usual_order
 from gainorder.verify import mc_ergodic_rate
+from test_distributions import STRUCTURE_KINDS, ratio_of_kinds
 
 
 IC_SQUARE = ICScenario(PointMass(1.0), PointMass(2.0), PointMass(2.0), PointMass(1.0), 1.0, 1.0)
@@ -146,6 +147,36 @@ class TestErgodicRate:
         finally:
             sys.setswitchinterval(interval)
         assert rates == [expected] * 16
+
+
+class TestRateByStructure:
+    # each structure kind alone (den None), and the ratio of each pair of
+    # kinds with a rule for D
+    @pytest.mark.parametrize("num, den", [(num, den) for num in STRUCTURE_KINDS
+                                          for den in (None, "step", "atomless", "gapped",
+                                                      "continuous")])
+    def test_rate_against_monte_carlo(self, num, den):
+        law, draw, kind = STRUCTURE_KINDS[num] if den is None else ratio_of_kinds(num, den)
+        if kind == "mixed":
+            with pytest.raises(ValueError, match="no quadrature rule"):
+                ergodic_rate(law, 1.0)
+            return
+        got = ergodic_rate(law, 1.0)
+        assert got.method == ("closed_form" if kind == "step" else "quadrature")
+        n = 200_000
+        c = 0.5 * np.log2(1.0 + draw(np.random.default_rng(77), n))
+        stderr = float(np.std(c, ddof=1)) / math.sqrt(n)
+        assert abs(got.bits - float(np.mean(c))) <= got.error_estimate + 4.0 * stderr
+
+    def test_gapped_law_against_adaptive_quadrature(self):
+        # Z = N / (1 + D) for N on {1, 1, 10} and D = 2 / (1 + E): conditioned on
+        # N = n, C(Z) = C(n (1 + E) / (3 + E)); a panel across the jump of Z's
+        # quantile at u = 2/3 put the rate 5e-3 off
+        got = ergodic_rate(STRUCTURE_KINDS["gapped"][0], 1.0)
+        exact = sum(p * quad(lambda e: 0.5 * math.log2(1.0 + n * (1.0 + e) / (3.0 + e))
+                             * math.exp(-e), 0.0, math.inf, epsabs=1e-14, epsrel=1e-13)[0]
+                    for n, p in ((1.0, 2.0 / 3.0), (10.0, 1.0 / 3.0)))
+        assert abs(got.bits - exact) <= got.error_estimate <= 1e-5
 
 
 class TestPairSumRate:
@@ -401,6 +432,14 @@ class TestWtcSecrecyCapacity:
     def test_point_mass_scalar_values(self):
         s = WTCScenario(PointMass(3.0), PointMass(1.0), 1.0)
         assert secrecy(s).bits == pytest.approx(0.5, abs=1e-12)
+
+    def test_step_laws_closed_form(self):
+        # both rates sum atoms exactly; the difference was labelled "quadrature"
+        got = secrecy(WTCScenario(BernoulliGain(0.8), BernoulliGain(0.3), 1.0))
+        assert got.method == "closed_form" and got.error_estimate == 0.0
+        assert got.bits == pytest.approx(0.25, abs=1e-15)
+        got = secrecy(WTCScenario(Exponential(2.0), PointMass(0.1), 1.0), force=True)
+        assert got.method == "quadrature" and got.error_estimate > 0.0
 
     def test_not_degraded_rejected(self):
         s = WTCScenario(Exponential(1.0), Exponential(2.0), 1.0)

@@ -303,6 +303,14 @@ class TestClassifyICVeryStrong:
         assert checks["h22_leq_z2"].tol == 1e-9
         assert report.confidence == "statistical"
 
+    def test_ratio_law_over_a_sample_is_statistical(self):
+        # the check ran at the sample's KS tolerance while the report read "analytic"
+        sample = Empirical.from_samples(np.random.default_rng(5).exponential(1.0, 400))
+        s = WTCScenario(RatioLaw(sample, Exponential(1.0), 0.5), Exponential(0.3), 1.0)
+        report = classify_wtc(s)
+        assert report.order_checks[0][1].tol == pytest.approx(2.0 * 1.36 / 20.0)
+        assert report.confidence == "statistical"
+
     def test_comonotone_mode_records_pinned_joint(self):
         report = classify_ic_very_strong(exp_ic(0.1, 1.0, 1.0, 0.1, dependence="comonotone"))
         assert report.verdict

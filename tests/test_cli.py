@@ -508,8 +508,14 @@ class TestFlagErrors:
         (["verify", "-n", "abc"],
          "usage: gainorder verify [-h] [--out OUT] [--seed SEED] [-n SAMPLES]\n"
          "                        [--include-negative-controls]\n"
-         "gainorder verify: error: argument -n/--samples: expected an integer >= 1, "
+         "gainorder verify: error: argument -n/--samples: expected an integer >= 10000, "
          "got 'abc'\n"),
+        # the suite's copula and rate checks need 1e4 samples: refused before any check runs
+        (["verify", "-n", "9999"],
+         "usage: gainorder verify [-h] [--out OUT] [--seed SEED] [-n SAMPLES]\n"
+         "                        [--include-negative-controls]\n"
+         "gainorder verify: error: argument -n/--samples: expected an integer >= 10000, "
+         "got '9999'\n"),
     ])
     def test_exact_message_and_exit_two(self, tmp_path, monkeypatch, argv, expected):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal

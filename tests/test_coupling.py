@@ -585,6 +585,19 @@ class TestCopula:
         assert not report.grounded_ok
         assert report.first_violation is not None
 
+    @pytest.mark.parametrize("candidate, grounded, violation", [
+        # C(0, v) = v / 2 is off its 0 most at v = 1
+        (lambda u, v: np.where(u == 0, v / 2, np.minimum(u, v)), False, (0.0, 1.0, 0.5)),
+        # C(1, v) = v^2 is off its v most at v = 1/2, between 31/63 and 32/63 alike
+        (lambda u, v: np.where(u == 1, v**2, np.minimum(u, v)), True,
+         (1.0, 31 / 63, (31 / 63) ** 2)),
+    ])
+    def test_violation_reported_on_the_failing_side(self, candidate, grounded, violation):
+        # it was read off C(u, 0) and C(u, 1) alone: (0, 0, 0) and (0, 1, 0)
+        report = verify_copula_axioms(candidate)
+        assert not report.passed and report.grounded_ok is grounded
+        assert report.first_violation == pytest.approx(violation, abs=1e-15)
+
     def test_oversized_fgm_fails_two_increasing(self):
         def fgm(u, v):
             u = np.asarray(u, dtype=float)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from gainorder import (
     BernoulliGain,
@@ -707,6 +708,92 @@ class TestRatioGammaExp:
         for bad in (0.0, -1.0, math.nan, 128.5):
             with pytest.raises(ValueError, match="num_shape"):
                 RatioExpExp(1.0, 1.0, 1.0, num_shape=bad)
+
+
+# one law of each structure, with a sampler that draws it from numpy alone:
+# (law, draw(rng, n), kind) where kind is "step", "atomless" or "mixed"
+RATIO_POWER = 0.5
+ATOMLESS = RatioLaw(PointMass(2.0), Exponential(1.0), 1.0)
+STRUCTURE_KINDS = {
+    "step": (BernoulliGain(0.6), lambda rng, n: (rng.random(n) < 0.6) * 1.0, "step"),
+    # 2 / (1 + E) spreads over (0, 2) without atoms, and has no density as implemented
+    "atomless": (ATOMLESS, lambda rng, n: 2.0 / (1.0 + rng.exponential(1.0, n)), "atomless"),
+    # N / (1 + D) for N on {1, 1, 10} and D the law above lives on (1/3, 1) and
+    # (10/3, 10): an atomless law whose quantile jumps at u = 2/3
+    "gapped": (RatioLaw(Empirical((1.0, 1.0, 10.0)), ATOMLESS, 1.0),
+               lambda rng, n: (np.where(rng.random(n) < 2.0 / 3.0, 1.0, 10.0)
+                               / (1.0 + 2.0 / (1.0 + rng.exponential(1.0, n)))), "atomless"),
+    # an atom of mass 1/2 at 0 and an atomless rest
+    "mixed": (RatioLaw(BernoulliGain(0.5), Exponential(1.0), 1.0),
+              lambda rng, n: (rng.random(n) < 0.5) / (1.0 + rng.exponential(1.0, n)), "mixed"),
+    "continuous": (Exponential(1.0), lambda rng, n: rng.exponential(1.0, n), "atomless"),
+}
+
+
+def ratio_of_kinds(num: str, den: str):
+    """(RatioLaw N / (1 + P D), draw(rng, n), kind of the ratio) for two structure kinds."""
+    (n_law, n_draw, n_kind), (d_law, d_draw, _) = STRUCTURE_KINDS[num], STRUCTURE_KINDS[den]
+
+    def draw(rng, n):
+        return n_draw(rng, n) / (1.0 + RATIO_POWER * d_draw(rng, n))
+
+    # N / (1 + P D) has atoms only where N has; the step and mixed N have an
+    # atom at 0, which stays one whatever D is
+    if n_kind == "atomless":
+        kind = "atomless"
+    else:
+        kind = "step" if (n_kind, den) == ("step", "step") else "mixed"
+    return RatioLaw(n_law, d_law, RATIO_POWER), draw, kind
+
+
+def structure_of(law) -> str:
+    if distributions.step_atoms(law) is not None:
+        return "step"
+    return "atomless" if law.atoms()[1].sum() == 0.0 else "mixed"
+
+
+class TestRatioLawStructure:
+    """N and D range over one law of each structure; each ratio's ccdf
+    matches a seeded Monte Carlo of N / (1 + P D)."""
+
+    N_DRAWS = 100_000
+    # the DKW inequality: sup |F_n - F| exceeds this with probability 1e-6
+    KS_BAND = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * N_DRAWS))
+    ABSCISSAE = np.concatenate([[0.0], np.geomspace(1e-3, 8.0, 40)])
+
+    @pytest.mark.parametrize("den", [k for k in STRUCTURE_KINDS if k != "mixed"])
+    @pytest.mark.parametrize("num", list(STRUCTURE_KINDS))
+    def test_ccdf_against_monte_carlo(self, num, den):
+        law, draw, kind = ratio_of_kinds(num, den)
+        assert structure_of(law) == kind
+        z = draw(np.random.default_rng(2024), self.N_DRAWS)
+        empirical = (z[:, None] > self.ABSCISSAE).mean(axis=0)
+        assert np.max(np.abs(law.ccdf(self.ABSCISSAE) - empirical)) <= self.KS_BAND
+
+    @pytest.mark.parametrize("num", list(STRUCTURE_KINDS))
+    def test_mixed_denominator_has_no_rule(self, num):
+        # conditioning on a mixed D needs a quadrature rule, and law_nodes has none
+        with pytest.raises(ValueError, match="mass 0.5 < 1"):
+            ratio_of_kinds(num, "mixed")
+
+    def test_gapped_support_splits_the_rule(self):
+        law = STRUCTURE_KINDS["gapped"][0]
+        assert law._quantile_jumps() == pytest.approx((2.0 / 3.0,), abs=1e-15)
+        # E[Z] = E[N] E[1 / (1 + D)] = 4 E[(1 + E) / (3 + E)], the second
+        # factor by scipy's adaptive quadrature; a panel across the jump put the
+        # rule's mean 1e-2 off
+        exact = 4.0 * integrate.quad(lambda e: (1.0 + e) / (3.0 + e) * math.exp(-e),
+                                     0.0, math.inf, epsabs=1e-14, epsrel=1e-13)[0]
+        (x, w), (xc, wc) = distributions.law_nodes(law), distributions.law_nodes(law, 12)
+        assert abs(w @ x - exact) <= abs(w @ x - wc @ xc) <= 1e-5
+
+    def test_nested_ratio_repros(self):
+        # a mixed N over an atomless D read 0 at every z: its N had no atom above 0
+        law = RatioLaw(STRUCTURE_KINDS["mixed"][0], Exponential(1.0), 1.0)
+        assert law.ccdf([0.0, 0.01, 0.1]) == pytest.approx([0.5, 0.5, 0.478], abs=1e-3)
+        # a step N over an atomless D without a density was refused as mixed
+        law = RatioLaw(PointMass(1.0), STRUCTURE_KINDS["atomless"][0], 1.0)
+        assert law.ccdf(0.4) == pytest.approx(0.716, abs=1e-3)
 
 
 class TestEmpirical:

@@ -93,6 +93,12 @@ class TestCheckUsualOrder:
         assert default_order_tolerance(emp, Exponential(1.0)) == pytest.approx(
             2.0 * 1.36 / math.sqrt(400)
         )
+        # a sample two ratio laws deep, and the smaller of two samples
+        nested = RatioLaw(RatioLaw(Exponential(1.0), emp, 1.0), Exponential(1.0), 1.0)
+        small = Empirical.from_samples([0.5, 1.5, 2.5, 3.5])
+        assert default_order_tolerance(Exponential(1.0), nested) == pytest.approx(
+            2.0 * 1.36 / math.sqrt(400))
+        assert default_order_tolerance(nested, small) == pytest.approx(1.36)
 
     def test_point_mass_vs_continuous_left_limit(self):
         from gainorder import PointMass
