@@ -96,6 +96,12 @@ class _PiecewiseMinCdf:
         )
         self.res_total = self.res_prefix[:, -1]
         self.hi = np.append(self.lo[1:], np.inf)
+        # where residual k lives: the rows (lo, hi) of the segments it lives on
+        # that carry mass in floats; crossings alternate the lower density, so
+        # no two rows touch
+        rows = np.column_stack([self.lo, self.hi])
+        self.supports = tuple(rows[self.live[k] & (np.diff(self.res_prefix[k]) > 0.0)]
+                              for k in (0, 1))
         self._near = np.minimum(self.lo, self.hi - self.lo) / 16.0
 
     def segment(self, x: np.ndarray) -> np.ndarray:
@@ -221,34 +227,28 @@ class _ResidualPart(_Part):
             gap = (fm.dists[k]._pdf(x) - fm.dists[1 - k]._pdf(x)) / self._mass
         return np.where(fm.live[k, fm.segment(x)], gap, 0.0)
 
-    def _quantile_jumps(self):
-        # a segment the residual does not live on is a gap in its support,
-        # unless it starts or ends the support; its cdf is flat there
-        fm = self._fm
-        levels = self._cdf(fm.hi[~fm.live[self._k]])
-        return tuple(float(v) for v in levels if 0.0 < v < 1.0)
+    def _support(self):
+        return self._fm.supports[self._k]
 
     @functools.cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Levels, abscissae and slopes dx/du: the residual's cdf and inverse
-        density at about 500 points packed toward both ends of each segment
-        it lives on, evaluated once, forward, on the first residual draw.
+        density at about 500 points packed toward both ends of each row of
+        its support, evaluated once, forward, on the first residual draw.
 
         Near a density crossing the residual's quantile has a square-root
         singularity, so the points pack like the levels of _table_levels.  The
-        unbounded last segment ends at the quantile of its heavier marginal at
+        unbounded last row ends at the quantile of its heavier marginal at
         the largest level below 1, where both marginal cdfs have stopped
         rising in floats, and the cdf at inf closes the table.
         """
         fm, k = self._fm, self._k
         xs = []
-        for j in np.flatnonzero(fm.live[k]):
-            if fm.res_prefix[k, j + 1] > fm.res_prefix[k, j]:
-                lo, hi = fm.lo[j], fm.hi[j]
-                if math.isinf(hi):
-                    # residual k lives here, so its law has the heavier tail
-                    hi = max(lo, fm.dists[k].quantile(1.0 - 2.0**-53))
-                xs += [[lo], lo + (hi - lo) * _table_levels(), [hi]]
+        for lo, hi in self._support():
+            if math.isinf(hi):
+                # residual k lives here, so its law has the heavier tail
+                hi = max(lo, fm.dists[k].quantile(1.0 - 2.0**-53))
+            xs += [[lo], lo + (hi - lo) * _table_levels(), [hi]]
         xs = np.concatenate(xs + [[np.inf]])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             slopes = self._mass / (np.asarray(fm.dists[k].pdf(xs))
@@ -273,21 +273,18 @@ class _ResidualPart(_Part):
 class MaximalCouplingSpec:
     """Precomputed decomposition f_k = p * (f_min / p) + (1 - p) * residual_k.
 
-    p is the overlap mass of the two densities.  The shared law f_min / p
-    (`shared`, d1 itself at p = 1) and the residual laws (`residuals`, a
-    pair) are GainDistributions, built on first use.  Their cdfs are exact
-    piecewise between the density crossings, so the mixture reconstructs each
-    marginal cdf to rounding; but they subtract O(1) marginal cdf values, so
-    they can wobble (_PiecewiseMinCdf states by how much) and cross u at
-    several neighbouring doubles.  A quantile is the crossing nearest its
-    part's _quantile_estimate, which can differ from the one an estimate-free
-    search finds by up to a few hundred ulps.
+    p is the overlap mass of the two densities, which overlap_mass returns.
+    The shared law f_min / p (`shared`, d1 itself at p = 1) and the residual
+    laws (`residuals`, a pair) are GainDistributions, built on first use.
+    Their cdfs are exact piecewise between the density crossings, so the
+    mixture reconstructs each marginal cdf to rounding; but they subtract O(1)
+    marginal cdf values, so they can wobble (_PiecewiseMinCdf states by how
+    much) and cross u at several neighbouring doubles.  A quantile is the
+    crossing nearest its part's _quantile_estimate, which can differ from the
+    one an estimate-free search finds by up to a few hundred ulps.
     """
 
     def __init__(self, d1: GainDistribution, d2: GainDistribution):
-        if not (d1.continuous and d2.continuous):
-            raise ValueError("maximal coupling requires continuous densities; the comonotone "
-                             "and copula constructions handle discrete gains")
         self.d1, self.d2 = d1, d2
         self.segments = density_segments(d1, d2)
         self._fmin = _PiecewiseMinCdf(d1, d2, self.segments)
@@ -368,15 +365,6 @@ class CopulaAxiomReport:
     two_increasing_ok: bool
     first_violation: tuple | None = None  # (u1, u2, v1, v2, volume) or boundary point
 
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "grounded_ok": self.grounded_ok,
-            "margins_ok": self.margins_ok,
-            "two_increasing_ok": self.two_increasing_ok,
-            "first_violation": list(self.first_violation) if self.first_violation else None,
-        }
-
 
 def verify_copula_axioms(candidate: Callable = min_copula, grid_u=None,
                          tol: float = 1e-12) -> CopulaAxiomReport:
@@ -427,21 +415,16 @@ def verify_copula_axioms(candidate: Callable = min_copula, grid_u=None,
 def residual_supports_separated(d1: GainDistribution, d2: GainDistribution) -> bool:
     """True iff the residual density of d1 lives entirely below that of d2.
 
-    The residual of d1 is (f1 - f_min)+, supported where f1 > f2; equality of
-    the supports' boundary, to 1e-9, counts as separated.  Identical inputs have empty
-    residuals and are vacuously separated.
+    The residual of d1 is (f1 - f_min)+, supported where f1 > f2: the rows
+    of the maximal coupling's support of it, each a segment between density
+    crossings that carries mass in floats.  Equality of the supports'
+    boundary, to 1e-9, counts as separated.  Identical inputs, p = 1 and a
+    residual without mass are vacuously separated.
     """
     if d1 == d2:
         return True
-    segments = density_segments(d1, d2)
-    sup_res1 = -math.inf
-    inf_res2 = math.inf
-    for seg in segments:
-        if seg.min_is_first:
-            # f1 is the minimum here, so the residual of d2 lives on this piece
-            inf_res2 = min(inf_res2, seg.lo)
-        else:
-            sup_res1 = max(sup_res1, seg.hi)
-    if math.isinf(sup_res1) and sup_res1 < 0:
-        return True  # empty residual for d1
-    return sup_res1 <= inf_res2 + 1e-9
+    spec = MaximalCouplingSpec(d1, d2)
+    first, second = spec._fmin.supports
+    if spec.p >= 1.0 or not (first.size and second.size):
+        return True
+    return bool(first[-1, 1] <= second[0, 0] + 1e-9)

@@ -41,7 +41,10 @@ def _evaluate(kernel: Callable, x, below: float):
     or x is NaN; a float for a scalar x, else an array of x's shape."""
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
-    out = np.where(flat >= 0.0, kernel(np.maximum(flat, 0.0)), below)
+    # near the largest double a kernel's x / mean or x * rate overflows to inf
+    # on its way to the law's limit there, which is the value it returns
+    with np.errstate(over="ignore"):
+        out = np.where(flat >= 0.0, kernel(np.maximum(flat, 0.0)), below)
     return out.reshape(x.shape) if x.ndim else float(out[0])
 
 
@@ -118,12 +121,14 @@ class GainDistribution:
         return None
 
     def _quantile_jumps(self) -> tuple[float, ...]:
-        """The levels in (0, 1) at which the quantile jumps over a gap in the
-        support of an atomless law; law_nodes breaks its panels there."""
-        return ()
+        """The levels in (0, 1) at which the quantile of an atomless law jumps
+        over a gap in its support: the cdf, flat across each gap, at the top of
+        every row of _support but the last.  law_nodes breaks its panels there."""
+        return tuple(float(v) for v in self.cdf(self._support()[:-1, 1]) if 0.0 < v < 1.0)
 
     def _support(self) -> np.ndarray:
-        """Sorted disjoint rows (lo, hi) holding the support: a step law's atoms, else [0, inf]."""
+        """Sorted disjoint rows (lo, hi) holding the support: a step law's
+        atoms, else [0, inf] unless the family states its own."""
         atoms = step_atoms(self)
         return np.array([[0.0, np.inf]]) if atoms is None else np.column_stack([atoms[0]] * 2)
 
@@ -311,9 +316,8 @@ def _lgamma1p_coefficients() -> tuple[float, ...]:
 
 
 def _lgamma1p(a: float) -> float:
-    """ln Gamma(1 + a) to a few ulps relative, also next to its zeros a = 0, 1."""
-    if a >= 1.5:
-        return math.lgamma(1.0 + a)
+    """ln Gamma(1 + a) for 0 < a <= 1.21, the shapes of _gammaincc's series,
+    to a few ulps relative, also next to its zeros a = 0, 1."""
     shift = 0.0
     if a > 0.5:  # Gamma(1 + a) = a Gamma(a)
         shift, a = math.log(a), a - 1.0
@@ -812,9 +816,10 @@ class RatioLaw(GainDistribution):
     conditions on N instead, exact where the rule would integrate a step:
     Pr(Z > z) = sum_i Pr(N = n_i) cdf_D((n_i / z - 1) / P).  Such a Z can
     have gaps in its support, n_i / (1 + P supp D) for each atom; its own
-    rule splits at them.  The ccdf, and so the cdf, is clipped into [0, 1];
-    the rule's weights do not sum to exactly 1, so cdf(0) of an atomless law
-    can still sit a few ulps above 0.
+    rule splits at them.  A step law Z reads its ccdf, and so its cdf, off the
+    atoms it states.  Any other Z clips its ccdf into [0, 1]; the rule's
+    weights do not sum to exactly 1, so cdf(0) of an atomless law can still
+    sit a few ulps above 0.
     """
 
     numerator: GainDistribution
@@ -848,7 +853,21 @@ class RatioLaw(GainDistribution):
             out[i:i + step] = (np.asarray(kernel(z[i:i + step])) * weights).sum(axis=1)
         return out
 
+    @functools.cached_property
+    def _steps(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """A step law's atoms and the mass above each cut between them, else None."""
+        atoms = step_atoms(self)
+        if atoms is None:
+            return None
+        values, masses = atoms
+        return values, np.append(np.minimum(np.cumsum(masses[::-1])[::-1], 1.0), 0.0)
+
     def _ccdf(self, x):
+        if self._steps is not None:
+            # from the atoms it states, fl(n / (1 + P d)): the kernels below
+            # compare fl(z (1 + P d)) with N's atoms, which can round past one
+            values, above = self._steps
+            return above[np.searchsorted(values, x, side="right")]
         on_numerator, nodes, weights = self._rule
         if not on_numerator:
             def kernel(z):
@@ -893,21 +912,18 @@ class RatioLaw(GainDistribution):
         gap = lo[1:] > reach[:-1]
         return np.column_stack([lo[np.append(True, gap)], reach[np.append(gap, True)]])
 
-    def _quantile_jumps(self) -> tuple[float, ...]:
-        # the cdf is flat across each gap of the support, at its level below the gap
-        return tuple(float(v) for v in self.cdf(self._support()[:-1, 1]) if 0.0 < v < 1.0)
-
 
 @dataclass(frozen=True)
 class Empirical(GainDistribution):
-    """Right-continuous step CDF of a sorted sample."""
+    """Right-continuous step CDF of a sorted sample, kept as the tuple
+    `values` and, for evaluation, once as a read-only array."""
 
     values: tuple
     continuous = False
 
     def __post_init__(self):
         try:
-            arr = np.asarray(self.values, dtype=float)
+            arr = np.array(self.values, dtype=float)
         except TypeError as exc:
             raise ValueError(f"empirical sample must be a list of numbers: {exc}") from exc
         if arr.ndim != 1 or arr.size == 0:
@@ -916,31 +932,28 @@ class Empirical(GainDistribution):
             raise ValueError("empirical sample must be finite and nonnegative")
         if np.any(np.diff(arr) < 0.0):
             raise ValueError("empirical sample must be sorted ascending")
-        object.__setattr__(self, "values", tuple(float(v) for v in arr))
+        arr.flags.writeable = False
+        object.__setattr__(self, "values", tuple(arr.tolist()))
+        object.__setattr__(self, "_sorted", arr)
 
     @classmethod
     def from_samples(cls, samples) -> "Empirical":
         return cls(values=tuple(np.sort(np.asarray(samples, dtype=float))))
 
-    def _arr(self) -> np.ndarray:
-        return np.asarray(self.values)
-
     def _cdf(self, x):
-        vals = self._arr()
-        return np.searchsorted(vals, x, side="right") / vals.size
+        return np.searchsorted(self._sorted, x, side="right") / self._sorted.size
 
     def _ccdf_left(self, x):
-        vals = self._arr()
-        return 1.0 - np.searchsorted(vals, x, side="left") / vals.size
+        return 1.0 - np.searchsorted(self._sorted, x, side="left") / self._sorted.size
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         # the values are sorted, so each atom is a run of equal values
-        vals = self._arr()
+        vals = self._sorted
         first = np.flatnonzero(np.concatenate([[True], vals[1:] != vals[:-1]]))
         return vals[first], np.diff(np.append(first, vals.size)) / vals.size
 
     def mean(self) -> float:
-        return float(np.mean(self._arr()))
+        return float(np.mean(self._sorted))
 
     def to_spec(self) -> dict:
         return {"family": "empirical", "values": list(self.values)}

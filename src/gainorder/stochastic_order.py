@@ -15,8 +15,9 @@ grid, dense enough for the implemented families but blind below its first
 point and between points.
 
 The same closed-form crossings split two gamma densities into the segments
-behind overlap_mass, total_variation and the maximal coupling.  Only a pair
-with a ratio law falls back to a pdf scan with bracketed root finding.
+behind the maximal coupling, whose p is overlap_mass (and 1 - p
+total_variation).  Only a pair with a ratio law falls back to a pdf scan with
+bracketed root finding.
 """
 
 from __future__ import annotations
@@ -381,21 +382,16 @@ def _scanned_crossings(d1: GainDistribution, d2: GainDistribution) -> tuple[list
 
 
 def overlap_mass(d1: GainDistribution, d2: GainDistribution) -> float:
-    """Integral of min(f1, f2) over the union support.
+    """Integral of min(f1, f2) over the union support: the maximal coupling's p.
 
     Between consecutive density crossings the minimum is a single density, so
     each piece integrates exactly as a CDF increment of that density; the only
     numerical work is locating the crossings.
     """
-    _require_continuous(d1, d2)
-    if d1 == d2:
-        return 1.0
-    total = 0.0
-    for seg in density_segments(d1, d2):
-        d = d1 if seg.min_is_first else d2
-        hi_cdf = 1.0 if math.isinf(seg.hi) else float(d.cdf(seg.hi))
-        total += hi_cdf - float(d.cdf(seg.lo))
-    return float(min(max(total, 0.0), 1.0))
+    # imported here, as the coupling module imports this one
+    from .coupling import MaximalCouplingSpec
+
+    return MaximalCouplingSpec(d1, d2).p
 
 
 def total_variation(d1: GainDistribution, d2: GainDistribution) -> float:
@@ -407,6 +403,7 @@ def _require_continuous(d1, d2):
     for d in (d1, d2):
         if not d.continuous:
             raise ValueError(
-                f"{type(d).__name__} has no density; overlap and total variation "
-                "are defined for continuous families only"
+                f"{type(d).__name__} has no density; overlap, total variation and the "
+                "maximal coupling are defined for continuous laws only, and the "
+                "comonotone and copula constructions handle discrete gains"
             )

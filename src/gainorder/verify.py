@@ -230,14 +230,10 @@ def verify_maximal_equality_fraction(
     d1: GainDistribution, d2: GainDistribution, n: int = 100_000, seed: int = 0
 ) -> VerificationReport:
     """Fraction of equal draws must sit within 3 sigma of the overlap mass p."""
-    return _equality_fraction(maximal_coupling_spec(d1, d2), n, seed)
-
-
-def _equality_fraction(spec: MaximalCouplingSpec, n: int, seed: int) -> VerificationReport:
     rng = _rng(seed, "maximal_equality_fraction")
     # the draw is equal exactly where its selection uniform is at most p
     # (maximal_coupling_samples), so no component quantile is needed
-    p = spec.p
+    p = maximal_coupling_spec(d1, d2).p
     eq = _open_uniform(rng, n) <= p
     threshold = 3.0 * math.sqrt(p * (1.0 - p) / n)
     return _report("maximal_equality_fraction", n, abs(float(np.mean(eq)) - p), threshold, seed)
@@ -259,7 +255,7 @@ def run_verification_suite(
     reports += verify_same_marginals("comonotone", d1, d2, n=n, seed=seed)
     reports += verify_same_marginals("comonotone", BernoulliGain(0.3), BernoulliGain(0.7),
                                      n=n, seed=seed)
-    reports.append(_equality_fraction(spec, n, seed))
+    reports.append(verify_maximal_equality_fraction(d1, d2, n=n, seed=seed))
     reports.append(verify_strong_ic_independence(ic, n=n, seed=seed))
     reports.append(verify_copula_equivalence(d1, d2, n=n, seed=seed))
 

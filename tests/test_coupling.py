@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from gainorder import BernoulliGain, Exponential, NakagamiGain, coupling
+from gainorder import BernoulliGain, Exponential, NakagamiGain, PointMass, RatioLaw, coupling
 from gainorder.capacity import ergodic_rate
 from gainorder.coupling import (
     comonotone_samples,
@@ -240,6 +240,7 @@ class TestComponentsAreGainLaws:
         spec = coupling_spec(1)
         fm, residual = spec._fmin, spec.residuals[1]
         (gap,) = np.flatnonzero(~fm.live[1])
+        assert residual._support().tolist() == [[0.0, fm.lo[gap]], [fm.hi[gap], math.inf]]
         (jump,) = residual._quantile_jumps()
         # (the float cdf wobbles by a few ulps below the gap)
         assert residual.quantile(jump - 1e-12) <= fm.lo[gap]
@@ -247,6 +248,17 @@ class TestComponentsAreGainLaws:
         others = [law for i in range(len(COUPLED_PAIRS)) for law in coupling_parts(i)
                   if law is not residual]
         assert all(law._quantile_jumps() == () for law in others + list(COUPLED_PAIRS[1]))
+
+    @pytest.mark.parametrize("power", [1.0, 10.0])
+    def test_a_ratio_over_a_gapped_residual_keeps_the_gap(self, power):
+        # N / (1 + P * 1) at P = 1 is N / 2, so its rate at P is N's at P / 2;
+        # over the gapped residual the ratio once took [0, inf] as its support,
+        # its rule integrated across the jump and missed by 3e-3 at P = 1
+        residual = coupling_spec(1).residuals[1]
+        half = RatioLaw(residual, PointMass(1.0), 1.0)
+        assert half._quantile_jumps() == pytest.approx(residual._quantile_jumps(), abs=1e-15)
+        a, b = ergodic_rate(half, power), ergodic_rate(residual, 0.5 * power)
+        assert abs(a.bits - b.bits) <= a.error_estimate + b.error_estimate
 
     @pytest.mark.parametrize("i", range(len(COUPLED_PAIRS)))
     def test_separated_residuals_are_ordered(self, i):
@@ -617,6 +629,8 @@ class TestResidualSeparation:
     def test_identical_vacuously_separated(self):
         d = Exponential(1.0)
         assert residual_supports_separated(d, d) is True
+        # one law under two families: p = 1, and neither residual has mass
+        assert residual_supports_separated(NakagamiGain(1.0, 2.0), Exponential(2.0)) is True
 
     def test_crossing_pair_not_separated(self):
         assert residual_supports_separated(Exponential(1.0), NakagamiGain(2.0, 1.0)) is False
@@ -629,6 +643,8 @@ class TestResidualSeparation:
             (NakagamiGain(0.5, 1.0), NakagamiGain(1.0, 2.0)),
             (NakagamiGain(2.0, 1.0), NakagamiGain(2.0, 3.0)),
             (Exponential(1.0), Exponential(1.0)),
+            # residual 1 also lives beyond 1204.75, where it has no mass in floats
+            (Exponential(1.327521222406658), NakagamiGain(3.766184804426287, 4.905605958262259)),
         ]
         for d1, d2 in pairs:
             verdict = check_usual_order(d1, d2)

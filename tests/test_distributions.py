@@ -175,7 +175,8 @@ CONTRACT_LAWS = [
 # the laws whose quantile is an exact inversion of the cdf, not an atom search
 INVERTED_LAWS = [d for d in CONTRACT_LAWS if distributions.step_atoms(d) is None]
 BELOW_SUPPORT = [-math.inf, -1e300, -1.0, math.nan]
-FAR_ABOVE = [1e300, math.inf]
+# the largest double too: a kernel's x / mean or x * rate overflows there
+FAR_ABOVE = [1e300, np.finfo(float).max, math.inf]
 
 
 STEP_LAWS = st.one_of(
@@ -211,11 +212,11 @@ class TestEvaluationContract:
                     == (d.cdf(0.0), d.ccdf(0.0), d.ccdf_left(0.0)))
             for x in FAR_ABOVE:
                 assert (d.cdf(x), d.ccdf(x), d.ccdf_left(x)) == (1.0, 0.0, 0.0), x
-            # the smallest subnormal; the largest double still warns (an overflow)
+            # the smallest subnormal
             tiny = (d.cdf(5e-324), d.ccdf(5e-324), d.ccdf_left(5e-324))
             assert all(0.0 <= v <= 1.0 for v in tiny), tiny
             if d.continuous:
-                assert [d.pdf(x) for x in BELOW_SUPPORT + FAR_ABOVE] == [0.0] * 6
+                assert [d.pdf(x) for x in BELOW_SUPPORT + FAR_ABOVE] == [0.0] * 7
                 assert d.pdf(-0.0) == d.pdf(0.0)
             else:
                 with pytest.raises(ValueError, match="has no density"):
@@ -786,6 +787,18 @@ class TestRatioLawStructure:
                                      0.0, math.inf, epsabs=1e-14, epsrel=1e-13)[0]
         (x, w), (xc, wc) = distributions.law_nodes(law), distributions.law_nodes(law, 12)
         assert abs(w @ x - exact) <= abs(w @ x - wc @ xc) <= 1e-5
+
+    def test_a_step_ratio_reads_its_own_atoms(self):
+        # two fair coins put atoms at 0, 1 / (1 + P) and 1; the ccdf compared
+        # fl(z (1 + P)) with N's atom at 1, which rounds below it for 46 of
+        # these powers, so it read 0.5 at 1 / (1 + P) for the mass 0.25 above
+        for power in np.linspace(0.05, 3.0, 300):
+            law = RatioLaw(BernoulliGain(0.5), BernoulliGain(0.5), float(power))
+            values, masses = law.atoms()
+            assert values.size == 3, power
+            for v in values:
+                assert law.ccdf(v) == masses[values > v].sum(), (power, v)
+                assert law.quantile(law.cdf(v)) == v, (power, v)
 
     def test_nested_ratio_repros(self):
         # a mixed N over an atomless D read 0 at every z: its N had no atom above 0
