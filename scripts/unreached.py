@@ -1,5 +1,6 @@
 """Print, per module of src/gainorder, the executable lines that neither the
-tier-1 tests nor one seed of both benchmark workloads run.
+tier-1 tests nor one seed of both benchmark workloads run, and fail on any
+that ALLOWED does not name.
 
     python scripts/unreached.py [--seed 7] [--workloads sampling exact] [--no-tests]
 
@@ -11,8 +12,10 @@ bench/workloads.py writes for the seed.  A line is executable where a code
 object compiled from its module starts one; def, class and decorator lines and
 docstrings are left out, as they run at import, not when the code they define
 does.  Code that runs only in a subprocess a test starts is not seen.  The
-tracer about doubles the suite's run time, so this is a tool to run by hand,
-not a CI step.  The exit code is pytest's.
+suite runs under hypothesis's derandomized ci profile, so each run draws the
+same examples.  The tracer about doubles the suite's run time, so CI runs this
+as a job of its own, beside the tier-1 tests.  The exit code is 1 if pytest
+fails or if an unreached line is not in ALLOWED, else 0.
 """
 
 from __future__ import annotations
@@ -31,6 +34,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gainorder"
+
+# (module, stripped line text) of each line that may stay unreached, and why
+ALLOWED = {
+    ("cli.py", "sys.exit(main())"):
+        "runs only when the module runs as a script, which the tracer does not see",
+    ("distributions.py", "raise NotImplementedError"):
+        "the base to_spec, for laws with no JSON form (a RatioLaw, a coupling part), "
+        "which no caller asks for one",
+    ("stochastic_order.py", "ys = []"):
+        "two distinct gamma densities cross, so where their log-density ratio has an "
+        "interior extremum it has two roots in exact arithmetic; the branch guards a "
+        "tangency that rounding loses",
+}
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -104,19 +120,27 @@ def main(argv=None) -> int:
             import pytest
 
             status = int(pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", str(ROOT),
-                                      str(ROOT / "tests")]))
+                                      "--hypothesis-profile=ci", str(ROOT / "tests")]))
         run_workloads(args.workloads, args.seed)
     finally:
         sys.settrace(None)
         threading.settrace(None)
 
+    unexplained = 0
     for path in sorted(PACKAGE.glob("*.py")):
         missed = sorted(executable_lines(path) - {n for f, n in seen if f == str(path)})
         text = path.read_text().splitlines()
         print(f"{path.name}: {len(missed)} unreached")
         for n in missed:
-            print(f"  {n:5d}  {text[n - 1].strip()}")
-    return status
+            why = ALLOWED.get((path.name, text[n - 1].strip()))
+            unexplained += why is None
+            print(f"  {n:5d}  {text[n - 1].strip()}" + (f"  [allowed: {why}]" if why else ""))
+    if status:
+        print(f"pytest exited {status}")
+    if unexplained:
+        print(f"{unexplained} unreached lines are not in ALLOWED: reach each by a test, "
+              "or name it in ALLOWED with its reason")
+    return int(bool(status or unexplained))
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ bits per channel use with C(x) = (1/2) log2(1 + x); the 1/2 factor is kept
 uniformly, including for the complex-noise interference model, to match the
 convention the sufficient conditions were stated under.
 Every expectation over the gain laws goes through one rule,
-distributions.law_nodes: a step law's atoms are summed exactly, and an atomless
+distributions.law_nodes: a step law's atoms are summed exactly, and any other
 gain is integrated in quantile space by Gauss-Legendre on fixed panels, with the
 distance to a coarser companion rule as the error estimate.  Each law memoizes
 its rules, so rates that share a law share its nodes.  The closed form via the
@@ -131,15 +131,13 @@ def _rate(expectation, *laws: GainDistribution) -> RateValue:
 def ergodic_rate(d: GainDistribution, power: float) -> RateValue:
     """Ergodic rate E[C(H * power)] of a single fading link.
 
-    A step law is summed exactly over its atoms; an atomless gain is
-    integrated in quantile space by 24-point Gauss-Legendre on each of 22
-    panels (distributions.law_nodes), and the error estimate is the distance
-    to the 12-point companion rule on the same panels.
+    A step law is summed exactly over its atoms; any other gain is
+    integrated in quantile space by 24-point Gauss-Legendre on 22 panels of
+    each segment between its quantile's breaks (distributions.law_nodes), and
+    the error estimate is the distance to the 12-point companion rule.
     """
     if power < 0.0 or not math.isfinite(power):
         raise ValueError("power must be nonnegative and finite")
-    if not math.isfinite(d.mean()):
-        raise ValueError("distribution has divergent mean")
 
     def expectation(order) -> tuple[float, int]:
         x, w = law_nodes(d, order)
@@ -155,7 +153,7 @@ def pair_sum_rate(
 
     The tensor product of the two laws' rules (distributions.law_nodes):
     exact over a step law's atoms, and the quantile-space Gauss-Legendre rule
-    of ergodic_rate along each atomless gain, with the same companion error
+    of ergodic_rate along any other gain, with the same companion error
     estimate.
     """
     for p in (power_a, power_b):

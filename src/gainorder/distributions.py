@@ -120,11 +120,15 @@ class GainDistribution:
         where the family has none."""
         return None
 
-    def _quantile_jumps(self) -> tuple[float, ...]:
-        """The levels in (0, 1) at which the quantile of an atomless law jumps
-        over a gap in its support: the cdf, flat across each gap, at the top of
-        every row of _support but the last.  law_nodes breaks its panels there."""
-        return tuple(float(v) for v in self.cdf(self._support()[:-1, 1]) if 0.0 < v < 1.0)
+    def _quantile_breaks(self) -> tuple[float, ...]:
+        """The sorted levels in (0, 1) where the quantile is not smooth, which
+        law_nodes lays its panels between: where it jumps, the cdf at the top of
+        every row of _support but the last; where it is flat, both ends
+        1 - ccdf_left(a) and cdf(a) of each atom a's level interval."""
+        values = self.atoms()[0]
+        levels = np.concatenate([self.cdf(self._support()[:-1, 1]),
+                                 1.0 - self.ccdf_left(values), self.cdf(values)])
+        return tuple(float(v) for v in np.unique(levels) if 0.0 < v < 1.0)
 
     def _support(self) -> np.ndarray:
         """Sorted disjoint rows (lo, hi) holding the support: a step law's
@@ -732,18 +736,19 @@ def _panel_nodes(breaks: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray
     return _read_only((breaks[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel())
 
 
-@functools.lru_cache(maxsize=32)  # bounded: each residual with a gap has its jumps
-def _quantile_rule(order: int, jumps: tuple[float, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the `order`-point rule of law_nodes on each of its
-    22 panels of [0, 1], split at the levels `jumps`; built on first use, so
-    import does no numpy work."""
-    # a quantile is singular at u = 0 (like u^(1/m) for Nakagami-m) and at u = 1,
-    # so the panels shrink geometrically toward both ends of [0, 1]
+@functools.lru_cache(maxsize=32)  # bounded: each law with breaks has its own
+def _quantile_rule(order: int, breaks: tuple[float, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the `order`-point rule of law_nodes on 22 panels
+    of each segment of [0, 1] between consecutive `breaks`; built on first
+    use, so import does no numpy work."""
+    # a quantile is singular at u = 0 (like u^(1/m) for Nakagami-m), at u = 1
+    # and at a break, so the panels shrink geometrically toward both ends of
+    # each segment [a, b], measured from the nearer end
     edges = 10.0 ** -np.arange(10.0, 0.0, -1.0)
-    panels = np.concatenate([[0.0], edges, [0.5], 1.0 - edges[::-1], [1.0]])
-    if jumps:
-        panels = np.unique(np.concatenate([panels, jumps]))
-    return _panel_nodes(panels, order)
+    low, high, ends = np.concatenate([[0.0], edges, [0.5]]), edges[::-1], (0.0, *breaks, 1.0)
+    panels = [np.concatenate([a + (b - a) * low, b - (b - a) * high])
+              for a, b in zip(ends, ends[1:])]
+    return _panel_nodes(np.append(np.concatenate(panels), 1.0), order)
 
 
 _RULE_ORDER = 24
@@ -758,9 +763,10 @@ def step_atoms(d: GainDistribution) -> tuple[np.ndarray, np.ndarray] | None:
     return (values, masses) if masses.sum() >= 1.0 - 1e-9 else None
 
 
-def _atomless(d: GainDistribution) -> bool:
-    """Whether the atoms of d carry none of its mass."""
-    return not d.atoms()[1].any()
+def _atomic_cdf(d: GainDistribution, x: np.ndarray):
+    """Pr(X <= x, X an atom) at each x, for X drawn from d; 0.0 for an atomless law."""
+    values, masses = d.atoms()
+    return np.append(0.0, np.cumsum(masses))[np.searchsorted(values, x, "right")] if masses.size else 0.0
 
 
 def gamma_law(d: GainDistribution) -> tuple[float, float] | None:
@@ -776,13 +782,13 @@ def gamma_law(d: GainDistribution) -> tuple[float, float] | None:
 def law_nodes(d: GainDistribution, order: int = _RULE_ORDER) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x and weights w with E[f(H)] = w @ f(x) for H drawn from d.
 
-    A step law gives its atoms and masses, so the sum is exact.  An atomless
-    law gives its quantiles at a fixed Gauss-Legendre rule in u-space: 24
-    nodes on each of 22 panels by default, or the 12-node companion rule on
-    the same panels; a panel that holds a level where the quantile jumps
-    (_quantile_jumps) is split there, so no panel integrates across a jump.
-    A mixed law, such as a step numerator over a continuous denominator,
-    raises ValueError.  Each (law, order) rule is built once and memoized on
+    A step law gives its atoms and masses, so the sum is exact.  Any other
+    law, atomless or mixing atoms with an atomless part, gives its quantiles
+    at a fixed Gauss-Legendre rule in u-space: 24 nodes on each of 22 panels
+    of every segment between the levels where the quantile is not smooth
+    (_quantile_breaks) by default, or the 12-node companion rule on the same
+    panels, so no panel integrates across a jump or onto an atom's flat
+    level interval.  Each (law, order) rule is built once and memoized on
     the law as read-only arrays, so a rate, a mean and a RatioLaw share it.
     """
     rules = vars(d).setdefault("_rules", {})
@@ -791,13 +797,9 @@ def law_nodes(d: GainDistribution, order: int = _RULE_ORDER) -> tuple[np.ndarray
         rule = step_atoms(d)
         if rule is not None:
             key = None
-        elif _atomless(d):
-            u, w = _quantile_rule(order, d._quantile_jumps())
-            rule = np.asarray(d.quantile(u)), w
         else:
-            raise ValueError(
-                f"the atoms of {type(d).__name__} carry mass {d.atoms()[1].sum():.6g} < 1: "
-                "a law mixing atoms and an atomless part has no quadrature rule")
+            u, w = _quantile_rule(order, d._quantile_breaks())
+            rule = np.asarray(d.quantile(u)), w
         rules[key] = _read_only(*rule)
     return rules[key]
 
@@ -809,17 +811,16 @@ _BLOCK = 1 << 17  # kernel evaluations per block: 1 MB of doubles
 class RatioLaw(GainDistribution):
     """Law of Z = N / (1 + P D) for independent gains N (numerator) and D, P > 0.
 
-    It conditions on D, Pr(Z > z) = E_D[Pr(N > z (1 + P D))]: exactly over
-    D's atoms when D is a step law, else by the quantile-space rule of
-    law_nodes, which agrees with adaptive quadrature to about 1e-14; a mixed
-    D has no rule and raises ValueError.  A step law N over an atomless D
-    conditions on N instead, exact where the rule would integrate a step:
-    Pr(Z > z) = sum_i Pr(N = n_i) cdf_D((n_i / z - 1) / P).  Such a Z can
-    have gaps in its support, n_i / (1 + P supp D) for each atom; its own
-    rule splits at them.  A step law Z reads its ccdf, and so its cdf, off the
-    atoms it states.  Any other Z clips its ccdf into [0, 1]; the rule's
-    weights do not sum to exactly 1, so cdf(0) of an atomless law can still
-    sit a few ulps above 0.
+    Z > z iff N > z (1 + P D), so its ccdf sums where Z's mass comes from:
+    N's atoms over D's atoms, read off the atoms Z states (N = 0 keeps its
+    whole mass at 0); N's atoms n_i > 0 over D's atomless part, exactly,
+    sum_i Pr(N = n_i) Pr(D <= t_i, D not an atom), t_i = (n_i / z - 1) / P;
+    and N's atomless part over D, E_D[Pr(N > z (1 + P D), N not an atom)]
+    by the quantile-space rule of law_nodes, which agrees with adaptive
+    quadrature to about 1e-14.  Such a Z can have gaps in its support,
+    n / (1 + P supp D) for each row of N's; its own rule splits at them.  The
+    sum is clipped into [0, 1]; the rule's weights do not sum to exactly 1, so
+    cdf(0) of an atomless law can still sit a few ulps above 0.
     """
 
     numerator: GainDistribution
@@ -828,14 +829,8 @@ class RatioLaw(GainDistribution):
 
     def __post_init__(self):
         _store_checked(self, _check_positive, "power")
-        atoms = step_atoms(self.numerator) if _atomless(self.denominator) else None
-        if atoms is not None:
-            values, weights = atoms
-            nodes, weights = values[values > 0.0], weights[values > 0.0]
-        else:
-            values, weights = law_nodes(self.denominator)
-            nodes = 1.0 + self.power * values
-        object.__setattr__(self, "_rule", (atoms is not None, nodes, weights))
+        if step_atoms(self.numerator) is None:
+            law_nodes(self.denominator)  # D's rule, which the ccdf conditions on
 
     @property
     def continuous(self) -> bool:
@@ -854,39 +849,46 @@ class RatioLaw(GainDistribution):
         return out
 
     @functools.cached_property
-    def _steps(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """A step law's atoms and the mass above each cut between them, else None."""
-        atoms = step_atoms(self)
-        if atoms is None:
-            return None
-        values, masses = atoms
+    def _steps(self) -> tuple[np.ndarray, np.ndarray]:
+        """The atoms Z states and the mass above each cut between them."""
+        values, masses = self.atoms()
         return values, np.append(np.minimum(np.cumsum(masses[::-1])[::-1], 1.0), 0.0)
 
     def _ccdf(self, x):
-        if self._steps is not None:
-            # from the atoms it states, fl(n / (1 + P d)): the kernels below
-            # compare fl(z (1 + P d)) with N's atoms, which can round past one
-            values, above = self._steps
-            return above[np.searchsorted(values, x, side="right")]
-        on_numerator, nodes, weights = self._rule
-        if not on_numerator:
+        # N's atoms over D's atoms from the atoms Z states, fl(n / (1 + P d)):
+        # comparing fl(z (1 + P d)) with N's atoms could round past one
+        values, above = self._steps
+        out = above[np.searchsorted(values, x, side="right")]
+        num, den = self.numerator, self.denominator
+        if step_atoms(den) is None:
+            n_values, n_masses = num.atoms()
+            nodes, weights = n_values[n_values > 0.0], n_masses[n_values > 0.0]
+
             def kernel(z):
-                return self.numerator.ccdf(z * nodes)
-        else:
-            def kernel(z):
-                # z = 0 and subnormal z send the argument to +inf, where cdf is 1
+                # z = 0 and subnormal z send t to +inf, where both cdfs are whole
                 with np.errstate(divide="ignore", over="ignore"):
-                    return self.denominator.cdf((nodes / z - 1.0) / self.power)
-        # the rounding of the weighted sum can step a few ulps past [0, 1]
-        return np.clip(self._conditioned(kernel, x, weights), 0.0, 1.0)
+                    t = (nodes / z - 1.0) / self.power
+                return den.cdf(t) - _atomic_cdf(den, t)
+            out = out + self._conditioned(kernel, x, weights)
+        if step_atoms(num) is None:
+            values, weights = law_nodes(den)
+            nodes, mass = 1.0 + self.power * values, _atomic_cdf(num, np.inf)
+
+            def kernel(z):
+                y = z * nodes
+                return num.ccdf(y) - (mass - _atomic_cdf(num, y))
+            out = out + self._conditioned(kernel, x, weights)
+        # the rounding of the weighted sums can step a few ulps past [0, 1]
+        return np.clip(out, 0.0, 1.0)
 
     def _cdf(self, x):
         return 1.0 - self._ccdf(x)
 
     def _pdf(self, x):
         # f_Z(z) = E_D[(1 + P D) f_N(z (1 + P D))], the derivative of the ccdf's
-        # rule; a law conditioned on a step law N has no density
-        _, nodes, weights = self._rule
+        # rule; only a law with a density N has one
+        values, weights = law_nodes(self.denominator)
+        nodes = 1.0 + self.power * values
         return self._conditioned(lambda z: self.numerator.pdf(z * nodes), x, weights * nodes)
 
     def mean(self) -> float:
@@ -895,14 +897,13 @@ class RatioLaw(GainDistribution):
         return self.numerator.mean() * float(weights @ (1.0 / (1.0 + self.power * values)))
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        # N = 0 keeps its whole mass at 0; each other atom of N pairs with each of D
         values, masses = self.numerator.atoms()
-        if _atomless(self.denominator):
-            # only N = 0 keeps Z on an atom
-            return values[values == 0.0], masses[values == 0.0]
         den_values, den_masses = self.denominator.atoms()
-        ratios = np.divide.outer(values, 1.0 + self.power * den_values).ravel()
+        zero = values == 0.0
+        ratios = np.append(values[zero], np.divide.outer(values[~zero], 1.0 + self.power * den_values))
         z, idx = np.unique(ratios, return_inverse=True)
-        return z, np.bincount(idx.ravel(), np.outer(masses, den_masses).ravel(), z.size)
+        return z, np.bincount(idx, np.append(masses[zero], np.outer(masses[~zero], den_masses)), z.size)
 
     def _support(self) -> np.ndarray:
         # z = n / (1 + P d) falls as d grows; the products merged where they meet

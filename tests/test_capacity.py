@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import gainorder.capacity
-from gainorder import (BernoulliGain, Exponential, GainDistribution, NakagamiGain, PointMass,
-                       RatioExpExp, RatioLaw, distribution_from_spec)
+from gainorder import (BernoulliGain, Empirical, Exponential, GainDistribution, NakagamiGain,
+                       PointMass, RatioExpExp, RatioLaw, distribution_from_spec)
 from gainorder.capacity import (
     RateRegion,
     RateValue,
@@ -67,6 +68,7 @@ class TestErgodicRate:
     def test_exponential_closed_form_value(self):
         # e * E1(1) / (2 ln 2), frozen from the exponential-integral oracle
         assert exponential_rate_closed_form(1.0, 1.0) == pytest.approx(0.430173691135443, abs=1e-12)
+        assert exponential_rate_closed_form(1.0, 0.0) == 0.0
 
     def test_routes_agree_for_exponential(self):
         quad_rate = ergodic_rate(Exponential(1.0), 1.0)
@@ -112,6 +114,14 @@ class TestErgodicRate:
         with pytest.raises(ValueError):
             ergodic_rate(Exponential(1.0), -1.0)
 
+    def test_a_finite_rate_of_a_huge_gain(self):
+        # the sample mean 1e308 overflows to inf with a warning, and the rate
+        # refused the law as having a divergent mean
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ergodic_rate(Empirical((1e308, 1e308)), 1.0)
+        assert got == RateValue(0.5 * math.log2(1.0 + 1e308), "closed_form", 0.0)
+
     @pytest.mark.parametrize("build", [
         lambda: RatioExpExp(2.0, 0.5, 1.0, num_shape=2.5),
         lambda: RatioLaw(Exponential(1.0), NakagamiGain(2.0, 1.0), 1.0),
@@ -150,17 +160,11 @@ class TestErgodicRate:
 
 
 class TestRateByStructure:
-    # each structure kind alone (den None), and the ratio of each pair of
-    # kinds with a rule for D
+    # each structure kind alone (den None), and the ratio of each pair of kinds
     @pytest.mark.parametrize("num, den", [(num, den) for num in STRUCTURE_KINDS
-                                          for den in (None, "step", "atomless", "gapped",
-                                                      "continuous")])
+                                          for den in (None, *STRUCTURE_KINDS)])
     def test_rate_against_monte_carlo(self, num, den):
         law, draw, kind = STRUCTURE_KINDS[num] if den is None else ratio_of_kinds(num, den)
-        if kind == "mixed":
-            with pytest.raises(ValueError, match="no quadrature rule"):
-                ergodic_rate(law, 1.0)
-            return
         got = ergodic_rate(law, 1.0)
         assert got.method == ("closed_form" if kind == "step" else "quadrature")
         n = 200_000
@@ -176,7 +180,17 @@ class TestRateByStructure:
         exact = sum(p * quad(lambda e: 0.5 * math.log2(1.0 + n * (1.0 + e) / (3.0 + e))
                              * math.exp(-e), 0.0, math.inf, epsabs=1e-14, epsrel=1e-13)[0]
                     for n, p in ((1.0, 2.0 / 3.0), (10.0, 1.0 / 3.0)))
-        assert abs(got.bits - exact) <= got.error_estimate <= 1e-5
+        assert abs(got.bits - exact) <= got.error_estimate <= 1e-10
+
+    @pytest.mark.parametrize("q, power", [(0.5, 1.0), (0.1, 0.3), (0.9, 20.0)])
+    def test_mixed_law_against_adaptive_quadrature(self, q, power):
+        # Z = B / (1 + P E) holds mass 1 - q at 0, where C(0) = 0, and spreads
+        # q over (0, 1]; law_nodes had no rule for it, and the rate raised
+        law = RatioLaw(BernoulliGain(q), Exponential(1.0), power)
+        got = ergodic_rate(law, 1.0)
+        exact = q * quad(lambda e: 0.5 * math.log2(1.0 + 1.0 / (1.0 + power * e)) * math.exp(-e),
+                         0.0, math.inf, epsabs=1e-14, epsrel=1e-13)[0]
+        assert abs(got.bits - exact) <= got.error_estimate <= 1e-9
 
 
 class TestPairSumRate:
@@ -210,12 +224,19 @@ class TestPairSumRate:
         mc = np.mean(0.5 * np.log2(1 + b + e))
         assert abs(got.bits - mc) < 1e-3
 
-    def test_law_mixing_atoms_and_a_density_rejected(self):
+    def test_law_mixing_atoms_and_a_density_against_quadrature(self):
         # Bernoulli over Exponential keeps an atom at 0 of mass 1/2 and spreads
-        # the rest; summing the atom alone returned 0.25 bits, 1e6 draws 0.593
+        # the rest; summing the atom alone returned 0.25 bits, 1e6 draws 0.593.
+        # With the point mass at 1: E[C(Z + 1)] = C(1) / 2 + E[C(1 + 1 / (1 + E))] / 2
         mixed = RatioLaw(BernoulliGain(0.5), Exponential(1.0), 1.0)
-        with pytest.raises(ValueError, match="mass 0.5 < 1"):
-            pair_sum_rate(mixed, 1.0, PointMass(1.0), 1.0)
+        got = pair_sum_rate(mixed, 1.0, PointMass(1.0), 1.0)
+        exact = 0.25 + 0.5 * quad(lambda e: 0.5 * math.log2(2.0 + 1.0 / (1.0 + e)) * math.exp(-e),
+                                  0.0, math.inf, epsabs=1e-14, epsrel=1e-13)[0]
+        assert abs(got.bits - exact) <= got.error_estimate <= 1e-9
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="powers must be nonnegative"):
+            pair_sum_rate(Exponential(1.0), -1.0, Exponential(2.0), 1.0)
 
     def test_zero_power_collapses_to_single_link(self):
         got = pair_sum_rate(Exponential(1.0), 0.0, Exponential(2.0), 1.0)
@@ -310,6 +331,16 @@ class TestRegionGeometry:
         payload = region.to_json()
         assert payload["constraints"][0] == {"a1": 1.0, "a2": 0.0, "b": 1.0}
         assert [0.0, 0.0] in payload["vertices"]
+
+    def test_no_constraint_and_an_empty_region_raise(self):
+        with pytest.raises(ValueError, match="at least one rate constraint"):
+            region_from_constraints([])
+        with pytest.raises(ValueError, match="rate region is empty"):
+            region_from_constraints([(1.0, 0.0, -1.0)])
+
+    def test_a_negative_rate_lies_outside(self):
+        region = region_from_constraints([(1, 0, 1.0), (0, 1, 1.0)])
+        assert not region.contains(-1.0, 0.0) and region.contains(0.0, 0.0)
 
 
 class TestStrongICRegion:

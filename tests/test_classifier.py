@@ -223,6 +223,24 @@ class TestChainSearch:
         # candidate orders (1175 here); the search reads one per edge it tries
         assert len(reads) <= 200
 
+    @pytest.mark.parametrize("tol", [None, 0.1])
+    def test_the_search_finds_the_chain_the_mean_order_misses(self, tol):
+        # the sample's mean, 5.855, puts the point mass first, but 19 of its 20
+        # values lie below 1; within the tolerance it lies below the point mass
+        s = BCScenario((PointMass(1.0), Empirical((0.9,) * 19 + (100.0,))), power=1.0)
+        report = classify_bc(s, tol=tol)
+        assert report.verdict and report.permutation == (2, 1)
+        assert [name for name, _ in report.order_checks] == ["user2_leq_user1"]
+
+    def test_past_six_users_only_the_mean_order_is_tried(self):
+        # the pair above among five larger point masses: every pair compares,
+        # but the mean order fails and seven users take no search, so the
+        # report is negative and names no incomparable pair
+        gains = (PointMass(1.0), Empirical((0.9,) * 19 + (100.0,)),
+                 *(PointMass(100.0 * i) for i in range(2, 7)))
+        report = classify_bc(BCScenario(gains, power=1.0))
+        assert not report.verdict and report.order_checks == [] and report.witnesses == []
+
 
 class TestClassifyICStrong:
     def test_exponential_means_1221_strong(self):

@@ -597,6 +597,14 @@ DEGENERATE_INPUTS = [
                                                        {"family": "exponential", "mean": 1.0}])),
     ("classify {scenario}", dict(BC_OK, distributions=[{"family": []},
                                                        {"family": "exponential", "mean": 1.0}])),
+    ("classify {scenario}", dict(BC_OK, distributions=[{"family": "empirical", "values": [-1.0]},
+                                                       {"family": "exponential", "mean": 1.0}])),
+    ("classify {scenario}", dict(BC_OK, distributions=[{"family": "empirical", "values": [{}]},
+                                                       {"family": "exponential", "mean": 1.0}])),
+    ("classify {scenario}", dict(IC_STRONG_BAD, condition="weak")),
+    ("classify {scenario}", dict(IC_STRONG_BAD, dependence="sideways")),
+    ("markov-check {scenario}", weak_chain_with(k=0)),
+    ("markov-check {scenario}", dict(MARKOV_EX3, weak=[])),
     ("classify {scenario} --tolerance nan", BC_OK),
     ("classify {scenario} --tolerance inf", IC_STRONG_BAD),
     ("classify {scenario} --tolerance -1e-9", BC_OK),
@@ -708,3 +716,11 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert code == 2
         assert "error:" in err and "Traceback" not in err
+
+    def test_a_scenario_file_that_is_not_json_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text('{"topology": "bc",')
+        code = main(["classify", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "is not valid JSON" in err and err.count("\n") == 1

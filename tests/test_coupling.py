@@ -241,13 +241,13 @@ class TestComponentsAreGainLaws:
         fm, residual = spec._fmin, spec.residuals[1]
         (gap,) = np.flatnonzero(~fm.live[1])
         assert residual._support().tolist() == [[0.0, fm.lo[gap]], [fm.hi[gap], math.inf]]
-        (jump,) = residual._quantile_jumps()
+        (jump,) = residual._quantile_breaks()
         # (the float cdf wobbles by a few ulps below the gap)
         assert residual.quantile(jump - 1e-12) <= fm.lo[gap]
         assert residual.quantile(jump + 1e-12) >= fm.hi[gap]
         others = [law for i in range(len(COUPLED_PAIRS)) for law in coupling_parts(i)
                   if law is not residual]
-        assert all(law._quantile_jumps() == () for law in others + list(COUPLED_PAIRS[1]))
+        assert all(law._quantile_breaks() == () for law in others + list(COUPLED_PAIRS[1]))
 
     @pytest.mark.parametrize("power", [1.0, 10.0])
     def test_a_ratio_over_a_gapped_residual_keeps_the_gap(self, power):
@@ -256,7 +256,7 @@ class TestComponentsAreGainLaws:
         # its rule integrated across the jump and missed by 3e-3 at P = 1
         residual = coupling_spec(1).residuals[1]
         half = RatioLaw(residual, PointMass(1.0), 1.0)
-        assert half._quantile_jumps() == pytest.approx(residual._quantile_jumps(), abs=1e-15)
+        assert half._quantile_breaks() == pytest.approx(residual._quantile_breaks(), abs=1e-15)
         a, b = ergodic_rate(half, power), ergodic_rate(residual, 0.5 * power)
         assert abs(a.bits - b.bits) <= a.error_estimate + b.error_estimate
 
@@ -591,6 +591,10 @@ class TestCopula:
         report = verify_copula_axioms(product_copula)
         assert report.passed
 
+    def test_unsorted_grid_rejected(self):
+        with pytest.raises(ValueError, match="grid must be sorted inside"):
+            verify_copula_axioms(min_copula, np.array([0.0, 0.5, 0.25, 1.0]))
+
     def test_average_fails_boundary(self):
         report = verify_copula_axioms(lambda u, v: (np.asarray(u) + np.asarray(v)) / 2.0)
         assert not report.passed
@@ -631,6 +635,8 @@ class TestResidualSeparation:
         assert residual_supports_separated(d, d) is True
         # one law under two families: p = 1, and neither residual has mass
         assert residual_supports_separated(NakagamiGain(1.0, 2.0), Exponential(2.0)) is True
+        with pytest.raises(ValueError, match="has no mass in floating point"):
+            maximal_coupling_spec(NakagamiGain(1.0, 2.0), Exponential(2.0)).residuals
 
     def test_crossing_pair_not_separated(self):
         assert residual_supports_separated(Exponential(1.0), NakagamiGain(2.0, 1.0)) is False

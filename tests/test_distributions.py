@@ -762,7 +762,7 @@ class TestRatioLawStructure:
     KS_BAND = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * N_DRAWS))
     ABSCISSAE = np.concatenate([[0.0], np.geomspace(1e-3, 8.0, 40)])
 
-    @pytest.mark.parametrize("den", [k for k in STRUCTURE_KINDS if k != "mixed"])
+    @pytest.mark.parametrize("den", list(STRUCTURE_KINDS))
     @pytest.mark.parametrize("num", list(STRUCTURE_KINDS))
     def test_ccdf_against_monte_carlo(self, num, den):
         law, draw, kind = ratio_of_kinds(num, den)
@@ -771,22 +771,40 @@ class TestRatioLawStructure:
         empirical = (z[:, None] > self.ABSCISSAE).mean(axis=0)
         assert np.max(np.abs(law.ccdf(self.ABSCISSAE) - empirical)) <= self.KS_BAND
 
-    @pytest.mark.parametrize("num", list(STRUCTURE_KINDS))
-    def test_mixed_denominator_has_no_rule(self, num):
-        # conditioning on a mixed D needs a quadrature rule, and law_nodes has none
-        with pytest.raises(ValueError, match="mass 0.5 < 1"):
-            ratio_of_kinds(num, "mixed")
-
     def test_gapped_support_splits_the_rule(self):
         law = STRUCTURE_KINDS["gapped"][0]
-        assert law._quantile_jumps() == pytest.approx((2.0 / 3.0,), abs=1e-15)
+        assert law._quantile_breaks() == pytest.approx((2.0 / 3.0,), abs=1e-15)
         # E[Z] = E[N] E[1 / (1 + D)] = 4 E[(1 + E) / (3 + E)], the second
         # factor by scipy's adaptive quadrature; a panel across the jump put the
-        # rule's mean 1e-2 off
+        # rule's mean 1e-2 off, and panels merely split there 1e-6
         exact = 4.0 * integrate.quad(lambda e: (1.0 + e) / (3.0 + e) * math.exp(-e),
                                      0.0, math.inf, epsabs=1e-14, epsrel=1e-13)[0]
         (x, w), (xc, wc) = distributions.law_nodes(law), distributions.law_nodes(law, 12)
-        assert abs(w @ x - exact) <= abs(w @ x - wc @ xc) <= 1e-5
+        assert abs(w @ x - exact) <= abs(w @ x - wc @ xc) <= 1e-9
+
+    def test_an_atom_breaks_the_rule_at_both_ends_of_its_levels(self):
+        # B / (1 + E) holds mass 1/2 at 0: its quantile is 0 on [0, 1/2] and
+        # continuous above, so the rule lays out 22 panels on each side of 1/2
+        law = STRUCTURE_KINDS["mixed"][0]
+        assert law._quantile_breaks() == pytest.approx((0.5,), abs=1e-15)
+        x, w = distributions.law_nodes(law)
+        assert x.size == 2 * 22 * 24 and np.all(x[: 22 * 24] == 0.0) and np.all(x[22 * 24:] > 0.0)
+
+    def test_nested_mixed_laws_read_their_atoms(self):
+        # Z = 1 / (1 + P D), D = 1 / (1 + P' B / (1 + E)): D holds mass 1/2 at
+        # 1 and spreads the rest below it, so Z holds 1/2 at 1 / (1 + P) and
+        # spreads the rest above it.  Conditioning on N's atom alone, with
+        # Pr(D < t) = 1 - ccdf_left_D(t), reads the ccdf 1.0 at 58 of these
+        # atoms and ccdf_left 1.5, as t = (1 / z - 1) / P rounds to either side
+        # of D's atom; a mixed D once raised
+        for inner in (0.5, 1.0, 4.0):
+            d = RatioLaw(PointMass(1.0), RatioLaw(BernoulliGain(0.5), Exponential(1.0), 1.0), inner)
+            assert d.atoms()[0].tolist() == [1.0]
+            for power in np.linspace(0.05, 3.0, 60):
+                law = RatioLaw(PointMass(1.0), d, float(power))
+                (atom,), (mass,) = law.atoms()
+                assert mass == 0.5 and atom == 1.0 / (1.0 + power)
+                assert law.ccdf(atom) == 0.5 and law.ccdf_left(atom) == 1.0, (inner, power)
 
     def test_a_step_ratio_reads_its_own_atoms(self):
         # two fair coins put atoms at 0, 1 / (1 + P) and 1; the ccdf compared
@@ -873,6 +891,7 @@ class TestSpecRoundTrip:
             {"family": "ratio_exp_exp", "num_mean": 1.0, "den_mean": 0.1, "power": 1.0},
             {"family": "ratio_exp_exp", "num_mean": 1.0, "den_mean": 0.1, "power": 1.0,
              "num_shape": 2.5},
+            {"family": "empirical", "values": [0.5, 1.0, 1.0]},
         ],
         ids=lambda s: s["family"],
     )

@@ -98,6 +98,8 @@ class TestSuperState:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             super_state(0, 1, 3)
+        with pytest.raises(ValueError, match="state index 5 outside 0..1"):
+            super_state_index((5,), 2)
         with pytest.raises(ValueError):
             super_state(10, 2, 3)
 
@@ -130,6 +132,10 @@ class TestComparablePairs:
 
     def test_single_state(self):
         assert comparable_pairs(1, 1) == [(1, 1)]
+
+    def test_no_order_or_no_state_rejected(self):
+        with pytest.raises(ValueError, match="need k >= 1 and N >= 1"):
+            comparable_pairs(0, 2)
 
     def test_cardinality_is_triangular_power(self):
         for k, n in ((1, 4), (2, 3), (3, 2)):

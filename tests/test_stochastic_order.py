@@ -366,6 +366,12 @@ print("both rejected")
 
 
 class TestOrderVerdictInvariants:
+    def test_a_verdict_against_its_witnesses_raises(self):
+        with pytest.raises(ValueError, match="EQUAL verdict carries no witnesses"):
+            OrderVerdict(Relation.EQUAL, (), (2.0,), 0.5, 1e-9)
+        with pytest.raises(ValueError, match="INCOMPARABLE verdict needs witnesses"):
+            OrderVerdict(Relation.INCOMPARABLE, (1.0,), (), 0.5, 1e-9)
+
     def test_rejected_under_python_O(self):
         # python -O strips assert statements, so the invariants must raise
         src = str(Path(gainorder.__file__).resolve().parents[1])

@@ -146,6 +146,10 @@ class TestCopulaEquivalence:
         assert verify_copula_equivalence(NakagamiGain(2.0, 1.0), NakagamiGain(2.0, 3.0),
                                          n=50_000, seed=3).passed
 
+    def test_minimum_sample_size(self):
+        with pytest.raises(ValueError, match="at least 1e4 samples"):
+            verify_copula_equivalence(Exponential(1.0), Exponential(2.0), n=9_999)
+
 
 def _loop_statistic(d1, d2, n, seed, independent_control):
     """The copula statistic as a 20 x 20 loop over the joint masks."""
