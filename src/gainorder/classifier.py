@@ -155,7 +155,11 @@ def classify_bc(s: BCScenario, tol: float | None = None) -> ClassificationReport
     indices, each level in increasing order, extends a path only along pairs
     whose first law is below the second, and returns the lexicographically
     first chain: the first permutation that chains, without visiting the
-    orders whose prefix already fails.  Each unordered pair is checked once.
+    orders whose prefix already fails.  Past six users every pair is checked;
+    when none is incomparable, each pair is ordered one way at least, so a
+    chain exists (every tournament has a Hamiltonian path), and inserting the
+    users in mean order into a path finds one.  Each unordered pair is
+    checked once.
     """
     gains = list(s.gains)
     k = len(gains)
@@ -173,8 +177,8 @@ def classify_bc(s: BCScenario, tol: float | None = None) -> ClassificationReport
 
     order = sorted(range(k), key=lambda i: gains[i].mean())
     chain = _try_chain(check, order)
-    if chain is None and k <= 6:
-        order = _first_chain(check, k)
+    if chain is None and (k <= 6 or _find_incomparable_pair(check, k) is None):
+        order = _first_chain(check, k) if k <= 6 else _inserted_chain(check, order)
         if order is not None:
             chain = _try_chain(check, order)
     report = ClassificationReport(
@@ -226,6 +230,25 @@ def _first_chain(check, k):
         return False
 
     return path if extend() else None
+
+
+def _inserted_chain(check, order):
+    """A path through the users of `order`, each law below the next, when no
+    pair is incomparable: each user in turn goes at the front, at the end, or
+    by bisection between a user below it and one above it."""
+    path = []
+    for j in order:
+        # path[lo] lies below j (or lo = -1) and j below path[hi] (or hi is
+        # past the end): a pair that is not first_leq is ordered the other way
+        lo, hi = -1, len(path)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if check(path[mid], j).first_leq:
+                lo = mid
+            else:
+                hi = mid
+        path.insert(hi, j)
+    return path
 
 
 def _find_incomparable_pair(check, k):

@@ -6,7 +6,7 @@ generalized-inverse quantile inf{x : F(x) >= u}, and inverse-transform
 sampling.  Values are immutable after construction and every method is a pure
 function, so instances can be shared freely across threads; RNG state always
 lives with the caller, who passes uniform variates in.  A law's caches (its
-quadrature rules, quantile tables) fill idempotently on first use, so that holds.
+atom table, rules and quantile tables) fill idempotently on first use, so that holds.
 """
 
 from __future__ import annotations
@@ -52,11 +52,11 @@ class GainDistribution:
     """Base class for nonnegative-support scalar gain distributions.
 
     A family states only its formulas, as kernels on a flat float array of
-    abscissae x >= 0, +inf included: _cdf, _ccdf (1 - _cdf unless given) and,
-    for a law with a density (`continuous`), _pdf; and its atoms, which alone
-    decide its structure: a step law's carry all of its mass (step_atoms), an
-    atomless law's none, a mixed law's some.  This class owns the rest of the
-    evaluation contract:
+    abscissae x >= 0, +inf included: _cdf (none for a step law: _atomic_cdf),
+    _ccdf (1 - _cdf unless given) and, for a law with a density (`continuous`),
+    _pdf; and its atoms, read once into _atom_table, which alone decide its
+    structure: a step law's carry all of its mass (step_atoms), an atomless
+    law's none, a mixed law's some.  This class owns the rest of the contract:
     - any array-like argument, the result in its shape, a float for a scalar;
     - below the support, x < 0 or NaN: cdf 0, ccdf and ccdf_left 1, pdf 0;
     - pdf raises ValueError for a law without a density (continuous False);
@@ -94,14 +94,23 @@ class GainDistribution:
         """Left limit Pr(X >= x) = ccdf(x) + Pr(X = x)."""
         return _evaluate(self._ccdf_left, x, 1.0)
 
+    def _atomic_cdf(self, x):
+        """Pr(X <= x, X an atom), 0.0 for an atomless law; _cdf unless a family states one."""
+        values, _, below = self._atom_table
+        return below[values.searchsorted(x, "right")] if values.size else 0.0
+
+    _cdf = _atomic_cdf
+
     def _ccdf(self, x):
         return 1.0 - self._cdf(x)
 
     def _ccdf_left(self, x):
-        out = self._ccdf(x)
-        for v, m in zip(*self.atoms()):
-            out = out + np.where(x == v, m, 0.0)
-        return out
+        values, masses, _ = self._atom_table
+        if not values.size:
+            return self._ccdf(x)
+        # the atom at or above x, which is x's own if x is one (NaN sorts last)
+        i = np.minimum(values.searchsorted(x), values.size - 1)
+        return self._ccdf(x) + np.where(values[i] == x, masses[i], 0.0)
 
     def quantile(self, u):
         """Generalized inverse inf{x : cdf(x) >= u} for u in [0, 1]."""
@@ -111,7 +120,7 @@ class GainDistribution:
         if atoms is None:
             out = _invert_cdf(self._cdf, flat, self._quantile_estimate(flat))
         else:
-            xs = np.asarray(atoms[0], dtype=float)
+            xs = atoms[0]
             out = xs[np.minimum(np.searchsorted(self.cdf(xs), flat, side="left"), xs.size - 1)]
         return out.reshape(u.shape) if u.ndim else float(out[0])
 
@@ -125,7 +134,7 @@ class GainDistribution:
         law_nodes lays its panels between: where it jumps, the cdf at the top of
         every row of _support but the last; where it is flat, both ends
         1 - ccdf_left(a) and cdf(a) of each atom a's level interval."""
-        values = self.atoms()[0]
+        values = self._atom_table[0]
         levels = np.concatenate([self.cdf(self._support()[:-1, 1]),
                                  1.0 - self.ccdf_left(values), self.cdf(values)])
         return tuple(float(v) for v in np.unique(levels) if 0.0 < v < 1.0)
@@ -145,6 +154,14 @@ class GainDistribution:
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """(values, masses) of the point masses; both empty for an atomless law."""
         return np.empty(0), np.empty(0)
+
+    @functools.cached_property
+    def _atom_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """atoms() once, read-only: the values as doubles, the masses, and the
+        atomic mass at or below each cut between them, [0, cumsum(masses)]."""
+        values, masses = self.atoms()
+        below = np.concatenate(([0.0], masses)).cumsum()
+        return _read_only(np.asarray(values, dtype=float), masses, below)
 
     def mean(self) -> float:
         x, w = law_nodes(self)
@@ -462,9 +479,6 @@ class BernoulliGain(GainDistribution):
     def __post_init__(self):
         _store_checked(self, _check_probability, "q")
 
-    def _cdf(self, x):
-        return np.where(x >= 1.0, 1.0, 1.0 - self.q)
-
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         values, masses = np.array([0.0, 1.0]), np.array([1.0 - self.q, self.q])
         return values[masses > 0.0], masses[masses > 0.0]
@@ -482,9 +496,6 @@ class PointMass(GainDistribution):
 
     def __post_init__(self):
         _store_checked(self, _check_nonnegative, "value")
-
-    def _cdf(self, x):
-        return np.where(x >= self.value, 1.0, 0.0)
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array([self.value]), np.array([1.0])
@@ -759,14 +770,8 @@ def step_atoms(d: GainDistribution) -> tuple[np.ndarray, np.ndarray] | None:
     """(values, masses) of the atoms of a step law, whose atoms carry all of
     its mass (to 1e-9), so that its cdf is constant between them; None for
     any other law."""
-    values, masses = d.atoms()
-    return (values, masses) if masses.sum() >= 1.0 - 1e-9 else None
-
-
-def _atomic_cdf(d: GainDistribution, x: np.ndarray):
-    """Pr(X <= x, X an atom) at each x, for X drawn from d; 0.0 for an atomless law."""
-    values, masses = d.atoms()
-    return np.append(0.0, np.cumsum(masses))[np.searchsorted(values, x, "right")] if masses.size else 0.0
+    values, masses, below = d._atom_table
+    return (values, masses) if below[-1] >= 1.0 - 1e-9 else None
 
 
 def gamma_law(d: GainDistribution) -> tuple[float, float] | None:
@@ -792,16 +797,13 @@ def law_nodes(d: GainDistribution, order: int = _RULE_ORDER) -> tuple[np.ndarray
     the law as read-only arrays, so a rate, a mean and a RatioLaw share it.
     """
     rules = vars(d).setdefault("_rules", {})
-    key = None if None in rules else order  # a step law has one rule, its atoms
-    if key not in rules:
+    if order not in rules:
         rule = step_atoms(d)
-        if rule is not None:
-            key = None
-        else:
+        if rule is None:
             u, w = _quantile_rule(order, d._quantile_breaks())
             rule = np.asarray(d.quantile(u)), w
-        rules[key] = _read_only(*rule)
-    return rules[key]
+        rules[order] = _read_only(*rule)
+    return rules[order]
 
 
 _BLOCK = 1 << 17  # kernel evaluations per block: 1 MB of doubles
@@ -849,34 +851,33 @@ class RatioLaw(GainDistribution):
         return out
 
     @functools.cached_property
-    def _steps(self) -> tuple[np.ndarray, np.ndarray]:
-        """The atoms Z states and the mass above each cut between them."""
-        values, masses = self.atoms()
-        return values, np.append(np.minimum(np.cumsum(masses[::-1])[::-1], 1.0), 0.0)
+    def _above(self) -> np.ndarray:
+        """The mass of Z's atoms above each cut between them, summed from the top."""
+        masses = self._atom_table[1]
+        return np.append(np.minimum(np.cumsum(masses[::-1])[::-1], 1.0), 0.0)
 
     def _ccdf(self, x):
         # N's atoms over D's atoms from the atoms Z states, fl(n / (1 + P d)):
         # comparing fl(z (1 + P d)) with N's atoms could round past one
-        values, above = self._steps
-        out = above[np.searchsorted(values, x, side="right")]
+        out = self._above[self._atom_table[0].searchsorted(x, "right")]
         num, den = self.numerator, self.denominator
         if step_atoms(den) is None:
-            n_values, n_masses = num.atoms()
+            n_values, n_masses, _ = num._atom_table
             nodes, weights = n_values[n_values > 0.0], n_masses[n_values > 0.0]
 
             def kernel(z):
                 # z = 0 and subnormal z send t to +inf, where both cdfs are whole
                 with np.errstate(divide="ignore", over="ignore"):
                     t = (nodes / z - 1.0) / self.power
-                return den.cdf(t) - _atomic_cdf(den, t)
+                return den.cdf(t) - den._atomic_cdf(t)
             out = out + self._conditioned(kernel, x, weights)
         if step_atoms(num) is None:
             values, weights = law_nodes(den)
-            nodes, mass = 1.0 + self.power * values, _atomic_cdf(num, np.inf)
+            nodes, mass = 1.0 + self.power * values, num._atomic_cdf(np.inf)
 
             def kernel(z):
                 y = z * nodes
-                return num.ccdf(y) - (mass - _atomic_cdf(num, y))
+                return num.ccdf(y) - (mass - num._atomic_cdf(y))
             out = out + self._conditioned(kernel, x, weights)
         # the rounding of the weighted sums can step a few ulps past [0, 1]
         return np.clip(out, 0.0, 1.0)
@@ -898,8 +899,8 @@ class RatioLaw(GainDistribution):
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         # N = 0 keeps its whole mass at 0; each other atom of N pairs with each of D
-        values, masses = self.numerator.atoms()
-        den_values, den_masses = self.denominator.atoms()
+        values, masses, _ = self.numerator._atom_table
+        den_values, den_masses, _ = self.denominator._atom_table
         zero = values == 0.0
         ratios = np.append(values[zero], np.divide.outer(values[~zero], 1.0 + self.power * den_values))
         z, idx = np.unique(ratios, return_inverse=True)

@@ -264,9 +264,7 @@ def _verdict_from_gaps(xs: np.ndarray, diff: np.ndarray, tol: float) -> OrderVer
 def _ccdf_eval_points(d1, d2, points: np.ndarray):
     """The abscissae 0, points and the atoms of either law, with both laws'
     ccdfs there; the left limits at the atoms are appended."""
-    atoms1, _ = d1.atoms()
-    atoms2, _ = d2.atoms()
-    atoms = np.unique(np.concatenate([atoms1, atoms2])) if (atoms1.size or atoms2.size) else np.empty(0)
+    atoms = np.union1d(d1._atom_table[0], d2._atom_table[0])
     xs = np.unique(np.concatenate([[0.0], points, atoms]))
     c1 = np.asarray(d1.ccdf(xs), dtype=float)
     c2 = np.asarray(d2.ccdf(xs), dtype=float)

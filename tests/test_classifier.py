@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
@@ -189,6 +189,9 @@ BC_GAINS = st.one_of(
 )
 
 
+SAMPLE_BELOW_ONE = Empirical((0.9,) * 19 + (100.0,))
+
+
 class TestChainSearch:
     """The depth-first chain search against every permutation in order."""
 
@@ -227,19 +230,53 @@ class TestChainSearch:
     def test_the_search_finds_the_chain_the_mean_order_misses(self, tol):
         # the sample's mean, 5.855, puts the point mass first, but 19 of its 20
         # values lie below 1; within the tolerance it lies below the point mass
-        s = BCScenario((PointMass(1.0), Empirical((0.9,) * 19 + (100.0,))), power=1.0)
+        s = BCScenario((PointMass(1.0), SAMPLE_BELOW_ONE), power=1.0)
         report = classify_bc(s, tol=tol)
         assert report.verdict and report.permutation == (2, 1)
         assert [name for name, _ in report.order_checks] == ["user2_leq_user1"]
 
-    def test_past_six_users_only_the_mean_order_is_tried(self):
-        # the pair above among five larger point masses: every pair compares,
-        # but the mean order fails and seven users take no search, so the
-        # report is negative and names no incomparable pair
-        gains = (PointMass(1.0), Empirical((0.9,) * 19 + (100.0,)),
-                 *(PointMass(100.0 * i) for i in range(2, 7)))
+    @pytest.mark.parametrize("gains,permutation", [
+        # the pair above among five larger point masses: the sample goes in front
+        ((PointMass(1.0), SAMPLE_BELOW_ONE, *(PointMass(100.0 * i) for i in range(2, 7))),
+         (2, 1, 3, 4, 5, 6, 7)),
+        # the sample lies above the point masses below 0.9: bisection puts it
+        # between the one at 0.75 and the one at 1
+        ((PointMass(0.25), PointMass(0.5), PointMass(0.75), PointMass(1.0), SAMPLE_BELOW_ONE,
+          PointMass(200.0), PointMass(300.0)), (1, 2, 3, 5, 4, 6, 7)),
+    ])
+    def test_past_six_users_the_insertion_finds_the_chain_the_mean_order_misses(
+            self, gains, permutation):
+        # every pair compares and the mean order fails; seven users once took
+        # no search, so the report read negative and named no pair
         report = classify_bc(BCScenario(gains, power=1.0))
-        assert not report.verdict and report.order_checks == [] and report.witnesses == []
+        assert report.verdict and report.permutation == permutation
+        assert [name for name, _ in report.order_checks] == [
+            f"user{a}_leq_user{b}" for a, b in zip(permutation, permutation[1:])]
+
+    @settings(max_examples=40, deadline=None)
+    @given(gains=st.lists(BC_GAINS, min_size=2, max_size=9),
+           tol=st.one_of(st.none(), st.sampled_from([0.0, 1e-6, 0.05])))
+    # no pair is incomparable at tolerance 0.05, and within it the Nakagami
+    # gain of mean 1 lies below the ratio of mean 0.92, so the mean order
+    # fails; seven users once took no search and read negative
+    @example(gains=[RatioExpExp(1.0, 1.0, 0.0), RatioExpExp(2.0, 2.0, 1.0),
+                    RatioExpExp(2.0, 1.0, 1.0, num_shape=2.0), RatioExpExp(2.0, 1.0, 0.0),
+                    NakagamiGain(0.5, 1.0), PointMass(0.0), NakagamiGain(1.0, 1.0)], tol=0.05)
+    def test_a_report_is_a_chain_or_names_an_incomparable_pair(self, gains, tol):
+        # with no incomparable pair each pair is ordered one way at least, and
+        # such a tournament always has a Hamiltonian path, so a chain exists
+        report = classify_bc(BCScenario(tuple(gains), power=1.0), tol=tol)
+        if report.verdict:
+            order = [i - 1 for i in report.permutation]
+            assert sorted(order) == list(range(len(gains)))
+            assert [name for name, _ in report.order_checks] == [
+                f"user{a + 1}_leq_user{b + 1}" for a, b in zip(order, order[1:])]
+            assert all(verdict.first_leq for _, verdict in report.order_checks)
+        else:
+            ((name, verdict),) = report.order_checks
+            i, j = (int(user) - 1 for user in name.removeprefix("user").split("_vs_user"))
+            assert verdict.relation is Relation.INCOMPARABLE
+            assert check_usual_order(gains[i], gains[j], tol=tol) == verdict
 
 
 class TestClassifyICStrong:

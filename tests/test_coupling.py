@@ -444,9 +444,8 @@ def fast_path_spec(i):
 
 
 PAIR_INDEX = st.sampled_from(range(len(FAST_PATH_PAIRS)))
-# below 1e300: the marginals' kernels still warn of an overflow near the
-# largest double, with or without the fast paths (ROADMAP item 2)
-ABSCISSAE = st.lists(st.one_of(st.floats(0.0, 20.0), st.floats(0.0, 1e300), st.just(math.inf),
+ABSCISSAE = st.lists(st.one_of(st.floats(0.0, 20.0), st.floats(0.0, np.finfo(float).max),
+                               st.just(math.inf),
                                st.floats(-math.inf, 0.0)), min_size=1, max_size=20)
 
 
@@ -487,9 +486,14 @@ class TestFastPaths:
         # reads what the masked references read, normalized by the part's mass
         fm, on = spec._fmin, x >= 0.0
         assert np.array_equal(fm.segment(x), searchsorted_segment(fm, x))
-        assert same_doubles(fm.unnorm(x[on]), masked_unnorm(fm, x[on]))
+        # near the largest double a marginal's kernel overflows on its way to
+        # its limit there, which the public evaluation lets pass too
+        with np.errstate(over="ignore"):
+            unnorm = fm.unnorm(x[on])
+            residuals = [fm.residual(k, x[on]) for k in (0, 1)]
+        assert same_doubles(unnorm, masked_unnorm(fm, x[on]))
         for k in (0, 1):
-            assert same_doubles(fm.residual(k, x[on]), masked_residual(fm, k, x[on]))
+            assert same_doubles(residuals[k], masked_residual(fm, k, x[on]))
         shared = masked_unnorm(fm, x)
         top = fm.unnorm(np.array([np.inf]))[0]
         assert same_doubles(spec.shared.cdf(x), np.where(shared < top, shared / spec.p, 1.0))

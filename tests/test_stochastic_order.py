@@ -276,6 +276,15 @@ class TestExactOrder:
         assert dense.max() <= exact.max() + 1e-14
         assert dense.min() >= exact.min() - 1e-14
 
+    def test_a_law_of_200000_atoms_is_checked_at_each(self):
+        # Z1 = H21 / (1 + P2 H22) of a very strong interference check, for an
+        # empirical H21 over a Bernoulli H22: the left limits at its atoms are
+        # one lookup, where a sum over the atoms took time quadratic in them
+        sample = Empirical.from_samples(np.random.default_rng(0).exponential(size=100_000))
+        z1 = RatioLaw(sample, BernoulliGain(0.5), 1.0)
+        assert z1.atoms()[0].size == 200_000
+        assert check_usual_order(Exponential(1.0), z1).relation is Relation.SECOND_LEQ
+
     def test_classify_bc_on_gamma_and_step_laws_builds_no_grid(self, monkeypatch):
         calls = []
 
