@@ -87,7 +87,12 @@ def exponential_rate_closed_form(mean_gain: float, power: float) -> float:
     """
     if power == 0.0:
         return 0.0
-    arg = 1.0 / (power * mean_gain)
+    snr = float(power * mean_gain)
+    arg = 1.0 / snr if snr else math.inf
+    if arg == math.inf:
+        # e^x E1(x) = (1 - 1/x + 2/x^2 - ...) / x is 1/x to the double once
+        # x = 1/(P s) passes the largest one: P s is subnormal or underflowed
+        return snr / (2.0 * _LN2)
     return _scaled_exp1(arg) / (2.0 * _LN2)
 
 

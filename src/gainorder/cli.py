@@ -36,36 +36,15 @@ from .classifier import (
     classify_wtc,
 )
 from .coupling import comonotone_samples, maximal_coupling_samples, maximal_coupling_spec
-from .distributions import Exponential, build_ratio, distribution_from_spec
+from .distributions import Exponential, _json_list, _require, build_ratio, distribution_from_spec
 from .markov import check_markov_degraded, markov_spec_from_json
 from .verify import _open_uniform, run_verification_suite
 
 __all__ = ["main"]
 
 
-class ScenarioError(ValueError):
-    """Malformed scenario input; maps to exit code 2."""
-
-
-def _require(obj: dict, name: str, where: str = "scenario"):
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{where} must be a JSON object")
-    if name not in obj:
-        raise ScenarioError(f"{where} missing field '{name}'")
-    return obj[name]
-
-
-def _number(value, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where} must be a number, got {value!r}") from exc
-
-
 def _distributions(obj: dict) -> tuple:
-    dists = _require(obj, "distributions")
-    if not isinstance(dists, list):
-        raise ScenarioError("field 'distributions' must be a list of distribution specs")
+    dists = _json_list(_require(obj, "distributions"), "field 'distributions'")
     return tuple(_distribution(d, f"distributions[{i}]") for i, d in enumerate(dists))
 
 
@@ -73,45 +52,39 @@ def _distribution(obj, where: str):
     try:
         return distribution_from_spec(obj)
     except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def load_scenario(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
+        raise ValueError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"scenario file {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise ScenarioError(f"scenario file {path} must hold a JSON object")
+        raise ValueError(f"scenario file {path} must hold a JSON object")
     return obj
 
 
 def parse_bc(obj: dict) -> BCScenario:
-    gains = _distributions(obj)
-    return BCScenario(gains=gains, power=_number(_require(obj, "power"), "field 'power'"))
+    return BCScenario(gains=_distributions(obj), power=_require(obj, "power"))
 
 
 def parse_ic(obj: dict) -> tuple[ICScenario, str]:
     gains = _require(obj, "gains")
-    powers = _require(obj, "powers")
-    if not (isinstance(powers, (list, tuple)) and len(powers) == 2):
-        raise ScenarioError("field 'powers' must be a two-element list [P1, P2]")
+    powers = _json_list(_require(obj, "powers"), "field 'powers'")
+    if len(powers) != 2:
+        raise ValueError("field 'powers' must be a two-element list [P1, P2]")
     condition = _require(obj, "condition")
     if condition not in ("strong", "very_strong"):
-        raise ScenarioError(f"field 'condition' must be 'strong' or 'very_strong', got {condition!r}")
-    parsed = {}
-    for name in ("h11", "h12", "h21", "h22"):
-        parsed[name] = _distribution(_require(gains, name, "gains"), f"gains.{name}")
-    scenario = ICScenario(
-        **parsed,
-        p1=_number(powers[0], "powers[0]"),
-        p2=_number(powers[1], "powers[1]"),
-        dependence=obj.get("dependence", "independent"),
-    )
+        raise ValueError(f"field 'condition' must be 'strong' or 'very_strong', got {condition!r}")
+    parsed = {name: _distribution(_require(gains, name, "gains"), f"gains.{name}")
+              for name in ("h11", "h12", "h21", "h22")}
+    scenario = ICScenario(**parsed, p1=powers[0], p2=powers[1],
+                          dependence=obj.get("dependence", "independent"))
     return scenario, condition
 
 
@@ -119,7 +92,7 @@ def parse_wtc(obj: dict) -> WTCScenario:
     return WTCScenario(
         legitimate=_distribution(_require(obj, "legitimate"), "legitimate"),
         eavesdropper=_distribution(_require(obj, "eavesdropper"), "eavesdropper"),
-        power=_number(_require(obj, "power"), "field 'power'"),
+        power=_require(obj, "power"),
     )
 
 
@@ -131,7 +104,7 @@ def parse_markov_pair(obj: dict):
 def parse_pair(obj: dict):
     dists = _distributions(obj)
     if len(dists) != 2:
-        raise ScenarioError("coupling scenarios need exactly two distributions")
+        raise ValueError("coupling scenarios need exactly two distributions")
     return dists
 
 
@@ -210,7 +183,7 @@ def _classified(obj: dict, topology: str, tol: float | None = None) -> tuple:
     elif topology == "wtc":
         scenario, classify = parse_wtc(obj), classify_wtc
     else:
-        raise ScenarioError(f"unknown topology {topology!r}")
+        raise ValueError(f"unknown topology {topology!r}")
     return scenario, classify(scenario, tol=tol)
 
 
@@ -219,7 +192,7 @@ def _classified_file(args, topology: str) -> tuple:
     obj = load_scenario(args.scenario)
     found = _require(obj, "topology")
     if found != topology:
-        raise ScenarioError(f"{args.command} applies to {topology!r} scenarios, not {found!r}")
+        raise ValueError(f"{args.command} applies to {topology!r} scenarios, not {found!r}")
     return _classified(obj, topology)
 
 
@@ -228,7 +201,7 @@ def cmd_classify(args) -> int:
     topology = _require(obj, "topology")
     if topology == "markov_bc":
         if args.tolerance is not None:
-            raise ScenarioError("--tolerance does not apply to a markov_bc scenario: "
+            raise ValueError("--tolerance does not apply to a markov_bc scenario: "
                                 "its certificate is exact")
         return _certify_markov(obj, args.out)
     _, report = _classified(obj, topology, args.tolerance)
@@ -282,7 +255,7 @@ def _figure_columns(fig: int) -> tuple[list[str], list[tuple[float, float, float
             [f"diff_P{p:g}" for p in (1.0, 10.0, 50.0, 100.0)],
             [(0.1, 1.0, p) for p in (1.0, 10.0, 50.0, 100.0)],
         )
-    raise ScenarioError(f"unknown figure id {fig}; only 3 and 4 are available")
+    raise ValueError(f"unknown figure id {fig}; only 3 and 4 are available")
 
 
 def cmd_figure(args) -> int:

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import (GainDistribution, _hermite_inverse, _invert_cdf, _open_unit,
-                            _panel_nodes, _table_levels)
+                            _panel_nodes, _read_only, _table_levels)
 from .stochastic_order import DensitySegment, density_segments
 
 __all__ = [
@@ -254,7 +254,7 @@ class _ResidualPart(_Part):
             slopes = self._mass / (np.asarray(fm.dists[k].pdf(xs))
                                    - np.asarray(fm.dists[1 - k].pdf(xs)))
         # a wobbling cdf can read lower at a larger point
-        return np.maximum.accumulate(self._cdf(xs)), xs, slopes
+        return _read_only(np.maximum.accumulate(self._cdf(xs)), xs, slopes)
 
     def _quantile_estimate(self, u):
         """Cubic Hermite interpolation of the inverse in _table, then two

@@ -306,7 +306,7 @@ def _table_levels() -> np.ndarray:
     quantile is singular."""
     low = np.exp(np.linspace(-34.5, 0.0, 256))
     low = low / (1.0 + low)
-    return np.unique(np.concatenate([low, 1.0 - low]))
+    return _read_only(np.unique(np.concatenate([low, 1.0 - low])))[0]
 
 
 def _hermite_inverse(table, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -366,11 +366,13 @@ def _gammaincc(a: float, x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     out[~series] = gammaincc(a, x[~series])
     xs = x[series]
-    # S = sum_{n >= 1} (-x)^n / (n! (a + n)); 1.1^31 / 31! < 1e-31
-    term, total = np.ones_like(xs), np.zeros_like(xs)
-    for n in range(1, 32):
-        term *= -xs / n
-        total += term / (a + n)
+    # S = sum_{n >= 1} (-x)^n / (n! (a + n)); 1.1^31 / 31! < 1e-31.  Each row's
+    # running product and running sum take the terms in order, as a loop over
+    # n would; a row holds 31 doubles, so the rows go in blocks
+    n, total = np.arange(1, 32), np.empty_like(xs)
+    for i in range(0, xs.size, _BLOCK // 32):
+        rows = slice(i, i + _BLOCK // 32)
+        total[rows] = np.cumsum(np.cumprod(-xs[rows, None] / n, axis=1) / (a + n), axis=1)[:, -1]
     y = a * np.log(xs) - _lgamma1p(a)  # ln(x^a / Gamma(1 + a))
     out[series] = -np.expm1(y) - a * np.exp(y) * total
     return out
@@ -460,7 +462,7 @@ class NakagamiGain(GainDistribution):
         xs = np.concatenate([gammaincinv(self.m, levels[half]),
                              gammainccinv(self.m, 1.0 - levels[~half])]) * (self.w / self.m)
         with np.errstate(divide="ignore"):
-            return levels, xs, 1.0 / self._pdf(xs)
+            return _read_only(levels, xs, 1.0 / self._pdf(xs))
 
     def mean(self) -> float:
         return self.w
@@ -733,7 +735,7 @@ class RatioExpExp(GainDistribution):
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays, flagged read-only: a cached rule is shared by every caller."""
+    """The arrays, flagged read-only: a cached table or rule is shared by every caller."""
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -854,7 +856,7 @@ class RatioLaw(GainDistribution):
     def _above(self) -> np.ndarray:
         """The mass of Z's atoms above each cut between them, summed from the top."""
         masses = self._atom_table[1]
-        return np.append(np.minimum(np.cumsum(masses[::-1])[::-1], 1.0), 0.0)
+        return _read_only(np.append(np.minimum(np.cumsum(masses[::-1])[::-1], 1.0), 0.0))[0]
 
     def _ccdf(self, x):
         # N's atoms over D's atoms from the atoms Z states, fl(n / (1 + P d)):
@@ -924,10 +926,14 @@ class Empirical(GainDistribution):
     continuous = False
 
     def __post_init__(self):
-        try:
-            arr = np.array(self.values, dtype=float)
-        except TypeError as exc:
-            raise ValueError(f"empirical sample must be a list of numbers: {exc}") from exc
+        arr = np.array(self.values)  # a copy, flagged read-only below
+        if arr.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in arr.flat):
+            arr = arr.astype(float)  # Python ints past 64 bits
+        if arr.dtype.kind not in "biuf":  # a real, as for a gain parameter: never a string
+            import reprlib
+            raise ValueError("empirical sample must be a list of numbers, "
+                             f"got {reprlib.repr(self.values)}")
+        arr = arr.astype(float, copy=False)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("empirical sample must be a nonempty flat list of values")
         if np.any(~np.isfinite(arr)) or np.any(arr < 0.0):
@@ -940,7 +946,7 @@ class Empirical(GainDistribution):
 
     @classmethod
     def from_samples(cls, samples) -> "Empirical":
-        return cls(values=tuple(np.sort(np.asarray(samples, dtype=float))))
+        return cls(values=np.sort(np.asarray(samples)))
 
     def _cdf(self, x):
         return np.searchsorted(self._sorted, x, side="right") / self._sorted.size
@@ -1008,32 +1014,42 @@ class EvaluationGrid:
         return cls.log_spaced(max(d1.tail_quantile(), d2.tail_quantile(), 1e-6))
 
 
+_SPEC = "distribution spec"
 _FAMILIES: dict[str, Callable[[dict], GainDistribution]] = {
-    "exponential": lambda s: Exponential(mean_gain=_field(s, "mean")),
-    "nakagami_gain": lambda s: NakagamiGain(m=_field(s, "m"), w=_field(s, "w")),
-    "bernoulli": lambda s: BernoulliGain(q=_field(s, "q")),
-    "point_mass": lambda s: PointMass(value=_field(s, "value")),
+    "exponential": lambda s: Exponential(mean_gain=_require(s, "mean", _SPEC)),
+    "nakagami_gain": lambda s: NakagamiGain(m=_require(s, "m", _SPEC), w=_require(s, "w", _SPEC)),
+    "bernoulli": lambda s: BernoulliGain(q=_require(s, "q", _SPEC)),
+    "point_mass": lambda s: PointMass(value=_require(s, "value", _SPEC)),
     "ratio_exp_exp": lambda s: RatioExpExp(
-        num_mean=_field(s, "num_mean"), den_mean=_field(s, "den_mean"), power=_field(s, "power"),
-        num_shape=s.get("num_shape", 1.0),
+        num_mean=_require(s, "num_mean", _SPEC), den_mean=_require(s, "den_mean", _SPEC),
+        power=_require(s, "power", _SPEC), num_shape=s.get("num_shape", 1.0),
     ),
-    "empirical": lambda s: Empirical(values=_field(s, "values")),
+    "empirical": lambda s: Empirical(values=_require(s, "values", _SPEC)),
 }
 
 
-def _field(spec: dict, name: str):
-    if name not in spec:
-        raise ValueError(f"distribution spec missing field '{name}': {spec!r}")
-    return spec[name]
+def _require(obj, name: str, where: str = "scenario"):
+    """obj[name], once obj is a JSON object that holds it: the one reader of a
+    required field of a scenario file, gain laws and Markov chains included."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {obj!r}")
+    if name not in obj:
+        raise ValueError(f"{where} missing field '{name}'")
+    return obj[name]
+
+
+def _json_list(value, where: str) -> list:
+    """value itself, once it is a JSON list: the one reader of a list field."""
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a list, got {value!r}")
+    return value
 
 
 def distribution_from_spec(spec: dict) -> GainDistribution:
     """Build a distribution from its JSON descriptor, e.g. {"family": "exponential", "mean": 2.0}."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"distribution spec must be an object, got {spec!r}")
-    family = spec.get("family")
+    family = _require(spec, "family", _SPEC)
     if not isinstance(family, str) or family not in _FAMILIES:
-        raise ValueError(f"unknown distribution family '{family}'")
+        raise ValueError(f"unknown distribution family {family!r}")
     return _FAMILIES[family](spec)
 
 

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .distributions import _open_unit
+from .distributions import _json_list, _open_unit, _require
 
 __all__ = [
     "MarkovChannelSpec",
@@ -160,7 +160,8 @@ def super_state_index(indices, N: int) -> int:
 class MarkovChannelSpec:
     """One k-th order finite-state Markov fading channel, kept as integer laws.
 
-    Built from states (strictly increasing gain values), order k, matrix (the
+    Built from states (strictly increasing gain values), order k (a whole
+    number >= 1, kept as an int: 2.0 reads as 2, True is refused), matrix (the
     row-stochastic N^k x N^k transition matrix over super-states), initial (the
     joint law of H(0), ..., H(k-1)) and early_conditionals, optional (history,
     pmf) pairs: the next state's law after 1..k-1 state values, which condition
@@ -182,9 +183,10 @@ class MarkovChannelSpec:
         states = tuple(map(float, parsed.convert(states)))
         if not states or any(b <= a for a, b in zip(states, states[1:])):
             raise ValueError("state values must be a nonempty, strictly increasing list")
-        n, k = len(states), order
-        if k < 1:
-            raise ValueError("chain order must be >= 1")
+        whole = isinstance(order, (numbers.Integral, float)) and order % 1 == 0  # not nan, inf
+        if isinstance(order, bool) or not whole or order < 1:  # a count: True is not one
+            raise ValueError(f"chain order k must be a whole number >= 1, got {order!r}")
+        n, k = len(states), int(order)
         if n > 1 and k > len(matrix):  # then n^k > len(matrix): spare the huge power
             raise ValueError(f"transition matrix must have {n}^{k} rows")
         n_super = n**k
@@ -252,34 +254,20 @@ def markov_spec_from_json(obj: dict) -> MarkovChannelSpec:
     """Build a chain spec from its JSON form:
     {"k": 1, "states": [...], "matrix": [[...]], "initial": [...],
      "early_conditionals": [{"history": [...], "pmf": [...]}, ...]}.
-    Matrix entries may be numbers or fraction strings like "1/3"."""
-    if not isinstance(obj, dict):
-        raise ValueError("markov chain spec must be a JSON object")
-    for fieldname in ("k", "states", "matrix", "initial"):
-        if fieldname not in obj:
-            raise ValueError(f"markov chain spec missing field '{fieldname}'")
-    k = obj["k"]
-    if isinstance(k, bool) or not (isinstance(k, int) or isinstance(k, float) and k.is_integer()):
-        raise ValueError(f"field 'k' must be a whole number, got {k!r}")
-    early = _json_list(obj.get("early_conditionals", []), "field 'early_conditionals'")
-    if not all(isinstance(e, dict) and "history" in e and "pmf" in e for e in early):
-        raise ValueError("each early conditional must be an object with 'history' and 'pmf'")
+    Probabilities and states may be numbers or fraction strings like "1/3";
+    the spec checks every value, k included."""
+    where, entry = "markov chain spec", "each early conditional"
     return MarkovChannelSpec(
-        states=_json_list(obj["states"], "field 'states'"),
-        order=int(k),
+        states=_json_list(_require(obj, "states", where), "field 'states'"),
+        order=_require(obj, "k", where),
         matrix=tuple(_json_list(row, "each matrix row")
-                     for row in _json_list(obj["matrix"], "field 'matrix'")),
-        initial=_json_list(obj["initial"], "field 'initial'"),
-        early_conditionals=tuple((_json_list(e["history"], "each early history"),
-                                  _json_list(e["pmf"], "each early pmf")) for e in early),
+                     for row in _json_list(_require(obj, "matrix", where), "field 'matrix'")),
+        initial=_json_list(_require(obj, "initial", where), "field 'initial'"),
+        early_conditionals=tuple(
+            (_json_list(_require(e, "history", entry), "each early history"),
+             _json_list(_require(e, "pmf", entry), "each early pmf"))
+            for e in _json_list(obj.get("early_conditionals", []), "field 'early_conditionals'")),
     )
-
-
-def _json_list(value, where: str) -> list:
-    """value itself, once it is a list: the spec keeps tuples of what it reads."""
-    if not isinstance(value, list):
-        raise ValueError(f"{where} must be a list, got {value!r}")
-    return value
 
 
 def _full_matrix(table: np.ndarray, zero) -> np.ndarray:

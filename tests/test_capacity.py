@@ -70,6 +70,26 @@ class TestErgodicRate:
         assert exponential_rate_closed_form(1.0, 1.0) == pytest.approx(0.430173691135443, abs=1e-12)
         assert exponential_rate_closed_form(1.0, 0.0) == 0.0
 
+    @pytest.mark.parametrize("mean, power", [(1.0, 1e-300), (1.0, 1e-310), (1.0, 1e-320),
+                                             (1e-160, 1e-160), (1e-200, 1e-200), (1.0, 5e-324)])
+    def test_exponential_closed_form_where_the_snr_underflows(self, mean, power):
+        # e^x E1(x) = U(1, 1, x), x = 1 / (P s); past the largest double the
+        # rate is P s / (2 ln 2), which is subnormal or 0
+        with mpmath.workprec(200):
+            x = 1 / (mpmath.mpf(mean) * mpmath.mpf(power))
+            oracle = float(mpmath.hyperu(1, 1, x) / (2 * mpmath.log(2)))
+        rate = exponential_rate_closed_form(mean, power)
+        assert abs(rate - oracle) <= 2 * np.spacing(oracle)
+
+    @pytest.mark.parametrize("mean, power, bits", [
+        (1.0, 1.0, "0x1.b87f73bc1af77p-2"), (0.1, 1.0, "0x1.0e89611ca0b8cp-4"),
+        (2.0, 1.0, "0x1.54dbc7f2d5433p-1"), (1.0, 1e-3, "0x1.79d1002f704adp-11"),
+        (1.0, 1e3, "0x1.249887e7225a2p+2"), (1e-300, 1.0, "0x1.eeacdd22425a8p-998"),
+        (1.0, 1e300, "0x1.f1df72846a159p+8"), (3.7, 0.25, "0x1.a1af229b71806p-2"),
+        (1.0, 1e-308, "0x0.52fe23e2936ccp-1022")])
+    def test_exponential_closed_form_keeps_its_bits(self, mean, power, bits):
+        assert exponential_rate_closed_form(mean, power) == float.fromhex(bits)
+
     def test_routes_agree_for_exponential(self):
         quad_rate = ergodic_rate(Exponential(1.0), 1.0)
         closed = exponential_rate_closed_form(1.0, 1.0)

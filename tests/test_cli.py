@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 
 from gainorder import classifier as classifier_module
 from gainorder import cli
+from gainorder.classifier import BCScenario, ICScenario, WTCScenario
 from gainorder.cli import _emit_csv, build_parser, main
+from gainorder.distributions import Empirical, Exponential, distribution_from_spec
+from gainorder.markov import MarkovChannelSpec
 
 BC_OK = {
     "topology": "bc",
@@ -624,6 +627,81 @@ DEGENERATE_INPUTS = [
     ("verify --force", None),
     ("verify --tolerance 0.1", None),
 ]
+
+
+def _bc_with_law(spec):
+    return dict(BC_OK, distributions=[spec, {"family": "exponential", "mean": 2.0}])
+
+
+_IC_GAINS = [distribution_from_spec(IC_STRONG_BAD["gains"][name])
+             for name in ("h11", "h12", "h21", "h22")]
+_WEAK = MARKOV_EX3["weak"]
+
+# field -> (scenario, path of the field, the library call that builds the type
+# holding its value from that value)
+NUMBER_FIELDS = {
+    "bc power": (BC_OK, ("power",),
+                 lambda v: BCScenario((Exponential(1.0), Exponential(2.0)), v)),
+    "ic powers[0]": (IC_STRONG_BAD, ("powers", 0), lambda v: ICScenario(*_IC_GAINS, v, 1.0)),
+    "ic powers[1]": (IC_STRONG_BAD, ("powers", 1), lambda v: ICScenario(*_IC_GAINS, 1.0, v)),
+    "wtc power": (WTC_OK, ("power",),
+                  lambda v: WTCScenario(Exponential(2.0), Exponential(1.0), v)),
+    "empirical entry": (_bc_with_law({"family": "empirical", "values": [0.5]}),
+                        ("distributions", 0, "values", 0), lambda v: Empirical((v,))),
+    "markov k": (MARKOV_EX3, ("weak", "k"),
+                 lambda v: MarkovChannelSpec(_WEAK["states"], v, _WEAK["matrix"],
+                                             _WEAK["initial"])),
+}
+GAIN_SPECS = ({"family": "exponential", "mean": 1.0},
+              {"family": "nakagami_gain", "m": 1.0, "w": 1.0},
+              {"family": "bernoulli", "q": 0.5},
+              {"family": "point_mass", "value": 1.0},
+              {"family": "ratio_exp_exp", "num_mean": 1.0, "den_mean": 1.0, "power": 1.0,
+               "num_shape": 1.0})
+NUMBER_FIELDS.update({
+    f"{spec['family']} {name}": (
+        _bc_with_law(spec), ("distributions", 0, name),
+        lambda v, spec=spec, name=name: distribution_from_spec(dict(spec, **{name: v})))
+    for spec in GAIN_SPECS for name in spec if name != "family"})
+
+# every field takes 1 and 1.0, so a refused spelling of 1 is refused for what it is
+NUMBER_VALUES = {"numeric string": "1", "padded string": " 1 ", "null": None, "list": [1],
+                 "object": {"value": 1}, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+                 "negative": -1.0, "zero": 0, "huge int": 10**400, "true": True, "one": 1,
+                 "whole float": 1.0}
+
+
+class TestOneRuleForANumber:
+    """A value in a scenario file is checked once, by the type that holds it:
+    the command exits 2 exactly where that type refuses the value."""
+
+    @pytest.mark.parametrize("value", NUMBER_VALUES)
+    @pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
+    def test_a_value_exits_as_the_type_that_holds_it_decides(self, tmp_path, field, value):
+        scenario, path, build = NUMBER_FIELDS[field]
+        value = NUMBER_VALUES[value]
+        scenario = json.loads(json.dumps(scenario))
+        parent = scenario
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        code, _, err = _run(["classify", write(tmp_path, "s.json", scenario)])
+        try:
+            build(value)
+            accepted = True
+        except (ValueError, OverflowError):
+            accepted = False
+        assert code in ((0, 1) if accepted else (2,)), err
+        if isinstance(value, str):
+            assert code == 2
+        if code == 2:
+            assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_a_string_power_is_not_read_as_a_number(self, tmp_path):
+        code, out, err = _run(["secrecy", write(tmp_path, "s.json", dict(WTC_OK, power=" 2 "))])
+        assert (code, out) == (2, "")
+        assert err == "error: power must be a positive finite number, got ' 2 '\n"
+
 
 # (argv before the scenario path, scenario) pairs that the fuzz test mutates
 FUZZ_BASES = [

@@ -22,6 +22,7 @@ from gainorder import (
     distribution_from_spec,
 )
 from gainorder import distributions
+from gainorder.coupling import maximal_coupling_spec
 from gainorder.distributions import gamma_law
 from test_coupling import COUPLED_PAIRS, coupling_parts
 
@@ -932,7 +933,86 @@ class TestAtomTable:
         assert [column.tolist() for column in table] == [[0.0, 1.0], [0.75, 0.25], [0.0, 0.75, 1.0]]
 
 
+def looped_gammaincc_series(a, xs):
+    """S = sum_{n >= 1} (-x)^n / (n! (a + n)) of _gammaincc, term by term."""
+    term, total = np.ones_like(xs), np.zeros_like(xs)
+    for n in range(1, 32):
+        term *= -xs / n
+        total += term / (a + n)
+    return total
+
+
+def looped_gammaincc(a, x):
+    """_gammaincc with its series summed by the loop it replaced."""
+    from scipy.special import gammaincc
+
+    series = (x > 0.0) & (x <= 1.1) & np.where(x > 0.5, 1.1 * x >= a, x >= math.exp(-0.4 / a))
+    out = np.empty_like(x)
+    out[~series] = gammaincc(a, x[~series])
+    xs = x[series]
+    y = a * np.log(xs) - distributions._lgamma1p(a)
+    out[series] = -np.expm1(y) - a * np.exp(y) * looped_gammaincc_series(a, xs)
+    return out
+
+
+class TestGammainccSeries:
+    """The series rows, a running product and a running sum each, give the
+    loop's doubles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(0.05, 1.21),
+           x=st.lists(st.floats(0.0, 1.2) | st.floats(0.0, 40.0), min_size=1, max_size=50))
+    def test_same_doubles_as_the_loop(self, a, x):
+        x = np.array(x)
+        assert same_doubles(distributions._gammaincc(a, x), looped_gammaincc(a, x))
+
+    def test_a_batch_past_a_block(self):
+        rows = distributions._BLOCK // 32
+        x = np.random.default_rng(4).uniform(0.6, 1.1, 2 * rows + 3)
+        for a in (0.3, 0.55, 1.0):
+            assert same_doubles(distributions._gammaincc(a, x), looped_gammaincc(a, x))
+
+
+class TestSharedTablesAreReadOnly:
+    """A memoized array that laws share refuses writes, so one law cannot
+    change another's."""
+
+    def tables(self):
+        ratio = RatioLaw(BernoulliGain(0.5), Exponential(1.0), 1.0)
+        residuals = maximal_coupling_spec(NakagamiGain(0.75, 1.0), Exponential(2.0)).residuals
+        return [distributions._table_levels(), *NakagamiGain(0.75, 1.0)._table,
+                ratio._above, *residuals[0]._table, *residuals[1]._table]
+
+    def test_a_write_into_each_raises(self):
+        fresh = NakagamiGain(1.3, 1.0)._table[0].copy()
+        for table in self.tables():
+            with pytest.raises(ValueError, match="read-only"):
+                table[table.size // 2] = 0.5
+        assert same_doubles(NakagamiGain(1.3, 1.0)._table[0], fresh)
+
+
 class TestEmpirical:
+    def test_a_number_is_a_real(self):
+        for values in (("0.5", " 2 "), ("1",), (0.5, "2"), (None,), ({},), (1j,)):
+            with pytest.raises(ValueError, match="empirical sample must be a list of numbers"):
+                Empirical(values)
+        assert Empirical((0, True, np.uint8(3), np.float32(3.5), 10**30)).values == \
+            (0.0, 1.0, 3.0, 3.5, 1e30)
+        with pytest.raises(ValueError, match="empirical sample must be a list of numbers"):
+            Empirical.from_samples(["2", "0.5"])
+        assert Empirical.from_samples([3, True, 0.5]).values == (0.5, 1.0, 3.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.floats(0.0, 1e308) | st.integers(0, 2**53), min_size=1))
+    def test_a_numeric_sample_keeps_its_doubles(self, values):
+        values = sorted(values)
+        assert same_doubles(Empirical(values)._sorted, np.array(values, dtype=float))
+
+    def test_the_callers_array_stays_writeable(self):
+        values = np.array([0.5, 1.0])
+        Empirical(values)
+        values[0] = 0.25
+
     def test_step_cdf_and_order_statistic_quantile(self):
         d = Empirical(values=(1.0, 2.0, 2.0, 5.0))
         assert d.cdf(0.5) == 0.0

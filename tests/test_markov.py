@@ -174,6 +174,29 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=message):
             chain4(P4, INIT4_WEAK, early)
 
+    def test_an_integral_float_order_is_that_int(self):
+        spec = MarkovChannelSpec(BINARY_STATES, 2.0, P4, INIT4_WEAK, EARLY4_WEAK)
+        reference = chain4(P4, INIT4_WEAK, EARLY4_WEAK)
+        assert spec.order == 2 and type(spec.order) is int
+        assert fraction_laws(spec) == fraction_laws(reference)
+        strong = chain4(Q4, INIT4_STRONG, EARLY4_STRONG)
+        assert check_markov_degraded(spec, strong).to_json() == \
+            check_markov_degraded(reference, strong).to_json()
+        assert MarkovChannelSpec(BINARY_STATES, np.int64(2), P4, INIT4_WEAK).order == 2
+
+    @pytest.mark.parametrize("order", [1.5, True, np.bool_(True), "2", None, [2], 0, -1, 0.0,
+                                       math.nan, math.inf])
+    def test_an_order_that_is_not_a_whole_number_is_refused(self, order):
+        with pytest.raises(ValueError, match="chain order k must be a whole number"):
+            MarkovChannelSpec(BINARY_STATES, order, P4, INIT4_WEAK)
+
+    def test_json_order_is_read_by_the_spec(self):
+        chain = {"states": list(BINARY_STATES), "matrix": [list(r) for r in P4],
+                 "initial": list(INIT4_WEAK)}
+        assert markov_spec_from_json(dict(chain, k=2.0)).order == 2
+        with pytest.raises(ValueError, match="chain order k must be a whole number"):
+            markov_spec_from_json(dict(chain, k=True))
+
     def test_json_round_trip(self):
         spec = markov_spec_from_json(
             {"k": 1, "states": list(THREE_STATES), "matrix": [list(r) for r in P3],
