@@ -39,9 +39,6 @@ PACKAGE = ROOT / "src" / "gainorder"
 ALLOWED = {
     ("cli.py", "sys.exit(main())"):
         "runs only when the module runs as a script, which the tracer does not see",
-    ("distributions.py", "raise NotImplementedError"):
-        "the base to_spec, for laws with no JSON form (a RatioLaw, a coupling part), "
-        "which no caller asks for one",
     ("stochastic_order.py", "ys = []"):
         "two distinct gamma densities cross, so where their log-density ratio has an "
         "interior extremum it has two roots in exact arithmetic; the branch guards a "

@@ -17,13 +17,13 @@ verify.mc_ergodic_rate are the independent cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .classifier import ClassificationReport, ICScenario, WTCScenario
 from .distributions import (_BLOCK, _COMPANION_ORDER, _RULE_ORDER, GainDistribution,
-                            law_nodes, step_atoms)
+                            _check_nonnegative, law_nodes, step_atoms)
 
 __all__ = [
     "RateValue",
@@ -77,7 +77,7 @@ class RateValue:
     error_estimate: float
 
     def to_json(self) -> dict:
-        return {"bits": self.bits, "method": self.method, "error_estimate": self.error_estimate}
+        return asdict(self)
 
 
 def exponential_rate_closed_form(mean_gain: float, power: float) -> float:
@@ -141,8 +141,7 @@ def ergodic_rate(d: GainDistribution, power: float) -> RateValue:
     each segment between its quantile's breaks (distributions.law_nodes), and
     the error estimate is the distance to the 12-point companion rule.
     """
-    if power < 0.0 or not math.isfinite(power):
-        raise ValueError("power must be nonnegative and finite")
+    _check_nonnegative("power", power)
 
     def expectation(order) -> tuple[float, int]:
         x, w = law_nodes(d, order)
@@ -161,9 +160,8 @@ def pair_sum_rate(
     of ergodic_rate along any other gain, with the same companion error
     estimate.
     """
-    for p in (power_a, power_b):
-        if p < 0.0 or not math.isfinite(p):
-            raise ValueError("powers must be nonnegative and finite")
+    _check_nonnegative("power_a", power_a)
+    _check_nonnegative("power_b", power_b)
 
     def expectation(order) -> tuple[float, int]:
         (xa, wa), (xb, wb) = law_nodes(d_a, order), law_nodes(d_b, order)

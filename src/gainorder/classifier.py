@@ -22,7 +22,8 @@ from .distributions import (
     RatioLaw,
     _check_nonnegative,
     _check_positive,
-    _store_checked,
+    _Checked,
+    _param,
     gamma_law,
 )
 from .stochastic_order import OrderVerdict, Relation, _empirical_parts, check_usual_order
@@ -44,20 +45,20 @@ COMONOTONE = "comonotone"
 
 
 @dataclass(frozen=True)
-class BCScenario:
+class BCScenario(_Checked):
     """K-user broadcast channel: one gain distribution per user, total power."""
 
     gains: tuple
-    power: float
+    power: float = _param(_check_positive)
 
     def __post_init__(self):
         if len(self.gains) < 2:
             raise ValueError("broadcast scenario needs at least 2 users")
-        _store_checked(self, _check_positive, "power")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class ICScenario:
+class ICScenario(_Checked):
     """Two-user interference channel; h_jk is the gain from transmitter k to receiver j.
 
     Zero powers are allowed as degenerate corners (they collapse the rate
@@ -68,26 +69,23 @@ class ICScenario:
     h12: GainDistribution
     h21: GainDistribution
     h22: GainDistribution
-    p1: float
-    p2: float
+    p1: float = _param(_check_nonnegative)
+    p2: float = _param(_check_nonnegative)
     dependence: str = INDEPENDENT
 
     def __post_init__(self):
-        _store_checked(self, _check_nonnegative, "p1", "p2")
+        super().__post_init__()
         if self.dependence not in (INDEPENDENT, COMONOTONE):
             raise ValueError(f"unknown dependence mode {self.dependence!r}")
 
 
 @dataclass(frozen=True)
-class WTCScenario:
+class WTCScenario(_Checked):
     """Wiretap channel: legitimate gain, eavesdropper gain, transmit power."""
 
     legitimate: GainDistribution
     eavesdropper: GainDistribution
-    power: float
-
-    def __post_init__(self):
-        _store_checked(self, _check_positive, "power")
+    power: float = _param(_check_positive)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -48,7 +48,30 @@ def _evaluate(kernel: Callable, x, below: float):
     return out.reshape(x.shape) if x.ndim else float(out[0])
 
 
-class GainDistribution:
+def _param(check: Callable | None = None, key: str | None = None, **kwargs):
+    """A dataclass field stating once its check(name, value), whose value _Checked
+    stores in its place, and its JSON key, read by to_spec and distribution_from_spec."""
+    return field(metadata={"check": check, "key": key}, **kwargs)
+
+
+@functools.cache
+def _params(cls) -> tuple[tuple, ...]:
+    """(name, check, key, default) of each field of a dataclass; MISSING: no default."""
+    return tuple((f.name, f.metadata.get("check"), f.metadata.get("key"), f.default)
+                 for f in fields(cls))
+
+
+class _Checked:
+    """A frozen dataclass whose fields state their checks through _param:
+    each checked field is replaced by its check's value, in field order."""
+
+    def __post_init__(self):
+        for name, check, _, _ in _params(type(self)):
+            if check is not None:
+                object.__setattr__(self, name, check(name, getattr(self, name)))
+
+
+class GainDistribution(_Checked):
     """Base class for nonnegative-support scalar gain distributions.
 
     A family states only its formulas, as kernels on a flat float array of
@@ -68,11 +91,16 @@ class GainDistribution:
     - sample, the quantile of uniform variates in (0, 1);
     - tail_quantile for a tail in (0, 1), else ValueError: the largest atom of
       a step law, else the family's finite _tail_point, quantile(1 - tail) by default;
-    - mean, by law_nodes' memoized read-only rule unless a family has a closed form.
+    - mean, by law_nodes' memoized read-only rule unless a family has a closed form;
+    - to_spec, the JSON form of a law whose class names its `family`: each
+      parameter is a dataclass field that states its check and its JSON key
+      once, through _param.
     """
 
     #: families with a density set this to True
     continuous: bool = True
+    #: the family's name in a JSON spec; None for a law with no JSON form
+    family: str | None = None
 
     # -- evaluation ---------------------------------------------------------
 
@@ -185,7 +213,15 @@ class GainDistribution:
         return self.quantile(1.0 - tail)
 
     def to_spec(self) -> dict:
-        raise NotImplementedError
+        """{"family": family} and each field off its default under its key, a tuple as a list."""
+        if self.family is None:
+            raise NotImplementedError(f"{type(self).__name__} has no JSON form")
+        spec = {"family": self.family}
+        for name, _, key, default in _params(type(self)):
+            value = getattr(self, name)
+            if value != default:
+                spec[key] = list(value) if isinstance(value, tuple) else value
+        return spec
 
 
 def _open_unit(u) -> np.ndarray:
@@ -207,7 +243,11 @@ def _levels(u) -> np.ndarray:
 def _checker(accept: Callable, message: str) -> Callable:
     """check(name, value): value as a Python number, once it is a real that accept takes."""
     def check(name: str, value):
-        if not (isinstance(value, numbers.Real) and accept(value)):
+        try:
+            ok = isinstance(value, numbers.Real) and accept(value)
+        except OverflowError:  # an int past the largest double
+            ok = False
+        if not ok:
             raise ValueError(message.format(name=name, value=value))
         return _python_number(value)
     return check
@@ -229,20 +269,12 @@ def _python_number(value):
     return value if isinstance(value, (int, float)) else float(value)
 
 
-def _store_checked(obj, check: Callable, *names: str) -> None:
-    """Replace each named field of a frozen dataclass by check(name, value)."""
-    for name in names:
-        object.__setattr__(obj, name, check(name, getattr(obj, name)))
-
-
 @dataclass(frozen=True)
 class Exponential(GainDistribution):
     """Exponential gain with mean sigma^2 (Rayleigh-fading magnitude squared)."""
 
-    mean_gain: float
-
-    def __post_init__(self):
-        _store_checked(self, _check_positive, "mean_gain")
+    mean_gain: float = _param(_check_positive, "mean")
+    family = "exponential"
 
     # x / -mean is the double -x / mean, one array pass fewer
 
@@ -273,9 +305,6 @@ class Exponential(GainDistribution):
 
     def mean(self) -> float:
         return self.mean_gain
-
-    def to_spec(self) -> dict:
-        return {"family": "exponential", "mean": self.mean_gain}
 
 
 def _upper_tail(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -387,11 +416,9 @@ class NakagamiGain(GainDistribution):
     the exponential gain with mean w.
     """
 
-    m: float
-    w: float
-
-    def __post_init__(self):
-        _store_checked(self, _check_positive, "m", "w")
+    m: float = _param(_check_positive, "m")
+    w: float = _param(_check_positive, "w")
+    family = "nakagami_gain"
 
     def _pdf(self, x):
         m, rate = self.m, self.m / self.w
@@ -467,43 +494,30 @@ class NakagamiGain(GainDistribution):
     def mean(self) -> float:
         return self.w
 
-    def to_spec(self) -> dict:
-        return {"family": "nakagami_gain", "m": self.m, "w": self.w}
-
 
 @dataclass(frozen=True)
 class BernoulliGain(GainDistribution):
     """On/off gain taking value 1 with probability q and 0 otherwise."""
 
-    q: float
+    q: float = _param(_check_probability, "q")
     continuous = False
-
-    def __post_init__(self):
-        _store_checked(self, _check_probability, "q")
+    family = "bernoulli"
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         values, masses = np.array([0.0, 1.0]), np.array([1.0 - self.q, self.q])
         return values[masses > 0.0], masses[masses > 0.0]
-
-    def to_spec(self) -> dict:
-        return {"family": "bernoulli", "q": self.q}
 
 
 @dataclass(frozen=True)
 class PointMass(GainDistribution):
     """Deterministic gain; models perfect CSIT as a degenerate distribution."""
 
-    value: float
+    value: float = _param(_check_nonnegative, "value")
     continuous = False
-
-    def __post_init__(self):
-        _store_checked(self, _check_nonnegative, "value")
+    family = "point_mass"
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array([self.value]), np.array([1.0])
-
-    def to_spec(self) -> dict:
-        return {"family": "point_mass", "value": self.value}
 
 
 _SCALED_FROM = 512.0  # t + c from which the interference term takes its scaled form
@@ -547,15 +561,14 @@ class RatioExpExp(GainDistribution):
     which the test suite checks.
     """
 
-    num_mean: float
-    den_mean: float
-    power: float
-    num_shape: float = 1.0
+    num_mean: float = _param(_check_positive, "num_mean")
+    den_mean: float = _param(_check_positive, "den_mean")
+    power: float = _param(_check_nonnegative, "power")
+    num_shape: float = _param(_check_positive, "num_shape", default=1.0)
+    family = "ratio_exp_exp"
 
     def __post_init__(self):
-        _store_checked(self, _check_positive, "num_mean", "den_mean")
-        _store_checked(self, _check_nonnegative, "power")
-        _store_checked(self, _check_positive, "num_shape")
+        super().__post_init__()
         if self.num_shape > MAX_RATIO_SHAPE:
             raise ValueError(f"num_shape must be at most {MAX_RATIO_SHAPE:g}, "
                              f"got {self.num_shape!r}")
@@ -722,17 +735,6 @@ class RatioExpExp(GainDistribution):
             todo = todo[go]
         return x
 
-    def to_spec(self) -> dict:
-        spec = {
-            "family": "ratio_exp_exp",
-            "num_mean": self.num_mean,
-            "den_mean": self.den_mean,
-            "power": self.power,
-        }
-        if self.num_shape != 1.0:
-            spec["num_shape"] = self.num_shape
-        return spec
-
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """The arrays, flagged read-only: a cached table or rule is shared by every caller."""
@@ -829,10 +831,10 @@ class RatioLaw(GainDistribution):
 
     numerator: GainDistribution
     denominator: GainDistribution
-    power: float
+    power: float = _param(_check_positive)
 
     def __post_init__(self):
-        _store_checked(self, _check_positive, "power")
+        super().__post_init__()
         if step_atoms(self.numerator) is None:
             law_nodes(self.denominator)  # D's rule, which the ccdf conditions on
 
@@ -922,13 +924,17 @@ class Empirical(GainDistribution):
     """Right-continuous step CDF of a sorted sample, kept as the tuple
     `values` and, for evaluation, once as a read-only array."""
 
-    values: tuple
+    values: tuple = _param(key="values")
     continuous = False
+    family = "empirical"
 
     def __post_init__(self):
         arr = np.array(self.values)  # a copy, flagged read-only below
         if arr.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in arr.flat):
-            arr = arr.astype(float)  # Python ints past 64 bits
+            try:
+                arr = arr.astype(float)  # Python ints past 64 bits
+            except OverflowError:  # and past the largest double
+                raise ValueError("empirical sample must be finite and nonnegative") from None
         if arr.dtype.kind not in "biuf":  # a real, as for a gain parameter: never a string
             import reprlib
             raise ValueError("empirical sample must be a list of numbers, "
@@ -962,9 +968,6 @@ class Empirical(GainDistribution):
 
     def mean(self) -> float:
         return float(np.mean(self._sorted))
-
-    def to_spec(self) -> dict:
-        return {"family": "empirical", "values": list(self.values)}
 
     @property
     def sample_size(self) -> int:
@@ -1015,16 +1018,9 @@ class EvaluationGrid:
 
 
 _SPEC = "distribution spec"
-_FAMILIES: dict[str, Callable[[dict], GainDistribution]] = {
-    "exponential": lambda s: Exponential(mean_gain=_require(s, "mean", _SPEC)),
-    "nakagami_gain": lambda s: NakagamiGain(m=_require(s, "m", _SPEC), w=_require(s, "w", _SPEC)),
-    "bernoulli": lambda s: BernoulliGain(q=_require(s, "q", _SPEC)),
-    "point_mass": lambda s: PointMass(value=_require(s, "value", _SPEC)),
-    "ratio_exp_exp": lambda s: RatioExpExp(
-        num_mean=_require(s, "num_mean", _SPEC), den_mean=_require(s, "den_mean", _SPEC),
-        power=_require(s, "power", _SPEC), num_shape=s.get("num_shape", 1.0),
-    ),
-    "empirical": lambda s: Empirical(values=_require(s, "values", _SPEC)),
+_FAMILIES: dict[str, type[GainDistribution]] = {
+    cls.family: cls
+    for cls in (Exponential, NakagamiGain, BernoulliGain, PointMass, RatioExpExp, Empirical)
 }
 
 
@@ -1050,7 +1046,13 @@ def distribution_from_spec(spec: dict) -> GainDistribution:
     family = _require(spec, "family", _SPEC)
     if not isinstance(family, str) or family not in _FAMILIES:
         raise ValueError(f"unknown distribution family {family!r}")
-    return _FAMILIES[family](spec)
+    cls = _FAMILIES[family]
+    kwargs = {}
+    for name, _, key, default in _params(cls):
+        # a field with a default is read only where present, so a present null is refused
+        if default is MISSING or key in spec:
+            kwargs[name] = _require(spec, key, _SPEC)
+    return cls(**kwargs)
 
 
 _INF_BITS = int(np.float64(np.inf).view(np.int64))

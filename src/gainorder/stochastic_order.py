@@ -33,6 +33,7 @@ from .distributions import (
     EvaluationGrid,
     GainDistribution,
     RatioLaw,
+    _check_nonnegative,
     gamma_law,
     step_atoms,
 )
@@ -146,7 +147,7 @@ def check_usual_order(
     """
     if tol is None:
         tol = default_order_tolerance(d1, d2)
-    _check_tol(tol)
+    _check_nonnegative("tolerance", tol)
     points = _extreme_points(d1, d2)
     if points is None:
         points = EvaluationGrid.for_pair(d1, d2).as_array()
@@ -237,12 +238,6 @@ def _lambert_w_lower(log_z: float) -> float:
     return y
 
 
-def _check_tol(tol: float) -> None:
-    # a NaN tolerance fails every comparison and an infinite one certifies any pair
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
-
-
 def _verdict_from_gaps(xs: np.ndarray, diff: np.ndarray, tol: float) -> OrderVerdict:
     """Verdict from the tail gaps diff = tail1 - tail2 evaluated at abscissae xs."""
     # evidence against first <=_st second, and against second <=_st first;
@@ -291,7 +286,7 @@ def check_usual_order_discrete(p, q, tol: float = 1e-12) -> OrderVerdict:
     FirstLeq iff every tail sum of p is below the matching tail sum of q:
     sum_{j>n} p_j <= sum_{j>n} q_j for all n.
     """
-    _check_tol(tol)
+    _check_nonnegative("tolerance", tol)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape or p.ndim != 1:

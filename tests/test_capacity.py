@@ -255,8 +255,19 @@ class TestPairSumRate:
         assert abs(got.bits - exact) <= got.error_estimate <= 1e-9
 
     def test_negative_power_rejected(self):
-        with pytest.raises(ValueError, match="powers must be nonnegative"):
+        with pytest.raises(ValueError) as err:
             pair_sum_rate(Exponential(1.0), -1.0, Exponential(2.0), 1.0)
+        assert str(err.value) == "power_a must be a nonnegative finite number, got -1.0"
+
+    @pytest.mark.parametrize("value", [-1.0, math.inf, math.nan, 10**400])
+    def test_a_power_that_is_not_nonnegative_and_finite_is_refused(self, value):
+        # an int past the largest double raised OverflowError, not ValueError
+        with pytest.raises(ValueError) as err:
+            ergodic_rate(Exponential(1.0), value)
+        assert str(err.value) == f"power must be a nonnegative finite number, got {value!r}"
+        with pytest.raises(ValueError) as err:
+            pair_sum_rate(Exponential(1.0), 1.0, Exponential(2.0), value)
+        assert str(err.value) == f"power_b must be a nonnegative finite number, got {value!r}"
 
     def test_zero_power_collapses_to_single_link(self):
         got = pair_sum_rate(Exponential(1.0), 0.0, Exponential(2.0), 1.0)

@@ -557,14 +557,15 @@ class TestScenarioParameterChecks:
         lambda p: BCScenario((Exponential(1.0), Exponential(2.0)), power=p),
         lambda p: WTCScenario(Exponential(2.0), Exponential(1.0), p),
     ], ids=["bc", "wtc"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan"), "1.0", None])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan"), "1.0", None,
+                                       10**400])
     def test_power_is_positive_and_finite(self, build, value):
         with pytest.raises(ValueError) as err:
             build(value)
         assert str(err.value) == f"power must be a positive finite number, got {value!r}"
 
     @pytest.mark.parametrize("name", ["p1", "p2"])
-    @pytest.mark.parametrize("value", [-1e-300, float("inf"), float("nan"), "0", None])
+    @pytest.mark.parametrize("value", [-1e-300, float("inf"), float("nan"), "0", None, 10**400])
     def test_interference_powers_are_nonnegative_and_finite(self, name, value):
         powers = {"p1": 1.0, "p2": 1.0, name: value}
         with pytest.raises(ValueError) as err:

@@ -689,7 +689,7 @@ class TestOneRuleForANumber:
         try:
             build(value)
             accepted = True
-        except (ValueError, OverflowError):
+        except ValueError:
             accepted = False
         assert code in ((0, 1) if accepted else (2,)), err
         if isinstance(value, str):
@@ -701,6 +701,12 @@ class TestOneRuleForANumber:
         code, out, err = _run(["secrecy", write(tmp_path, "s.json", dict(WTC_OK, power=" 2 "))])
         assert (code, out) == (2, "")
         assert err == "error: power must be a positive finite number, got ' 2 '\n"
+
+    def test_an_int_past_the_largest_double_is_refused_by_its_check(self, tmp_path):
+        # it exited 2 with OverflowError's "int too large to convert to float"
+        code, out, err = _run(["secrecy", write(tmp_path, "s.json", dict(WTC_OK, power=10**400))])
+        assert (code, out) == (2, "")
+        assert err == f"error: power must be a positive finite number, got {10**400!r}\n"
 
 
 # (argv before the scenario path, scenario) pairs that the fuzz test mutates

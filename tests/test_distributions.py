@@ -1029,6 +1029,12 @@ class TestEmpirical:
         with pytest.raises(ValueError):
             Empirical(values=(2.0, 1.0))
 
+    def test_an_int_past_the_largest_double_is_refused(self):
+        # converting it raised OverflowError, not the sample's ValueError
+        with pytest.raises(ValueError) as err:
+            Empirical(values=(1, 10**400))
+        assert str(err.value) == "empirical sample must be finite and nonnegative"
+
 
 class TestEvaluationGrid:
     def test_log_spacing_strictly_increasing(self):
@@ -1065,6 +1071,22 @@ class TestEvaluationGrid:
         assert EvaluationGrid.log_spaced(10.0).as_array().flags.writeable is False
 
 
+_SPEC_POSITIVE = st.floats(1e-3, 1e3) | st.integers(1, 1000) | st.just(True)
+_SPEC_NONNEGATIVE = st.floats(0.0, 1e3) | st.integers(0, 1000)
+# a strategy of valid laws of each family that has a JSON form
+SPEC_LAWS = {
+    "exponential": st.builds(Exponential, _SPEC_POSITIVE),
+    "nakagami_gain": st.builds(NakagamiGain, _SPEC_POSITIVE, _SPEC_POSITIVE),
+    "bernoulli": st.builds(BernoulliGain, st.floats(0.0, 1.0) | st.integers(0, 1)),
+    "point_mass": st.builds(PointMass, _SPEC_NONNEGATIVE),
+    "ratio_exp_exp": st.builds(RatioExpExp, _SPEC_POSITIVE, _SPEC_POSITIVE, _SPEC_NONNEGATIVE)
+    | st.builds(RatioExpExp, _SPEC_POSITIVE, _SPEC_POSITIVE, _SPEC_NONNEGATIVE,
+                st.sampled_from([1, 1.0, 2.5]) | st.floats(0.1, 128.0)),
+    "empirical": st.builds(Empirical.from_samples,
+                           st.lists(st.floats(0.0, 1e3), min_size=1, max_size=20)),
+}
+
+
 class TestSpecRoundTrip:
     @pytest.mark.parametrize(
         "spec",
@@ -1091,6 +1113,48 @@ class TestSpecRoundTrip:
     def test_missing_field_named(self):
         with pytest.raises(ValueError, match="mean"):
             distribution_from_spec({"family": "exponential"})
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), family=st.sampled_from(sorted(distributions._FAMILIES)))
+    def test_every_family_round_trips_through_json(self, data, family):
+        law = data.draw(SPEC_LAWS[family])
+        assert type(law) is distributions._FAMILIES[family]
+        spec = json.loads(json.dumps(law.to_spec()))
+        again = distribution_from_spec(spec)
+        assert again == law and again.to_spec() == law.to_spec() == spec
+
+    def test_the_round_trip_draws_every_family(self):
+        assert set(SPEC_LAWS) == set(distributions._FAMILIES)
+
+    @pytest.mark.parametrize("shape", [1, 1.0, 2.5, None])
+    def test_the_ratio_shape_is_written_only_off_its_default(self, shape):
+        law = RatioExpExp(1.0, 0.1, 1.0) if shape is None else RatioExpExp(1.0, 0.1, 1.0, shape)
+        spec = law.to_spec()
+        assert ("num_shape" in spec) is (shape == 2.5)
+        assert distribution_from_spec(json.loads(json.dumps(spec))) == law
+
+    @pytest.mark.parametrize("family", sorted(distributions._FAMILIES))
+    def test_every_family_field_has_a_json_key(self, family):
+        cls = distributions._FAMILIES[family]
+        assert cls.family == family
+        assert all(key is not None for _, _, key, _ in distributions._params(cls))
+
+    def test_a_present_null_is_refused_where_absent_takes_the_default(self):
+        base = {"family": "ratio_exp_exp", "num_mean": 1.0, "den_mean": 0.1, "power": 1.0}
+        assert distribution_from_spec(base).num_shape == 1.0
+        with pytest.raises(ValueError) as err:
+            distribution_from_spec(dict(base, num_shape=None))
+        assert str(err.value) == "num_shape must be a positive finite number, got None"
+
+    @pytest.mark.parametrize("law", [
+        RatioLaw(BernoulliGain(0.5), Exponential(1.0), 1.0),
+        *maximal_coupling_spec(Exponential(1.0), Exponential(2.0)).residuals,
+        maximal_coupling_spec(Exponential(1.0), Exponential(2.0)).shared,
+    ], ids=["ratio_law", "residual_1", "residual_2", "shared"])
+    def test_a_law_without_a_family_has_no_json_form(self, law):
+        assert law.family is None
+        with pytest.raises(NotImplementedError, match="has no JSON form"):
+            law.to_spec()
 
 
 class TestNumpyScalarParameters:
@@ -1135,6 +1199,22 @@ class TestNumpyScalarParameters:
         with pytest.raises(ValueError) as err:
             BernoulliGain(value)
         assert str(err.value) == f"success probability must lie in [0, 1], got {value!r}"
+
+    @pytest.mark.parametrize("build, message", [
+        (Exponential, "mean_gain must be a positive finite number"),
+        (lambda v: NakagamiGain(v, 1.0), "m must be a positive finite number"),
+        (BernoulliGain, "success probability must lie in [0, 1]"),
+        (PointMass, "value must be a nonnegative finite number"),
+        (lambda v: RatioExpExp(1.0, 1.0, v), "power must be a nonnegative finite number"),
+        (lambda v: RatioExpExp(1.0, 1.0, 1.0, v), "num_shape must be a positive finite number"),
+        (lambda v: RatioLaw(BernoulliGain(0.5), Exponential(1.0), v),
+         "power must be a positive finite number"),
+    ], ids=["exp", "nakagami", "bernoulli", "point", "ratio-power", "ratio-shape", "ratio-law"])
+    def test_an_int_past_the_largest_double_is_refused(self, build, message):
+        # math.isfinite raised OverflowError on it, not the check's ValueError
+        with pytest.raises(ValueError) as err:
+            build(10**400)
+        assert str(err.value) == f"{message}, got {10**400!r}"
 
     def test_bool_is_kept_as_it_is(self):
         assert Exponential(True).mean_gain is True

@@ -80,13 +80,17 @@ class TestCheckUsualOrder:
         v = check_usual_order(Exponential(2.0), Exponential(2.0), tol=0.0)
         assert v.relation is Relation.EQUAL
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9, 10**400])
     def test_rejects_a_tolerance_that_is_not_finite_and_nonnegative(self, tol):
-        # NaN used to reach the verdict builder, and inf certified any pair
-        with pytest.raises(ValueError, match="tolerance must be finite"):
+        # NaN used to reach the verdict builder, inf certified any pair, and an
+        # int past the largest double raised OverflowError
+        message = f"tolerance must be a nonnegative finite number, got {tol!r}"
+        with pytest.raises(ValueError) as err:
             check_usual_order(Exponential(2.0), Exponential(1.0), tol=tol)
-        with pytest.raises(ValueError, match="tolerance must be finite"):
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
             check_usual_order_discrete([0.5, 0.5], [1.0, 0.0], tol=tol)
+        assert str(err.value) == message
 
     def test_empirical_tolerance_default(self):
         emp = Empirical.from_samples(np.linspace(0.01, 2.0, 400))
