@@ -6,12 +6,12 @@ bits per channel use with C(x) = (1/2) log2(1 + x); the 1/2 factor is kept
 uniformly, including for the complex-noise interference model, to match the
 convention the sufficient conditions were stated under.
 Every expectation over the gain laws goes through one rule,
-distributions.law_nodes: a step law's atoms are summed exactly, and any other
-gain is integrated in quantile space by Gauss-Legendre on fixed panels, with the
-distance to a coarser companion rule as the error estimate.  Each law memoizes
-its rules, so rates that share a law share its nodes.  The closed form via the
-exponential integral for exponential gains and the Monte Carlo estimator
-verify.mc_ergodic_rate are the independent cross-checks.
+distributions.law_nodes: a step law's atoms are summed exactly, a RatioLaw over
+the product of its parts' rules, and any other gain by Gauss-Legendre in
+quantile space on fixed panels, with the distance to a coarser companion rule
+as the error estimate.  Each law memoizes its rules, so rates that share a law
+share its nodes.  The exponential-integral closed form for exponential gains and
+the Monte Carlo estimator verify.mc_ergodic_rate are the independent cross-checks.
 """
 
 from __future__ import annotations
@@ -85,6 +85,8 @@ def exponential_rate_closed_form(mean_gain: float, power: float) -> float:
 
     It is the independent check on ergodic_rate's rule for exponential gains.
     """
+    _check_nonnegative("mean_gain", mean_gain)
+    _check_nonnegative("power", power)
     if power == 0.0:
         return 0.0
     snr = float(power * mean_gain)
@@ -136,10 +138,10 @@ def _rate(expectation, *laws: GainDistribution) -> RateValue:
 def ergodic_rate(d: GainDistribution, power: float) -> RateValue:
     """Ergodic rate E[C(H * power)] of a single fading link.
 
-    A step law is summed exactly over its atoms; any other gain is
-    integrated in quantile space by 24-point Gauss-Legendre on 22 panels of
-    each segment between its quantile's breaks (distributions.law_nodes), and
-    the error estimate is the distance to the 12-point companion rule.
+    A step law is summed exactly over its atoms, a RatioLaw over the product
+    of its parts' rules, and any other gain by 24-point Gauss-Legendre in
+    quantile space on 22 panels of each segment between its quantile's jumps
+    (distributions.law_nodes); the error is the 12-point companion's distance.
     """
     _check_nonnegative("power", power)
 

@@ -158,20 +158,15 @@ class GainDistribution(_Checked):
         return None
 
     def _quantile_breaks(self) -> tuple[float, ...]:
-        """The sorted levels in (0, 1) where the quantile is not smooth, which
-        law_nodes lays its panels between: where it jumps, the cdf at the top of
-        every row of _support but the last; where it is flat, both ends
-        1 - ccdf_left(a) and cdf(a) of each atom a's level interval."""
-        values = self._atom_table[0]
-        levels = np.concatenate([self.cdf(self._support()[:-1, 1]),
-                                 1.0 - self.ccdf_left(values), self.cdf(values)])
-        return tuple(float(v) for v in np.unique(levels) if 0.0 < v < 1.0)
+        """The sorted levels in (0, 1) where the quantile jumps, which law_nodes
+        lays its panels between: the cdf at the top of every row of _support but the last."""
+        levels = np.unique(self.cdf(self._support()[:-1, 1]))
+        return tuple(float(v) for v in levels if 0.0 < v < 1.0)
 
     def _support(self) -> np.ndarray:
-        """Sorted disjoint rows (lo, hi) holding the support: a step law's
-        atoms, else [0, inf] unless the family states its own."""
-        atoms = step_atoms(self)
-        return np.array([[0.0, np.inf]]) if atoms is None else np.column_stack([atoms[0]] * 2)
+        """Sorted disjoint rows (lo, hi) holding the support of a law that is
+        not a step law: [0, inf] unless the family states its own gaps."""
+        return np.array([[0.0, np.inf]])
 
     def sample(self, u):
         """Inverse-transform sample from a uniform variate in (0, 1)."""
@@ -791,19 +786,23 @@ def gamma_law(d: GainDistribution) -> tuple[float, float] | None:
 def law_nodes(d: GainDistribution, order: int = _RULE_ORDER) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x and weights w with E[f(H)] = w @ f(x) for H drawn from d.
 
-    A step law gives its atoms and masses, so the sum is exact.  Any other
-    law, atomless or mixing atoms with an atomless part, gives its quantiles
-    at a fixed Gauss-Legendre rule in u-space: 24 nodes on each of 22 panels
-    of every segment between the levels where the quantile is not smooth
-    (_quantile_breaks) by default, or the 12-node companion rule on the same
-    panels, so no panel integrates across a jump or onto an atom's flat
-    level interval.  Each (law, order) rule is built once and memoized on
-    the law as read-only arrays, so a rate, a mean and a RatioLaw share it.
+    A step law gives its atoms and masses, so the sum is exact.  A RatioLaw
+    N / (1 + P D) that is not one gives the product of its parts' rules of
+    the same order, (n, v) and (t, w): nodes n_i / (1 + P t_j), weights v_i w_j.
+    Any other law is atomless, as only a RatioLaw mixes atoms with an atomless
+    part, and gives its quantiles at a fixed Gauss-Legendre rule in u-space:
+    24 nodes on each of 22 panels of every segment between the levels where
+    the quantile jumps (_quantile_breaks) by default, or the 12-node companion
+    rule on the same panels, so no panel integrates across a jump.  Each
+    (law, order) rule is built once and memoized on the law as read-only arrays.
     """
     rules = vars(d).setdefault("_rules", {})
     if order not in rules:
         rule = step_atoms(d)
-        if rule is None:
+        if rule is None and isinstance(d, RatioLaw):
+            (n, v), (t, w) = law_nodes(d.numerator, order), law_nodes(d.denominator, order)
+            rule = np.divide.outer(n, 1.0 + d.power * t).ravel(), np.outer(v, w).ravel()
+        elif rule is None:
             u, w = _quantile_rule(order, d._quantile_breaks())
             rule = np.asarray(d.quantile(u)), w
         rules[order] = _read_only(*rule)
@@ -822,11 +821,13 @@ class RatioLaw(GainDistribution):
     whole mass at 0); N's atoms n_i > 0 over D's atomless part, exactly,
     sum_i Pr(N = n_i) Pr(D <= t_i, D not an atom), t_i = (n_i / z - 1) / P;
     and N's atomless part over D, E_D[Pr(N > z (1 + P D), N not an atom)]
-    by the quantile-space rule of law_nodes, which agrees with adaptive
-    quadrature to about 1e-14.  Such a Z can have gaps in its support,
-    n / (1 + P supp D) for each row of N's; its own rule splits at them.  The
-    sum is clipped into [0, 1]; the rule's weights do not sum to exactly 1, so
-    cdf(0) of an atomless law can still sit a few ulps above 0.
+    by D's rule of law_nodes, which agrees with adaptive quadrature to about
+    1e-14.  Z's own rule, read by its rates and its mean, is the product of
+    N's and D's rules.  Where D is a RatioLaw of two 528-node parts, D's rule
+    has 278,784 nodes: each ccdf point evaluates N's ccdf that often, and Z's
+    rule over an atomless N has 528 times as many (2.4 GB with its weights).
+    The sum is clipped into [0, 1]; the rule's weights do not sum to exactly
+    1, so cdf(0) of an atomless law can still sit a few ulps above 0.
     """
 
     numerator: GainDistribution
@@ -896,11 +897,6 @@ class RatioLaw(GainDistribution):
         nodes = 1.0 + self.power * values
         return self._conditioned(lambda z: self.numerator.pdf(z * nodes), x, weights * nodes)
 
-    def mean(self) -> float:
-        # N and D are independent, so E[Z] = E[N] E[1 / (1 + P D)]
-        values, weights = law_nodes(self.denominator)
-        return self.numerator.mean() * float(weights @ (1.0 / (1.0 + self.power * values)))
-
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         # N = 0 keeps its whole mass at 0; each other atom of N pairs with each of D
         values, masses, _ = self.numerator._atom_table
@@ -909,14 +905,6 @@ class RatioLaw(GainDistribution):
         ratios = np.append(values[zero], np.divide.outer(values[~zero], 1.0 + self.power * den_values))
         z, idx = np.unique(ratios, return_inverse=True)
         return z, np.bincount(idx, np.append(masses[zero], np.outer(masses[~zero], den_masses)), z.size)
-
-    def _support(self) -> np.ndarray:
-        # z = n / (1 + P d) falls as d grows; the products merged where they meet
-        n, d = self.numerator._support(), 1.0 + self.power * self.denominator._support()
-        lo, hi = np.divide.outer(n[:, 0], d[:, 1]).ravel(), np.divide.outer(n[:, 1], d[:, 0]).ravel()
-        lo, reach = np.sort(lo), np.maximum.accumulate(hi[np.argsort(lo)])
-        gap = lo[1:] > reach[:-1]
-        return np.column_stack([lo[np.append(True, gap)], reach[np.append(gap, True)]])
 
 
 @dataclass(frozen=True)

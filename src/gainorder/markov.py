@@ -447,8 +447,16 @@ def check_indecomposable(spec: MarkovChannelSpec) -> bool:
 
 
 def stationary_distribution(spec: MarkovChannelSpec) -> np.ndarray:
-    """Stationary law of the super-state chain by eigenvector extraction."""
+    """The super-state chain's unique stationary law by eigenvector extraction, else ValueError."""
     mat = spec.matrix_float()
+    reach = (mat > 0.0) | np.eye(len(mat), dtype=bool)  # j in zero or more steps from i
+    while not np.array_equal(wider := (reach.astype(float) @ reach) > 0.0, reach):
+        reach = wider
+    # i's class is closed iff each state i reaches reaches i back; they are that class
+    closed = sorted({tuple(np.flatnonzero(r)) for i, r in enumerate(reach) if reach[r, i].all()})
+    if len(closed) > 1:
+        raise ValueError("the chain has more than one closed class, so no unique stationary law: "
+                         f"super-states {', '.join(str([int(j) + 1 for j in c]) for c in closed)}")
     vals, vecs = np.linalg.eig(mat.T)
     idx = int(np.argmin(np.abs(vals - 1.0)))
     pi = np.real(vecs[:, idx])

@@ -24,7 +24,7 @@ from .coupling import (
     maximal_coupling_samples,
     maximal_coupling_spec,
 )
-from .distributions import BernoulliGain, Exponential, GainDistribution
+from .distributions import BernoulliGain, Exponential, GainDistribution, _check_nonnegative
 
 __all__ = [
     "VerificationReport",
@@ -172,6 +172,7 @@ def mc_ergodic_rate(
     d: GainDistribution, power: float, n: int = 10**6, seed: int = 0
 ) -> RateValue:
     """Sample-mean estimate of E[C(H * power)] with its standard error."""
+    _check_nonnegative("power", power)
     if n < 10**4:
         raise ValueError("need at least 1e4 samples")
     rng = _rng(seed, "mc_ergodic_rate")

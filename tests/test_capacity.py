@@ -35,7 +35,7 @@ from gainorder.classifier import (
 )
 from gainorder.stochastic_order import check_usual_order
 from gainorder.verify import mc_ergodic_rate
-from test_distributions import STRUCTURE_KINDS, ratio_of_kinds
+from test_distributions import RATIO_POWER, STRUCTURE_KINDS, ratio_of_kinds
 
 
 IC_SQUARE = ICScenario(PointMass(1.0), PointMass(2.0), PointMass(2.0), PointMass(1.0), 1.0, 1.0)
@@ -142,26 +142,37 @@ class TestErgodicRate:
             got = ergodic_rate(Empirical((1e308, 1e308)), 1.0)
         assert got == RateValue(0.5 * math.log2(1.0 + 1e308), "closed_form", 0.0)
 
-    @pytest.mark.parametrize("build", [
-        lambda: RatioExpExp(2.0, 0.5, 1.0, num_shape=2.5),
-        lambda: RatioLaw(Exponential(1.0), NakagamiGain(2.0, 1.0), 1.0),
-    ], ids=["ratio-exp-exp", "ratio-law"])
-    def test_a_rate_builds_each_rule_once(self, build, monkeypatch):
+    @pytest.mark.parametrize("build, calls", [
+        (lambda: RatioExpExp(2.0, 0.5, 1.0, num_shape=2.5),
+         [("RatioExpExp", 22 * 24), ("RatioExpExp", 22 * 12)]),
+        # N's default and companion rules, then D's companion rule: D's
+        # default rule is built with the law, which conditions its ccdf on it
+        (lambda: RatioLaw(Exponential(1.0), NakagamiGain(2.0, 1.0), 1.0),
+         [("Exponential", 22 * 24), ("Exponential", 22 * 12), ("NakagamiGain", 22 * 12)]),
+        # gapped over mixed: each ratio's rule is the product of its parts',
+        # so only the exponential at the bottom of each side is inverted
+        (lambda: RatioLaw(RatioLaw(Empirical((1.0, 1.0, 10.0)),
+                                   RatioLaw(PointMass(2.0), Exponential(1.0), 1.0), 1.0),
+                          RatioLaw(BernoulliGain(0.5), Exponential(1.0), 1.0), 0.5),
+         [("Exponential", 22 * 24), ("Exponential", 22 * 12), ("Exponential", 22 * 12)]),
+    ], ids=["ratio-exp-exp", "ratio-law", "gapped-over-mixed"])
+    def test_a_rate_builds_each_rule_once(self, build, calls, monkeypatch):
         # the mean, the rate and the companion rule read the law's memoized
-        # rules (a RatioLaw's mean its denominator's), so on a fresh law one
-        # rate inverts the default and the companion rule and nothing else
+        # rules, so on a fresh law one rate inverts each quantile of its
+        # default and its companion rule once, and never a RatioLaw's
         d = build()
-        sizes = []
+        seen = []
         quantile = GainDistribution.quantile
 
         def counted(law, u):
-            sizes.append(np.size(u))
+            seen.append((type(law).__name__, np.size(u)))
             return quantile(law, u)
 
         monkeypatch.setattr(GainDistribution, "quantile", counted)
         rate = ergodic_rate(d, 1.3)
-        assert sizes == [22 * 24, 22 * 12]
-        assert ergodic_rate(d, 1.3) == rate and len(sizes) == 2
+        assert seen == calls
+        d.mean()
+        assert ergodic_rate(d, 1.3) == rate and seen == calls
 
     def test_threads_sharing_a_fresh_law_read_one_rate(self):
         # the memo fills idempotently: threads that race to build a law's
@@ -179,18 +190,46 @@ class TestErgodicRate:
         assert rates == [expected] * 16
 
 
+# each law of STRUCTURE_KINDS as its atom combinations: (mass, part), a part
+# either a constant or a function of one standard exponential variable
+STRUCTURE_PARTS = {
+    "step": [(0.4, 0.0), (0.6, 1.0)],
+    "atomless": [(1.0, lambda e: 2.0 / (1.0 + e))],
+    # n / (1 + 2 / (1 + E)) for n = 1, 1, 10
+    "gapped": [(2.0 / 3.0, lambda e: (1.0 + e) / (3.0 + e)),
+               (1.0 / 3.0, lambda e: 10.0 * (1.0 + e) / (3.0 + e))],
+    "mixed": [(0.5, 0.0), (0.5, lambda e: 1.0 / (1.0 + e))],
+    "continuous": [(1.0, lambda e: e)],
+}
+
+
+def over_part(g, part) -> float:
+    """E[g(V)] for V a part of STRUCTURE_PARTS, by scipy's adaptive quadrature."""
+    if not callable(part):
+        return g(part)
+    return quad(lambda e: g(part(e)) * math.exp(-e), 0.0, math.inf,
+                epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+
+
 class TestRateByStructure:
     # each structure kind alone (den None), and the ratio of each pair of kinds
     @pytest.mark.parametrize("num, den", [(num, den) for num in STRUCTURE_KINDS
                                           for den in (None, *STRUCTURE_KINDS)])
-    def test_rate_against_monte_carlo(self, num, den):
-        law, draw, kind = STRUCTURE_KINDS[num] if den is None else ratio_of_kinds(num, den)
+    def test_rate_against_nested_quadrature(self, num, den):
+        # E[C(N / (1 + P D))]: the sum over the atom combinations of N and D
+        # of a nested quad over the exponential variables each part reads
+        law, _, kind = STRUCTURE_KINDS[num] if den is None else ratio_of_kinds(num, den)
+        power = 0.0 if den is None else RATIO_POWER
         got = ergodic_rate(law, 1.0)
         assert got.method == ("closed_form" if kind == "step" else "quadrature")
-        n = 200_000
-        c = 0.5 * np.log2(1.0 + draw(np.random.default_rng(77), n))
-        stderr = float(np.std(c, ddof=1)) / math.sqrt(n)
-        assert abs(got.bits - float(np.mean(c))) <= got.error_estimate + 4.0 * stderr
+
+        def rate(n, t):
+            return 0.5 * math.log2(1.0 + n / (1.0 + power * t))
+
+        exact = sum(p * q * over_part(lambda n: over_part(lambda t: rate(n, t), d), n)
+                    for p, n in STRUCTURE_PARTS[num]
+                    for q, d in ([(1.0, 0.0)] if den is None else STRUCTURE_PARTS[den]))
+        assert abs(got.bits - exact) <= got.error_estimate <= 1e-9
 
     def test_gapped_law_against_adaptive_quadrature(self):
         # Z = N / (1 + D) for N on {1, 1, 10} and D = 2 / (1 + E): conditioned on
@@ -261,13 +300,19 @@ class TestPairSumRate:
 
     @pytest.mark.parametrize("value", [-1.0, math.inf, math.nan, 10**400])
     def test_a_power_that_is_not_nonnegative_and_finite_is_refused(self, value):
-        # an int past the largest double raised OverflowError, not ValueError
-        with pytest.raises(ValueError) as err:
-            ergodic_rate(Exponential(1.0), value)
-        assert str(err.value) == f"power must be a nonnegative finite number, got {value!r}"
-        with pytest.raises(ValueError) as err:
-            pair_sum_rate(Exponential(1.0), 1.0, Exponential(2.0), value)
-        assert str(err.value) == f"power_b must be a nonnegative finite number, got {value!r}"
+        # an int past the largest double raised OverflowError, not ValueError;
+        # the closed form refused a negative value by an inner helper's
+        # message, and the Monte Carlo rate read NaN at a NaN power
+        for name, call in [
+            ("power", lambda: ergodic_rate(Exponential(1.0), value)),
+            ("power_b", lambda: pair_sum_rate(Exponential(1.0), 1.0, Exponential(2.0), value)),
+            ("power", lambda: exponential_rate_closed_form(1.0, value)),
+            ("mean_gain", lambda: exponential_rate_closed_form(value, 1.0)),
+            ("power", lambda: mc_ergodic_rate(Exponential(1.0), value, n=10**4)),
+        ]:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"{name} must be a nonnegative finite number, got {value!r}"
 
     def test_zero_power_collapses_to_single_link(self):
         got = pair_sum_rate(Exponential(1.0), 0.0, Exponential(2.0), 1.0)
@@ -335,6 +380,26 @@ class TestRuleAgainstOracle:
         gap = abs(got.bits - rate_oracle((d_a, power_a), (d_b, power_b)))
         assert gap <= got.error_estimate
         assert gap <= 1e-12
+
+
+# one law of each family and one RatioLaw, shared, so that each ratio of two
+# of them builds only its own product rule
+EVERY_FAMILY = [Exponential(1.5), NakagamiGain(0.7, 2.0), BernoulliGain(0.3), PointMass(2.0),
+                RatioExpExp(1.0, 2.0, 0.5, num_shape=2.5), Empirical((0.5, 1.0, 1.0, 4.0)),
+                RatioLaw(BernoulliGain(0.5), Exponential(1.0), 1.0)]
+
+
+class TestRatioRateFallsInItsPower:
+    """N / (1 + P2 D) <=st N / (1 + P1 D) for P1 <= P2, so the ratio's rate
+    falls in P within the two error estimates (Shaked & Shanthikumar,
+    Stochastic Orders, 2007, Thm 1.A.3): a property that needs no oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(EVERY_FAMILY), st.sampled_from(EVERY_FAMILY),
+           st.lists(POWERS, min_size=2, max_size=2).map(sorted), POWERS)
+    def test_rate_falls_in_the_ratio_power(self, num, den, powers, power):
+        low, high = (ergodic_rate(RatioLaw(num, den, p), power) for p in powers)
+        assert high.bits <= low.bits + low.error_estimate + high.error_estimate
 
 
 class TestRegionGeometry:

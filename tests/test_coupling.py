@@ -21,7 +21,7 @@ from gainorder.coupling import (
     residual_supports_separated,
     verify_copula_axioms,
 )
-from gainorder.distributions import _invert_cdf
+from gainorder.distributions import _invert_cdf, law_nodes
 from gainorder.stochastic_order import Relation, check_usual_order, total_variation
 
 
@@ -251,12 +251,14 @@ class TestComponentsAreGainLaws:
 
     @pytest.mark.parametrize("power", [1.0, 10.0])
     def test_a_ratio_over_a_gapped_residual_keeps_the_gap(self, power):
-        # N / (1 + P * 1) at P = 1 is N / 2, so its rate at P is N's at P / 2;
-        # over the gapped residual the ratio once took [0, inf] as its support,
-        # its rule integrated across the jump and missed by 3e-3 at P = 1
+        # N / (1 + P * 1) at P = 1 is N / 2, so its rule is N's halved, exactly,
+        # and its rate at P is N's at P / 2; over the gapped residual a rule in
+        # the ratio's own quantile once integrated across the jump and missed
+        # by 3e-3 at P = 1
         residual = coupling_spec(1).residuals[1]
         half = RatioLaw(residual, PointMass(1.0), 1.0)
-        assert half._quantile_breaks() == pytest.approx(residual._quantile_breaks(), abs=1e-15)
+        (x, w), (xr, wr) = law_nodes(half), law_nodes(residual)
+        assert same_doubles(x, xr / 2.0) and same_doubles(w, wr)
         a, b = ergodic_rate(half, power), ergodic_rate(residual, 0.5 * power)
         assert abs(a.bits - b.bits) <= a.error_estimate + b.error_estimate
 

@@ -778,23 +778,28 @@ class TestRatioLawStructure:
         assert np.max(np.abs(law.ccdf(self.ABSCISSAE) - empirical)) <= self.KS_BAND
 
     def test_gapped_support_splits_the_rule(self):
+        # the rule is N's atoms over D's rule, so no node falls in the gap
+        # (1, 10/3) and the nodes below it carry N's mass 2/3 at 1
         law = STRUCTURE_KINDS["gapped"][0]
-        assert law._quantile_breaks() == pytest.approx((2.0 / 3.0,), abs=1e-15)
+        (x, w), (xc, wc) = distributions.law_nodes(law), distributions.law_nodes(law, 12)
+        low = x < 1.0
+        assert np.all(low | (x > 10.0 / 3.0)) and w[low].sum() == pytest.approx(2.0 / 3.0)
         # E[Z] = E[N] E[1 / (1 + D)] = 4 E[(1 + E) / (3 + E)], the second
         # factor by scipy's adaptive quadrature; a panel across the jump put the
-        # rule's mean 1e-2 off, and panels merely split there 1e-6
+        # mean of a rule in Z's quantile 1e-2 off
         exact = 4.0 * integrate.quad(lambda e: (1.0 + e) / (3.0 + e) * math.exp(-e),
                                      0.0, math.inf, epsabs=1e-14, epsrel=1e-13)[0]
-        (x, w), (xc, wc) = distributions.law_nodes(law), distributions.law_nodes(law, 12)
+        assert law.mean() == w @ x
         assert abs(w @ x - exact) <= abs(w @ x - wc @ xc) <= 1e-9
 
     def test_an_atom_breaks_the_rule_at_both_ends_of_its_levels(self):
         # B / (1 + E) holds mass 1/2 at 0: its quantile is 0 on [0, 1/2] and
-        # continuous above, so the rule lays out 22 panels on each side of 1/2
+        # continuous above, so its rule, B's atoms over E's rule, puts half of
+        # its nodes and of its mass at 0 and the rest above
         law = STRUCTURE_KINDS["mixed"][0]
-        assert law._quantile_breaks() == pytest.approx((0.5,), abs=1e-15)
         x, w = distributions.law_nodes(law)
         assert x.size == 2 * 22 * 24 and np.all(x[: 22 * 24] == 0.0) and np.all(x[22 * 24:] > 0.0)
+        assert w[: 22 * 24].sum() == pytest.approx(0.5, abs=1e-15)
 
     def test_nested_mixed_laws_read_their_atoms(self):
         # Z = 1 / (1 + P D), D = 1 / (1 + P' B / (1 + E)): D holds mass 1/2 at

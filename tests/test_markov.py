@@ -407,11 +407,45 @@ class TestIndecomposable:
         eye = tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
         assert check_indecomposable(chain3(eye, ("1/3", "1/3", "1/3"))) is False
 
+    def test_a_periodic_chain_is_decomposable(self):
+        assert check_indecomposable(MarkovChannelSpec((0.5, 1.0), 1, ((0, 1), (1, 0)),
+                                                      ("1/2", "1/2"))) is False
+
     def test_positive_matrix_immediate(self):
         assert check_indecomposable(chain3(P3, INIT3_WEAK)) is True
 
     def test_second_order_example(self):
         assert check_indecomposable(chain4(P4, INIT4_WEAK)) is True
+
+
+class TestStationaryDistribution:
+    UNIFORM3 = ("1/3", "1/3", "1/3")
+
+    @pytest.mark.parametrize("matrix, classes", [
+        # every law is stationary; the eigenvector route returned (1, 0, 0)
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1)), "[1], [2], [3]"),
+        ((("1/2", "1/2", 0), ("1/2", "1/2", 0), (0, 0, 1)), "[1, 2], [3]"),
+        # state 2 is transient and leaves for either closed class
+        (((1, 0, 0), ("1/4", "1/2", "1/4"), (0, 0, 1)), "[1], [3]"),
+    ])
+    def test_more_than_one_closed_class_is_refused(self, matrix, classes):
+        with pytest.raises(ValueError) as err:
+            stationary_distribution(chain3(matrix, self.UNIFORM3))
+        assert str(err.value) == ("the chain has more than one closed class, so no unique "
+                                  f"stationary law: super-states {classes}")
+
+    @pytest.mark.parametrize("matrix, law", [
+        # the 2-cycle fails check_indecomposable, and its law is still unique
+        (((0, 1), (1, 0)), [0.5, 0.5]),
+        (((0, 1, 0), (0, 0, 1), (1, 0, 0)), [1 / 3, 1 / 3, 1 / 3]),
+        # a transient state gets no mass, however many steps it takes to leave
+        (((0, "1/2", "1/2"), (0, "1/2", "1/2"), (0, "1/2", "1/2")), [0.0, 0.5, 0.5]),
+        (((0, 1, 0), (0, 0, 1), (0, 0, 1)), [0.0, 0.0, 1.0]),
+    ])
+    def test_one_closed_class_has_one_law(self, matrix, law):
+        n = len(matrix)
+        spec = MarkovChannelSpec(THREE_STATES[-n:], 1, matrix, (F(1, n),) * n)
+        assert stationary_distribution(spec) == pytest.approx(law, abs=1e-15)
 
 
 class TestCoupledPaths:
