@@ -211,8 +211,9 @@ class _SharedPart(_Part):
 
 
 class _ResidualPart(_Part):
-    """Residual k of the maximal coupling, (f_k - f_min) / (1 - p): 0 for
-    d1, 1 for d2."""
+    """Residual k of the maximal coupling, (f_k - f_min) / (1 - p): 0 for d1,
+    1 for d2.  It lives on the rows fm.supports[k]; at a gap that two crossing
+    densities leave between rows its quantile jumps (_quantile_breaks)."""
 
     def __init__(self, fm: _PiecewiseMinCdf, k: int):
         super().__init__(f"residual {k + 1}", fm, fm.res_total[k])
@@ -227,8 +228,9 @@ class _ResidualPart(_Part):
             gap = (fm.dists[k]._pdf(x) - fm.dists[1 - k]._pdf(x)) / self._mass
         return np.where(fm.live[k, fm.segment(x)], gap, 0.0)
 
-    def _support(self):
-        return self._fm.supports[self._k]
+    def _quantile_breaks(self):
+        levels = np.unique(self.cdf(self._fm.supports[self._k][:-1, 1]))
+        return tuple(float(v) for v in levels if 0.0 < v < 1.0)
 
     @functools.cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -244,7 +246,7 @@ class _ResidualPart(_Part):
         """
         fm, k = self._fm, self._k
         xs = []
-        for lo, hi in self._support():
+        for lo, hi in fm.supports[k]:
             if math.isinf(hi):
                 # residual k lives here, so its law has the heavier tail
                 hi = max(lo, fm.dists[k].quantile(1.0 - 2.0**-53))

@@ -92,6 +92,7 @@ class GainDistribution(_Checked):
     - tail_quantile for a tail in (0, 1), else ValueError: the largest atom of
       a step law, else the family's finite _tail_point, quantile(1 - tail) by default;
     - mean, by law_nodes' memoized read-only rule unless a family has a closed form;
+    - _quantile_breaks: none, unless the law lives on rows with gaps between them;
     - to_spec, the JSON form of a law whose class names its `family`: each
       parameter is a dataclass field that states its check and its JSON key
       once, through _param.
@@ -159,14 +160,9 @@ class GainDistribution(_Checked):
 
     def _quantile_breaks(self) -> tuple[float, ...]:
         """The sorted levels in (0, 1) where the quantile jumps, which law_nodes
-        lays its panels between: the cdf at the top of every row of _support but the last."""
-        levels = np.unique(self.cdf(self._support()[:-1, 1]))
-        return tuple(float(v) for v in levels if 0.0 < v < 1.0)
-
-    def _support(self) -> np.ndarray:
-        """Sorted disjoint rows (lo, hi) holding the support of a law that is
-        not a step law: [0, inf] unless the family states its own gaps."""
-        return np.array([[0.0, np.inf]])
+        lays its panels between: none, unless the law lives on rows with gaps
+        between them, as a maximal-coupling residual can."""
+        return ()
 
     def sample(self, u):
         """Inverse-transform sample from a uniform variate in (0, 1)."""
@@ -749,8 +745,8 @@ def _panel_nodes(breaks: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray
 @functools.lru_cache(maxsize=32)  # bounded: each law with breaks has its own
 def _quantile_rule(order: int, breaks: tuple[float, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the `order`-point rule of law_nodes on 22 panels
-    of each segment of [0, 1] between consecutive `breaks`; built on first
-    use, so import does no numpy work."""
+    of each segment of [0, 1] between consecutive `breaks` (only a gapped
+    coupling residual has any); built on first use, so import does no numpy work."""
     # a quantile is singular at u = 0 (like u^(1/m) for Nakagami-m), at u = 1
     # and at a break, so the panels shrink geometrically toward both ends of
     # each segment [a, b], measured from the nearer end
@@ -792,9 +788,10 @@ def law_nodes(d: GainDistribution, order: int = _RULE_ORDER) -> tuple[np.ndarray
     Any other law is atomless, as only a RatioLaw mixes atoms with an atomless
     part, and gives its quantiles at a fixed Gauss-Legendre rule in u-space:
     24 nodes on each of 22 panels of every segment between the levels where
-    the quantile jumps (_quantile_breaks) by default, or the 12-node companion
-    rule on the same panels, so no panel integrates across a jump.  Each
-    (law, order) rule is built once and memoized on the law as read-only arrays.
+    the quantile jumps (_quantile_breaks; only a gapped coupling residual has
+    any) by default, or the 12-node companion rule on the same panels, so no
+    panel integrates across a jump.  Each (law, order) rule is built once and
+    memoized on the law as read-only arrays.
     """
     rules = vars(d).setdefault("_rules", {})
     if order not in rules:

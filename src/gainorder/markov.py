@@ -435,15 +435,13 @@ def check_markov_degraded(weak: MarkovChannelSpec, strong: MarkovChannelSpec) ->
 
 
 def check_indecomposable(spec: MarkovChannelSpec) -> bool:
-    """True iff some power P^n, n <= R(R-1)+1 with R = N^k, has an all-positive column."""
+    """True iff some power P^n, n <= R(R-1)+1 with R = N^k, has an all-positive column:
+    one stays positive in every later power, as each row of the stochastic P has a
+    positive entry, so j boolean squarings of P > 0 with 2^j >= R(R-1)+1 decide."""
     reach = spec.matrix_float() > 0.0
-    step = reach.copy()
-    bound = spec.n_super * (spec.n_super - 1) + 1
-    for _ in range(bound):
-        if np.any(np.all(step, axis=0)):
-            return True
-        step = (step.astype(float) @ reach.astype(float)) > 0.0
-    return False
+    for _ in range((spec.n_super * (spec.n_super - 1)).bit_length()):
+        reach = (reach.astype(float) @ reach.astype(float)) > 0.0
+    return bool(np.any(np.all(reach, axis=0)))
 
 
 def stationary_distribution(spec: MarkovChannelSpec) -> np.ndarray:
@@ -477,6 +475,8 @@ def coupled_paths(weak: MarkovChannelSpec, strong: MarkovChannelSpec, length: in
         raise ValueError("degradedness is not certified for this pair; "
                          "pass force=True to simulate anyway")
     u = np.atleast_2d(_open_unit(uniforms))
+    if u.ndim > 2:
+        raise ValueError(f"uniform stream must have at most two dimensions, got shape {u.shape}")
     if u.shape[1] != length:
         raise ValueError(f"uniform stream must have {length} columns, got {u.shape[1]}")
 

@@ -402,6 +402,47 @@ class TestRatioRateFallsInItsPower:
         assert high.bits <= low.bits + low.error_estimate + high.error_estimate
 
 
+# the six families of a JSON scenario: the gamma laws, the step laws and RatioExpExp
+GAMMA_GAINS = st.one_of(
+    st.builds(Exponential, decades(-1.0, 1.0)),
+    st.builds(NakagamiGain, st.floats(math.log(0.3), math.log(20.0)).map(math.exp),
+              decades(-1.0, 1.0)),
+)
+STEP_GAINS = st.one_of(
+    st.builds(BernoulliGain, st.floats(0.0, 1.0)),
+    st.builds(PointMass, decades(-1.0, 1.0) | st.just(0.0)),
+    st.builds(Empirical.from_samples, st.lists(decades(-1.0, 1.0), min_size=1, max_size=8)),
+)
+JSON_GAINS = st.one_of(
+    GAMMA_GAINS, STEP_GAINS,
+    st.builds(RatioExpExp, decades(-1.0, 1.0), decades(-1.0, 1.0), decades(-1.0, 1.0),
+              num_shape=st.sampled_from([0.75, 1.0, 2.5])),
+)
+
+
+class TestRatesFollowTheOrder:
+    """Properties that need no oracle: H1 <=st H2 gives E[C(P H1)] <= E[C(P H2)],
+    and a rate rises in the power, each within the two error estimates."""
+
+    @settings(max_examples=60, deadline=None)
+    # the pairs whose verdict is exact: two gamma laws, or a step law on either side
+    @given(pair=st.one_of(st.tuples(GAMMA_GAINS, GAMMA_GAINS), st.tuples(STEP_GAINS, JSON_GAINS),
+                          st.tuples(JSON_GAINS, STEP_GAINS)))
+    def test_an_ordered_pair_has_ordered_rates(self, pair):
+        d1, d2 = pair
+        verdict = check_usual_order(d1, d2, tol=0.0)
+        for low, high, holds in ((d1, d2, verdict.first_leq), (d2, d1, verdict.second_leq)):
+            for power in (0.1, 1.0, 10.0) if holds else ():
+                a, b = ergodic_rate(low, power), ergodic_rate(high, power)
+                assert a.bits <= b.bits + a.error_estimate + b.error_estimate
+
+    @settings(max_examples=60, deadline=None)
+    @given(JSON_GAINS, st.lists(POWERS, min_size=2, max_size=2).map(sorted))
+    def test_a_rate_rises_in_the_power(self, d, powers):
+        low, high = (ergodic_rate(d, p) for p in powers)
+        assert low.bits <= high.bits + low.error_estimate + high.error_estimate
+
+
 class TestRegionGeometry:
     def test_vertices_satisfy_all_constraints(self):
         region = region_from_constraints([(1, 0, 0.7), (0, 1, 0.9), (1, 1, 1.2)])

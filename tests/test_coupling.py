@@ -240,14 +240,15 @@ class TestComponentsAreGainLaws:
         spec = coupling_spec(1)
         fm, residual = spec._fmin, spec.residuals[1]
         (gap,) = np.flatnonzero(~fm.live[1])
-        assert residual._support().tolist() == [[0.0, fm.lo[gap]], [fm.hi[gap], math.inf]]
+        assert fm.supports[1].tolist() == [[0.0, fm.lo[gap]], [fm.hi[gap], math.inf]]
         (jump,) = residual._quantile_breaks()
         # (the float cdf wobbles by a few ulps below the gap)
         assert residual.quantile(jump - 1e-12) <= fm.lo[gap]
         assert residual.quantile(jump + 1e-12) >= fm.hi[gap]
         others = [law for i in range(len(COUPLED_PAIRS)) for law in coupling_parts(i)
                   if law is not residual]
-        assert all(law._quantile_breaks() == () for law in others + list(COUPLED_PAIRS[1]))
+        marginals = [law for pair in COUPLED_PAIRS for law in pair]
+        assert all(law._quantile_breaks() == () for law in others + marginals)
 
     @pytest.mark.parametrize("power", [1.0, 10.0])
     def test_a_ratio_over_a_gapped_residual_keeps_the_gap(self, power):

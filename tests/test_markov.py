@@ -1,6 +1,8 @@
 import itertools
 import math
 import numbers
+import re
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -417,6 +419,49 @@ class TestIndecomposable:
     def test_second_order_example(self):
         assert check_indecomposable(chain4(P4, INIT4_WEAK)) is True
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_squaring_agrees_with_every_power(self, data):
+        n = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(1, 3).filter(lambda k: n**k <= 64))
+        # half the weights 0, so that about a fifth of the chains are decomposable
+        row = st.lists(st.sampled_from([0, 0, 1, 3]), min_size=n, max_size=n).filter(any)
+        spec = drawn_chain(n, k, [data.draw(row) for _ in range(n**k)])
+        assert check_indecomposable(spec) is indecomposable_by_powers(spec)
+
+    def test_a_chain_with_absorbing_histories_is_decided_at_once(self):
+        # (t1, t2, t3) -> (t2, t3, t3): every constant history of the 216
+        # super-states absorbs, so no power has a positive column; a loop over
+        # the powers took about a minute on a 2-core machine
+        spec = drawn_chain(6, 3, [[int(s == l % 6) for s in range(6)] for l in range(216)])
+        start = time.perf_counter()
+        assert check_indecomposable(spec) is False
+        assert time.perf_counter() - start < 1.0
+
+
+def drawn_chain(n, k, weights):
+    """The order-k chain on n states whose super-state l moves on to state s
+    with probability weights[l][s] / sum(weights[l])."""
+    rows = []
+    for l, w in enumerate(weights):
+        row = [0] * n**k
+        start = l % n ** (k - 1) * n
+        row[start:start + n] = [f"{x}/{sum(w)}" for x in w]
+        rows.append(tuple(row))
+    return MarkovChannelSpec(tuple(range(n)), k, tuple(rows), (1,) + (0,) * (n**k - 1))
+
+
+def indecomposable_by_powers(spec):
+    """The reference: whether one of P, P^2, ..., P^(R(R-1)+1) has an
+    all-positive column, one boolean product per power."""
+    reach = spec.matrix_float() > 0.0
+    step = reach.copy()
+    for _ in range(spec.n_super * (spec.n_super - 1) + 1):
+        if np.any(np.all(step, axis=0)):
+            return True
+        step = (step.astype(float) @ reach.astype(float)) > 0.0
+    return False
+
 
 class TestStationaryDistribution:
     UNIFORM3 = ("1/3", "1/3", "1/3")
@@ -520,6 +565,15 @@ class TestCoupledPaths:
         weak, strong = chain3(P3, INIT3_WEAK), chain3(Q3, INIT3_STRONG)
         with pytest.raises(ValueError, match="columns"):
             coupled_paths(weak, strong, 10, np.full((5, 9), 0.5))
+
+    def test_more_than_two_dimensions_rejected(self):
+        # a (2, 3, 4) stream once passed the column check and failed inside numpy
+        spec = chain3(P3, INIT3_WEAK)
+        with pytest.raises(ValueError, match=re.escape("got shape (2, 3, 4)")):
+            coupled_paths(spec, spec, 3, np.full((2, 3, 4), 0.5), force=True)
+        one, _ = coupled_paths(spec, spec, 4, np.full(4, 0.5), force=True)
+        both, _ = coupled_paths(spec, spec, 4, np.full((1, 4), 0.5), force=True)
+        assert one.shape == (1, 4) and np.array_equal(one, both)
 
 
 # -- the parse against a per-entry Fraction reference -------------------------

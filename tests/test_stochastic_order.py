@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -339,6 +340,36 @@ MIXED_LAWS = st.one_of(
 )
 MIXED_PAIRS = st.one_of(st.tuples(MIXED_LAWS, MIXED_LAWS), MIXED_LAWS.map(lambda d: (d, d)))
 VERDICT_FIELDS = ("relation", "witnesses_first_gt", "witnesses_second_gt", "max_violation", "tol")
+
+
+# laws with a scale parameter; values in [1e-3, 1e3] stay normal doubles when
+# scaled by 2^k, |k| <= 8, so the scaling is exact
+SCALABLE_LAWS = st.one_of(
+    st.builds(Exponential, decades(-3.0, 3.0)),
+    st.builds(NakagamiGain, st.floats(math.log(0.3), math.log(20.0)).map(math.exp),
+              decades(-3.0, 3.0)),
+    st.builds(PointMass, decades(-3.0, 3.0) | st.just(0.0)),
+    st.builds(Empirical.from_samples, st.lists(decades(-3.0, 3.0), min_size=1, max_size=12)),
+)
+
+
+def scaled(d, c):
+    """d's law scaled by c: the same law of c H."""
+    if isinstance(d, Empirical):
+        return Empirical.from_samples(np.asarray(d.values) * c)
+    name = {Exponential: "mean_gain", NakagamiGain: "w", PointMass: "value"}[type(d)]
+    return dataclasses.replace(d, **{name: getattr(d, name) * c})
+
+
+class TestScaleInvariance:
+    """H1 <=st H2 iff c H1 <=st c H2 for c > 0: a property that needs no oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(d1=SCALABLE_LAWS, d2=SCALABLE_LAWS, k=st.integers(-8, 8))
+    def test_scaling_both_laws_keeps_the_relation(self, d1, d2, k):
+        c = 2.0**k
+        assert check_usual_order(scaled(d1, c), scaled(d2, c)).relation \
+            is check_usual_order(d1, d2).relation
 
 
 class TestMirroredVerdict:
