@@ -207,6 +207,8 @@ def region_from_constraints(constraints) -> RateRegion:
     cons = [(float(a1), float(a2), float(b)) for a1, a2, b in constraints]
     if not cons:
         raise ValueError("need at least one rate constraint")
+    if not all(math.isfinite(v) for con in cons for v in con):
+        raise ValueError(f"rate constraints must be finite, got {cons}")
     lines = [(a1, a2, b) for a1, a2, b in cons] + [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
     # the axis lines stand in for the R1 >= 0 / R2 >= 0 boundaries
     candidates = []

@@ -88,16 +88,23 @@ class WTCScenario(_Checked):
     power: float = _param(_check_positive)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassificationReport:
+    """The order checks behind a condition, and the verdict read off them: the
+    condition holds when there is a check and each has its first law below
+    its second.  A failed degraded-chain search reports its incomparable pair."""
+
     topology: str
-    verdict: bool
     condition: str
     order_checks: list = field(default_factory=list)  # (name, OrderVerdict) pairs
     witnesses: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     confidence: str = "analytic"  # "statistical" when a gain rests on an Empirical sample
     permutation: tuple | None = None  # degraded BC user order, weakest first (1-based)
+
+    @property
+    def verdict(self) -> bool:
+        return bool(self.order_checks) and all(v.first_leq for _, v in self.order_checks)
 
     def to_json(self) -> dict:
         out = {
@@ -123,19 +130,15 @@ def _confidence(*gains: GainDistribution) -> str:
     return "statistical" if any(_empirical_parts(*gains)) else "analytic"
 
 
-def _dominance_report(topology: str, condition: str, checks: list,
-                      gains: tuple) -> ClassificationReport:
-    """The report of a condition that holds when every (name, OrderVerdict)
-    check has its first law below its second; the witnesses are the points
-    where a first law lies above."""
-    return ClassificationReport(
-        topology=topology,
-        verdict=all(verdict.first_leq for _, verdict in checks),
-        condition=condition,
-        order_checks=checks,
-        witnesses=sorted({x for _, verdict in checks for x in verdict.witnesses_first_gt}),
-        confidence=_confidence(*gains),
-    )
+def _report(topology: str, condition: str, checks: list, gains: tuple, *,
+            witnesses: list | None = None, notes: list | None = None,
+            permutation: tuple | None = None) -> ClassificationReport:
+    """The report on (name, OrderVerdict) checks of the gains; the witnesses
+    are, unless given, the points where a first law lies above its second."""
+    if witnesses is None:
+        witnesses = sorted({x for _, verdict in checks for x in verdict.witnesses_first_gt})
+    return ClassificationReport(topology, condition, checks, witnesses, notes or [],
+                                _confidence(*gains), permutation)
 
 
 _BC_REGION_NOTE = (
@@ -179,25 +182,15 @@ def classify_bc(s: BCScenario, tol: float | None = None) -> ClassificationReport
         order = _first_chain(check, k) if k <= 6 else _inserted_chain(check, order)
         if order is not None:
             chain = _try_chain(check, order)
-    report = ClassificationReport(
-        topology="bc",
-        verdict=chain is not None,
-        condition="degraded_chain",
-        notes=[_BC_REGION_NOTE],
-        confidence=_confidence(*gains),
-    )
     if chain is not None:
-        report.order_checks = chain
-        report.permutation = tuple(i + 1 for i in order)
-    else:
-        bad = _find_incomparable_pair(check, k)
-        if bad is not None:
-            i, j, verdict = bad
-            report.order_checks = [(f"user{i + 1}_vs_user{j + 1}", verdict)]
-            report.witnesses = sorted(
-                set(verdict.witnesses_first_gt) | set(verdict.witnesses_second_gt)
-            )
-    return report
+        return _report("bc", "degraded_chain", chain, gains, notes=[_BC_REGION_NOTE],
+                       permutation=tuple(i + 1 for i in order))
+    # no chain means some pair is incomparable: were each pair ordered one way
+    # at least, the search would have found a chain (Redei's theorem)
+    i, j, verdict = _find_incomparable_pair(check, k)
+    return _report("bc", "degraded_chain", [(f"user{i + 1}_vs_user{j + 1}", verdict)], gains,
+                   witnesses=sorted({*verdict.witnesses_first_gt, *verdict.witnesses_second_gt}),
+                   notes=[_BC_REGION_NOTE])
 
 
 def _try_chain(check, order):
@@ -264,8 +257,7 @@ def classify_ic_strong(s: ICScenario, tol: float | None = None) -> Classificatio
         raise ValueError("the strong-interference test requires independent channel gains")
     checks = [("h11_leq_h21", check_usual_order(s.h11, s.h21, tol=tol)),
               ("h22_leq_h12", check_usual_order(s.h22, s.h12, tol=tol))]
-    return _dominance_report("ic", "strong_interference", checks,
-                             (s.h11, s.h12, s.h21, s.h22))
+    return _report("ic", "strong_interference", checks, (s.h11, s.h12, s.h21, s.h22))
 
 
 def interference_ratio_distribution(
@@ -290,6 +282,12 @@ def interference_ratio_distribution(
     return RatioLaw(numerator, denominator, power), True
 
 
+_COMONOTONE_NOTE = (
+    "comonotone mode: the admissible joint CDFs are pinned to "
+    "min{F_Z1, F_H22} and min{F_Z2, F_H11} (one shared uniform drives both laws)"
+)
+
+
 def classify_ic_very_strong(s: ICScenario, tol: float | None = None) -> ClassificationReport:
     """Very strong interference: the ratio Z1 = H21/(1 + P2 H22) dominates H11 and
     Z2 = H12/(1 + P1 H11) dominates H22."""
@@ -297,19 +295,13 @@ def classify_ic_very_strong(s: ICScenario, tol: float | None = None) -> Classifi
     z2, _ = interference_ratio_distribution(s.h12, s.h11, s.p1)
     checks = [("h11_leq_z1", check_usual_order(s.h11, z1, tol=tol)),
               ("h22_leq_z2", check_usual_order(s.h22, z2, tol=tol))]
-    report = _dominance_report("ic", "very_strong_interference", checks,
-                               (s.h11, s.h12, s.h21, s.h22))
-    if s.dependence == COMONOTONE:
-        report.notes.append(
-            "comonotone mode: the admissible joint CDFs are pinned to "
-            "min{F_Z1, F_H22} and min{F_Z2, F_H11} (one shared uniform drives both laws)"
-        )
-    return report
+    notes = [_COMONOTONE_NOTE] if s.dependence == COMONOTONE else None
+    return _report("ic", "very_strong_interference", checks, (s.h11, s.h12, s.h21, s.h22),
+                   notes=notes)
 
 
 def classify_wtc(s: WTCScenario, tol: float | None = None) -> ClassificationReport:
     """Degraded wiretap channel: the legitimate gain dominates the eavesdropper's."""
     checks = [("eavesdropper_leq_legitimate",
                check_usual_order(s.eavesdropper, s.legitimate, tol=tol))]
-    return _dominance_report("wtc", "degraded_wiretap", checks,
-                             (s.legitimate, s.eavesdropper))
+    return _report("wtc", "degraded_wiretap", checks, (s.legitimate, s.eavesdropper))

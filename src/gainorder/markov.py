@@ -131,15 +131,20 @@ def _not_a_pmf(name: str, size: int) -> ValueError:
     return ValueError(f"{name} must be a pmf: {size} nonnegative entries that sum to 1")
 
 
+def _whole(x) -> bool:
+    """x is a whole number: an int or an integral float, never True, nan or inf."""
+    return not isinstance(x, bool) and isinstance(x, (numbers.Integral, float)) and x % 1 == 0
+
+
 def super_state(l: int, k: int, N: int) -> tuple:
     """Row index l (1-based) -> k-tuple of 0-based state indices, lexicographic.
 
     l = 1 maps to (0, ..., 0); the last index varies fastest.
     """
-    if not 1 <= l <= N**k:
-        raise ValueError(f"row index {l} outside 1..{N ** k}")
+    if not (_whole(l) and 1 <= l <= N**k):
+        raise ValueError(f"row index {l!r} outside 1..{N ** k}")
     digits = []
-    rem = l - 1
+    rem = int(l) - 1
     for _ in range(k):
         digits.append(rem % N)
         rem //= N
@@ -150,9 +155,9 @@ def super_state_index(indices, N: int) -> int:
     """Inverse of super_state: k-tuple of 0-based state indices -> 1-based row."""
     l = 0
     for d in indices:
-        if not 0 <= d < N:
-            raise ValueError(f"state index {d} outside 0..{N - 1}")
-        l = l * N + d
+        if not (_whole(d) and 0 <= d < N):
+            raise ValueError(f"state index {d!r} outside 0..{N - 1}")
+        l = l * N + int(d)
     return l + 1
 
 
@@ -183,8 +188,7 @@ class MarkovChannelSpec:
         states = tuple(map(float, parsed.convert(states)))
         if not states or any(b <= a for a, b in zip(states, states[1:])):
             raise ValueError("state values must be a nonempty, strictly increasing list")
-        whole = isinstance(order, (numbers.Integral, float)) and order % 1 == 0  # not nan, inf
-        if isinstance(order, bool) or not whole or order < 1:  # a count: True is not one
+        if not _whole(order) or order < 1:  # a count: True is not one
             raise ValueError(f"chain order k must be a whole number >= 1, got {order!r}")
         n, k = len(states), int(order)
         if n > 1 and k > len(matrix):  # then n^k > len(matrix): spare the huge power
@@ -362,15 +366,28 @@ def _order_violations(weak: np.ndarray, strong: np.ndarray, dens: tuple, m: int,
             yield int(l), int(s[i]), int(above[i].argmax())
 
 
-@dataclass
+@dataclass(frozen=True)
 class MarkovCertificate:
-    verdict: bool
-    conditional: bool  # (i) and (iii) hold but (ii) could not be verified
+    """The three conditions of the certificate and the witnesses of those that
+    fail; the verdict holds when all three do, and is conditional when (i)
+    and (iii) hold but (ii) could not be verified."""
+
     initial_ok: bool
     early_status: str  # "passed" | "failed" | "unverified" | "vacuous"
     rows_ok: bool
     witnesses: list = field(default_factory=list)  # (condition, detail...) tuples
-    notes: list = field(default_factory=list)
+
+    @property
+    def verdict(self) -> bool:
+        return self.initial_ok and self.rows_ok and self.early_status in ("passed", "vacuous")
+
+    @property
+    def conditional(self) -> bool:
+        return self.initial_ok and self.rows_ok and self.early_status == "unverified"
+
+    @property
+    def notes(self) -> list:
+        return [_CONDITIONAL_NOTE] if self.conditional else []
 
     def to_json(self) -> dict:
         return {
@@ -383,8 +400,12 @@ class MarkovCertificate:
                 "transition_ccdf_rows": self.rows_ok,
             },
             "witnesses": [list(w) for w in self.witnesses],
-            "notes": list(self.notes),
+            "notes": self.notes,
         }
+
+
+_CONDITIONAL_NOTE = ("early-step conditionals were not supplied; conditions on steps 1..k-1 "
+                     "are unverified and the certificate is conditional on them")
 
 
 def check_markov_degraded(weak: MarkovChannelSpec, strong: MarkovChannelSpec) -> MarkovCertificate:
@@ -394,44 +415,29 @@ def check_markov_degraded(weak: MarkovChannelSpec, strong: MarkovChannelSpec) ->
     if weak.order != strong.order:
         raise ValueError("both chains must have the same order")
 
-    cert = MarkovCertificate(
-        verdict=False, conditional=False, initial_ok=False, early_status="vacuous", rows_ok=False
-    )
-
     N, k = weak.n_states, weak.order
     laws = [_next_state_laws(spec) for spec in (weak, strong)]
 
     def violations(m):
         return _order_violations(laws[0][m][0], laws[1][m][0], (weak.den, strong.den), m, N)
 
-    cert.initial_ok = next(violations(0), None) is None
-    if not cert.initial_ok:
-        cert.witnesses.append(("initial", "H1(0) not <=_st H2(0)"))
+    initial_ok = next(violations(0), None) is None
+    witnesses = [] if initial_ok else [("initial", "H1(0) not <=_st H2(0)")]
 
+    early_status = "vacuous"
     if k > 1:  # (ii) only when both specs state every early conditional
         stated = all(given for side in laws for _, _, given in side)
-        cert.early_status = "passed" if stated else "unverified"
+        early_status = "passed" if stated else "unverified"
         for m in range(1, k if stated else 1):
             for l, s, _ in violations(m):
-                cert.early_status = "failed"
-                cert.witnesses.append(("early", m, super_state(l + 1, m, N),
-                                       super_state(s + 1, m, N)))
+                early_status = "failed"
+                witnesses.append(("early", m, super_state(l + 1, m, N), super_state(s + 1, m, N)))
 
     row = next(violations(k), None)
-    cert.rows_ok = row is None
     if row is not None:
         l, s, n = row
-        cert.witnesses.append(("rows", l + 1, s + 1, n + 1))
-
-    fully_checked = cert.early_status in ("passed", "vacuous")
-    cert.verdict = cert.initial_ok and cert.rows_ok and fully_checked
-    cert.conditional = cert.initial_ok and cert.rows_ok and cert.early_status == "unverified"
-    if cert.conditional:
-        cert.notes.append(
-            "early-step conditionals were not supplied; conditions on steps 1..k-1 "
-            "are unverified and the certificate is conditional on them"
-        )
-    return cert
+        witnesses.append(("rows", l + 1, s + 1, n + 1))
+    return MarkovCertificate(initial_ok, early_status, row is None, witnesses)
 
 
 def check_indecomposable(spec: MarkovChannelSpec) -> bool:

@@ -67,37 +67,34 @@ class OrderVerdict:
 
     witnesses_first_gt holds abscissae where ccdf1 exceeds ccdf2 beyond
     tolerance (evidence against first <=_st second); witnesses_second_gt the
-    mirror image.  max_violation is the largest CCDF gap inconsistent with
-    the declared relation.
+    mirror image.  The relation is read off which of the two is empty.
+    max_violation is the largest CCDF gap inconsistent with that relation.
     """
 
-    relation: Relation
     witnesses_first_gt: tuple
     witnesses_second_gt: tuple
     max_violation: float
     tol: float
 
-    def __post_init__(self):
-        against_first, against_second = bool(self.witnesses_first_gt), bool(self.witnesses_second_gt)
-        if self.relation is Relation.EQUAL and (against_first or against_second):
-            raise ValueError("an EQUAL verdict carries no witnesses")
-        if self.relation is Relation.INCOMPARABLE and not (against_first and against_second):
-            raise ValueError("an INCOMPARABLE verdict needs witnesses in both directions")
-
     @property
     def first_leq(self) -> bool:
         """True when the first distribution is <=_st the second (ties count)."""
-        return self.relation in (Relation.FIRST_LEQ, Relation.EQUAL)
+        return not self.witnesses_first_gt
 
     @property
     def second_leq(self) -> bool:
-        return self.relation in (Relation.SECOND_LEQ, Relation.EQUAL)
+        return not self.witnesses_second_gt
+
+    @property
+    def relation(self) -> Relation:
+        if self.witnesses_first_gt:
+            return Relation.INCOMPARABLE if self.witnesses_second_gt else Relation.SECOND_LEQ
+        return Relation.FIRST_LEQ if self.witnesses_second_gt else Relation.EQUAL
 
     def mirrored(self) -> "OrderVerdict":
         """This verdict with its two distributions swapped: the verdict of the
         reverse check, which decides on the same gaps negated."""
-        relation = _MIRROR.get(self.relation, self.relation)
-        return OrderVerdict(relation, self.witnesses_second_gt, self.witnesses_first_gt,
+        return OrderVerdict(self.witnesses_second_gt, self.witnesses_first_gt,
                             self.max_violation, self.tol)
 
     def to_json(self) -> dict:
@@ -108,9 +105,6 @@ class OrderVerdict:
             "max_violation": self.max_violation,
             "tol": self.tol,
         }
-
-
-_MIRROR = {Relation.FIRST_LEQ: Relation.SECOND_LEQ, Relation.SECOND_LEQ: Relation.FIRST_LEQ}
 
 
 def default_order_tolerance(d1: GainDistribution, d2: GainDistribution) -> float:
@@ -244,16 +238,16 @@ def _verdict_from_gaps(xs: np.ndarray, diff: np.ndarray, tol: float) -> OrderVer
     # adding 0.0 turns a -0.0 into 0.0, so the verdict reads the same from either side
     gap1 = float(np.max(diff)) + 0.0
     gap2 = float(np.max(-diff)) + 0.0
+    if not (math.isfinite(gap1) and math.isfinite(gap2)):
+        # a NaN gap exceeds no tolerance: it would read as evidence of no gap
+        raise ValueError(f"the CCDF gaps must be finite, got extremes {gap1!r} and {-gap2!r}")
     wit1 = _top_witnesses(xs, diff, tol)
     wit2 = _top_witnesses(xs, -diff, tol)
-
-    if gap1 <= tol and gap2 <= tol:
-        return OrderVerdict(Relation.EQUAL, (), (), max(gap1, gap2), tol)
-    if gap1 <= tol:
-        return OrderVerdict(Relation.FIRST_LEQ, (), wit2, max(gap1, 0.0), tol)
-    if gap2 <= tol:
-        return OrderVerdict(Relation.SECOND_LEQ, wit1, (), max(gap2, 0.0), tol)
-    return OrderVerdict(Relation.INCOMPARABLE, wit1, wit2, min(gap1, gap2), tol)
+    if wit1 and wit2:  # incomparable: the gap against the nearer order
+        violation = min(gap1, gap2)
+    else:  # the largest gap against an order that holds
+        violation = max([0.0] + [gap for gap, wit in ((gap1, wit1), (gap2, wit2)) if not wit])
+    return OrderVerdict(wit1, wit2, violation, tol)
 
 
 def _ccdf_eval_points(d1, d2, points: np.ndarray):
@@ -292,8 +286,8 @@ def check_usual_order_discrete(p, q, tol: float = 1e-12) -> OrderVerdict:
     if p.shape != q.shape or p.ndim != 1:
         raise ValueError("probability vectors must be one-dimensional and equally long")
     for name, vec in (("p", p), ("q", q)):
-        if np.any(vec < 0.0):
-            raise ValueError(f"{name} has negative entries")
+        if not np.all(vec >= 0.0):  # NaN is not >= 0 either
+            raise ValueError(f"{name} has negative or NaN entries")
         if abs(vec.sum() - 1.0) > 1e-12:
             raise ValueError(f"{name} does not sum to 1 (got {vec.sum()!r})")
 

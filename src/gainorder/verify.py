@@ -47,17 +47,19 @@ class VerificationReport:
     sample_size: int
     statistic: float
     threshold: float
-    passed: bool
     seed: int
     kind: str = "positive"  # "negative_control" entries are expected to fail
 
+    @property
+    def passed(self) -> bool:
+        return self.statistic <= self.threshold
+
     def to_json(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "passed": self.passed}
 
 
 def _report(name, n, statistic, threshold, seed, kind="positive") -> VerificationReport:
-    return VerificationReport(name, int(n), float(statistic), float(threshold),
-                              bool(statistic <= threshold), int(seed), kind)
+    return VerificationReport(name, int(n), float(statistic), float(threshold), int(seed), kind)
 
 
 def _rng(seed: int, test_name: str) -> np.random.Generator:

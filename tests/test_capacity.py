@@ -389,10 +389,11 @@ EVERY_FAMILY = [Exponential(1.5), NakagamiGain(0.7, 2.0), BernoulliGain(0.3), Po
                 RatioLaw(BernoulliGain(0.5), Exponential(1.0), 1.0)]
 
 
-class TestRatioRateFallsInItsPower:
-    """N / (1 + P2 D) <=st N / (1 + P1 D) for P1 <= P2, so the ratio's rate
-    falls in P within the two error estimates (Shaked & Shanthikumar,
-    Stochastic Orders, 2007, Thm 1.A.3): a property that needs no oracle."""
+class TestRatioFallsInItsPower:
+    """N / (1 + P2 D) <=st N / (1 + P1 D) for P1 <= P2, so the order check
+    finds it and the ratio's rate falls in P within the two error estimates
+    (Shaked & Shanthikumar, Stochastic Orders, 2007, Thm 1.A.3): properties
+    that need no oracle."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(EVERY_FAMILY), st.sampled_from(EVERY_FAMILY),
@@ -400,6 +401,23 @@ class TestRatioRateFallsInItsPower:
     def test_rate_falls_in_the_ratio_power(self, num, den, powers, power):
         low, high = (ergodic_rate(RatioLaw(num, den, p), power) for p in powers)
         assert high.bits <= low.bits + low.error_estimate + high.error_estimate
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(EVERY_FAMILY), st.sampled_from(EVERY_FAMILY),
+           st.lists(POWERS, min_size=2, max_size=2).map(sorted))
+    def test_the_ratio_law_falls_in_its_power(self, num, den, powers):
+        z1, z2 = (RatioLaw(num, den, p) for p in powers)
+        assert check_usual_order(z2, z1).first_leq
+
+    @settings(max_examples=60, deadline=None)
+    @given(decades(-1.0, 1.0), decades(-1.0, 1.0), st.sampled_from([0.75, 1.0, 2.5]),
+           st.lists(POWERS, min_size=2, max_size=2).map(sorted), POWERS)
+    def test_the_closed_form_ratio_falls_in_its_power(self, num_mean, den_mean, num_shape,
+                                                     powers, power):
+        z1, z2 = (RatioExpExp(num_mean, den_mean, p, num_shape=num_shape) for p in powers)
+        assert check_usual_order(z2, z1).first_leq
+        low, high = ergodic_rate(z2, power), ergodic_rate(z1, power)
+        assert low.bits <= high.bits + low.error_estimate + high.error_estimate
 
 
 # the six families of a JSON scenario: the gamma laws, the step laws and RatioExpExp
@@ -422,7 +440,8 @@ JSON_GAINS = st.one_of(
 
 class TestRatesFollowTheOrder:
     """Properties that need no oracle: H1 <=st H2 gives E[C(P H1)] <= E[C(P H2)],
-    and a rate rises in the power, each within the two error estimates."""
+    and a rate rises in the power and is concave in it, each within the
+    error estimates."""
 
     @settings(max_examples=60, deadline=None)
     # the pairs whose verdict is exact: two gamma laws, or a step law on either side
@@ -441,6 +460,19 @@ class TestRatesFollowTheOrder:
     def test_a_rate_rises_in_the_power(self, d, powers):
         low, high = (ergodic_rate(d, p) for p in powers)
         assert low.bits <= high.bits + low.error_estimate + high.error_estimate
+
+    @settings(max_examples=60, deadline=None)
+    @given(JSON_GAINS, st.lists(POWERS, min_size=2, max_size=2).map(sorted),
+           st.floats(0.0, 1.0))
+    def test_a_rate_is_concave_in_the_power(self, d, powers, weight):
+        # C(P h) is concave in P for each h, and so is its mean; 1e-14 of the
+        # chord covers the rounding of an exact sum (error estimate 0) and of
+        # the chord itself, where the two powers are equal or nearly so
+        a, c = (ergodic_rate(d, p) for p in powers)
+        b = ergodic_rate(d, weight * powers[0] + (1.0 - weight) * powers[1])
+        chord = weight * a.bits + (1.0 - weight) * c.bits
+        errors = weight * a.error_estimate + (1.0 - weight) * c.error_estimate + b.error_estimate
+        assert b.bits >= chord - errors - 1e-14 * chord
 
 
 class TestRegionGeometry:
@@ -474,6 +506,15 @@ class TestRegionGeometry:
             region_from_constraints([])
         with pytest.raises(ValueError, match="rate region is empty"):
             region_from_constraints([(1.0, 0.0, -1.0)])
+
+    @pytest.mark.parametrize("constraints", [
+        [(1, 0, math.inf), (0, 1, 1)],  # unbounded: it read as the segment to (0, 1)
+        [(1, 0, math.nan), (0, 1, 1)],  # it read as an empty region
+        [(math.inf, 0, 1)], [(0, -math.inf, 1)], [(math.nan, 1, 1)],
+    ])
+    def test_a_non_finite_constraint_raises(self, constraints):
+        with pytest.raises(ValueError, match="rate constraints must be finite"):
+            region_from_constraints(constraints)
 
     def test_a_negative_rate_lies_outside(self):
         region = region_from_constraints([(1, 0, 1.0), (0, 1, 1.0)])

@@ -156,22 +156,19 @@ def reference_classify_bc(s, tol=None):
             if chain is not None:
                 order = list(perm)
                 break
-    report = ClassificationReport(
-        topology="bc", verdict=chain is not None, condition="degraded_chain",
-        notes=[gainorder.classifier._BC_REGION_NOTE],
-        confidence="statistical" if any(isinstance(g, Empirical) for g in gains) else "analytic")
+    notes = [gainorder.classifier._BC_REGION_NOTE]
+    confidence = "statistical" if any(isinstance(g, Empirical) for g in gains) else "analytic"
     if chain is not None:
-        report.order_checks = chain
-        report.permutation = tuple(i + 1 for i in order)
-    else:
-        for i, j in itertools.combinations(range(k), 2):
-            verdict = check(i, j)
-            if verdict.relation is Relation.INCOMPARABLE:
-                report.order_checks = [(f"user{i + 1}_vs_user{j + 1}", verdict)]
-                report.witnesses = sorted(set(verdict.witnesses_first_gt)
-                                          | set(verdict.witnesses_second_gt))
-                break
-    return report
+        return ClassificationReport("bc", "degraded_chain", chain, [], notes, confidence,
+                                    tuple(i + 1 for i in order))
+    for i, j in itertools.combinations(range(k), 2):
+        verdict = check(i, j)
+        if verdict.relation is Relation.INCOMPARABLE:
+            witnesses = sorted(set(verdict.witnesses_first_gt) | set(verdict.witnesses_second_gt))
+            return ClassificationReport("bc", "degraded_chain",
+                                        [(f"user{i + 1}_vs_user{j + 1}", verdict)], witnesses,
+                                        notes, confidence)
+    return ClassificationReport("bc", "degraded_chain", notes=notes, confidence=confidence)
 
 
 MEANS = st.sampled_from([0.5, 1.0, 2.0])
@@ -200,7 +197,29 @@ class TestChainSearch:
            tol=st.one_of(st.none(), st.sampled_from([0.0, 1e-6, 0.05])))
     def test_same_report_as_the_permutation_loop(self, gains, tol):
         s = BCScenario(tuple(gains), power=1.0)
-        assert classify_bc(s, tol=tol).to_json() == reference_classify_bc(s, tol=tol).to_json()
+        report, reference = classify_bc(s, tol=tol), reference_classify_bc(s, tol=tol)
+        assert report.to_json() == reference.to_json()
+        # the verdict holds exactly when the permutation loop found a chain
+        assert report.verdict is (reference.permutation is not None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gains=st.lists(BC_GAINS, min_size=2, max_size=5),
+           tol=st.one_of(st.none(), st.sampled_from([0.0, 1e-6, 0.05])))
+    def test_the_verdict_is_read_off_the_reported_checks(self, gains, tol):
+        out = classify_bc(BCScenario(tuple(gains), power=1.0), tol=tol).to_json()
+        relations = [check["relation"] for check in out["order_checks"]]
+        assert out["verdict"] is (bool(relations)
+                                  and all(r in ("first_leq", "equal") for r in relations))
+        if out["verdict"]:  # a chain reports each of its links
+            assert len(relations) == len(gains) - 1
+        else:  # a failed search its one incomparable pair
+            assert relations == ["incomparable"]
+        # and a chain exists by the order checks of every ordered pair
+        k = len(gains)
+        leq = {(i, j): check_usual_order(gains[i], gains[j], tol=tol).first_leq
+               for i in range(k) for j in range(k) if i != j}
+        assert out["verdict"] is any(all(leq[a, b] for a, b in zip(p, p[1:]))
+                                     for p in itertools.permutations(range(k)))
 
     def test_incomparable_set_prunes_the_orders(self, monkeypatch):
         # a Bernoulli/exponential pair whose CCDFs cross (the exponential's

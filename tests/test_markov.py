@@ -105,6 +105,21 @@ class TestSuperState:
         with pytest.raises(ValueError):
             super_state(10, 2, 3)
 
+    @pytest.mark.parametrize("index", [0.5, True, math.nan, math.inf, "1"])
+    def test_a_row_index_is_a_whole_number(self, index):
+        # True read as row 1, like the chain order True that specs refuse
+        with pytest.raises(ValueError, match="row index .* outside 1..4"):
+            super_state(index, 2, 2)
+
+    @pytest.mark.parametrize("indices", [(0.5,), (1, True), (math.nan,), (0, -math.inf)])
+    def test_a_state_index_is_a_whole_number(self, indices):
+        with pytest.raises(ValueError, match="state index .* outside 0..1"):
+            super_state_index(indices, 2)
+
+    def test_a_whole_float_index_reads_as_an_int(self):
+        assert super_state(4.0, 2, 2) == (1, 1) and super_state_index((1.0, 0.0), 2) == 3
+        assert all(type(d) is int for d in super_state(np.int64(3), 2, 2))
+
 
 class TestCcdfMatrix:
     def test_first_order_golden_matrices_exact(self):

@@ -390,41 +390,56 @@ class TestMirroredVerdict:
                  (Relation.EQUAL, Relation.EQUAL, (), ()),
                  (Relation.INCOMPARABLE, Relation.INCOMPARABLE, (1.0,), (2.0, 3.0))]
         for relation, mirror, wit1, wit2 in cases:
-            v = OrderVerdict(relation, wit1, wit2, 0.25, 1e-9)
-            assert v.mirrored() == OrderVerdict(mirror, wit2, wit1, 0.25, 1e-9)
+            v = OrderVerdict(wit1, wit2, 0.25, 1e-9)
+            assert v.mirrored() == OrderVerdict(wit2, wit1, 0.25, 1e-9)
+            assert v.mirrored().relation is mirror
             assert v.mirrored().mirrored() == v
 
 
-_INVALID_VERDICTS = """
+_NON_FINITE_GAPS = """
 import sys
-from gainorder.stochastic_order import OrderVerdict, Relation
+import numpy as np
+from gainorder.stochastic_order import _verdict_from_gaps
 assert sys.flags.optimize, "asserts are live"
-for relation, wit1, wit2 in ((Relation.EQUAL, (1.0,), ()), (Relation.INCOMPARABLE, (1.0,), ())):
+for bad in (float("nan"), float("inf"), -float("inf")):
     try:
-        OrderVerdict(relation, wit1, wit2, 0.5, 1e-9)
+        _verdict_from_gaps(np.array([0.0, 1.0]), np.array([0.0, bad]), 1e-9)
     except ValueError:
         continue
-    sys.exit(f"{relation} verdict with witnesses {wit1}, {wit2} was accepted")
-print("both rejected")
+    sys.exit(f"a gap of {bad} was accepted")
+print("all rejected")
 """
 
 
-class TestOrderVerdictInvariants:
-    def test_a_verdict_against_its_witnesses_raises(self):
-        with pytest.raises(ValueError, match="EQUAL verdict carries no witnesses"):
-            OrderVerdict(Relation.EQUAL, (), (2.0,), 0.5, 1e-9)
-        with pytest.raises(ValueError, match="INCOMPARABLE verdict needs witnesses"):
-            OrderVerdict(Relation.INCOMPARABLE, (1.0,), (), 0.5, 1e-9)
+class TestVerdictFromWitnesses:
+    @pytest.mark.parametrize("wit1,wit2,relation", [
+        ((), (), Relation.EQUAL),
+        ((1.0,), (), Relation.SECOND_LEQ),
+        ((), (2.0,), Relation.FIRST_LEQ),
+        ((1.0,), (2.0, 3.0), Relation.INCOMPARABLE),
+    ])
+    def test_the_witness_pattern_is_the_relation(self, wit1, wit2, relation):
+        v = OrderVerdict(wit1, wit2, 0.25, 1e-9)
+        assert v.relation is relation
+        assert v.first_leq == (relation in (Relation.FIRST_LEQ, Relation.EQUAL))
+        assert v.second_leq == (relation in (Relation.SECOND_LEQ, Relation.EQUAL))
+        assert v.to_json()["relation"] == relation.value
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_gap_raises(self, bad):
+        # a NaN gap exceeds no tolerance, so it would read as an EQUAL verdict
+        with pytest.raises(ValueError, match="CCDF gaps must be finite"):
+            stochastic_order._verdict_from_gaps(np.array([0.0, 1.0]), np.array([0.0, bad]), 1e-9)
 
     def test_rejected_under_python_O(self):
-        # python -O strips assert statements, so the invariants must raise
+        # python -O strips assert statements, so the refusal must raise
         src = str(Path(gainorder.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        run = subprocess.run([sys.executable, "-O", "-c", _INVALID_VERDICTS], env=env,
+        run = subprocess.run([sys.executable, "-O", "-c", _NON_FINITE_GAPS], env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "both rejected"
+        assert run.stdout.strip() == "all rejected"
 
 
 class TestCheckUsualOrderDiscrete:
@@ -453,6 +468,15 @@ class TestCheckUsualOrderDiscrete:
             check_usual_order_discrete([0.5, 0.6], [0.5, 0.5])
         with pytest.raises(ValueError):
             check_usual_order_discrete([-0.1, 1.1], [0.5, 0.5])
+
+    @pytest.mark.parametrize("p,q,name", [([0.5, math.nan], [0.5, 0.5], "p"),
+                                          ([0.5, 0.5], [math.nan, 1.0], "q"),
+                                          ([math.nan, math.nan], [0.5, 0.5], "p")])
+    def test_rejects_nan_entries(self, p, q, name):
+        # NaN fails neither a sign test nor a sum test; it used to surface as
+        # an internal error about the verdict's witnesses
+        with pytest.raises(ValueError, match=f"^{name} has negative or NaN entries"):
+            check_usual_order_discrete(p, q)
 
 
 def gamma_density_mp(d, x):
