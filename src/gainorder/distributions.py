@@ -150,7 +150,7 @@ class GainDistribution(_Checked):
             out = _invert_cdf(self._cdf, flat, self._quantile_estimate(flat))
         else:
             xs = atoms[0]
-            out = xs[np.minimum(np.searchsorted(self.cdf(xs), flat, side="left"), xs.size - 1)]
+            out = xs[np.minimum(np.searchsorted(self._atom_cdf, flat, side="left"), xs.size - 1)]
         return out.reshape(u.shape) if u.ndim else float(out[0])
 
     def _quantile_estimate(self, u: np.ndarray) -> np.ndarray | None:
@@ -179,8 +179,15 @@ class GainDistribution(_Checked):
         """atoms() once, read-only: the values as doubles, the masses, and the
         atomic mass at or below each cut between them, [0, cumsum(masses)]."""
         values, masses = self.atoms()
+        if not len(masses):
+            return _NO_ATOMS
         below = np.concatenate(([0.0], masses)).cumsum()
         return _read_only(np.asarray(values, dtype=float), masses, below)
+
+    @functools.cached_property
+    def _atom_cdf(self) -> np.ndarray:
+        """cdf at each atom once, read-only: a step law's quantile searches it."""
+        return _read_only(self.cdf(self._atom_table[0]))[0]
 
     def mean(self) -> float:
         x, w = law_nodes(self)
@@ -732,6 +739,9 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.flags.writeable = False
     return arrays
+
+
+_NO_ATOMS = _read_only(np.empty(0), np.empty(0), np.zeros(1))  # every atomless law's atom table
 
 
 def _panel_nodes(breaks: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:

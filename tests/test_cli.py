@@ -5,8 +5,11 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 import unittest.mock
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,6 +308,11 @@ def _emitted(header, columns, tmp_path) -> tuple[str, str]:
     return out.read_text(), stdout.getvalue()
 
 
+def block_cells(values: np.ndarray) -> list[str]:
+    """The cells the block formatter writes for one float column."""
+    return bytes(cli._csv_block([values])).decode().splitlines()
+
+
 class TestCsvOutput:
     def test_columns_format_like_each_cell(self, tmp_path):
         # float and bool arrays (figure, coupling, region) and an empty column
@@ -354,7 +362,7 @@ class TestCsvOutput:
         # every decimal exponent a double has, on both sides of each power
         values = [v for e in range(-323, 309) for x in _nextafters(float(f"1e{e}"), n=1)
                   for v in (x, -x)]
-        assert cli._cells(np.array(values)) == list(map(repr, values))
+        assert block_cells(np.array(values)) == list(map(repr, values))
 
     @pytest.mark.parametrize("band, nonfinite", [(0, 0), (1, 0), (0, 3), (7, 2), (500, 40)])
     def test_repr_formats_the_band_and_nonfinite_cells_alone(self, band, nonfinite):
@@ -370,9 +378,52 @@ class TestCsvOutput:
         values = np.concatenate([values, rng.choice([np.nan, np.inf, -np.inf], nonfinite)])
         rng.shuffle(values)
         with unittest.mock.patch.object(cli, "repr", create=True, wraps=repr) as spy:
-            cells = cli._cells(values)
+            cells = block_cells(values)
         assert spy.call_count == band + nonfinite
         assert cells == list(map(repr, values.tolist()))
+
+    @pytest.mark.parametrize("layout", [
+        "float", "bool float", "empty float", "float bool", "float empty",
+        "bool empty float bool bool float empty", "float bool empty float",
+        "empty bool float float empty bool", "bool", "empty bool", "bool empty bool",
+    ])
+    @pytest.mark.parametrize("block, n_rows", [(1, 1), (1, 3), (3, 1), (3, 7), (8192, 10)])
+    def test_each_separator_layout(self, tmp_path, layout, block, n_rows):
+        # leading, adjacent and trailing bool or empty columns, a table with no
+        # float column, and one-row blocks, against the cell-by-cell reference
+        rng = np.random.default_rng(n_rows)
+        pool = np.array([0.5, -2.0, 1.5e-5, -7e-5, 1e-7, 2.5e16, -1e300, 5e-324, np.nan,
+                         np.inf, -np.inf, 0.1, 123456.789, -0.0])
+        make = {"float": lambda: rng.choice(pool, n_rows), "empty": lambda: None,
+                "bool": lambda: rng.random(n_rows) < 0.5}
+        columns = [make[kind]() for kind in layout.split()]
+        header = [f"c{i}" for i in range(len(columns))]
+        expected = reference_csv(header, columns)
+        with unittest.mock.patch.object(cli, "CSV_BLOCK_ROWS", block):
+            assert _emitted(header, columns, tmp_path) == (expected, expected)
+
+    def test_at_most_128_texts_between_float_cells(self, tmp_path):
+        # 0x80-0xff mark the texts that are more than one byte: seven bool
+        # columns after the last float cell take all 128, an eighth refuses
+        rng = np.random.default_rng(8)
+        flags = [rng.random(300) < 0.5 for _ in range(8)]
+        columns = [rng.random(300)] + flags[:7]
+        expected = reference_csv([f"c{i}" for i in range(8)], columns)
+        assert _emitted([f"c{i}" for i in range(8)], columns, tmp_path) == (expected, expected)
+        with pytest.raises(ValueError, match="range"):
+            cli._csv_block([rng.random(300)] + flags)
+
+    def test_one_orjson_dump_per_block(self, tmp_path):
+        import orjson
+
+        n_rows = 2 * cli.CSV_BLOCK_ROWS + 5
+        rng = np.random.default_rng(3)
+        columns = [rng.random(n_rows), rng.random(n_rows), rng.random(n_rows) < 0.5]
+        with unittest.mock.patch.object(orjson, "dumps", wraps=orjson.dumps) as spy:
+            _emit_csv(["h1", "h2", "flag"], columns, str(tmp_path / "table.csv"))
+        assert spy.call_count == 3
+        assert [call.args[0].size for call in spy.call_args_list] == [
+            2 * cli.CSV_BLOCK_ROWS, 2 * cli.CSV_BLOCK_ROWS, 10]
 
     def test_each_write_holds_at_most_one_block(self):
         writes = []
@@ -387,6 +438,38 @@ class TestCsvOutput:
             _emit_csv(["h"], [np.linspace(0.0, 1.0, n_rows)], None)
         assert sum(writes) == n_rows + 1
         assert max(writes) == cli.CSV_BLOCK_ROWS
+
+
+# runs each argv of the JSON list in argv[1] through main, in this interpreter
+_RUN_EACH = ("import json, sys\n"
+             "from gainorder.cli import main\n"
+             "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))\n")
+
+
+class TestFreshInterpreterOutput:
+    def test_stdout_holds_the_bytes_of_the_files(self, tmp_path):
+        # the tables go to files as bytes and to stdout as text; only a real
+        # stdout, not redirect_stdout's StringIO, shows a write out of order or
+        # in another encoding.  Each table spans several blocks
+        pair = write(tmp_path, "pair.json", PAIR)
+        argvs = [["coupling-sample", pair, "--construction", construction, "-n", "20000",
+                  "--seed", "3"] for construction in ("maximal", "comonotone")]
+        argvs.append(["figure", "--fig", "3", "--points", "20000"])
+        files = [tmp_path / f"table{i}.csv" for i in range(len(argvs))]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+        def run(argvs):
+            return subprocess.run([sys.executable, "-c", _RUN_EACH, json.dumps(argvs)], env=env,
+                                  capture_output=True, timeout=300)
+
+        to_files = run([argv + ["--out", str(f)] for argv, f in zip(argvs, files)])
+        to_stdout = run(argvs)
+        assert (to_files.returncode, to_files.stdout, to_files.stderr) == (0, b"", b"")
+        assert (to_stdout.returncode, to_stdout.stderr) == (0, b"")
+        assert to_stdout.stdout == b"".join(f.read_bytes() for f in files)
+        assert to_stdout.stdout.count(b"\n") == 3 * 20001
 
 
 class TestFigureCommand:

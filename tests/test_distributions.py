@@ -937,6 +937,34 @@ class TestAtomTable:
         assert not any(column.flags.writeable for column in table)
         assert [column.tolist() for column in table] == [[0.0, 1.0], [0.75, 0.25], [0.0, 0.75, 1.0]]
 
+    @pytest.mark.parametrize("d", [
+        Empirical.from_samples(np.arange(10.0)),
+        Empirical.from_samples(np.random.default_rng(9).exponential(size=1000).round(2)),
+        BernoulliGain(0.3), BernoulliGain(0.0), BernoulliGain(1.0), PointMass(1.5),
+        RatioLaw(BernoulliGain(0.5), PointMass(1.0), 1.0),
+        RatioLaw(Empirical((0.5, 1.0, 1.0, 4.0)), BernoulliGain(0.3), 2.0),
+    ], ids=["empirical-0-to-9", "empirical-1000", "bernoulli-0.3", "bernoulli-0", "bernoulli-1",
+            "point-mass", "ratio-bernoulli-point-mass", "ratio-empirical-bernoulli"])
+    def test_a_step_quantile_searches_the_cached_cdf(self, d):
+        # the cdf at the atoms, not the running sum of their masses: for the
+        # ten-atom sample they differ in the last bit (0.3 against 0.30000000000000004)
+        xs = distributions.step_atoms(d)[0]
+        cdf = np.asarray(d.cdf(xs))
+        u = np.unique(np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+                                      np.linspace(0.0, 1.0, 101)]))
+        uncached = xs[np.minimum(np.searchsorted(cdf, u, side="left"), xs.size - 1)]
+        assert same_doubles(d.quantile(u), uncached)
+        assert [d.quantile(float(v)) for v in u] == uncached.tolist()
+        assert same_doubles(d._atom_cdf, cdf) and not d._atom_cdf.flags.writeable
+
+    def test_a_step_quantile_evaluates_the_cdf_once(self, monkeypatch):
+        calls = []
+        cdf = Empirical.cdf
+        monkeypatch.setattr(Empirical, "cdf", lambda d, x: calls.append(d) or cdf(d, x))
+        d = Empirical.from_samples(np.arange(10.0))
+        d.quantile([0.1, 0.5]), d.quantile(0.3), d.sample([0.2, 0.7])
+        assert calls == [d]
+
 
 def looped_gammaincc_series(a, xs):
     """S = sum_{n >= 1} (-x)^n / (n! (a + n)) of _gammaincc, term by term."""

@@ -361,6 +361,48 @@ def scaled(d, c):
     return dataclasses.replace(d, **{name: getattr(d, name) * c})
 
 
+def reference_ccdf_eval_points(d1, d2, points):
+    """The abscissae and ccdfs of _ccdf_eval_points with the atoms of both laws
+    always merged, as the reference for its shortcut when neither has any."""
+    atoms = np.union1d(d1.atoms()[0], d2.atoms()[0])
+    xs = np.unique(np.concatenate([[0.0], points, atoms]))
+    c1, c2 = np.asarray(d1.ccdf(xs), dtype=float), np.asarray(d2.ccdf(xs), dtype=float)
+    if atoms.size:
+        xs = np.concatenate([xs, atoms])
+        c1 = np.concatenate([c1, np.atleast_1d(d1.ccdf_left(atoms))])
+        c2 = np.concatenate([c2, np.atleast_1d(d2.ccdf_left(atoms))])
+    return xs, c1, c2
+
+
+class TestEvalPoints:
+    @settings(max_examples=60, deadline=None)
+    @given(pair=st.one_of(st.tuples(ATOMLESS_LAWS | GAMMA_LAWS, ATOMLESS_LAWS | GAMMA_LAWS),
+                          st.tuples(STEP_LAWS | MIXED_RATIO_LAWS, ATOMLESS_LAWS),
+                          st.tuples(ATOMLESS_LAWS, STEP_LAWS | MIXED_RATIO_LAWS)))
+    @example(pair=(Exponential(1.0), Exponential(2.0)))
+    @example(pair=(NakagamiGain(0.75, 1.0), RatioExpExp(1.0, 2.0, 3.0)))
+    def test_same_points_and_verdict_as_the_merged_atoms(self, pair):
+        d1, d2 = pair
+        points = stochastic_order._extreme_points(d1, d2)
+        if points is None:
+            points = EvaluationGrid.for_pair(d1, d2).as_array()
+        got = stochastic_order._ccdf_eval_points(d1, d2, points)
+        expected = reference_ccdf_eval_points(d1, d2, points)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+        xs, c1, c2 = expected
+        tol = default_order_tolerance(d1, d2)
+        assert check_usual_order(d1, d2) == stochastic_order._verdict_from_gaps(xs, c1 - c2, tol)
+
+    def test_atomless_laws_share_one_empty_table(self):
+        from gainorder.distributions import _NO_ATOMS
+
+        laws = [Exponential(1.0), NakagamiGain(0.75, 2.0), RatioExpExp(1.0, 2.0, 3.0),
+                RatioLaw(NakagamiGain(2.0, 1.0), BernoulliGain(0.5), 1.0)]
+        assert all(d._atom_table is _NO_ATOMS for d in laws)
+        assert [a.tolist() for a in _NO_ATOMS] == [[], [], [0.0]]
+        assert not any(a.flags.writeable for a in _NO_ATOMS)
+
+
 class TestScaleInvariance:
     """H1 <=st H2 iff c H1 <=st c H2 for c > 0: a property that needs no oracle."""
 
