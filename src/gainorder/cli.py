@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import math
 import sys
@@ -126,30 +125,29 @@ CSV_BLOCK_ROWS = 8192
 def _emit_csv(header: list[str], columns: list, out: str | None) -> None:
     """Write equal-length columns as CSV, `CSV_BLOCK_ROWS` rows at a time.
 
-    Each column is a numpy float or bool array, or None for a column of empty
-    cells.  A float cell holds the shortest digits that read back as the same
-    double, exactly as `repr` writes them; a bool cell reads True or False.
-    A file gets the rows as bytes, stdout as text.
+    The columns are numpy float arrays, and the last may instead be a bool
+    array or None for a column of empty cells.  A float cell holds the shortest
+    digits that read back as the same double, exactly as `repr` writes them; a
+    bool cell reads True or False.  A file gets the rows as bytes, stdout as text.
     """
-    n_rows = len(next(c for c in columns if c is not None))
     with open(out, "wb") if out else contextlib.nullcontext() as stream:
         write = stream.write if out else lambda data: sys.stdout.write(str(data, "utf-8"))
         write(",".join(header).encode() + b"\n")
-        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
             write(_csv_block([c if c is None else c[start:start + CSV_BLOCK_ROWS] for c in columns]))
 
 
 def _csv_block(columns: list) -> memoryview:
     """The CSV rows of columns as _emit_csv takes them, as bytes: one orjson dump
-    of the float cells in row order, whose "[" and the byte after each cell are
-    rewritten in place to the text up to the next float cell, or to a marker."""
+    of the float cells in row order, whose "[", "]" and comma after each row's
+    last float cell are rewritten in place to the text that ends the row."""
     import orjson
 
-    floats = [c for c in columns if c is not None and c.dtype.kind != "b"]
-    values = np.stack(floats, axis=1, dtype=float).ravel() if floats else np.empty(0)
-    # without a float column: a byte before the first row and one after each
-    n_rows = len(next(c for c in columns if c is not None))
-    raw = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY) if floats else b"," * (n_rows + 1)
+    last = columns[-1]
+    flagged = last is None or last.dtype.kind == "b"
+    floats = columns[:-1] if flagged else columns
+    values = np.stack(floats, axis=1, dtype=float).ravel()
+    raw = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
     text = np.frombuffer(bytearray(raw), dtype=np.uint8)
     # orjson writes repr's shortest round-trip digits for every finite double;
     # outside 1e-4 <= |x| < 1e16 it differs from repr in layout only.  Its
@@ -164,24 +162,15 @@ def _csv_block(columns: list) -> memoryview:
                          np.where(minus, ord("0"), ord("+"))[fix])
     text[[0, -1]] = ord(",")
     ends = np.flatnonzero(text == ord(","))
-
-    # the row as a format string cut at its float cells, {bK} for bool column K;
-    # the text that ends a row also starts the next
-    row = ",".join("" if c is None else f"{{b{k}}}" if c.dtype.kind == "b" else "\0"
-                   for k, c in enumerate(columns))
-    pieces = ("\0" * (not floats) + row + "\n").split("\0")
-    gaps, markers = [pieces[-1] + pieces[0]] + pieces[1:-1], {}
-    for j, gap in enumerate(gaps):
-        at, code = ends[j::len(gaps)], 0   # code: the index into texts
-        bools = [k for k in range(len(columns)) if f"{{b{k}}}" in gap]
-        for k in bools:  # the i-th byte is in row i or ends row i - 1; False if virtual
-            code = 2 * code + np.pad(columns[k], 1)[int(f"{{b{k}}}" not in pieces[-1]):][:at.size]
-        texts = [gap.format_map({f"b{k}": v for k, v in zip(bools, cells)}).encode()
-                 for cells in itertools.product(("False", "True"), repeat=len(bools))]
-        # one byte stands for itself, more for a marker >= 0x80; bytes() refuses a 129th
-        keys = bytes(t[0] if len(t) == 1 else markers.setdefault(t, 0x80 + len(markers))
-                     for t in texts)
-        text[at] = np.frombuffer(keys, dtype=np.uint8)[code]
+    # every len(floats)-th separator ends a row, "[" a virtual one before the
+    # first: it becomes "\n", or for the longer texts[i] the marker 0x80 + i,
+    # a byte that no cell's ASCII text holds
+    if flagged:
+        texts = [b",\n"] if last is None else [b",False\n", b",True\n"]
+        text[ends[::len(floats)]] = 0x80 + (0 if last is None else np.pad(last, (1, 0)))
+    else:
+        texts = []
+        text[ends[::len(floats)]] = ord("\n")
 
     # orjson writes 1e-5 <= |x| < 1e-4 positionally (0.000015 for 1.5e-05) and
     # NaN and +-inf as null, so repr formats those cells alone
@@ -192,10 +181,9 @@ def _csv_block(columns: list) -> memoryview:
     parts = [view[a:b] for a, b in zip(bounds, bounds[1:])]
     parts[1::2] = [repr(x).encode() for x in values[other].tolist()]
     data = b"".join(parts)
-    for t, marker in markers.items():
-        data = data.replace(bytes([marker]), t)
-    # "[" and "]" also hold the text of a virtual row before and after
-    return memoryview(data)[data.index(b"\n") + 1:data.rindex(b"\n") + 1]
+    for i, t in enumerate(texts):
+        data = data.replace(bytes([0x80 + i]), t)
+    return memoryview(data)[data.index(b"\n") + 1:]  # past the virtual row
 
 
 # -- commands -----------------------------------------------------------------

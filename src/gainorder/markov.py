@@ -444,16 +444,18 @@ def check_indecomposable(spec: MarkovChannelSpec) -> bool:
     """True iff some power P^n, n <= R(R-1)+1 with R = N^k, has an all-positive column:
     one stays positive in every later power, as each row of the stochastic P has a
     positive entry, so j boolean squarings of P > 0 with 2^j >= R(R-1)+1 decide."""
-    reach = spec.matrix_float() > 0.0
+    # the exact pattern: in floats an entry below the least double reads 0
+    reach = _full_matrix(spec.table_numerators > 0, False)
     for _ in range((spec.n_super * (spec.n_super - 1)).bit_length()):
         reach = (reach.astype(float) @ reach.astype(float)) > 0.0
     return bool(np.any(np.all(reach, axis=0)))
 
 
 def stationary_distribution(spec: MarkovChannelSpec) -> np.ndarray:
-    """The super-state chain's unique stationary law by eigenvector extraction, else ValueError."""
-    mat = spec.matrix_float()
-    reach = (mat > 0.0) | np.eye(len(mat), dtype=bool)  # j in zero or more steps from i
+    """The super-state chain's unique stationary law by eigenvector extraction on its
+    one closed class, where the transient super-states get 0; else ValueError."""
+    # j in zero or more steps from i, from the exact pattern as in check_indecomposable
+    reach = _full_matrix(spec.table_numerators > 0, False) | np.eye(spec.n_super, dtype=bool)
     while not np.array_equal(wider := (reach.astype(float) @ reach) > 0.0, reach):
         reach = wider
     # i's class is closed iff each state i reaches reaches i back; they are that class
@@ -461,10 +463,10 @@ def stationary_distribution(spec: MarkovChannelSpec) -> np.ndarray:
     if len(closed) > 1:
         raise ValueError("the chain has more than one closed class, so no unique stationary law: "
                          f"super-states {', '.join(str([int(j) + 1 for j in c]) for c in closed)}")
-    vals, vecs = np.linalg.eig(mat.T)
-    idx = int(np.argmin(np.abs(vals - 1.0)))
-    pi = np.real(vecs[:, idx])
-    pi = np.abs(pi)
+    cls = list(closed[0])
+    vals, vecs = np.linalg.eig(spec.matrix_float()[np.ix_(cls, cls)].T)
+    pi = np.zeros(spec.n_super)
+    pi[cls] = np.abs(np.real(vecs[:, int(np.argmin(np.abs(vals - 1.0)))]))
     return pi / pi.sum()
 
 

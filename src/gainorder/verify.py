@@ -71,6 +71,12 @@ def _open_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.clip(rng.random(n), 1e-12, 1.0 - 1e-12)
 
 
+def _check_size(n: int) -> None:
+    """Every public check's sample-size floor: its threshold holds from 1e4 samples."""
+    if n < 10**4:
+        raise ValueError("need at least 1e4 samples")
+
+
 def ks_statistic(samples, d: GainDistribution) -> float:
     """sup_x |F_emp(x) - F_d(x)| via the sorted-sample formula.
 
@@ -102,6 +108,7 @@ def verify_same_marginals(
     (a negative control that must fail); the comonotone coupling has no
     residuals, so it raises ValueError there.
     """
+    _check_size(n)
     if construction == "maximal":
         spec = maximal_coupling_spec(d1, d2)
         return _maximal_marginals(spec, _maximal_draws(spec, n, seed), n, seed, corrupt)
@@ -154,6 +161,7 @@ def verify_strong_ic_independence(
     control (rank correlation 1).  Degenerate (zero-variance) transforms pass
     vacuously.
     """
+    _check_size(n)
     rng = _rng(seed, "strong_ic_independence")
     u1 = _open_uniform(rng, n)
     u2 = u1 if shared_uniform else _open_uniform(rng, n)
@@ -175,8 +183,7 @@ def mc_ergodic_rate(
 ) -> RateValue:
     """Sample-mean estimate of E[C(H * power)] with its standard error."""
     _check_nonnegative("power", power)
-    if n < 10**4:
-        raise ValueError("need at least 1e4 samples")
+    _check_size(n)
     rng = _rng(seed, "mc_ergodic_rate")
     h = np.asarray(d.sample(_open_uniform(rng, n)))
     values = np.asarray(c_of(h * power))
@@ -198,8 +205,7 @@ def verify_copula_equivalence(
     coordinates from independent uniforms instead, which must fail (the joint
     CDF then tracks F1*F2, not the minimum).
     """
-    if n < 10**4:
-        raise ValueError("need at least 1e4 samples")
+    _check_size(n)
     rng = _rng(seed, "copula_equivalence")
     u1 = _open_uniform(rng, n)
     u2 = _open_uniform(rng, n) if independent_control else u1
@@ -233,6 +239,7 @@ def verify_maximal_equality_fraction(
     d1: GainDistribution, d2: GainDistribution, n: int = 100_000, seed: int = 0
 ) -> VerificationReport:
     """Fraction of equal draws must sit within 3 sigma of the overlap mass p."""
+    _check_size(n)
     rng = _rng(seed, "maximal_equality_fraction")
     # the draw is equal exactly where its selection uniform is at most p
     # (maximal_coupling_samples), so no component quantile is needed
@@ -246,6 +253,7 @@ def run_verification_suite(
     seed: int = 0, n: int = 100_000, include_negative_controls: bool = False
 ) -> list[VerificationReport]:
     """The full positive-control suite, optionally with the negative controls."""
+    _check_size(n)
     d1, d2 = Exponential(1.0), Exponential(2.0)
     ic = ICScenario(
         h11=Exponential(1.0), h12=Exponential(2.0), h21=Exponential(2.0), h22=Exponential(1.0),

@@ -308,50 +308,53 @@ def _emitted(header, columns, tmp_path) -> tuple[str, str]:
     return out.read_text(), stdout.getvalue()
 
 
+# the layouts the commands write: float columns (region, figure), then a bool
+# column (maximal coupling samples) or a column of empty cells (comonotone)
+TRAILERS = {"none": lambda flags: [], "bool": lambda flags: [flags],
+            "empty": lambda flags: [None]}
+
+
 def block_cells(values: np.ndarray) -> list[str]:
     """The cells the block formatter writes for one float column."""
     return bytes(cli._csv_block([values])).decode().splitlines()
 
 
 class TestCsvOutput:
-    def test_columns_format_like_each_cell(self, tmp_path):
-        # float and bool arrays (figure, coupling, region) and an empty column
-        # (comonotone flags), against the cell-by-cell reference
+    @pytest.mark.parametrize("trailer", TRAILERS)
+    def test_columns_format_like_each_cell(self, tmp_path, trailer):
+        # float columns and each trailing column, against the cell-by-cell reference
         floats = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-310,
                            2.2250738585072014e-308, 1e300, -1.5e-7, 0.1, 1.0 / 3.0])
         flags = np.arange(floats.size) % 3 == 0
-        columns = [floats, flags, floats[::-1], None]
-        expected = reference_csv(["a", "b", "c", "d"], columns)
-        assert _emitted(["a", "b", "c", "d"], columns, tmp_path) == (expected, expected)
+        columns = [floats, floats[::-1]] + TRAILERS[trailer](flags)
+        header = ["a", "b", "c"][:len(columns)]
+        expected = reference_csv(header, columns)
+        assert _emitted(header, columns, tmp_path) == (expected, expected)
 
+    @pytest.mark.parametrize("trailer", TRAILERS)
     @pytest.mark.parametrize("extra", [-1, 0, 1, cli.CSV_BLOCK_ROWS + 1])
-    def test_tables_around_the_block_size(self, tmp_path, extra):
+    def test_tables_around_the_block_size(self, tmp_path, extra, trailer):
         # random bit patterns: every exponent, subnormals, NaN and inf included
         n_rows = cli.CSV_BLOCK_ROWS + extra
         rng = np.random.default_rng(n_rows)
         bits = rng.integers(0, 2**64, n_rows, dtype=np.uint64, endpoint=False)
-        columns = [bits.view(np.float64), rng.random(n_rows), rng.random(n_rows) < 0.5, None]
-        expected = reference_csv(["h1", "h2", "flag", "empty"], columns)
-        assert _emitted(["h1", "h2", "flag", "empty"], columns, tmp_path) == (expected, expected)
+        columns = [bits.view(np.float64), rng.random(n_rows)]
+        columns += TRAILERS[trailer](rng.random(n_rows) < 0.5)
+        header = ["h1", "h2", "flag"][:len(columns)]
+        expected = reference_csv(header, columns)
+        assert _emitted(header, columns, tmp_path) == (expected, expected)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), block=st.sampled_from([1, 2, 3, 5, 8]),
-           kinds=st.lists(st.sampled_from(["float", "bool", "empty"]), min_size=1, max_size=4))
-    def test_same_bytes_as_the_reference(self, tmp_path_factory, data, block, kinds):
+           n_floats=st.integers(1, 4), trailer=st.sampled_from(list(TRAILERS)))
+    def test_same_bytes_as_the_reference(self, tmp_path_factory, data, block, n_floats,
+                                         trailer):
         n_rows = data.draw(st.sampled_from([0, 1, block - 1, block, block + 1, 2 * block + 1])
                            | st.integers(0, 4 * block), label="n_rows")
-        if set(kinds) == {"empty"}:
-            kinds[0] = "float"   # the row count comes from a column with cells
-        columns = []
-        for kind in kinds:
-            if kind == "float":
-                columns.append(np.array(data.draw(
-                    st.lists(CSV_FLOATS, min_size=n_rows, max_size=n_rows)), dtype=float))
-            elif kind == "bool":
-                columns.append(np.array(data.draw(
-                    st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)), dtype=bool))
-            else:
-                columns.append(None)
+        columns = [np.array(data.draw(st.lists(CSV_FLOATS, min_size=n_rows, max_size=n_rows)),
+                            dtype=float) for _ in range(n_floats)]
+        columns += TRAILERS[trailer](np.array(data.draw(
+            st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)), dtype=bool))
         header = [f"c{i}" for i in range(len(columns))]
         expected = reference_csv(header, columns)
         with unittest.mock.patch.object(cli, "CSV_BLOCK_ROWS", block):
@@ -383,14 +386,13 @@ class TestCsvOutput:
         assert cells == list(map(repr, values.tolist()))
 
     @pytest.mark.parametrize("layout", [
-        "float", "bool float", "empty float", "float bool", "float empty",
-        "bool empty float bool bool float empty", "float bool empty float",
-        "empty bool float float empty bool", "bool", "empty bool", "bool empty bool",
+        "float", "float float", "float float float float float", "float bool",
+        "float float bool", "float empty", "float float empty",
     ])
     @pytest.mark.parametrize("block, n_rows", [(1, 1), (1, 3), (3, 1), (3, 7), (8192, 10)])
     def test_each_separator_layout(self, tmp_path, layout, block, n_rows):
-        # leading, adjacent and trailing bool or empty columns, a table with no
-        # float column, and one-row blocks, against the cell-by-cell reference
+        # one or more float columns, then at most one bool or empty column, and
+        # one-row blocks, against the cell-by-cell reference
         rng = np.random.default_rng(n_rows)
         pool = np.array([0.5, -2.0, 1.5e-5, -7e-5, 1e-7, 2.5e16, -1e300, 5e-324, np.nan,
                          np.inf, -np.inf, 0.1, 123456.789, -0.0])
@@ -401,17 +403,6 @@ class TestCsvOutput:
         expected = reference_csv(header, columns)
         with unittest.mock.patch.object(cli, "CSV_BLOCK_ROWS", block):
             assert _emitted(header, columns, tmp_path) == (expected, expected)
-
-    def test_at_most_128_texts_between_float_cells(self, tmp_path):
-        # 0x80-0xff mark the texts that are more than one byte: seven bool
-        # columns after the last float cell take all 128, an eighth refuses
-        rng = np.random.default_rng(8)
-        flags = [rng.random(300) < 0.5 for _ in range(8)]
-        columns = [rng.random(300)] + flags[:7]
-        expected = reference_csv([f"c{i}" for i in range(8)], columns)
-        assert _emitted([f"c{i}" for i in range(8)], columns, tmp_path) == (expected, expected)
-        with pytest.raises(ValueError, match="range"):
-            cli._csv_block([rng.random(300)] + flags)
 
     def test_one_orjson_dump_per_block(self, tmp_path):
         import orjson

@@ -434,6 +434,10 @@ class TestIndecomposable:
     def test_second_order_example(self):
         assert check_indecomposable(chain4(P4, INIT4_WEAK)) is True
 
+    def test_an_edge_below_the_least_double_counts(self):
+        # 1/10^400 rounds to 0.0 as a float; the exact pattern keeps the edge 1 -> 2
+        assert check_indecomposable(tiny_edge_chain()) is True
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_squaring_agrees_with_every_power(self, data):
@@ -452,6 +456,11 @@ class TestIndecomposable:
         start = time.perf_counter()
         assert check_indecomposable(spec) is False
         assert time.perf_counter() - start < 1.0
+
+
+def tiny_edge_chain(d=10**400):
+    """State 1 leaves for the absorbing state 2 with probability 1/d."""
+    return MarkovChannelSpec((0.5, 1.0), 1, ((f"{d - 1}/{d}", f"1/{d}"), (0, 1)), (0, 1))
 
 
 def drawn_chain(n, k, weights):
@@ -506,6 +515,11 @@ class TestStationaryDistribution:
         n = len(matrix)
         spec = MarkovChannelSpec(THREE_STATES[-n:], 1, matrix, (F(1, n),) * n)
         assert stationary_distribution(spec) == pytest.approx(law, abs=1e-15)
+
+    def test_an_edge_below_the_least_double_leaves_one_closed_class(self):
+        # the float matrix reads 1/10^400 as 0.0, which once made state 1 a
+        # second closed class; a transient state gets exactly 0
+        assert stationary_distribution(tiny_edge_chain()).tolist() == [0.0, 1.0]
 
 
 class TestCoupledPaths:

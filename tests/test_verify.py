@@ -14,6 +14,7 @@ from gainorder.verify import (
     mc_ergodic_rate,
     run_verification_suite,
     verify_copula_equivalence,
+    verify_maximal_equality_fraction,
     verify_same_marginals,
     verify_strong_ic_independence,
 )
@@ -149,6 +150,30 @@ class TestCopulaEquivalence:
     def test_minimum_sample_size(self):
         with pytest.raises(ValueError, match="at least 1e4 samples"):
             verify_copula_equivalence(Exponential(1.0), Exponential(2.0), n=9_999)
+
+
+# every public check, run on n samples of its default laws
+SIZED_CHECKS = {
+    "same_marginals[maximal]": lambda n: verify_same_marginals(
+        "maximal", Exponential(1.0), Exponential(2.0), n=n),
+    "same_marginals[comonotone]": lambda n: verify_same_marginals(
+        "comonotone", Exponential(1.0), Exponential(2.0), n=n),
+    "strong_ic_independence": lambda n: verify_strong_ic_independence(exp_ic(), n=n),
+    "mc_ergodic_rate": lambda n: mc_ergodic_rate(Exponential(1.0), 1.0, n=n),
+    "copula_equivalence": lambda n: verify_copula_equivalence(
+        Exponential(1.0), Exponential(2.0), n=n),
+    "maximal_equality_fraction": lambda n: verify_maximal_equality_fraction(
+        Exponential(1.0), Exponential(2.0), n=n),
+    "suite": lambda n: run_verification_suite(n=n, include_negative_controls=True),
+}
+
+
+@pytest.mark.parametrize("n", [0, 100, 9_999])
+@pytest.mark.parametrize("check", SIZED_CHECKS)
+def test_fewer_than_1e4_samples_are_refused(check, n):
+    # n = 0 once divided by zero in a threshold
+    with pytest.raises(ValueError, match="^need at least 1e4 samples$"):
+        SIZED_CHECKS[check](n)
 
 
 def _loop_statistic(d1, d2, n, seed, independent_control):
